@@ -26,12 +26,14 @@ from .lattice_paths import (
 from .maps import (
     PermutationPairing,
     bf_explore,
+    bfs_distances,
     df_explore,
     enumerate_admissible,
     entangled_pairings,
     insert_edges,
     is_entangled,
     metric_from_root,
+    tree_adjacency,
     unicellular_glue,
 )
 from .samplers import (
@@ -263,8 +265,8 @@ def radius_invariance_suite(n_enum: int = 4, n_sample: int = 1000, reps: int = 1
         tree = tree_of_contour(exc)
         xi = sample_corners_bf(exc, 1, gen)
         vat = tree.vertex_at_time
-        chords = [(vat[xi.indices[0]], vat[xi.indices[1]])]
-        dist = _tree_chord_bfs(tree, chords)
+        chord = (vat[xi.indices[0]], vat[xi.indices[1]])
+        dist = bfs_distances(tree_adjacency(tree, [chord]), 0)
         if max(dist) != exc.max_height():
             ok = False
             break
@@ -275,34 +277,6 @@ def radius_invariance_suite(n_enum: int = 4, n_sample: int = 1000, reps: int = 1
             break
     res.add(f"sampled-n{n_sample}-x{reps}", ok)
     return res
-
-
-def _tree_chord_bfs(tree, chords) -> list[int]:
-    chord_adj: dict[int, list[int]] = {}
-    for u, v in chords:
-        chord_adj.setdefault(u, []).append(v)
-        chord_adj.setdefault(v, []).append(u)
-    dist = [-1] * (tree.n + 1)
-    dist[0] = 0
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            du = dist[u] + 1
-            p = tree.parent[u]
-            if p >= 0 and dist[p] < 0:
-                dist[p] = du
-                nxt.append(p)
-            for v in tree.children[u]:
-                if dist[v] < 0:
-                    dist[v] = du
-                    nxt.append(v)
-            for v in chord_adj.get(u, ()):
-                if dist[v] < 0:
-                    dist[v] = du
-                    nxt.append(v)
-        frontier = nxt
-    return dist
 
 
 def decoration_count_suite(n_max: int = 5) -> SuiteResult:

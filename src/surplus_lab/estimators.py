@@ -97,8 +97,18 @@ def ks_two_sample_critical(m: int, n: int, alpha: float = 0.01) -> float:
 # -- radius, two-point, and profile laws --------------------------------------------
 
 
-def _map_scale(n: int) -> float:
-    return sqrt(2.0 / n)
+def _route_scales(n: int, mode: str):
+    """Rescalings of (map distance, contour height) for the breadth-first and
+    unicellular models.
+
+    Each model keeps the float expression its seeded outputs are pinned
+    with; an algebraically equal rewrite can change the last bit.
+    """
+    root = sqrt(2.0 * n)
+    if mode == "um":
+        return (lambda d: d / root), (lambda h: h / root)
+    scale = sqrt(2.0 / n)
+    return (lambda d: scale * d), (lambda h: 2.0 * h / root)
 
 
 @dataclass
@@ -121,14 +131,14 @@ def radius_laws(n: int, s: int, reps: int, rng: RngStream) -> RadiusLaws:
     over ``sqrt(2n)``.  Inverse-height route: the reciprocal-height sum under
     the depth-first tilt over ``sqrt(2n)``.
     """
-    root = sqrt(2.0 * n)
+    to_map, to_height = _route_scales(n, "bf")
     map_ens = tilted_ensemble(
         n, s, "bf", reps, rng.substream(0),
-        {"radius": lambda smp: _map_scale(n) * max(smp.distances_from_root())},
+        {"radius": lambda smp: to_map(smp.distances_from_root().max())},
     )
     bf_ens = tilted_ensemble(
         n, s, "bf", reps, rng.substream(1),
-        {"sup": lambda smp: 2.0 * smp.exc.max_height() / root},
+        {"sup": lambda smp: to_height(smp.exc.max_height())},
     )
     df_ens = tilted_ensemble(
         n, s, "df", reps, rng.substream(2),
@@ -149,6 +159,8 @@ def radius_laws(n: int, s: int, reps: int, rng: RngStream) -> RadiusLaws:
 
 @dataclass
 class TwoPointLaws:
+    """A map-side law against a contour-side law, each in column ``val``."""
+
     map_law: EmpiricalLaw
     excursion_law: EmpiricalLaw
     ks: float
@@ -156,43 +168,49 @@ class TwoPointLaws:
     ensembles: dict
 
 
-def _two_point_map_functional(n: int):
-    scale = _map_scale(n)
-
-    def fn(smp: TiltSample) -> float:
-        x1 = int(smp.gen.integers(1, n + 1))
-        x2 = int(smp.gen.integers(1, n + 1))
-        return scale * smp.graph_distance(x1, x2)
-
-    return fn
-
-
-def _two_point_exc_functional(n: int):
-    root = sqrt(2.0 * n)
-
-    def fn(smp: TiltSample) -> float:
-        t = int(smp.gen.random() * 2 * n)
-        return 2.0 * smp.vals[t] / root
-
-    return fn
+def _map_and_contour_laws(n: int, tilt: int, mode: str, reps: int, rng: RngStream,
+                          map_fn, contour_fn) -> TwoPointLaws:
+    map_ens = tilted_ensemble(n, tilt, mode, reps, rng.substream(0), {"val": map_fn})
+    exc_ens = tilted_ensemble(n, tilt, mode, reps, rng.substream(1), {"val": contour_fn})
+    law_m = EmpiricalLaw.from_ensemble(map_ens, "val")
+    law_e = EmpiricalLaw.from_ensemble(exc_ens, "val")
+    return TwoPointLaws(law_m, law_e, ks_distance(law_m, law_e),
+                        {"map": map_ens.ess(), "excursion": exc_ens.ess()},
+                        {"map": map_ens, "excursion": exc_ens})
 
 
-def two_point_law(n: int, s: int, reps: int, rng: RngStream) -> TwoPointLaws:
+def two_point_law(n: int, s: int, reps: int, rng: RngStream, mode: str = "bf") -> TwoPointLaws:
     """Distance between two uniform non-root vertices vs. the contour height
-    at a uniform time, both under the breadth-first tilt.
+    at a uniform time, both under the breadth-first (or unicellular) tilt.
 
     At ``n = 1`` there is a single non-root vertex and the map side is a
     point mass at zero.
     """
-    map_ens = tilted_ensemble(n, s, "bf", reps, rng.substream(0),
-                              {"dist": _two_point_map_functional(n)})
-    exc_ens = tilted_ensemble(n, s, "bf", reps, rng.substream(1),
-                              {"height": _two_point_exc_functional(n)})
-    law_m = EmpiricalLaw.from_ensemble(map_ens, "dist")
-    law_e = EmpiricalLaw.from_ensemble(exc_ens, "height")
-    return TwoPointLaws(law_m, law_e, ks_distance(law_m, law_e),
-                        {"map": map_ens.ess(), "excursion": exc_ens.ess()},
-                        {"map": map_ens, "excursion": exc_ens})
+    to_map, to_height = _route_scales(n, mode)
+
+    def distance(smp: TiltSample) -> float:
+        x1 = int(smp.gen.integers(1, n + 1))
+        x2 = int(smp.gen.integers(1, n + 1))
+        return to_map(smp.graph_distance(x1, x2))
+
+    def height(smp: TiltSample) -> float:
+        return to_height(smp.vals[int(smp.gen.random() * 2 * n)])
+
+    return _map_and_contour_laws(n, s, mode, reps, rng, distance, height)
+
+
+def unicellular_laws(target: str, n: int, g: int, reps: int, rng: RngStream) -> TwoPointLaws:
+    """Genus-``g`` unicellular radius or two-point law: glued-map route against
+    the contour route."""
+    if target == "two-point":
+        return two_point_law(n, g, reps, rng, mode="um")
+    if target != "radius":
+        raise ValueError("profile estimation is available for --model h only")
+    to_map, to_height = _route_scales(n, "um")
+    return _map_and_contour_laws(
+        n, g, "um", reps, rng,
+        lambda smp: to_map(smp.distances_from_root().max()),
+        lambda smp: to_height(smp.exc.max_height()))
 
 
 DEFAULT_PROFILE_GRID = tuple(round(0.1 * k, 1) for k in range(31))
@@ -247,7 +265,7 @@ def profile_laws(n: int, s: int, reps: int, rng: RngStream,
 
     map_ens = tilted_ensemble(
         n, s, "bf", reps, rng.substream(0),
-        {"profile": map_profile, "mass": lambda smp: (smp.tree().n + 1) / float(n),
+        {"profile": map_profile, "mass": lambda smp: (smp.exc.n + 1) / float(n),
          "lt_profile": localtime_profile},
     )
     # weighted labeled-tree route (its own proposal; replicate r uses substream (1, r))

@@ -583,6 +583,17 @@ def adjacency(m: RootedMap) -> list[list[int]]:
     return adj
 
 
+def tree_adjacency(tree: PlaneTree, extra_edges=()) -> list[list[int]]:
+    """Neighbour lists of a plane tree plus extra edges given as vertex pairs."""
+    adj = [list(kids) for kids in tree.children]
+    for v in range(1, tree.n + 1):
+        adj[v].append(tree.parent[v])
+    for u, v in extra_edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    return adj
+
+
 def bfs_distances(adj: list[list[int]], start: int) -> list[int]:
     dist = [-1] * len(adj)
     dist[start] = 0

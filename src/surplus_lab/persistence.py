@@ -10,6 +10,7 @@ digests.
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 import time
@@ -44,16 +45,17 @@ def fmt(x) -> str:
 
 
 def write_csv(path: Path, header: list[str], rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(fmt(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
+    """Comma-separated rows; a field holding a comma or a quote is quoted."""
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([fmt(v) for v in row] for row in rows)
 
 
 def read_csv(path: Path) -> tuple[list[str], list[list[str]]]:
-    text = path.read_text().strip("\n").split("\n")
-    header = text[0].split(",")
-    return header, [line.split(",") for line in text[1:]]
+    with path.open(newline="") as fh:
+        header, *rows = csv.reader(fh)
+    return header, rows
 
 
 def sha256_file(path: Path) -> str:

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, factorial
 from typing import Callable
 
 import numpy as np
@@ -29,7 +29,6 @@ from .lattice_paths import (
     LabeledTree,
     LatticeBridge,
     LatticeExcursion,
-    PlaneTree,
     tree_of_contour,
 )
 from .local_time import bf_per_index, df_per_index, df_level_sets
@@ -357,46 +356,39 @@ def _endpoint_tables(values, mode: str):
     return first, second
 
 
-def decoration_count(f: LatticeExcursion, s: int, mode: str) -> int:
-    """Exact number of canonical decorations with ``s`` surplus edges (s <= 2)."""
+def _pairs_and_gap(f: LatticeExcursion, s: int, mode: str) -> tuple[int, int]:
+    """Pair count ``P`` and the exact gap ``s! * (decoration count) - P^s`` for s <= 2."""
+    if not 0 <= s <= 2:
+        raise ValueError("decoration counts are implemented for s <= 2; "
+                         "use enumerate_admissible for more")
+    if s == 0:
+        return 0, 0
     vals = f.values.tolist()
     two_n = len(vals) - 1
-    if s == 0:
-        return 1
     first, second = _endpoint_tables(vals, mode)
     total_pairs = sum(first[1:two_n])
     if s == 1:
-        return total_pairs
-    if s == 2:
-        n_loops = two_n - 1
-        inc = [first[c] + second[c] - 1 for c in range(two_n)]
-        mult = [first[c] + second[c] for c in range(two_n)]
-        y_share = sum(inc[c] * (mult[c] - 1) for c in range(1, two_n)) - total_pairs + n_loops
-        sum_inc = sum(inc[1:two_n])
-        gap = y_share + 2 * total_pairs + 2 * sum_inc
-        assert (total_pairs ** 2 + gap) % 2 == 0
-        return (total_pairs ** 2 + gap) // 2
-    raise ValueError("decoration_count supports s <= 2; use enumerate_admissible for more")
+        return total_pairs, 0
+    n_loops = two_n - 1
+    inc = [first[c] + second[c] - 1 for c in range(two_n)]
+    mult = [first[c] + second[c] for c in range(two_n)]
+    y_share = sum(inc[c] * (mult[c] - 1) for c in range(1, two_n)) - total_pairs + n_loops
+    sum_inc = sum(inc[1:two_n])
+    return total_pairs, y_share + 2 * total_pairs + 2 * sum_inc
+
+
+def decoration_count(f: LatticeExcursion, s: int, mode: str) -> int:
+    """Exact number of canonical decorations with ``s`` surplus edges (s <= 2)."""
+    pairs, gap = _pairs_and_gap(f, s, mode)
+    ordered = pairs ** s + gap
+    if ordered % factorial(s):
+        raise ValueError(f"decoration count {ordered}/{s}! is not an integer")
+    return ordered // factorial(s)
 
 
 def decoration_count_gap(f: LatticeExcursion, s: int, mode: str) -> int:
     """Exact value of ``s! * (decoration count) - (pair count)^s`` for s <= 2."""
-    vals = f.values.tolist()
-    two_n = len(vals) - 1
-    if s == 0:
-        return 0
-    first, second = _endpoint_tables(vals, mode)
-    total_pairs = sum(first[1:two_n])
-    if s == 1:
-        return 0
-    if s == 2:
-        n_loops = two_n - 1
-        inc = [first[c] + second[c] - 1 for c in range(two_n)]
-        mult = [first[c] + second[c] for c in range(two_n)]
-        y_share = sum(inc[c] * (mult[c] - 1) for c in range(1, two_n)) - total_pairs + n_loops
-        sum_inc = sum(inc[1:two_n])
-        return y_share + 2 * total_pairs + 2 * sum_inc
-    raise ValueError("gap formula implemented for s <= 2")
+    return _pairs_and_gap(f, s, mode)[1]
 
 
 # -- weighted ensembles -----------------------------------------------------------
@@ -462,7 +454,15 @@ class WeightedEnsemble:
 
 
 class TiltSample:
-    """Per-replicate lazy bundle shared by ensemble functionals."""
+    """Per-replicate lazy bundle shared by ensemble functionals.
+
+    Distances are read off the contour, with no tree decode and no graph
+    search.  Vertex ``k`` is created at the ``k``-th up-step, so its depth is
+    the contour value there; the tree distance between contour times
+    ``a <= b`` is ``f(a) + f(b) - 2 min f[a..b]``.  Breadth-first and
+    unicellular decorations only join corners whose heights differ by at most
+    one, so the surplus edges never shorten a distance to the root.
+    """
 
     def __init__(self, exc: LatticeExcursion, gen: np.random.Generator, mode: str, tilt: int,
                  pairings=None):
@@ -474,9 +474,8 @@ class TiltSample:
         self._vals = None
         self._bf = None
         self._df = None
-        self._tree = None
+        self._times = None
         self._chords = None
-        self._dist_root = None
         self._weight = None
 
     @property
@@ -497,78 +496,71 @@ class TiltSample:
 
     def weight(self) -> float:
         if self._weight is None:
-            if self.mode == "bf":
-                self._weight = float(int(self.bf_index_weights().sum()) ** self.tilt)
-            elif self.mode == "df":
-                self._weight = float(int(self.df_index_weights().sum()) ** self.tilt)
-            elif self.mode == "um":
+            if self.mode == "um":
                 self._weight = float(sum(pairing_tuple_count(self.exc, p) for p in self._pairings))
-            else:
+            elif self.mode not in ("bf", "df"):
                 raise ValueError(f"unknown tilt mode {self.mode!r}")
+            elif self.tilt == 0:
+                self._weight = 1.0  # B^0 = D^0 = 1
+            elif self.mode == "bf":
+                self._weight = float(int(self.bf_index_weights().sum()) ** self.tilt)
+            else:
+                self._weight = float(int(self.df_index_weights().sum()) ** self.tilt)
         return self._weight
 
-    def tree(self) -> PlaneTree:
-        if self._tree is None:
-            self._tree = tree_of_contour(self.exc)
-        return self._tree
-
     def chords(self) -> list[tuple[int, int]]:
-        """Sampled surplus edges as vertex pairs (corner decoration applied once)."""
+        """Sampled surplus edges as contour-time pairs (corner decoration applied once)."""
         if self._chords is None:
-            tree = self.tree()
-            vat = tree.vertex_at_time
             if self.weight() == 0.0:
                 raise DegenerateEnsembleError("cannot decorate a zero-weight sample")
-            if self.mode == "bf":
-                xi = sample_corners_bf(self.exc, self.tilt, self.gen, self.bf_index_weights())
-                pair_idx = [(xi.indices[2 * j], xi.indices[2 * j + 1]) for j in range(xi.s)]
-            elif self.mode == "df":
-                xi = sample_corners_df(self.exc, self.tilt, self.gen, self.df_index_weights())
-                pair_idx = [(xi.indices[2 * j], xi.indices[2 * j + 1]) for j in range(xi.s)]
-            else:
+            if self.mode == "um":
                 pairing, _, corners = sample_unicellular_decoration(self.exc, self.tilt, self.gen)
-                pair_idx = [(corners[a - 1], corners[b - 1]) for a, b in pairing.transpositions]
-            self._chords = [(vat[i1], vat[i2]) for i1, i2 in pair_idx]
+                self._chords = [(corners[a - 1], corners[b - 1]) for a, b in pairing.transpositions]
+            else:
+                if self.mode == "bf":
+                    xi = sample_corners_bf(self.exc, self.tilt, self.gen, self.bf_index_weights())
+                else:
+                    xi = sample_corners_df(self.exc, self.tilt, self.gen, self.df_index_weights())
+                self._chords = [(xi.indices[2 * j], xi.indices[2 * j + 1]) for j in range(xi.s)]
         return self._chords
 
-    def distances_from_root(self) -> list[int]:
-        if self._dist_root is None:
-            self._dist_root = self._bfs(0)
-        return self._dist_root
+    def _vertex_times(self) -> np.ndarray:
+        """Contour time at which each vertex is first visited (its up-step)."""
+        if self._times is None:
+            v = self.exc.values
+            self._times = np.concatenate([[0], np.flatnonzero(v[1:] > v[:-1]) + 1])
+        return self._times
 
-    def _bfs(self, start: int) -> list[int]:
-        tree = self.tree()
-        chord_adj: dict[int, list[int]] = {}
-        for u, v in self.chords():
-            chord_adj.setdefault(u, []).append(v)
-            chord_adj.setdefault(v, []).append(u)
-        parent = tree.parent
-        children = tree.children
-        dist = [-1] * (tree.n + 1)
-        dist[start] = 0
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                du = dist[u] + 1
-                p = parent[u]
-                if p >= 0 and dist[p] < 0:
-                    dist[p] = du
-                    nxt.append(p)
-                for v in children[u]:
-                    if dist[v] < 0:
-                        dist[v] = du
-                        nxt.append(v)
-                if u in chord_adj:
-                    for v in chord_adj[u]:
-                        if dist[v] < 0:
-                            dist[v] = du
-                            nxt.append(v)
-            frontier = nxt
-        return dist
+    def distances_from_root(self) -> np.ndarray:
+        """Graph distance from the root to each vertex: its contour depth."""
+        if self.mode == "df":
+            raise ValueError("depth-first surplus edges can shorten root distances")
+        return self.exc.values[self._vertex_times()]
 
     def graph_distance(self, a: int, b: int) -> int:
-        return self._bfs(a)[b]
+        """Distance between vertices ``a`` and ``b`` in the tree plus the chords.
+
+        Tree distances among the terminal times (``a``, ``b`` and the chord
+        ends) come from contour minima; a Floyd-Warshall pass over the
+        terminals, with each chord of length 1, closes them into graph
+        distances.
+        """
+        times = self._vertex_times()
+        chords = self.chords()
+        terms = [times[a], times[b]] + [t for pair in chords for t in pair]
+        vals = self.exc.values
+        k = len(terms)
+        dist = np.zeros((k, k), dtype=np.int64)
+        for i in range(k):
+            for j in range(i + 1, k):
+                lo, hi = sorted((terms[i], terms[j]))
+                dist[i, j] = dist[j, i] = vals[lo] + vals[hi] - 2 * vals[lo:hi + 1].min()
+        for j in range(len(chords)):
+            u, v = 2 + 2 * j, 3 + 2 * j
+            dist[u, v] = dist[v, u] = min(dist[u, v], 1)
+        for m in range(k):
+            np.minimum(dist, dist[:, m:m + 1] + dist[m:m + 1, :], out=dist)
+        return int(dist[0, 1])
 
 
 def tilted_ensemble(n: int, tilt: int, mode: str, reps: int, rng: RngStream,

@@ -23,6 +23,8 @@ from surplus_lab.estimators import (
     unicellular_star_count,
     wright_sequence,
 )
+from surplus_lab.lattice_paths import tree_of_contour
+from surplus_lab.maps import bfs_distances, tree_adjacency
 from surplus_lab.samplers import RngStream, sample_uniform_excursion, tilted_ensemble
 from surplus_lab.local_time import area_functional
 
@@ -82,13 +84,22 @@ class TestRadiusTwoPointSmall:
         assert min(laws.ess.values()) > 300 / 50
 
     def test_map_radius_equals_sup_samplewise(self):
-        # same substream: the map ensemble radius equals the scaled contour sup
+        # the radius found by a BFS on the decorated tree equals the contour sup
+        def bfs_radius(smp):
+            tree = tree_of_contour(smp.exc)
+            vat = tree.vertex_at_time
+            chords = [(vat[i], vat[j]) for i, j in smp.chords()]
+            return max(bfs_distances(tree_adjacency(tree, chords), 0))
+
         n, reps = 80, 200
-        ens_map = tilted_ensemble(n, 1, "bf", reps, RngStream(33),
-                                  {"radius": lambda smp: max(smp.distances_from_root())})
-        ens_sup = tilted_ensemble(n, 1, "bf", reps, RngStream(33),
-                                  {"sup": lambda smp: smp.exc.max_height()})
-        assert np.array_equal(ens_map.columns["radius"], ens_sup.columns["sup"])
+        for mode, tilt in (("bf", 1), ("bf", 3), ("um", 1)):
+            ens = tilted_ensemble(n, tilt, mode, reps, RngStream(33),
+                                  {"radius": lambda smp: smp.distances_from_root().max(),
+                                   "bfs": bfs_radius,
+                                   "sup": lambda smp: smp.exc.max_height()})
+            live = ens.weights > 0
+            assert np.array_equal(ens.columns["radius"][live], ens.columns["bfs"][live])
+            assert np.array_equal(ens.columns["radius"][live], ens.columns["sup"][live])
 
     def test_two_point_small(self):
         tp = two_point_law(50, 1, 300, RngStream(10))

@@ -1,0 +1,152 @@
+"""Golden digests: seeded CLI outputs stay byte-identical across refactors.
+
+Criterion 14 reruns one build twice, so it cannot see a random stream drift
+between two versions of the code.  These digests pin the SHA-256 of every
+digested output file (``manifest.json`` carries timestamps and is left out)
+at fixed seeds and small sizes.  A change that alters a stream or a file
+format on purpose updates the digests in the same change and says why in
+``CHANGES.md``.
+
+Regenerate the table with ``PYTHONPATH=src python tests/test_golden.py``.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from surplus_lab.cli import EXIT_OK, main
+
+CASES = {
+    "estimate-radius-s1": ["estimate", "--target", "radius", "--n", "40", "--s", "1",
+                           "--reps", "60", "--seed", "11"],
+    "estimate-radius-s3": ["estimate", "--target", "radius", "--n", "40", "--s", "3",
+                           "--reps", "40", "--seed", "12"],
+    "estimate-two-point-s1": ["estimate", "--target", "two-point", "--n", "40", "--s", "1",
+                              "--reps", "60", "--seed", "13"],
+    "estimate-two-point-s3": ["estimate", "--target", "two-point", "--n", "40", "--s", "3",
+                              "--reps", "60", "--seed", "14"],
+    "estimate-profile": ["estimate", "--target", "profile", "--n", "60", "--s", "1",
+                         "--reps", "60", "--seed", "2"],
+    "estimate-um-radius": ["estimate", "--target", "radius", "--model", "um", "--n", "30",
+                           "--g", "1", "--reps", "40", "--seed", "4"],
+    "estimate-um-two-point": ["estimate", "--target", "two-point", "--model", "um",
+                              "--n", "25", "--g", "1", "--reps", "40", "--seed", "6"],
+    "verify-jeulin": ["verify", "--suite", "jeulin", "--n", "64", "--reps", "400",
+                      "--seed", "7", "--threshold", "0.5"],
+    "verify-sg": ["verify", "--suite", "sg"],
+    "sample-map": ["sample", "map", "--n", "50", "--s", "2", "--reps", "3", "--seed", "31"],
+    "sample-graph": ["sample", "graph", "--n", "8", "--s", "2", "--reps", "3", "--seed", "32"],
+    "sample-crum": ["sample", "crum", "--n", "12", "--g", "1", "--reps", "3", "--seed", "21"],
+    "selftest": ["selftest"],
+}
+
+DIGESTS = {
+    'estimate-radius-s1': {
+        'estimate_radius.csv':
+            '839c56ede831dd87646675b88b1f62f707f475a9381722b92586f4227fdaa2e5',
+        'summary.json':
+            '61b04f564c518a076c227d54065ba968034c5c29b93d55810a7c949b2a5baf49',
+    },
+    'estimate-radius-s3': {
+        'estimate_radius.csv':
+            '11ca162872a0c05463f3dce211b72f6b6c519b795733fc3847556c8bd447cedf',
+        'summary.json':
+            '5d65608a389c5266b83f416c37aab82c075bd037aaa37c57e92f3e0cfb242c25',
+    },
+    'estimate-two-point-s1': {
+        'estimate_two_point.csv':
+            'c6f017b5e64da676476b5e4bed5bc39ea3ef6b35de610b3eee2e6044d37116c6',
+        'summary.json':
+            'a52f15284e19c57e3d63608b9fd4ae2a5bb73423fd236706ecb1e7c7dec5bd85',
+    },
+    'estimate-two-point-s3': {
+        'estimate_two_point.csv':
+            '27bce501c763e7dc470fdb82a0f287399ca55ddc172eaa01035e17a0d748ec35',
+        'summary.json':
+            '56671dd382a961e6e7164cf0fc09bf06c7e823b68c22add2c9d44a44573971cb',
+    },
+    'estimate-profile': {
+        'estimate_profile.csv':
+            '81abbb872a10a48912cece65f278a07b3ba4185c971c020c36e422b8c9eded1c',
+        'summary.json':
+            'cb12ab5eb4b13c4748c6aedc8922ac2ae24fa4d011364d963fb52016f27143b5',
+    },
+    'estimate-um-radius': {
+        'estimate_radius.csv':
+            '77c0d99b2445aa928594993610b5a05ea23c8d64173c0bfe3d970a18d6160bda',
+        'summary.json':
+            '74590140d876f4c1f6f6a0e7b493dde8dd990b8aa1dc717b98474ef6532a30ea',
+    },
+    'estimate-um-two-point': {
+        'estimate_two_point.csv':
+            'dda449305fa976e7e4f9c17c9326a177662d5ee7bb4c2415f2abcd1c78d5ec76',
+        'summary.json':
+            '99ff52624099156a3fc04f28cd550574bce9a0cf3c46f68fde96fc19d6ff69ad',
+    },
+    'verify-jeulin': {
+        'verify_jeulin.csv':
+            '1e57adf41a21f8337ff83797f4dc363a0d15921a7f9f44fc63baf05fa554775d',
+    },
+    'verify-sg': {
+        'verify_sg.csv':
+            '823181ee8ded78f0582de25bd2034c4fb914158bd04a06fd1c0f833684b04891',
+    },
+    'sample-map': {
+        'map_0.json':
+            'aea3b621e85a382d1dad92b11ba6ebd60d2b682854b111c01bb1a5e8611c7706',
+        'map_1.json':
+            '0b95acdabea7c5e735ca5dc87d5dd90cdd4fb810af32d0028ef0aae71a742f09',
+        'map_2.json':
+            '2be3212160a41980799737e45c14268161b9e274220a812261bc06ee51f217dd',
+        'map_weights.csv':
+            '642d349553c54fdb4a7a0f7bf0b19974a0d2084ed3d8aeb9d4bc56ff47cba29f',
+    },
+    'sample-graph': {
+        'graphs.csv':
+            '78869ac7ae2a627b33d6d695f3e95f63b721c4fda1fde05ff61e8006467b9491',
+    },
+    'sample-crum': {
+        'crum_0.json':
+            'f53207ebb7867c1c7654dd69a70838cd7e0bcbc0f7b0993dec3558111c07b443',
+        'crum_1.json':
+            'ab7b5bcb9ef6ffd84cb01ec9bf9554709dfa7f6e24da7edc9a0262cbcbc7067f',
+        'crum_2.json':
+            '0ee1bd3cda36bc97880483bf18f06efb1a51f21c2d0d05dd15f9d096a1b0ea49',
+        'crum_decorations.csv':
+            'd11a9b94830af5fe5ea1ed305ad6a823bb1e83c6c74c83a31a74fbc5adfb4749',
+    },
+    'selftest': {
+        'selftest.csv':
+            '22a71e7ba06fe059815dd8ac9168ccb67340be2867aa29bca3a039a032d8bcfa',
+    },
+}
+
+
+def run_case(name: str, out: Path) -> dict[str, str]:
+    """Run one case into ``out`` and digest its output files."""
+    assert main(CASES[name] + ["--out", str(out)]) == EXIT_OK
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(out.iterdir()) if p.name != "manifest.json"}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_digest(name, tmp_path):
+    assert run_case(name, tmp_path / name) == DIGESTS[name]
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+        table = {name: run_case(name, Path(tmp) / name) for name in CASES}
+    print("DIGESTS = {")
+    for name, files in table.items():
+        print(f"    {name!r}: {{")
+        for fname, digest in files.items():
+            print(f"        {fname!r}:\n            {digest!r},")
+        print("    },")
+    print("}")

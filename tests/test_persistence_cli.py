@@ -129,6 +129,17 @@ class TestCli:
         csv2 = (out2 / "verify_jeulin.csv").read_bytes()
         assert csv1 == csv2
 
+    def test_jeulin_default_threshold_scales_with_reps(self, tmp_path):
+        # the default keeps the KS level of 0.05 at 10^4 replicates
+        for reps, expected in ((100, 0.5), (400, 0.25)):
+            out = tmp_path / f"j{reps}"
+            main(["verify", "--suite", "jeulin", "--n", "10", "--reps", str(reps),
+                  "--seed", "7", "--out", str(out)])
+            _, rows = persistence.read_csv(out / "verify_jeulin.csv")
+            ks_row = next(row for row in rows if row[0] == "jeulin-ks")
+            assert float(ks_row[2]) == pytest.approx(expected)
+            assert ks_row[3] == str(int(float(ks_row[1]) <= float(ks_row[2])))
+
     def test_verify_lemma3(self, tmp_path, capsys):
         assert main(["verify", "--suite", "lemma3", "--reps", "60", "--seed", "3",
                      "--out", str(tmp_path / "v")]) == EXIT_OK
@@ -175,6 +186,19 @@ class TestCli:
         files = sorted(p.name for p in out.iterdir())
         assert "crum_decorations.csv" in files
 
+    def test_crum_decorations_read_back(self, tmp_path):
+        # the pairing "(1,3)(2,4)" holds commas and must stay one field
+        out = tmp_path / "crum"
+        assert main(["sample", "crum", "--n", "12", "--g", "1", "--reps", "3",
+                     "--seed", "21", "--out", str(out)]) == EXIT_OK
+        header, rows = persistence.read_csv(out / "crum_decorations.csv")
+        assert header == ["replicate", "pairing", "corners", "heights"]
+        assert len(rows) == 3
+        for row in rows:
+            assert len(row) == 4
+            assert row[1] == "(1,3)(2,4)"
+            assert len(row[2].split(";")) == 4 and len(row[3].split(";")) == 2
+
     def test_sample_map_and_graph(self, tmp_path):
         out = tmp_path / "m"
         assert main(["sample", "map", "--n", "6", "--s", "1", "--reps", "2",
@@ -184,15 +208,6 @@ class TestCli:
         out2 = tmp_path / "g"
         assert main(["sample", "graph", "--n", "6", "--s", "1", "--reps", "2",
                      "--seed", "32", "--out", str(out2)]) == EXIT_OK
-
-    def test_threads_env_validation(self, monkeypatch):
-        monkeypatch.setenv("SURPLUS_LAB_THREADS", "frog")
-        from surplus_lab.cli import UsageError, max_threads
-
-        with pytest.raises(UsageError):
-            max_threads()
-        monkeypatch.setenv("SURPLUS_LAB_THREADS", "4")
-        assert max_threads() == 4
 
 
 class TestReplay:
@@ -225,10 +240,6 @@ class TestSelftest:
         assert code == EXIT_OK
         assert elapsed < 60.0
         assert "selftest: PASS" in capsys.readouterr().out
-
-    def test_selftest_respects_thread_cap(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("SURPLUS_LAB_THREADS", "2")
-        assert main(["selftest", "--out", str(tmp_path / "st")]) == EXIT_OK
 
 
 class TestUmTwoPoint:

@@ -15,13 +15,25 @@ from surplus_lab.lattice_paths import (
     tree_of_contour,
 )
 from surplus_lab.local_time import bf_weights, df_index_set, df_weights
+from surplus_lab.maps import (
+    adjacency,
+    bfs_distances,
+    entangled_pairings,
+    insert_edges,
+    metric_from_root,
+    tree_adjacency,
+    unicellular_glue,
+)
+from surplus_lab import samplers
 from surplus_lab.samplers import (
     DegenerateEnsembleError,
     WeightedEnsemble,
     RngStream,
     RootedGraph,
+    TiltSample,
     count_degenerate_tuples,
     decoration_count,
+    decoration_count_gap,
     degenerate_tuple_bound,
     enumerate_maps,
     enumerate_surplus_graphs,
@@ -268,6 +280,90 @@ class TestTiltedEnsemble:
                               {"m": lambda smp: float(smp.exc.max_height())})
         assert ens.ess() > 500 / 50
 
+    def test_tilt_zero_needs_no_corner_weights(self, monkeypatch):
+        def fail(values):
+            raise AssertionError("corner weights computed at tilt 0")
+
+        monkeypatch.setattr(samplers, "bf_per_index", fail)
+        monkeypatch.setattr(samplers, "df_per_index", fail)
+        for mode in ("bf", "df"):
+            ens = tilted_ensemble(1, 0, mode, 5, RngStream(10), {})
+            assert np.all(ens.weights == 1.0)
+
+
+def _oracle_adjacency(smp: TiltSample):
+    """Tree plus chords of a sample as neighbour lists, for maps.bfs_distances."""
+    tree = tree_of_contour(smp.exc)
+    vat = tree.vertex_at_time
+    return tree_adjacency(tree, [(vat[i], vat[j]) for i, j in smp.chords()])
+
+
+def _draw(n: int, mode: str, tilt: int, stream: RngStream) -> TiltSample:
+    gen = stream.generator()
+    exc = sample_uniform_excursion(n, gen)
+    pairings = entangled_pairings(tilt) if mode == "um" else None
+    return TiltSample(exc, gen, mode, tilt, pairings)
+
+
+class TestContourDistances:
+    """Contour-native distances against graph searches on the decorated tree."""
+
+    @pytest.mark.parametrize("mode,tilt", [("bf", 1), ("bf", 3), ("um", 1)])
+    def test_match_bfs_on_tree_plus_chords(self, mode, tilt):
+        n, reps, pairs = 40, 150, 12
+        rng = RngStream(404)
+        mismatches = checked = 0
+        for r in range(reps):
+            smp = _draw(n, mode, tilt, rng.substream(r))
+            if smp.weight() == 0.0:
+                continue
+            adj = _oracle_adjacency(smp)
+            root = bfs_distances(adj, 0)
+            mismatches += list(smp.distances_from_root()) != root
+            pick = np.random.default_rng(r).integers(0, n + 1, size=(pairs, 2))
+            for a, b in pick.tolist():
+                mismatches += smp.graph_distance(a, b) != bfs_distances(adj, a)[b]
+            checked += 1
+        assert checked > reps // 2
+        assert mismatches == 0
+
+    @pytest.mark.parametrize("mode,tilt", [("bf", 1), ("bf", 2), ("um", 1)])
+    def test_match_metric_of_glued_map_all_pairs(self, mode, tilt):
+        # the map is built by edge insertion from a twin draw of the same stream
+        n = 9
+        rng = RngStream(505)
+        checked = 0
+        for r in range(40):
+            smp = _draw(n, mode, tilt, rng.substream(r))
+            if smp.weight() == 0.0:
+                continue
+            gen = rng.substream(r).generator()
+            exc = sample_uniform_excursion(n, gen)
+            tree = tree_of_contour(exc)
+            if mode == "um":
+                pairing, _, corners = sample_unicellular_decoration(exc, tilt, gen)
+                m, unicellular = unicellular_glue(tree, pairing, corners)
+                assert unicellular
+            else:
+                m = insert_edges(tree, sample_corners_bf(exc, tilt, gen))
+            # tree vertex v >= 1 owns the up-half 2(v-1)+1 of its parent edge
+            label = [m.origin[m.root]] + [m.origin[2 * v - 1] for v in range(1, n + 1)]
+            metric = metric_from_root(m)
+            assert [metric.distances[label[v]] for v in range(n + 1)] == \
+                list(smp.distances_from_root())
+            adj = adjacency(m)
+            for a in range(n + 1):
+                dist = bfs_distances(adj, label[a])
+                assert [smp.graph_distance(a, b) for b in range(n + 1)] == \
+                    [dist[label[b]] for b in range(n + 1)]
+            checked += 1
+        assert checked >= 10
+
+    def test_depth_first_root_distances_rejected(self):
+        smp = _draw(10, "df", 1, RngStream(6))
+        with pytest.raises(ValueError):
+            smp.distances_from_root()
+
 
 class TestMapSampling:
     def test_enumeration_counts(self):
@@ -481,6 +577,14 @@ class TestDecorationCounts:
                     for s in (0, 1, 2):
                         assert decoration_count(f, s, mode) == \
                             len(enumerate_admissible(t, s, mode))
+                    gap = 2 * decoration_count(f, 2, mode) - decoration_count(f, 1, mode) ** 2
+                    assert decoration_count_gap(f, 2, mode) == gap
+
+    def test_surplus_above_two_rejected(self):
+        f = sample_uniform_excursion(6, RngStream(1))
+        for fn in (decoration_count, decoration_count_gap):
+            with pytest.raises(ValueError):
+                fn(f, 3, "bf")
 
 
 class TestTiltedExpectationOracle:
