@@ -224,8 +224,8 @@ class ProfileLaws:
     mean_localtime: np.ndarray
     sup_map_vs_tree: float
     ess: dict
-    mass_map: float
-    mass_tree: float
+    mass_map: float  # n + 1 map vertices over n, exactly
+    mass_tree: float  # n labeled-tree vertices over n, exactly
 
 
 def _profile_from_levels(levels, positions: np.ndarray, value_scale: float) -> np.ndarray:
@@ -265,12 +265,10 @@ def profile_laws(n: int, s: int, reps: int, rng: RngStream,
 
     map_ens = tilted_ensemble(
         n, s, "bf", reps, rng.substream(0),
-        {"profile": map_profile, "mass": lambda smp: (smp.exc.n + 1) / float(n),
-         "lt_profile": localtime_profile},
+        {"profile": map_profile, "lt_profile": localtime_profile},
     )
     # weighted labeled-tree route (its own proposal; replicate r uses substream (1, r))
     tree_rows = np.empty((reps, len(grid)))
-    tree_mass = np.empty(reps)
     tree_w = np.empty(reps)
     for r in range(reps):
         gen = rng.substream(1, r).generator()
@@ -279,17 +277,14 @@ def profile_laws(n: int, s: int, reps: int, rng: RngStream,
         tree_w[r] = float(ws_weight(prof, s))
         z = np.asarray(prof.z, dtype=np.float64)
         tree_rows[r] = _profile_from_levels(z, pos_tree, 1.0 / sqrt(n))
-        tree_mass[r] = prof.total / float(n)
     if not np.any(tree_w > 0):
         raise DegenerateEnsembleError(f"all tree weights vanished at n={n}, s={s}")
     tree_ens = WeightedEnsemble(n=n, mode="tree-w", tilt=s, proposal="uniform-labeled-tree",
                                 seed=rng.seed, stream=rng.path + (1,), weights=tree_w,
-                                columns={"profile": tree_rows, "mass": tree_mass})
+                                columns={"profile": tree_rows})
     mean_map, _ = map_ens.estimate("profile")
     mean_lt, _ = map_ens.estimate("lt_profile")
     mean_tree, _ = tree_ens.estimate("profile")
-    mass_map, _ = map_ens.estimate("mass")
-    mass_tree, _ = tree_ens.estimate("mass")
     return ProfileLaws(
         grid=grid,
         mean_map=mean_map,
@@ -297,8 +292,8 @@ def profile_laws(n: int, s: int, reps: int, rng: RngStream,
         mean_localtime=mean_lt,
         sup_map_vs_tree=float(np.max(np.abs(mean_map - mean_tree))),
         ess={"map": map_ens.ess(), "tree": tree_ens.ess()},
-        mass_map=float(mass_map),
-        mass_tree=float(mass_tree),
+        mass_map=(n + 1) / n,
+        mass_tree=1.0,
     )
 
 

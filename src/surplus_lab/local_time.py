@@ -105,12 +105,6 @@ class CornerWeights:
     per_index: np.ndarray  # length 2n+1, boundary entries zero
     total: int
 
-    def index_set(self, f: LatticeExcursion, i: int) -> list[int]:
-        """Reconstruct the admissible partner-corner set behind ``per_index[i]``."""
-        if self.mode == "bf":
-            return bf_index_set(f, i)
-        return df_index_set(f, i)
-
 
 def bf_per_index(values: list[int]) -> list[int]:
     """Backward sweep computing all breadth-first corner weights in O(n)."""
@@ -156,30 +150,26 @@ def df_weights(f: LatticeExcursion) -> CornerWeights:
     return CornerWeights("df", per, int(per.sum()))
 
 
+def corner_window(f: LatticeExcursion, levels, lo: int, hi: int) -> np.ndarray:
+    """Interior corners in ``[lo, hi)`` at each of ``levels`` in turn, ascending within a level.
+
+    The admissible-corner sets of the breadth-first and unicellular gluings
+    are all of this form: one or two adjacent levels, read in a time window.
+    """
+    lo = max(lo, 1)
+    window = f.values[lo:min(hi, 2 * f.n)]
+    return np.concatenate([np.flatnonzero(window == y) for y in levels]) + lo
+
+
 def bf_index_set(f: LatticeExcursion, i: int) -> list[int]:
     """Corners ``j >= max(i, 1)``, ``j <= 2n-1`` at height ``f(i)`` or ``f(i)-1``."""
-    vals = f.values
-    two_n = len(vals) - 1
-    h = int(vals[i])
-    lo = max(i, 1)
-    return [j for j in range(lo, two_n) if vals[j] in (h, h - 1)]
+    h = int(f.values[i])
+    return sorted(corner_window(f, (h, h - 1), i, 2 * f.n).tolist())
 
 
 def df_index_set(f: LatticeExcursion, i: int) -> list[int]:
     """Corners ``j >= i`` at which the running minimum from ``i`` is attained (and >= 1)."""
-    vals = f.values
-    two_n = len(vals) - 1
-    out = []
-    runmin = int(vals[i])
-    for j in range(max(i, 1), two_n):
-        v = int(vals[j])
-        if v < runmin:
-            runmin = v
-        if runmin < 1:
-            break
-        if v == runmin:
-            out.append(j)
-    return out
+    return sorted(t for ts in df_level_sets(f, i).values() for t in ts)
 
 
 def df_level_sets(f: LatticeExcursion, i: int) -> dict[int, list[int]]:

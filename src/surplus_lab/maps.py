@@ -28,8 +28,10 @@ from .lattice_paths import (
     contour_of_tree,
     tree_of_contour,
 )
+from .local_time import bf_index_set, df_index_set
 
 SG_CAP = 3
+TUPLE_ENUMERATION_CAP = 10  # largest n for genus >= 2 tuple counts, which enumerate the tuples
 
 
 class RootedMap:
@@ -522,8 +524,6 @@ def df_explore(m: RootedMap):
 
 def admissible_pairs(f: LatticeExcursion, mode: str) -> list[tuple[int, int]]:
     """All ordered corner pairs (i1 <= i2) a single surplus edge may join."""
-    from .local_time import bf_index_set, df_index_set
-
     two_n = 2 * f.n
     index_set = bf_index_set if mode == "bf" else df_index_set
     return [(i, j) for i in range(1, two_n) for j in index_set(f, i)]
@@ -800,70 +800,61 @@ def pairing_tuple_count(f: LatticeExcursion, pairing: PermutationPairing) -> int
     """Number of increasing corner tuples gluable along ``pairing``.
 
     Counts tuples ``r_1 < ... < r_4g`` in ``[1, 2n-1]`` such that each glued
-    pair of corners drops by zero or one level.
+    pair of corners drops by zero or one level.  Genus one sums
+    :func:`genus_one_terms`; higher genus enumerates the tuples, which is
+    O(n^{4g}), and raises :class:`EnumerationCapExceeded` above
+    ``n = TUPLE_ENUMERATION_CAP``.
     """
     if pairing.g == 1:
-        return _tuple_count_genus_one(f)
-    return _tuple_count_general(f, pairing)
+        return genus_one_terms(f).total
+    if f.n > TUPLE_ENUMERATION_CAP:
+        raise EnumerationCapExceeded(
+            f"genus-{pairing.g} tuple counts enumerate the tuples and are capped at "
+            f"n<={TUPLE_ENUMERATION_CAP} (got n={f.n})")
+    return sum(1 for _ in enumerate_pairing_tuples(f, pairing))
 
 
-def _prefix_suffix_tables(f: LatticeExcursion):
-    """Cumulative per-level corner counts: PC[y, t] counts corners <= t, SC[y, t] >= t."""
+@dataclass(frozen=True)
+class GenusOneTerms:
+    """Gluable quadruples of the pairing (1,3)(2,4), grouped by their third corner.
+
+    ``per_r3[r3]`` counts the quadruples with third corner ``r3``;
+    :meth:`per_r2` splits that count by the second corner.
+    """
+
+    values: np.ndarray
+    prefix: np.ndarray  # prefix[y, t]: corners at level y with time <= t
+    suffix: np.ndarray  # suffix[y, t]: corners at level y with time >= t
+    per_r3: np.ndarray
+
+    @property
+    def total(self) -> int:
+        return sum(self.per_r3.tolist())
+
+    def per_r2(self, r3: int) -> np.ndarray:
+        """Entry ``r2 - 1`` counts the quadruples with second corner ``r2`` and third ``r3``.
+
+        ``r1 < r2`` must sit at level ``f(r3)`` or ``f(r3)+1``, and ``r4 > r3``
+        at level ``f(r2)`` or ``f(r2)-1``.
+        """
+        h, pc, sc = self.values, self.prefix, self.suffix
+        a = pc[h[r3], 0:r3 - 1] + pc[h[r3] + 1, 0:r3 - 1]
+        r2_levels = h[1:r3]
+        return a * (sc[r2_levels, r3 + 1] + sc[r2_levels - 1, r3 + 1])
+
+
+def genus_one_terms(f: LatticeExcursion) -> GenusOneTerms:
+    """The O(n^2) pass behind both the genus-one count and its uniform draw."""
     vals = f.values
     two_n = 2 * f.n
-    maxh = int(vals.max())
-    ind = np.zeros((maxh + 2, two_n + 1), dtype=np.int64)
+    ind = np.zeros((int(vals.max()) + 2, two_n + 1), dtype=np.int64)
     ind[vals[1:two_n], np.arange(1, two_n)] = 1
     pc = np.cumsum(ind, axis=1)
     sc = np.cumsum(ind[:, ::-1], axis=1)[:, ::-1]
-    return pc, sc
-
-
-def _tuple_count_genus_one(f: LatticeExcursion) -> int:
-    """O(n^2) count for the single genus-one pairing (1,3)(2,4)."""
-    vals = f.values
-    two_n = 2 * f.n
-    if two_n - 1 < 4:
-        return 0
-    pc, sc = _prefix_suffix_tables(f)
-    h = vals
-    total = 0
+    terms = GenusOneTerms(vals, pc, sc, np.zeros(two_n, dtype=np.int64))
     for r3 in range(3, two_n - 1):
-        h3 = h[r3]
-        # r1 < r2 needs level h3 or h3+1; r4 > r3 needs level h[r2] or h[r2]-1
-        a = pc[h3, 0:r3 - 1] + pc[h3 + 1, 0:r3 - 1]
-        r2_slice = h[1:r3]
-        b = sc[r2_slice, r3 + 1] + sc[r2_slice - 1, r3 + 1]
-        total += int(np.dot(a, b))
-    return total
-
-
-def _pair_positions(pairing: PermutationPairing):
-    """(low position, high position) per transposition, by position in 1..4g."""
-    return [(a, b) for a, b in pairing.transpositions]
-
-
-def _tuple_count_general(f: LatticeExcursion, pairing: PermutationPairing) -> int:
-    vals = f.values.tolist()
-    two_n = len(vals) - 1
-    size = 4 * pairing.g
-    close_at = {b: a for a, b in _pair_positions(pairing)}
-    chosen = [0] * (size + 1)
-
-    def rec(pos: int, start: int) -> int:
-        if pos > size:
-            return 1
-        total = 0
-        for t in range(start, two_n - (size - pos)):
-            if pos in close_at:
-                ha = vals[chosen[close_at[pos]]]
-                if not 0 <= ha - vals[t] <= 1:
-                    continue
-            chosen[pos] = t
-            total += rec(pos + 1, t + 1)
-        return total
-
-    return rec(1, 1)
+        terms.per_r3[r3] = terms.per_r2(r3).sum()
+    return terms
 
 
 def enumerate_pairing_tuples(f: LatticeExcursion, pairing: PermutationPairing):
@@ -871,7 +862,7 @@ def enumerate_pairing_tuples(f: LatticeExcursion, pairing: PermutationPairing):
     vals = f.values.tolist()
     two_n = len(vals) - 1
     size = 4 * pairing.g
-    close_at = {b: a for a, b in _pair_positions(pairing)}
+    close_at = {b: a for a, b in pairing.transpositions}
     chosen = [0] * (size + 1)
 
     def rec(pos: int, start: int):

@@ -31,15 +31,17 @@ from .lattice_paths import (
     LatticeExcursion,
     tree_of_contour,
 )
-from .local_time import bf_per_index, df_per_index, df_level_sets
+from .local_time import bf_per_index, corner_window, df_per_index, df_level_sets
 from .maps import (
     AdmissibleCorners,
+    GenusOneTerms,
     RootedMap,
     enumerate_admissible,
+    enumerate_pairing_tuples,
     entangled_pairings,
+    genus_one_terms,
     insert_edges,
     pairing_tuple_count,
-    _prefix_suffix_tables,
 )
 
 
@@ -169,15 +171,6 @@ def sample_labeled_tree(n: int, rng) -> LabeledTree:
 # -- corner samplers --------------------------------------------------------------
 
 
-def _corner_level_lists(values) -> list[list[int]]:
-    """Interior corner times grouped by height (index = level, ascending times)."""
-    two_n = len(values) - 1
-    levels: list[list[int]] = [[] for _ in range(max(values) + 2)]
-    for i in range(1, two_n):
-        levels[values[i]].append(i)
-    return levels
-
-
 def _weighted_index(per_index: np.ndarray, gen: np.random.Generator) -> int:
     cum = np.cumsum(per_index, dtype=np.float64)
     u = gen.random() * cum[-1]
@@ -206,29 +199,16 @@ def sample_corners_bf(f: LatticeExcursion, s: int, rng, per_index=None) -> Admis
     """Independent corner pairs: first index by weight, partner uniform at the
     same height or one below."""
     gen = as_generator(rng)
-    vals = f.values.tolist()
     if per_index is None:
-        per_index = np.array(bf_per_index(vals), dtype=np.int64)
+        per_index = np.array(bf_per_index(f.values.tolist()), dtype=np.int64)
     if int(per_index.sum()) == 0:
         raise DegenerateEnsembleError("breadth-first corner weight vanished")
-    levels = _corner_level_lists(vals)
-    two_n = len(vals) - 1
     pairs = []
-    from bisect import bisect_left
-
     for _ in range(s):
         i1 = _weighted_index(per_index, gen)
-        h = vals[i1]
-        same = levels[h]
-        below = levels[h - 1] if h >= 1 else []
-        a = len(same) - bisect_left(same, i1)
-        b = len(below) - bisect_left(below, i1)
-        r = int(gen.integers(a + b))
-        if r < a:
-            i2 = same[len(same) - a + r]
-        else:
-            i2 = below[len(below) - b + (r - a)]
-        pairs.append((i1, i2))
+        h = int(f.values[i1])
+        partners = corner_window(f, (h, h - 1), i1, 2 * f.n)
+        pairs.append((i1, int(partners[gen.integers(len(partners))])))
     return _pairs_to_decoration("bf", pairs)
 
 
@@ -257,16 +237,27 @@ def sample_corners_df(f: LatticeExcursion, s: int, rng, per_index=None) -> Admis
     return _pairs_to_decoration("df", pairs)
 
 
-def sample_unicellular_decoration(f: LatticeExcursion, g: int, rng):
+def unicellular_terms(f: LatticeExcursion, g: int, pairings=None):
+    """The genus-``g`` pairings, their gluable-tuple counts and, at genus one,
+    the :class:`GenusOneTerms` behind the single count."""
+    pairings = entangled_pairings(g) if pairings is None else pairings
+    if g == 1:
+        terms = genus_one_terms(f)
+        return pairings, [terms.total], terms
+    return pairings, [pairing_tuple_count(f, p) for p in pairings], None
+
+
+def sample_unicellular_decoration(f: LatticeExcursion, g: int, rng, terms=None):
     """A pairing, its heights, and a gluable increasing corner tuple.
 
     The pairing is drawn with probability proportional to its tuple count and
     the tuple uniformly among the gluable ones, which makes the heights
     follow their section counts and the corners conditionally uniform.
+    ``terms`` is :func:`unicellular_terms` of ``f``, for a caller that holds
+    it already.
     """
     gen = as_generator(rng)
-    pairings = entangled_pairings(g)
-    totals = [pairing_tuple_count(f, p) for p in pairings]
+    pairings, totals, genus_one = unicellular_terms(f, g) if terms is None else terms
     grand = sum(totals)
     if grand == 0:
         raise DegenerateEnsembleError(f"no gluable corner tuples at n={f.n}, g={g}")
@@ -277,11 +268,9 @@ def sample_unicellular_decoration(f: LatticeExcursion, g: int, rng):
         choice += 1
     pairing = pairings[choice]
     if g == 1:
-        corners = _sample_tuple_genus_one(f, gen)
+        corners = _sample_tuple_genus_one(f, genus_one, gen)
     else:
         target = int(gen.integers(totals[choice]))
-        from .maps import enumerate_pairing_tuples
-
         for k, tup in enumerate(enumerate_pairing_tuples(f, pairing)):
             if k == target:
                 corners = tup
@@ -291,43 +280,17 @@ def sample_unicellular_decoration(f: LatticeExcursion, g: int, rng):
     return pairing, heights, corners
 
 
-def _sample_tuple_genus_one(f: LatticeExcursion, gen: np.random.Generator):
+def _sample_tuple_genus_one(f: LatticeExcursion, terms: GenusOneTerms, gen: np.random.Generator):
     """Uniform gluable quadruple for the genus-one pairing (1,3)(2,4)."""
-    vals = f.values
-    two_n = 2 * f.n
-    pc, sc = _prefix_suffix_tables(f)
-    h = vals
-    per_r3 = np.zeros(two_n, dtype=np.float64)
-    for r3 in range(3, two_n - 1):
-        a = pc[h[r3], 0:r3 - 1] + pc[h[r3] + 1, 0:r3 - 1]
-        b = sc[h[1:r3], r3 + 1] + sc[h[1:r3] - 1, r3 + 1]
-        per_r3[r3] = float(np.dot(a, b))
-    total = per_r3.sum()
-    if total <= 0:
-        raise DegenerateEnsembleError("no gluable quadruples")
-    r3 = int(np.searchsorted(np.cumsum(per_r3), gen.random() * total, side="right"))
-    a = pc[h[r3], 0:r3 - 1] + pc[h[r3] + 1, 0:r3 - 1]
-    b = sc[h[1:r3], r3 + 1] + sc[h[1:r3] - 1, r3 + 1]
-    w = (a * b).astype(np.float64)
+    per_r3 = terms.per_r3.astype(np.float64)
+    r3 = int(np.searchsorted(np.cumsum(per_r3), gen.random() * per_r3.sum(), side="right"))
+    w = terms.per_r2(r3).astype(np.float64)
     r2 = 1 + int(np.searchsorted(np.cumsum(w), gen.random() * w.sum(), side="right"))
-    levels = _corner_level_lists(vals.tolist())
-    from bisect import bisect_left
-
-    def pick_prefix(level_a, level_b, upper):
-        ca = levels[level_a][: bisect_left(levels[level_a], upper)] if level_a < len(levels) else []
-        cb = levels[level_b][: bisect_left(levels[level_b], upper)] if level_b < len(levels) else []
-        k = int(gen.integers(len(ca) + len(cb)))
-        return ca[k] if k < len(ca) else cb[k - len(ca)]
-
-    def pick_suffix(level_a, level_b, lower):
-        ca = levels[level_a][bisect_left(levels[level_a], lower + 1):] if level_a < len(levels) else []
-        cb = levels[level_b][bisect_left(levels[level_b], lower + 1):] if level_b < len(levels) else []
-        k = int(gen.integers(len(ca) + len(cb)))
-        return ca[k] if k < len(ca) else cb[k - len(ca)]
-
-    r1 = pick_prefix(int(h[r3]), int(h[r3]) + 1, r2)
-    r4 = pick_suffix(int(h[r2]), int(h[r2]) - 1, r3)
-    return (r1, r2, r3, r4)
+    h3, h2 = int(f.values[r3]), int(f.values[r2])
+    below = corner_window(f, (h3, h3 + 1), 1, r2)
+    above = corner_window(f, (h2, h2 - 1), r3 + 1, 2 * f.n)
+    r1 = int(below[gen.integers(len(below))])
+    return (r1, r2, r3, int(above[gen.integers(len(above))]))
 
 
 # -- exact decoration counts ---------------------------------------------------
@@ -392,6 +355,15 @@ def decoration_count_gap(f: LatticeExcursion, s: int, mode: str) -> int:
 
 
 # -- weighted ensembles -----------------------------------------------------------
+
+
+def tilt_weight(total: int, s: int, mode: str, n: int) -> float:
+    """The tilt weight ``total ** s`` as a float; a ``ValueError`` if it overflows."""
+    try:
+        return float(total ** s)
+    except OverflowError:
+        raise ValueError(f"the {mode} tilt weight {total}^{s} overflows a float at n={n}, "
+                         f"s={s}; use a smaller s or n") from None
 
 
 @dataclass
@@ -477,6 +449,7 @@ class TiltSample:
         self._times = None
         self._chords = None
         self._weight = None
+        self._um_terms = None
 
     @property
     def vals(self) -> list[int]:
@@ -497,15 +470,19 @@ class TiltSample:
     def weight(self) -> float:
         if self._weight is None:
             if self.mode == "um":
-                self._weight = float(sum(pairing_tuple_count(self.exc, p) for p in self._pairings))
+                self._um_terms = unicellular_terms(self.exc, self.tilt, self._pairings)
+                _, counts, _ = self._um_terms
+                self._weight = float(sum(counts))
             elif self.mode not in ("bf", "df"):
                 raise ValueError(f"unknown tilt mode {self.mode!r}")
             elif self.tilt == 0:
                 self._weight = 1.0  # B^0 = D^0 = 1
             elif self.mode == "bf":
-                self._weight = float(int(self.bf_index_weights().sum()) ** self.tilt)
+                self._weight = tilt_weight(int(self.bf_index_weights().sum()), self.tilt, "bf",
+                                           self.exc.n)
             else:
-                self._weight = float(int(self.df_index_weights().sum()) ** self.tilt)
+                self._weight = tilt_weight(int(self.df_index_weights().sum()), self.tilt, "df",
+                                           self.exc.n)
         return self._weight
 
     def chords(self) -> list[tuple[int, int]]:
@@ -514,7 +491,8 @@ class TiltSample:
             if self.weight() == 0.0:
                 raise DegenerateEnsembleError("cannot decorate a zero-weight sample")
             if self.mode == "um":
-                pairing, _, corners = sample_unicellular_decoration(self.exc, self.tilt, self.gen)
+                pairing, _, corners = sample_unicellular_decoration(self.exc, self.tilt, self.gen,
+                                                                    self._um_terms)
                 self._chords = [(corners[a - 1], corners[b - 1]) for a, b in pairing.transpositions]
             else:
                 if self.mode == "bf":
@@ -646,7 +624,7 @@ def sample_map_decoration(n: int, s: int, rng) -> tuple[LatticeExcursion, Admiss
         return exc, xi, float(len(decorations))
     xi = sample_corners_bf(exc, s, gen)
     weight = float(decoration_count(exc, s, "bf")) if s == 2 else \
-        float(int(np.sum(bf_per_index(exc.values.tolist()))) ** s)
+        tilt_weight(int(np.sum(bf_per_index(exc.values.tolist()))), s, "bf", n)
     return exc, xi, weight
 
 

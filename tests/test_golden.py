@@ -43,6 +43,7 @@ CASES = {
     "sample-map": ["sample", "map", "--n", "50", "--s", "2", "--reps", "3", "--seed", "31"],
     "sample-graph": ["sample", "graph", "--n", "8", "--s", "2", "--reps", "3", "--seed", "32"],
     "sample-crum": ["sample", "crum", "--n", "12", "--g", "1", "--reps", "3", "--seed", "21"],
+    "sample-crum-n60": ["sample", "crum", "--n", "60", "--g", "1", "--reps", "6", "--seed", "22"],
     "selftest": ["selftest"],
 }
 
@@ -75,7 +76,7 @@ DIGESTS = {
         'estimate_profile.csv':
             '81abbb872a10a48912cece65f278a07b3ba4185c971c020c36e422b8c9eded1c',
         'summary.json':
-            'cb12ab5eb4b13c4748c6aedc8922ac2ae24fa4d011364d963fb52016f27143b5',
+            'fb7e99811d0464d8f8f76e0dc04fe67c3d6b08335464cf932e02c6dc96a11acd',
     },
     'estimate-um-radius': {
         'estimate_radius.csv':
@@ -120,6 +121,22 @@ DIGESTS = {
             '0ee1bd3cda36bc97880483bf18f06efb1a51f21c2d0d05dd15f9d096a1b0ea49',
         'crum_decorations.csv':
             'd11a9b94830af5fe5ea1ed305ad6a823bb1e83c6c74c83a31a74fbc5adfb4749',
+    },
+    'sample-crum-n60': {
+        'crum_0.json':
+            '9192b178dd94596cc1996359fe38b6d0a3bdf57a4e072cd0d64ffc1bd730f039',
+        'crum_1.json':
+            'bddfd4432209327a26317ceeb79453b9ed9e9f68f6c030d89e38658052530357',
+        'crum_2.json':
+            'f02ce04e540f6aebb3fab608a401b7338cac6a3ef83430cb9e7e502d27433c9d',
+        'crum_3.json':
+            '723a3a5da03c0474564937efcf41273946f88d526c3573680f16068c49b58bfa',
+        'crum_4.json':
+            'c7bd55b9342fc51bef8c933c21bc04ccb82bdc4cfd3ceee11b874b27caeed045',
+        'crum_5.json':
+            '8fb7e7cac04abc9d8ba02ce056c5e819e8802d87d965c526336f6bc492424922',
+        'crum_decorations.csv':
+            '639ce2e9d781168f53c0dcbe2a6f9383a53937c873ac765a718da81aa0e06205',
     },
     'selftest': {
         'selftest.csv':

@@ -21,6 +21,7 @@ from surplus_lab.local_time import (
     bf_index_set,
     bf_weights,
     corner_weight_telescope,
+    corner_window,
     df_index_set,
     df_level_sets,
     df_weights,
@@ -171,10 +172,20 @@ class TestCornerWeights:
                 for y, ts in buckets.items():
                     assert all(f.values[t] == y for t in ts)
 
-    def test_index_set_reconstruction(self):
-        f = LatticeExcursion([0, 1, 2, 1, 2, 1, 0])
-        assert bf_weights(f).index_set(f, 2) == bf_index_set(f, 2)
-        assert df_weights(f).index_set(f, 2) == df_index_set(f, 2)
+    def test_corner_window_against_filter_exhaustive(self):
+        # every window, and every order of one or two levels in and just out of range
+        for n in range(1, 7):
+            for f in enumerate_excursions(n):
+                vals = f.values.tolist()
+                top = max(vals) + 1
+                orders = [(y,) for y in range(-1, top + 1)]
+                orders += [(y, z) for y in range(-1, top + 1) for z in range(-1, top + 1) if y != z]
+                for lo in range(2 * n + 1):
+                    for hi in range(lo, 2 * n + 2):
+                        for levels in orders:
+                            want = [j for y in levels for j in range(max(lo, 1), min(hi, 2 * n))
+                                    if vals[j] == y]
+                            assert corner_window(f, levels, lo, hi).tolist() == want
 
     def test_telescope_identity(self):
         # the local-time telescoping sum overcounts by the number of height-one corners

@@ -5,6 +5,7 @@ from itertools import combinations
 import pytest
 
 from surplus_lab.lattice_paths import (
+    EnumerationCapExceeded,
     LatticeExcursion,
     enumerate_excursions,
     height_profile,
@@ -14,8 +15,8 @@ from surplus_lab.maps import (
     AdmissibleCorners,
     PermutationPairing,
     RootedMap,
+    TUPLE_ENUMERATION_CAP,
     _all_pairings,
-    _tuple_count_general,
     admissible_pairs,
     bf_explore,
     df_explore,
@@ -256,13 +257,21 @@ class TestTupleCounts:
         assert pairing_tuple_count(f, G1) == brute_tuple_count(f, G1)
 
     def test_dp_vs_general_recursion(self):
+        # the genus-one terms against the count over the enumeration that higher genus uses
         for f in enumerate_excursions(6):
-            assert pairing_tuple_count(f, G1) == _tuple_count_general(f, G1)
+            assert pairing_tuple_count(f, G1) == sum(1 for _ in enumerate_pairing_tuples(f, G1))
 
     def test_genus_two_count_positive(self):
         f = LatticeExcursion([0] + [1, 2] * 8 + [1, 0])
         p2 = entangled_pairings(2)[0]
         assert pairing_tuple_count(f, p2) == brute_tuple_count(f, p2) > 0
+
+    def test_genus_two_count_capped(self):
+        n = TUPLE_ENUMERATION_CAP + 1
+        f = LatticeExcursion([0] + [1, 2] * (n - 1) + [1, 0])
+        with pytest.raises(EnumerationCapExceeded):
+            pairing_tuple_count(f, entangled_pairings(2)[0])
+        assert pairing_tuple_count(f, G1) > 0  # genus one has no cap
 
 
 class TestMetric:

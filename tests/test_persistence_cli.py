@@ -1,11 +1,13 @@
 """Persistence round trips, manifests, and the command-line surface."""
 
 import json
+import time
 
 import pytest
 
-from surplus_lab import persistence
+from surplus_lab import maps, persistence, samplers
 from surplus_lab.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
+from surplus_lab.maps import TUPLE_ENUMERATION_CAP, genus_one_terms
 from surplus_lab.samplers import RngStream, enumerate_maps, tilted_ensemble
 
 
@@ -170,6 +172,41 @@ class TestCli:
         assert main(["estimate", "--target", "radius", "--model", "um", "--n", "30",
                      "--g", "1", "--reps", "60", "--seed", "4",
                      "--out", str(out)]) == EXIT_OK
+
+    def test_weight_overflow_is_usage_error(self, tmp_path, capsys):
+        # B(f)^200 at n=200 does not fit a float
+        assert main(["estimate", "--target", "radius", "--n", "200", "--s", "200",
+                     "--reps", "3", "--out", str(tmp_path / "o")]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and "n=200" in err and "s=200" in err
+
+    def test_genus_two_above_cap_fails_fast(self, tmp_path, capsys):
+        start = time.perf_counter()
+        assert main(["estimate", "--target", "radius", "--model", "um", "--g", "2",
+                     "--n", "1000", "--out", str(tmp_path / "o")]) == EXIT_USAGE
+        assert time.perf_counter() - start < 10.0
+        assert f"n<={TUPLE_ENUMERATION_CAP}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["sample", "crum", "--n", "40", "--g", "1", "--reps", "4"],
+        ["estimate", "--target", "radius", "--model", "um", "--n", "30", "--g", "1",
+         "--reps", "4"],
+        ["estimate", "--target", "two-point", "--model", "um", "--n", "25", "--g", "1",
+         "--reps", "4"],
+    ])
+    def test_one_genus_one_pass_per_replicate(self, argv, tmp_path, monkeypatch):
+        calls = []
+
+        def counted(f):
+            calls.append(f)
+            return genus_one_terms(f)
+
+        for module in (maps, samplers):
+            monkeypatch.setattr(module, "genus_one_terms", counted)
+        assert main(argv + ["--seed", "5", "--out", str(tmp_path / "o")]) == EXIT_OK
+        # sample draws one excursion per replicate, estimate two (map and contour routes)
+        replicates = 4 if argv[0] == "sample" else 8
+        assert len(calls) == replicates
 
     def test_counts_command(self, tmp_path, capsys):
         out = tmp_path / "c"
