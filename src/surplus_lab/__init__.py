@@ -25,13 +25,9 @@ from .lattice_paths import (
     vervaat,
 )
 from .local_time import (
-    CornerWeights,
     LocalTimeField,
     area_functional,
-    bf_weights,
-    df_weights,
     inverse_height_functional,
-    local_time,
     sq_localtime_functional,
 )
 from .maps import (

@@ -42,6 +42,14 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def nonnegative_int(text: str) -> int:
+    """A size or count option: a nonnegative integer."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def build_parser() -> _Parser:
     p = _Parser(prog="surplus-lab", description=__doc__)
     p.add_argument("--version", action="version", version=__version__)
@@ -49,18 +57,18 @@ def build_parser() -> _Parser:
 
     sp = sub.add_parser("sample", help="draw objects and write them to --out")
     sp.add_argument("kind", choices=["tree", "excursion", "map", "graph", "crum"])
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--s", type=int, default=0)
-    sp.add_argument("--g", type=int, default=1)
-    sp.add_argument("--reps", type=int, default=1)
+    sp.add_argument("--n", type=nonnegative_int, required=True)
+    sp.add_argument("--s", type=nonnegative_int, default=0)
+    sp.add_argument("--g", type=nonnegative_int, default=1)
+    sp.add_argument("--reps", type=nonnegative_int, default=1)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out", type=Path, default=Path("out"))
 
     ep = sub.add_parser("enumerate", help="exhaustively list a small family")
     ep.add_argument("--family", choices=["f", "m", "h", "um"], required=True)
-    ep.add_argument("--n", type=int, required=True)
-    ep.add_argument("--s", type=int, default=0)
-    ep.add_argument("--g", type=int, default=1)
+    ep.add_argument("--n", type=nonnegative_int, required=True)
+    ep.add_argument("--s", type=nonnegative_int, default=0)
+    ep.add_argument("--g", type=nonnegative_int, default=1)
     ep.add_argument("--out", type=Path, default=Path("out"))
 
     xp = sub.add_parser("explore", help="spanning-tree exploration of a stored map")
@@ -79,9 +87,9 @@ def build_parser() -> _Parser:
     vp.add_argument("--suite", required=True,
                     choices=["bijection", "counts", "w1", "psi", "vervaat", "sg",
                              "dichotomy", "decoration", "radius", "lemma3", "jeulin"])
-    vp.add_argument("--n", type=int, default=0)
-    vp.add_argument("--s", type=int, default=0)
-    vp.add_argument("--reps", type=int, default=0)
+    vp.add_argument("--n", type=nonnegative_int, default=0)
+    vp.add_argument("--s", type=nonnegative_int, default=0)
+    vp.add_argument("--reps", type=nonnegative_int, default=0)
     vp.add_argument("--seed", type=int, default=0)
     vp.add_argument("--threshold", type=float, default=0.0,
                     help="statistic threshold for the statistical suites (default per suite)")
@@ -90,10 +98,10 @@ def build_parser() -> _Parser:
     tp = sub.add_parser("estimate", help="Monte Carlo laws for radius/two-point/profile")
     tp.add_argument("--target", choices=["radius", "two-point", "profile"], required=True)
     tp.add_argument("--model", choices=["h", "um"], default="h")
-    tp.add_argument("--n", type=int, required=True)
-    tp.add_argument("--s", type=int, default=1)
-    tp.add_argument("--g", type=int, default=1)
-    tp.add_argument("--reps", type=int, default=1000)
+    tp.add_argument("--n", type=nonnegative_int, required=True)
+    tp.add_argument("--s", type=nonnegative_int, default=1)
+    tp.add_argument("--g", type=nonnegative_int, default=1)
+    tp.add_argument("--reps", type=nonnegative_int, default=1000)
     tp.add_argument("--seed", type=int, default=0)
     tp.add_argument("--out", type=Path, default=Path("out"))
 

@@ -126,7 +126,7 @@ class LatticeBridge:
 
     def is_excursion_shape(self) -> bool:
         """True when the path stays nonnegative before its final down-step."""
-        return bool(np.all(self.values[:-1] >= 0))
+        return bool(self.values[:-1].min() >= 0)
 
     def steps_string(self) -> str:
         return "".join("U" if d > 0 else "D" for d in np.diff(self.values))
@@ -334,9 +334,9 @@ def vervaat(b: LatticeBridge) -> LatticeBridge:
     tau = int(np.argmin(vals))
     if tau == len(vals) - 1:
         return b
-    steps = np.diff(vals)
-    rotated = np.concatenate([steps[tau:], steps[:tau]])
-    out = np.concatenate([[0], np.cumsum(rotated)])
+    # the steps after tau, then the steps before it, summed from 0
+    wrap = vals[-1] - vals[tau] - vals[0]
+    out = np.concatenate([vals[tau:] - vals[tau], vals[1:tau + 1] + wrap])
     return LatticeBridge(out, validate=False)
 
 
@@ -350,11 +350,6 @@ def excursion_from_shape(shape: LatticeBridge) -> LatticeExcursion:
         raise ValueError("bridge is not an excursion shape")
     vals = np.concatenate([[0], shape.values + 1])
     return LatticeExcursion(vals, validate=False)
-
-
-def shape_of_excursion(f: LatticeExcursion) -> LatticeBridge:
-    """Inverse of :func:`excursion_from_shape`."""
-    return LatticeBridge(f.values[1:] - 1, validate=False)
 
 
 def enumerate_excursions(n: int, cap: int = ENUMERATION_CAP) -> list[LatticeExcursion]:

@@ -3,7 +3,7 @@
 For an excursion ``f`` of half-length ``n``:
 
 * ``L(f; t, y)`` counts visits ``#{0 <= j <= t : f(j) = y}`` at integer
-  arguments and is extended continuously by bilinear blending.
+  times and levels.
 * The breadth-first weight of corner ``i`` counts the later corners at the
   same height or one level below:
   ``B(f; i) = #{j in [max(i,1), 2n-1] : f(j) in {f(i), f(i)-1}}``.
@@ -16,7 +16,6 @@ Totals ``B(f)`` and ``D(f)`` sum the per-corner weights over all of
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -25,7 +24,7 @@ from .lattice_paths import LatticeExcursion
 
 
 class LocalTimeField:
-    """Occupation counts of a lattice path, with bilinear evaluation off-lattice."""
+    """Occupation counts of a lattice path at every integer time and level."""
 
     __slots__ = ("values", "counts")
 
@@ -56,54 +55,11 @@ class LocalTimeField:
             return 0
         return int(self.counts[t, y])
 
-    def at(self, t: float, y: float) -> float:
-        """Bilinear blend of the four surrounding lattice counts."""
-        if not 0 <= t <= self.t_max:
-            raise ValueError(f"time {t} outside [0, {self.t_max}]")
-        t0 = int(np.floor(t))
-        y0 = int(np.floor(y))
-        wt = t - t0
-        wy = y - y0
-        out = 0.0
-        if (1 - wt) and (1 - wy):
-            out += (1 - wt) * (1 - wy) * self.lattice(t0, y0)
-        if (1 - wt) and wy:
-            out += (1 - wt) * wy * self.lattice(t0, y0 + 1)
-        if wt and (1 - wy):
-            out += wt * (1 - wy) * self.lattice(t0 + 1, y0)
-        if wt and wy:
-            out += wt * wy * self.lattice(t0 + 1, y0 + 1)
-        return out
-
-    def final_row(self) -> np.ndarray:
-        """Total visit counts per level at the terminal time."""
-        return self.counts[-1].copy()
-
-    def csv_rows(self):
-        """(t, y, L) triples over the lattice grid."""
-        for t in range(self.t_max + 1):
-            for y in range(self.counts.shape[1]):
-                yield t, y, int(self.counts[t, y])
-
-
-def local_time(f, t: float, y: float) -> float:
-    """Convenience evaluation of the local-time field of ``f`` at ``(t, y)``."""
-    return LocalTimeField.of(f).at(t, y)
-
 
 def level_occupancy(f) -> np.ndarray:
     """Visit counts per level at the terminal time (no field construction)."""
     values = f.values if hasattr(f, "values") else np.asarray(f, dtype=np.int64)
     return np.bincount(values)
-
-
-@dataclass(frozen=True)
-class CornerWeights:
-    """Per-corner insertion weights of an excursion, plus their total."""
-
-    mode: str  # "bf" or "df"
-    per_index: np.ndarray  # length 2n+1, boundary entries zero
-    total: int
 
 
 def bf_per_index(values: list[int]) -> list[int]:
@@ -138,16 +94,6 @@ def df_per_index(values: list[int]) -> list[int]:
         total += 1
         out[i] = total
     return out
-
-
-def bf_weights(f: LatticeExcursion) -> CornerWeights:
-    per = np.array(bf_per_index(f.values.tolist()), dtype=np.int64)
-    return CornerWeights("bf", per, int(per.sum()))
-
-
-def df_weights(f: LatticeExcursion) -> CornerWeights:
-    per = np.array(df_per_index(f.values.tolist()), dtype=np.int64)
-    return CornerWeights("df", per, int(per.sum()))
 
 
 def corner_window(f: LatticeExcursion, levels, lo: int, hi: int) -> np.ndarray:

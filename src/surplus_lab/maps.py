@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement, permutations, product
+from operator import itemgetter
 
 import numpy as np
 
@@ -32,6 +33,7 @@ from .local_time import bf_index_set, df_index_set
 
 SG_CAP = 3
 TUPLE_ENUMERATION_CAP = 10  # largest n for genus >= 2 tuple counts, which enumerate the tuples
+_CANONICAL_ORDER = itemgetter(0, 2, 1)  # decoration pairs (i1, k1, i2, k2) sort by (i1, i2, k1)
 
 
 class RootedMap:
@@ -253,6 +255,13 @@ class AdmissibleCorners:
     indices: tuple[int, ...]
     tags: tuple[int, ...]
 
+    @classmethod
+    def from_tagged(cls, mode: str, tagged) -> "AdmissibleCorners":
+        """The decoration of ``(i1, k1, i2, k2)`` quadruples, in their canonical order."""
+        tagged = sorted(tagged, key=_CANONICAL_ORDER)
+        return cls(mode, tuple(x for p in tagged for x in (p[0], p[2])),
+                   tuple(x for p in tagged for x in (p[1], p[3])))
+
     @property
     def s(self) -> int:
         return len(self.indices) // 2
@@ -332,11 +341,6 @@ def _tree_half_structures(tree: PlaneTree):
         origin_of_half[down(v)] = tree.parent[v]
         origin_of_half[up(v)] = v
     return rotations, seq, origin_of_half
-
-
-def tree_as_map(tree: PlaneTree) -> RootedMap:
-    """The plane tree itself as a rooted map (no surplus edges)."""
-    return insert_edges(tree, AdmissibleCorners("bf", (), ()))
 
 
 def insert_edges(tree: PlaneTree, corners: AdmissibleCorners, validate: bool = True) -> RootedMap:
@@ -496,13 +500,8 @@ def _decoration_from_tree(m: RootedMap, tree_halves: set[int], mode: str):
         seen.add(m.alpha[h])
         a = (corner_of[h], rank_of[h])
         b = (corner_of[m.alpha[h]], rank_of[m.alpha[h]])
-        if (b[0], b[1]) < (a[0], a[1]):
-            a, b = b, a
-        pair_list.append((a, b))
-    pair_list.sort(key=lambda p: (p[0][0], p[1][0], p[0][1]))
-    indices = tuple(x for p in pair_list for x in (p[0][0], p[1][0]))
-    tags = tuple(x for p in pair_list for x in (p[0][1], p[1][1]))
-    xi = AdmissibleCorners(mode, indices, tags)
+        pair_list.append(min(a, b) + max(a, b))
+    xi = AdmissibleCorners.from_tagged(mode, pair_list)
     xi.validate(exc)
     return ptree, xi
 
@@ -559,17 +558,11 @@ def enumerate_admissible(tree: PlaneTree, s: int, mode: str, cap: int = 8) -> li
                     ok = False
                     break
                 tagged.append((i1, k1, i2, k2))
-            if not ok:
-                continue
-            tagged.sort(key=lambda p: (p[0], p[2], p[1]))
-            out.add(tuple(tagged))
-    result = []
-    for tagged in sorted(out):
-        indices = tuple(x for p in tagged for x in (p[0], p[2]))
-        tags = tuple(x for p in tagged for x in (p[1], p[3]))
-        xi = AdmissibleCorners(mode, indices, tags)
+            if ok:
+                out.add(tuple(sorted(tagged, key=_CANONICAL_ORDER)))
+    result = [AdmissibleCorners.from_tagged(mode, tagged) for tagged in sorted(out)]
+    for xi in result:
         xi.validate(f)
-        result.append(xi)
     return result
 
 
@@ -616,12 +609,9 @@ class RootMetric:
     radius: int
     level_counts: tuple[int, ...]  # vertices at each distance from the root
 
-    def ball_volume(self, r: int) -> int:
-        return sum(self.level_counts[: r + 1])
-
 
 def metric_from_root(m: RootedMap) -> RootMetric:
-    """Graph distances from the root vertex, with radius and ball volumes."""
+    """Graph distances from the root vertex, with radius and level counts."""
     dist = bfs_distances(adjacency(m), m.origin[m.root])
     radius = max(dist)
     levels = [0] * (radius + 1)
@@ -653,14 +643,6 @@ class PermutationPairing:
     @property
     def g(self) -> int:
         return len(self.transpositions) // 2
-
-    def partner(self, i: int) -> int:
-        for a, b in self.transpositions:
-            if i == a:
-                return b
-            if i == b:
-                return a
-        raise KeyError(i)
 
     def partner_array(self) -> list[int]:
         out = [0] * (4 * self.g + 1)
@@ -720,6 +702,8 @@ def is_entangled(pairing: PermutationPairing, order: str = "pairing-first") -> b
 
 def entangled_pairings(g: int, cap: int = SG_CAP) -> list[PermutationPairing]:
     """All pairings of [4g] whose gluing leaves a single face (one boundary cycle)."""
+    if g < 1:
+        raise ValueError(f"genus must be >= 1 (got g={g})")
     if g > cap:
         raise EnumerationCapExceeded(f"g={g} exceeds pairing cap {cap}")
     out = []
@@ -758,13 +742,8 @@ def glue_decoration(pairing: PermutationPairing, corners) -> AdmissibleCorners:
         raise ValueError("need exactly 4g corners")
     if any(corners[i] >= corners[i + 1] for i in range(len(corners) - 1)):
         raise ValueError("corners must be strictly increasing")
-    pair_list = []
-    for a, b in pairing.transpositions:
-        pair_list.append(((corners[a - 1], 1), (corners[b - 1], 1)))
-    pair_list.sort(key=lambda p: (p[0][0], p[1][0], p[0][1]))
-    indices = tuple(x for p in pair_list for x in (p[0][0], p[1][0]))
-    tags = tuple(x for p in pair_list for x in (p[0][1], p[1][1]))
-    return AdmissibleCorners("bf", indices, tags)
+    return AdmissibleCorners.from_tagged(
+        "bf", [(corners[a - 1], 1, corners[b - 1], 1) for a, b in pairing.transpositions])
 
 
 def glue_heights_ok(f: LatticeExcursion, pairing: PermutationPairing, corners) -> bool:

@@ -1,4 +1,4 @@
-"""Run manifests, deterministic text serialization, and save/load round trips.
+"""Run manifests, deterministic text serialization, and map save/load.
 
 All outputs are text: JSON for structures, CSV for data.  Floats are written
 with 17 significant digits and rows in a fixed order, so replaying a run
@@ -18,7 +18,6 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .maps import RootedMap
-from .samplers import WeightedEnsemble
 
 SCHEMA_VERSION = 1
 
@@ -100,17 +99,6 @@ def load_manifest(path: Path) -> RunManifest:
     return RunManifest(**data)
 
 
-def verify_outputs(manifest: RunManifest, directory: Path) -> None:
-    """Raise unless every recorded output file matches its stored digest."""
-    for name, digest in manifest.outputs.items():
-        target = directory / name
-        if not target.exists():
-            raise PersistenceError(f"missing output file {name}")
-        actual = sha256_file(target)
-        if actual != digest:
-            raise PersistenceError(f"digest mismatch for {name}: {actual} != {digest}")
-
-
 def replay(manifest_path: Path, scratch: Path) -> RunManifest:
     """Re-run the command recorded in a manifest and compare output digests.
 
@@ -153,52 +141,3 @@ def load_map(path: Path) -> RootedMap:
         return RootedMap.from_json_dict(data)
     except ValueError as exc:
         raise PersistenceError(str(exc)) from exc
-
-
-# -- ensembles -----------------------------------------------------------------
-
-
-def save_ensemble(ens: WeightedEnsemble, path: Path) -> None:
-    write_csv(path, ens.csv_header(), ens.csv_rows())
-
-
-def ensemble_meta(ens: WeightedEnsemble) -> dict:
-    return {
-        "n": ens.n,
-        "mode": ens.mode,
-        "tilt": ens.tilt,
-        "proposal": ens.proposal,
-        "seed": ens.seed,
-        "stream": list(ens.stream),
-        "reps": ens.reps,
-        "ess": ens.ess(),
-    }
-
-
-def load_ensemble(path: Path, meta: dict | None = None) -> WeightedEnsemble:
-    import numpy as np
-
-    header, rows = read_csv(path)
-    if header[:2] != ["replicate", "weight"]:
-        raise PersistenceError(f"not an ensemble CSV: {path}")
-    data = np.array([[float(v) for v in row] for row in rows])
-    meta = meta or {}
-    # columns with suffix _k re-assemble into one matrix column group
-    groups: dict[str, list[int]] = {}
-    for idx, name in enumerate(header[2:], start=2):
-        base = name.rsplit("_", 1)[0] if name.rsplit("_", 1)[-1].isdigit() else name
-        groups.setdefault(base, []).append(idx)
-    columns = {}
-    for base, idxs in groups.items():
-        block = data[:, idxs]
-        columns[base] = block[:, 0] if len(idxs) == 1 else block
-    return WeightedEnsemble(
-        n=int(meta.get("n", 0)),
-        mode=str(meta.get("mode", "?")),
-        tilt=int(meta.get("tilt", 0)),
-        proposal=str(meta.get("proposal", "?")),
-        seed=int(meta.get("seed", 0)),
-        stream=tuple(meta.get("stream", ())),
-        weights=data[:, 1],
-        columns=columns,
-    )

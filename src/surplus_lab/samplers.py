@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 from math import comb, factorial
 from typing import Callable
 
@@ -29,7 +29,9 @@ from .lattice_paths import (
     LabeledTree,
     LatticeBridge,
     LatticeExcursion,
+    excursion_from_shape,
     tree_of_contour,
+    vervaat,
 )
 from .local_time import bf_per_index, corner_window, df_per_index, df_level_sets
 from .maps import (
@@ -91,26 +93,15 @@ def sample_uniform_bridge(n: int, rng) -> LatticeBridge:
 def sample_uniform_excursion(n: int, rng) -> LatticeExcursion:
     """Uniform contour excursion of half-length ``n``.
 
-    Draws a uniform bridge with ``2n - 1`` steps, rotates it at its first
-    global minimum (the cycle lemma makes the result uniform over excursion
-    shapes), and attaches the root step.
+    The Vervaat rotation of a uniform bridge with ``2n - 1`` steps (the
+    cycle lemma makes it uniform over excursion shapes), with the root step
+    attached.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if n == 1:
         return LatticeExcursion([0, 1, 0], validate=False)
-    gen = as_generator(rng)
-    steps = np.concatenate([np.ones(n - 1, dtype=np.int64), -np.ones(n, dtype=np.int64)])
-    steps = gen.permutation(steps)
-    walk = np.concatenate([[0], np.cumsum(steps)])
-    tau = int(np.argmin(walk))
-    if tau != len(walk) - 1:
-        steps = np.concatenate([steps[tau:], steps[:tau]])
-    shape = np.concatenate([[0], np.cumsum(steps)])
-    values = np.empty(2 * n + 1, dtype=np.int64)
-    values[0] = 0
-    values[1:] = shape + 1
-    return LatticeExcursion(values, validate=False)
+    return excursion_from_shape(vervaat(sample_uniform_bridge(n - 1, rng)))
 
 
 def prufer_decode(seq, n: int) -> list[tuple[int, int]]:
@@ -179,20 +170,13 @@ def _weighted_index(per_index: np.ndarray, gen: np.random.Generator) -> int:
 
 def _pairs_to_decoration(mode: str, pairs: list[tuple[int, int]]) -> AdmissibleCorners:
     """Canonical tags for sampled corner pairs: blocks ordered by sorted pair position."""
-    order = sorted(range(len(pairs)), key=lambda j: pairs[j])
     next_tag: dict[int, int] = {}
     tagged = []
-    for j in order:
-        i1, i2 = pairs[j]
-        k1 = next_tag.get(i1, 0) + 1
-        next_tag[i1] = k1
-        k2 = next_tag.get(i2, 0) + 1
-        next_tag[i2] = k2
+    for i1, i2 in sorted(pairs):
+        k1 = next_tag[i1] = next_tag.get(i1, 0) + 1
+        k2 = next_tag[i2] = next_tag.get(i2, 0) + 1
         tagged.append((i1, k1, i2, k2))
-    tagged.sort(key=lambda p: (p[0], p[2], p[1]))
-    indices = tuple(x for p in tagged for x in (p[0], p[2]))
-    tags = tuple(x for p in tagged for x in (p[1], p[3]))
-    return AdmissibleCorners(mode, indices, tags)
+    return AdmissibleCorners.from_tagged(mode, tagged)
 
 
 def sample_corners_bf(f: LatticeExcursion, s: int, rng, per_index=None) -> AdmissibleCorners:
@@ -271,10 +255,7 @@ def sample_unicellular_decoration(f: LatticeExcursion, g: int, rng, terms=None):
         corners = _sample_tuple_genus_one(f, genus_one, gen)
     else:
         target = int(gen.integers(totals[choice]))
-        for k, tup in enumerate(enumerate_pairing_tuples(f, pairing)):
-            if k == target:
-                corners = tup
-                break
+        corners = next(islice(enumerate_pairing_tuples(f, pairing), target, None))
     vals = f.values
     heights = tuple(int(vals[corners[a - 1]]) for a, b in pairing.transpositions)
     return pairing, heights, corners
@@ -404,25 +385,6 @@ class WeightedEnsemble:
         if np.ndim(est) == 0:
             return float(est), float(se)
         return est, se
-
-    def csv_header(self) -> list[str]:
-        cols = []
-        for name, arr in self.columns.items():
-            if arr.ndim == 1:
-                cols.append(name)
-            else:
-                cols.extend(f"{name}_{k}" for k in range(arr.shape[1]))
-        return ["replicate", "weight"] + cols
-
-    def csv_rows(self):
-        for r in range(self.reps):
-            row = [r, float(self.weights[r])]
-            for arr in self.columns.values():
-                if arr.ndim == 1:
-                    row.append(float(arr[r]))
-                else:
-                    row.extend(float(v) for v in arr[r])
-            yield row
 
 
 class TiltSample:
@@ -657,9 +619,6 @@ class RootedGraph:
         for lst in adj:
             lst.sort()
         return adj
-
-    def key(self):
-        return (self.root, tuple(sorted(self.edges)))
 
 
 def _edge(u: int, v: int) -> tuple[int, int]:

@@ -40,10 +40,15 @@ CASES = {
     "verify-jeulin": ["verify", "--suite", "jeulin", "--n", "64", "--reps", "400",
                       "--seed", "7", "--threshold", "0.5"],
     "verify-sg": ["verify", "--suite", "sg"],
+    "sample-excursion": ["sample", "excursion", "--n", "3", "--reps", "24", "--seed", "41"],
+    "sample-tree": ["sample", "tree", "--n", "30", "--reps", "8", "--seed", "42"],
     "sample-map": ["sample", "map", "--n", "50", "--s", "2", "--reps", "3", "--seed", "31"],
+    "sample-map-enumerated": ["sample", "map", "--n", "12", "--s", "2", "--reps", "4",
+                              "--seed", "33"],
     "sample-graph": ["sample", "graph", "--n", "8", "--s", "2", "--reps", "3", "--seed", "32"],
     "sample-crum": ["sample", "crum", "--n", "12", "--g", "1", "--reps", "3", "--seed", "21"],
     "sample-crum-n60": ["sample", "crum", "--n", "60", "--g", "1", "--reps", "6", "--seed", "22"],
+    "sample-crum-g2": ["sample", "crum", "--n", "8", "--g", "2", "--reps", "3", "--seed", "23"],
     "selftest": ["selftest"],
 }
 
@@ -98,6 +103,14 @@ DIGESTS = {
         'verify_sg.csv':
             '823181ee8ded78f0582de25bd2034c4fb914158bd04a06fd1c0f833684b04891',
     },
+    'sample-excursion': {
+        'excursions.txt':
+            '6eb4bdb541e69931430c2ed5187d8707577e87696a0cee9ae971ff9f64085899',
+    },
+    'sample-tree': {
+        'trees.txt':
+            'b8f820e16b5ed8af8707ea71c09d0a402148f3cacbf668e7d78c2569d8eb9140',
+    },
     'sample-map': {
         'map_0.json':
             'aea3b621e85a382d1dad92b11ba6ebd60d2b682854b111c01bb1a5e8611c7706',
@@ -107,6 +120,18 @@ DIGESTS = {
             '2be3212160a41980799737e45c14268161b9e274220a812261bc06ee51f217dd',
         'map_weights.csv':
             '642d349553c54fdb4a7a0f7bf0b19974a0d2084ed3d8aeb9d4bc56ff47cba29f',
+    },
+    'sample-map-enumerated': {
+        'map_0.json':
+            '3ac5125b34073d85a666a2b88b4bb062cf900820aecd4ba4e84ea5f2ebfd33f6',
+        'map_1.json':
+            '63031541f37cb8be0340af2d5e75963cc0d0e92dbc2b6166838ce9f796282dd3',
+        'map_2.json':
+            '3b7c449e63e282421d41b52ad5d503996b1ba3a8647b9400555e448186e13c63',
+        'map_3.json':
+            '98f235722f2d26f62e19e5c0256dd6e7d38b9ba0fb784346bbbcd1bfd5ed9c78',
+        'map_weights.csv':
+            'eb2170bfedbae60ec74a33991a7f1a9173c85e91ee0887ddb44bdde103424b19',
     },
     'sample-graph': {
         'graphs.csv':
@@ -137,6 +162,16 @@ DIGESTS = {
             '8fb7e7cac04abc9d8ba02ce056c5e819e8802d87d965c526336f6bc492424922',
         'crum_decorations.csv':
             '639ce2e9d781168f53c0dcbe2a6f9383a53937c873ac765a718da81aa0e06205',
+    },
+    'sample-crum-g2': {
+        'crum_0.json':
+            'd0056bea6fbba6a7aca6915472063ea3854ff8a5fd75f88699df1abae503f3f6',
+        'crum_1.json':
+            'b2bc0756af7698ee23f728252609584999e1b52b0bf597d2d0f5fb2a49c4e5a1',
+        'crum_2.json':
+            '3f536d1927ec13d69ef35fc34bc84270a4a97c85ae09c092811b269e6424e5f9',
+        'crum_decorations.csv':
+            'a828db0a8273d15be190b804367a9c5185b6f38a6d8654693ec9454a5cc357b2',
     },
     'selftest': {
         'selftest.csv':

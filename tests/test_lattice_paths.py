@@ -20,7 +20,6 @@ from surplus_lab.lattice_paths import (
     height_profile,
     lukasiewicz_of_tree,
     preorder_index,
-    shape_of_excursion,
     tree_of_contour,
     vervaat,
 )
@@ -155,7 +154,9 @@ class TestVervaat:
     def test_shape_conversion_roundtrip(self):
         for n in range(2, 6):
             for f in enumerate_excursions(n):
-                assert excursion_from_shape(shape_of_excursion(f)) == f
+                shape = LatticeBridge(f.values[1:] - 1)  # drop the root step
+                assert shape.is_excursion_shape()
+                assert excursion_from_shape(shape) == f
 
     @given(st.integers(1, 6), st.randoms(use_true_random=False))
     @settings(max_examples=60, deadline=None)

@@ -5,8 +5,6 @@ test must reproduce them exactly.
 """
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from surplus_lab.lattice_paths import (
     LatticeExcursion,
@@ -19,15 +17,14 @@ from surplus_lab.local_time import (
     LocalTimeField,
     area_functional,
     bf_index_set,
-    bf_weights,
+    bf_per_index,
     corner_weight_telescope,
     corner_window,
     df_index_set,
     df_level_sets,
-    df_weights,
+    df_per_index,
     inverse_height_functional,
     level_occupancy,
-    local_time,
     sq_localtime_functional,
 )
 
@@ -59,22 +56,18 @@ def random_excursions(count, n, seed):
 class TestLocalTime:
     def test_count_example(self):
         f = LatticeExcursion([0, 1, 2, 1, 0])
-        assert local_time(f, 4, 1) == 2  # visits at j = 1, 3
-
-    def test_midpoint_example(self):
-        f = LatticeExcursion([0, 1, 2, 1, 0])
-        assert local_time(f, 4, 0.5) == pytest.approx(2.0)  # between L=2 and L=2
+        assert LocalTimeField.of(f).lattice(4, 1) == 2  # visits at j = 1, 3
 
     def test_origin(self):
         for f in enumerate_excursions(4):
-            assert local_time(f, 0, 0) == 1
+            assert LocalTimeField.of(f).lattice(0, 0) == 1
 
     def test_domain_error(self):
-        f = LatticeExcursion([0, 1, 0])
+        field = LocalTimeField.of(LatticeExcursion([0, 1, 0]))
         with pytest.raises(ValueError):
-            local_time(f, 3, 0)
+            field.lattice(3, 0)
         with pytest.raises(ValueError):
-            local_time(f, -0.5, 0)
+            field.lattice(-1, 0)
 
     def test_lattice_counts_match_definition(self):
         for f in enumerate_excursions(4):
@@ -93,75 +86,56 @@ class TestLocalTime:
 
     def test_terminal_mass(self):
         for f in enumerate_excursions(5):
-            assert level_occupancy(f).sum() == 2 * f.n + 1
-            assert LocalTimeField.of(f).final_row().sum() == 2 * f.n + 1
-
-    @given(st.floats(0, 6), st.floats(-1, 4))
-    @settings(max_examples=80, deadline=None)
-    def test_bilinear_continuity(self, t, y):
-        f = LatticeExcursion([0, 1, 2, 1, 2, 1, 0])
-        field = LocalTimeField.of(f)
-        eps = 1e-6
-        v = field.at(t, y)
-        for dt, dy in [(eps, 0), (0, eps), (-eps, 0), (0, -eps)]:
-            t2, y2 = t + dt, y + dy
-            if 0 <= t2 <= 6:
-                assert abs(field.at(t2, y2) - v) < 1e-4
-
-    def test_csv_rows(self):
-        f = LatticeExcursion([0, 1, 0])
-        rows = list(LocalTimeField.of(f).csv_rows())
-        assert (0, 0, 1) in rows
-        assert (2, 0, 2) in rows and (2, 1, 1) in rows
+            occ = level_occupancy(f)
+            assert occ.sum() == 2 * f.n + 1
+            field = LocalTimeField.of(f)
+            assert [field.lattice(2 * f.n, y) for y in range(len(occ))] == occ.tolist()
 
 
 class TestCornerWeights:
     def test_bf_example(self):
-        f = LatticeExcursion([0, 1, 2, 1, 0])
-        w = bf_weights(f)
-        assert w.per_index.tolist() == [0, 2, 2, 1, 0]
-        assert w.total == 5
+        per = bf_per_index([0, 1, 2, 1, 0])
+        assert per == [0, 2, 2, 1, 0]
+        assert sum(per) == 5
 
     def test_bf_single_edge(self):
-        w = bf_weights(LatticeExcursion([0, 1, 0]))
-        assert w.per_index.tolist() == [0, 1, 0]
-        assert w.total == 1
+        assert bf_per_index([0, 1, 0]) == [0, 1, 0]
         assert bf_index_set(LatticeExcursion([0, 1, 0]), 1) == [1]
 
     def test_df_example(self):
-        f = LatticeExcursion([0, 1, 2, 1, 0])
-        w = df_weights(f)
-        assert w.per_index.tolist() == [0, 2, 2, 1, 0]
-        assert w.total == 5
+        per = df_per_index([0, 1, 2, 1, 0])
+        assert per == [0, 2, 2, 1, 0]
+        assert sum(per) == 5
 
     def test_df_single_edge(self):
-        assert df_weights(LatticeExcursion([0, 1, 0])).total == 1
+        assert sum(df_per_index([0, 1, 0])) == 1
 
     def test_sets_against_oracle_exhaustive(self):
         for n in range(1, 7):
             for f in enumerate_excursions(n):
                 vals = f.values.tolist()
-                bw = bf_weights(f)
-                dw = df_weights(f)
+                bw = bf_per_index(vals)
+                dw = df_per_index(vals)
                 for i in range(2 * n + 1):
                     assert bf_index_set(f, i) == oracle_bf_set(vals, i)
                     assert df_index_set(f, i) == oracle_df_set(vals, i)
-                    assert bw.per_index[i] == len(oracle_bf_set(vals, i))
-                    assert dw.per_index[i] == len(oracle_df_set(vals, i))
+                    assert bw[i] == len(oracle_bf_set(vals, i))
+                    assert dw[i] == len(oracle_df_set(vals, i))
 
     def test_sets_against_oracle_sampled(self):
         for f in random_excursions(5, 60, seed=5):
             vals = f.values.tolist()
-            bw = bf_weights(f)
-            dw = df_weights(f)
+            bw = bf_per_index(vals)
+            dw = df_per_index(vals)
             for i in range(0, 2 * f.n + 1, 7):
-                assert bw.per_index[i] == len(oracle_bf_set(vals, i))
-                assert dw.per_index[i] == len(oracle_df_set(vals, i))
+                assert bw[i] == len(oracle_bf_set(vals, i))
+                assert dw[i] == len(oracle_df_set(vals, i))
 
     def test_boundary_zero(self):
         for f in enumerate_excursions(5):
-            for w in (bf_weights(f), df_weights(f)):
-                assert w.per_index[0] == 0 and w.per_index[-1] == 0
+            vals = f.values.tolist()
+            for per in (bf_per_index(vals), df_per_index(vals)):
+                assert per[0] == 0 and per[-1] == 0
 
     def test_df_level_sets_partition(self):
         for f in enumerate_excursions(5):
@@ -198,7 +172,7 @@ class TestCornerWeights:
         for n in range(1, 7):
             for f in enumerate_excursions(n):
                 cap = 2 * int(level_occupancy(f).max())
-                assert int(bf_weights(f).per_index.max()) <= cap
+                assert max(bf_per_index(f.values.tolist())) <= cap
 
 
 class TestLukasiewiczSandwich:
@@ -209,13 +183,13 @@ class TestLukasiewiczSandwich:
         tree = tree_of_contour(f)
         s = lukasiewicz_of_tree(tree)
         pos = preorder_index(tree)
-        dw = df_weights(f)
         vals = f.values.tolist()
+        dw = df_per_index(vals)
         for i in range(1, 2 * f.n):
             v = tree.vertex_at_time[i]
             li = pos[v] + 1
             zeta = tree.degree(v)
-            diff = int(dw.per_index[i]) - vals[i]
+            diff = dw[i] - vals[i]
             assert s[li] - zeta <= diff <= s[li] + 1
 
     def test_exhaustive(self):

@@ -11,6 +11,7 @@ from surplus_lab.lattice_paths import (
     height_profile,
     tree_of_contour,
 )
+from surplus_lab.local_time import bf_per_index, df_per_index
 from surplus_lab.maps import (
     AdmissibleCorners,
     PermutationPairing,
@@ -28,7 +29,6 @@ from surplus_lab.maps import (
     is_entangled,
     metric_from_root,
     pairing_tuple_count,
-    tree_as_map,
     unicellular_glue,
 )
 
@@ -36,6 +36,11 @@ PATH2 = LatticeExcursion([0, 1, 2, 1, 0])
 DOUBLE3 = LatticeExcursion([0, 1, 2, 1, 2, 1, 0])
 TALL3 = LatticeExcursion([0, 1, 2, 3, 2, 1, 0])
 G1 = PermutationPairing(((1, 3), (2, 4)))
+
+
+def tree_map(tree):
+    """The plane tree itself as a rooted map (no surplus edges)."""
+    return insert_edges(tree, AdmissibleCorners("bf", (), ()))
 
 
 def brute_tuple_count(f, pairing):
@@ -58,7 +63,7 @@ class TestTreeAsMap:
     def test_tree_map_one_face(self):
         for n in range(1, 6):
             for f in enumerate_excursions(n):
-                m = tree_as_map(tree_of_contour(f))
+                m = tree_map(tree_of_contour(f))
                 assert len(m.faces()) == 1
                 assert m.genus() == 0
                 assert m.surplus == 0
@@ -278,7 +283,7 @@ class TestMetric:
     def test_tree_radius_is_height(self):
         for f in enumerate_excursions(5):
             t = tree_of_contour(f)
-            m = tree_as_map(t)
+            m = tree_map(t)
             assert metric_from_root(m).radius == t.height()
 
     def test_radius_and_balls_match_bf_tree(self):
@@ -292,11 +297,6 @@ class TestMetric:
                         metric = metric_from_root(m)
                         assert metric.radius == t2.height()
                         assert list(metric.level_counts) == list(height_profile(t2).z)
-
-    def test_ball_volume(self):
-        m = tree_as_map(tree_of_contour(PATH2))
-        metric = metric_from_root(m)
-        assert [metric.ball_volume(r) for r in range(3)] == [1, 2, 3]
 
 
 class TestJsonAndCanonical:
@@ -314,7 +314,7 @@ class TestJsonAndCanonical:
             RootedMap.from_json_dict(data)
 
     def test_inconsistent_counts(self):
-        m = tree_as_map(tree_of_contour(PATH2))
+        m = tree_map(tree_of_contour(PATH2))
         data = m.to_json_dict()
         data["n"] = 9
         with pytest.raises(ValueError):
@@ -330,11 +330,10 @@ class TestJsonAndCanonical:
 
 class TestAdmissiblePairs:
     def test_matches_weight_totals(self):
-        from surplus_lab.local_time import bf_weights, df_weights
-
         for f in enumerate_excursions(5):
-            assert len(admissible_pairs(f, "bf")) == bf_weights(f).total
-            assert len(admissible_pairs(f, "df")) == df_weights(f).total
+            vals = f.values.tolist()
+            assert len(admissible_pairs(f, "bf")) == sum(bf_per_index(vals))
+            assert len(admissible_pairs(f, "df")) == sum(df_per_index(vals))
 
 
 class TestDistancePreservation:

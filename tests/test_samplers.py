@@ -14,7 +14,7 @@ from surplus_lab.lattice_paths import (
     height_profile,
     tree_of_contour,
 )
-from surplus_lab.local_time import bf_weights, df_index_set, df_weights
+from surplus_lab.local_time import bf_per_index, df_index_set, df_per_index
 from surplus_lab.maps import (
     adjacency,
     bfs_distances,
@@ -54,6 +54,14 @@ from surplus_lab.samplers import (
 )
 
 CHI2_CRIT = {8: 20.090, 13: 27.688}  # 1% upper tail, by degrees of freedom
+
+
+def bf_total(f) -> int:
+    return sum(bf_per_index(f.values.tolist()))
+
+
+def df_total(f) -> int:
+    return sum(df_per_index(f.values.tolist()))
 
 
 def three_sigma(p: float, n: int) -> float:
@@ -157,9 +165,9 @@ class TestCornerSamplers:
             for r in range(reps):
                 xi = sample_corners_df(f, 1, rng.substream(f.n, r))
                 c[xi.indices] += 1
-            dw = df_weights(f)
+            dw = df_per_index(f.values.tolist())
             for (i1, i2), cnt in c.items():
-                p = (dw.per_index[i1] / dw.total) / len(df_index_set(f, i1))
+                p = (dw[i1] / sum(dw)) / len(df_index_set(f, i1))
                 assert abs(cnt / reps - p) < max(three_sigma(p, reps), 5e-3)
 
     def test_sampled_decorations_validate(self):
@@ -231,8 +239,8 @@ class TestTiltedEnsemble:
         rng = RngStream(6)
         for r in range(50):
             f = sample_uniform_excursion(6, rng.substream(r))
-            assert ens_b.weights[r] == bf_weights(f).total ** 2
-            assert ens_d.weights[r] == df_weights(f).total ** 2
+            assert ens_b.weights[r] == bf_total(f) ** 2
+            assert ens_d.weights[r] == df_total(f) ** 2
 
     def test_tilted_matches_enumeration(self):
         # weighted frequency of each shape tracks its exact tilted probability
@@ -245,9 +253,9 @@ class TestTiltedEnsemble:
         for r in range(reps):
             f = sample_uniform_excursion(4, rng.substream(r))
             k = f.as_tuple()
-            weights[k] = weights.get(k, 0.0) + bf_weights(f).total
+            weights[k] = weights.get(k, 0.0) + bf_total(f)
         total = sum(weights.values())
-        exact = {f.as_tuple(): bf_weights(f).total for f in enumerate_excursions(4)}
+        exact = {f.as_tuple(): bf_total(f) for f in enumerate_excursions(4)}
         z = sum(exact.values())
         for k, wsum in weights.items():
             p_hat = wsum / total
@@ -439,8 +447,8 @@ class TestSurplusGraphs:
         acc = Counter()
         for r in range(reps):
             g, w = sample_surplus_graph(4, 1, rng.substream(r))
-            acc[g.key()] += w
-        universe = {g.key() for g in enumerate_surplus_graphs(4, 1)}
+            acc[g] += w
+        universe = {g for g in enumerate_surplus_graphs(4, 1)}
         assert set(acc) == universe
         total = sum(acc.values())
         p = 1 / len(universe)
@@ -593,7 +601,7 @@ class TestTiltedExpectationOracle:
         # at n = 4 and check the self-normalized estimate within 3 SE
         exact_num = exact_den = 0
         for f in enumerate_excursions(4):
-            w = bf_weights(f).total
+            w = bf_total(f)
             exact_num += w * f.max_height()
             exact_den += w
         exact = exact_num / exact_den
@@ -607,7 +615,7 @@ class TestTiltedExpectationOracle:
 
         exact_num = exact_den = 0
         for f in enumerate_excursions(5):
-            w = df_weights(f).total ** 2
+            w = df_total(f) ** 2
             exact_num += w * inverse_height_functional(f).raw
             exact_den += w
         exact = exact_num / exact_den
@@ -626,8 +634,8 @@ class TestSurplusGraphUniformityN5:
         acc = Counter()
         for r in range(reps):
             g, w = sample_surplus_graph(5, 1, rng.substream(r))
-            acc[g.key()] += w
-        universe = {g.key() for g in enumerate_surplus_graphs(5, 1)}
+            acc[g] += w
+        universe = {g for g in enumerate_surplus_graphs(5, 1)}
         assert set(acc) <= universe
         assert len(acc) > 0.98 * len(universe)
         total = sum(acc.values())
