@@ -44,7 +44,6 @@ from .samplers import (
     sample_uniform_excursion,
     sample_corners_bf,
     w1_weight,
-    _orient,
 )
 
 
@@ -128,11 +127,8 @@ def _all_rooted_labeled_trees(n: int):
         yield LabeledTree(1, 1, [0, 0])
         return
     for root in range(1, n + 1):
-        if n == 2:
-            yield _orient(2, [(1, 2)], root)
-            continue
         for seq in product(range(1, n + 1), repeat=n - 2):
-            yield _orient(n, prufer_decode(list(seq), n), root)
+            yield prufer_decode(seq, n, root)
 
 
 def w1_suite(n_min: int = 2, n_max: int = 6) -> SuiteResult:

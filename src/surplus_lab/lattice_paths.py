@@ -291,32 +291,32 @@ class LabeledTree:
         return {frozenset((v, self.parent[v])) for v in range(1, self.n + 1) if v != self.root}
 
     def heights(self) -> list[int]:
-        """Distance from the root per label (index 0 unused)."""
-        h = [-1] * (self.n + 1)
-        h[self.root] = 0
-        for v in range(1, self.n + 1):
-            if h[v] >= 0:
-                continue
-            chain = []
-            u = v
-            while h[u] < 0:
-                chain.append(u)
-                u = self.parent[u]
-                if u == 0 or len(chain) > self.n:
-                    raise ValueError("parent array is not a tree rooted at root")
-            base = h[u]
-            for w in reversed(chain):
-                base += 1
-                h[w] = base
+        """Distance from the root per label (index 0 unused).
+
+        Pointer doubling: after ``k`` rounds ``anc[v]`` is the ancestor
+        ``2^k`` steps up (or the root) and ``d[v]`` the distance to it, so
+        ``log2 n`` rounds reach the root from every label of a tree.
+        """
+        anc = np.array(self.parent, dtype=np.int64)
+        anc[self.root] = self.root
+        d = np.ones(self.n + 1, dtype=np.int64)
+        d[0] = d[self.root] = 0
+        for _ in range((self.n - 1).bit_length()):
+            d += d[anc]
+            anc = anc[anc]
+        if (anc[1:] != self.root).any():
+            raise ValueError("parent array is not a tree rooted at root")
+        h = d.tolist()
+        h[0] = -1
         return h
 
 
 def height_profile(t: PlaneTree | LabeledTree) -> HeightProfile:
     """Counts of vertices at each distance from the root."""
-    if isinstance(t, PlaneTree):
-        depths = t.depth
-    else:
-        depths = [d for d in t.heights()[1:]]
+    if isinstance(t, LabeledTree):
+        depths = np.array(t.heights()[1:], dtype=np.int64)
+        return HeightProfile(tuple(np.bincount(depths).tolist()))
+    depths = t.depth
     z = [0] * (max(depths) + 1)
     for d in depths:
         z[d] += 1

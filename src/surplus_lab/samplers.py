@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, islice
-from math import comb, factorial
+from math import factorial
 from typing import Callable
 
 import numpy as np
@@ -104,46 +104,37 @@ def sample_uniform_excursion(n: int, rng) -> LatticeExcursion:
     return excursion_from_shape(vervaat(sample_uniform_bridge(n - 1, rng)))
 
 
-def prufer_decode(seq, n: int) -> list[tuple[int, int]]:
-    """Edges of the labeled tree on [n] with the given code of length n-2."""
-    degree = [1] * (n + 1)
-    for x in seq:
-        degree[x] += 1
-    edges = []
+def prufer_decode(code, n: int, root: int) -> LabeledTree:
+    """The labeled tree on [n] with Prüfer code ``code`` (n-2 labels), rooted at ``root``.
+
+    The decode writes the parent array rooted at ``n``: each removed leaf
+    hangs from its code entry and the last leaf from ``n``.  Reversing the
+    parent pointers on the path from ``root`` to ``n`` then re-roots it.
+    """
+    code = np.asarray(code, dtype=np.int64)
+    degree = (np.bincount(code, minlength=n + 1) + 1).tolist()
+    code = code.tolist()
+    parent = [0] * (n + 1)
     ptr = 1
     while degree[ptr] != 1:
         ptr += 1
     leaf = ptr
-    for x in seq:
-        edges.append((leaf, int(x)))
+    for x in code:
+        parent[leaf] = x
         degree[x] -= 1
         if degree[x] == 1 and x < ptr:
-            leaf = int(x)
+            leaf = x
         else:
             ptr += 1
             while degree[ptr] != 1:
                 ptr += 1
             leaf = ptr
-    edges.append((leaf, n))
-    return edges
-
-
-def _orient(n: int, edges, root: int) -> LabeledTree:
-    adj: list[list[int]] = [[] for _ in range(n + 1)]
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    parent = [0] * (n + 1)
-    seen = [False] * (n + 1)
-    seen[root] = True
-    stack = [root]
-    while stack:
-        u = stack.pop()
-        for v in adj[u]:
-            if not seen[v]:
-                seen[v] = True
-                parent[v] = u
-                stack.append(v)
+    parent[leaf] = n
+    below, v = 0, root
+    while v:
+        up = parent[v]
+        parent[v] = below
+        below, v = v, up
     return LabeledTree(n, root, parent)
 
 
@@ -153,10 +144,8 @@ def sample_labeled_tree(n: int, rng) -> LabeledTree:
     if n == 1:
         return LabeledTree(1, 1, [0, 0])
     root = int(gen.integers(1, n + 1))
-    if n == 2:
-        return _orient(2, [(1, 2)], root)
-    seq = gen.integers(1, n + 1, size=n - 2)
-    return _orient(n, prufer_decode(seq, n), root)
+    code = gen.integers(1, n + 1, size=n - 2) if n > 2 else ()
+    return prufer_decode(code, n, root)
 
 
 # -- corner samplers --------------------------------------------------------------
@@ -793,32 +782,31 @@ def w1_weight(profile: HeightProfile) -> Fraction:
     excluding parents: summing it over all rooted labeled trees on [n] gives
     the number of rooted connected unit-surplus graphs on [n].
     """
-    z = profile.z
-    total = Fraction(0)
-    for level in range(1, len(z)):
-        total += comb(z[level], 2) + Fraction(z[level] * (z[level - 1] - 1), 2)
-    return total
+    return ws_weight(profile, 1)
 
 
 def ws_weight(profile: HeightProfile, s: int) -> Fraction:
-    """Multi-surplus analog of :func:`w1_weight` over level tuples with gaps >= 2."""
-    z = profile.z
-    terms = [Fraction(0)] * len(z)
-    for level in range(1, len(z)):
-        terms[level] = comb(z[level], 2) + Fraction(z[level] * (z[level - 1] - 1), 2)
+    """Multi-surplus analog of :func:`w1_weight` over level tuples with gaps >= 2.
+
+    The level terms are kept doubled, ``z_l (z_l - 1) + z_l (z_{l-1} - 1)``,
+    so the sum runs on integers and is divided by ``2^s`` once.
+    """
     if s == 0:
         return Fraction(1)
-    # dp[j][l] = sum over j levels ending exactly at l, consecutive gaps >= 2
-    prev = terms[:]
+    z = profile.z
+    terms = [0] * len(z)
+    for level in range(1, len(z)):
+        terms[level] = z[level] * (z[level] - 1) + z[level] * (z[level - 1] - 1)
+    # prev[l] = sum over j levels ending exactly at l, consecutive gaps >= 2
+    prev = terms
     for _ in range(2, s + 1):
-        pref = [Fraction(0)] * (len(z) + 1)
-        for level in range(len(z)):
-            pref[level + 1] = pref[level] + prev[level]
-        cur = [Fraction(0)] * len(z)
+        cur = [0] * len(z)
+        pref = 0
         for level in range(2, len(z)):
-            cur[level] = terms[level] * pref[level - 1]
+            pref += prev[level - 2]
+            cur[level] = terms[level] * pref
         prev = cur
-    return sum(prev, Fraction(0))
+    return Fraction(sum(prev), 2 ** s)
 
 
 def degenerate_tuple_bound(profile: HeightProfile, n: int, s: int) -> int:

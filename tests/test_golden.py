@@ -33,6 +33,8 @@ CASES = {
                               "--reps", "60", "--seed", "14"],
     "estimate-profile": ["estimate", "--target", "profile", "--n", "60", "--s", "1",
                          "--reps", "60", "--seed", "2"],
+    "estimate-profile-s3": ["estimate", "--target", "profile", "--n", "60", "--s", "3",
+                            "--reps", "60", "--seed", "3"],
     "estimate-um-radius": ["estimate", "--target", "radius", "--model", "um", "--n", "30",
                            "--g", "1", "--reps", "40", "--seed", "4"],
     "estimate-um-two-point": ["estimate", "--target", "two-point", "--model", "um",
@@ -82,6 +84,12 @@ DIGESTS = {
             '81abbb872a10a48912cece65f278a07b3ba4185c971c020c36e422b8c9eded1c',
         'summary.json':
             'fb7e99811d0464d8f8f76e0dc04fe67c3d6b08335464cf932e02c6dc96a11acd',
+    },
+    'estimate-profile-s3': {
+        'estimate_profile.csv':
+            'f1bc6478835d36cf32e3dc7abf1a8ed721ae5b3f425b0330094b0bc1d3409d67',
+        'summary.json':
+            '8ac101c8fab2fb4e9a0700fea58d098a022fd48c16bdb35e6b5edd89bd250be4',
     },
     'estimate-um-radius': {
         'estimate_radius.csv':

@@ -1,5 +1,7 @@
 """Paths, trees, profiles, and the bridge-to-excursion machinery."""
 
+from itertools import product
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -199,6 +201,35 @@ class TestLabeledTree:
     def test_bad_parent_array(self):
         with pytest.raises(ValueError):
             LabeledTree(3, 1, {1: 0, 2: 3, 3: 2}).heights()
+
+    def test_forest_parent_array(self):
+        with pytest.raises(ValueError):
+            LabeledTree(3, 1, {1: 0, 2: 1, 3: 0}).heights()
+
+    def test_heights_against_root_search(self):
+        # every parent array on n <= 5 labels (entries 0..n): heights() equals a
+        # search from the root on trees and raises ValueError on everything else
+        for n in range(1, 6):
+            for root in range(1, n + 1):
+                others = [v for v in range(1, n + 1) if v != root]
+                for ups in product(range(n + 1), repeat=n - 1):
+                    parent = [0] * (n + 1)
+                    for v, p in zip(others, ups):
+                        parent[v] = p
+                    depth = [-1] * (n + 1)
+                    depth[root] = 0
+                    queue = [root]
+                    for u in queue:
+                        for v in others:
+                            if parent[v] == u and depth[v] < 0:
+                                depth[v] = depth[u] + 1
+                                queue.append(v)
+                    t = LabeledTree(n, root, parent)
+                    if len(queue) == n:
+                        assert t.heights()[1:] == depth[1:]
+                    else:
+                        with pytest.raises(ValueError):
+                            t.heights()
 
     def test_preorder_index(self):
         t = tree_of_contour(LatticeExcursion([0, 1, 2, 1, 2, 1, 0]))

@@ -2,13 +2,14 @@
 
 from collections import Counter
 from fractions import Fraction
-from itertools import product
-from math import sqrt
+from itertools import combinations, product
+from math import comb, sqrt
 
 import numpy as np
 import pytest
 
 from surplus_lab.lattice_paths import (
+    HeightProfile,
     LatticeExcursion,
     enumerate_excursions,
     height_profile,
@@ -98,6 +99,39 @@ class TestUniformExcursion:
         assert b.values[0] == 0 and b.values[-1] == -1
 
 
+def textbook_prufer_edges(code, n: int) -> list[tuple[int, int]]:
+    """Repeatedly join the smallest remaining leaf to the next code entry."""
+    pending = Counter(code)
+    remaining = set(range(1, n + 1))
+    edges = []
+    for x in code:
+        leaf = min(v for v in remaining if pending[v] == 0)
+        edges.append((leaf, x))
+        remaining.remove(leaf)
+        pending[x] -= 1
+    edges.append(tuple(sorted(remaining)))
+    return edges
+
+
+def orient_from_root(n: int, edges, root: int) -> tuple[list[int], list[int]]:
+    """Parent array and depths of the tree with these edges, searched from ``root``."""
+    adj = {v: [] for v in range(1, n + 1)}
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    parent = [0] * (n + 1)
+    depth = [-1] * (n + 1)
+    depth[root] = 0
+    queue = [root]
+    for u in queue:
+        for v in adj[u]:
+            if depth[v] < 0:
+                parent[v], depth[v] = u, depth[u] + 1
+                queue.append(v)
+    assert min(depth[1:]) >= 0
+    return parent, depth
+
+
 class TestLabeledTree:
     def test_n1(self):
         t = sample_labeled_tree(1, RngStream(1))
@@ -123,10 +157,27 @@ class TestLabeledTree:
         for n in (3, 4, 5):
             seen = set()
             for seq in product(range(1, n + 1), repeat=n - 2):
-                edges = frozenset(frozenset(e) for e in prufer_decode(list(seq), n))
+                tree = prufer_decode(seq, n, n)
+                edges = frozenset(frozenset((v, tree.parent[v])) for v in range(1, n))
                 assert len(edges) == n - 1
                 seen.add(edges)
             assert len(seen) == n ** (n - 2)
+
+    def test_decode_matches_textbook_orientation(self):
+        # every code and root with n <= 6: the decoded, re-rooted tree against the
+        # smallest-leaf decode oriented by a search from the root
+        for n in range(2, 7):
+            for seq in product(range(1, n + 1), repeat=n - 2):
+                edges = textbook_prufer_edges(seq, n)
+                for root in range(1, n + 1):
+                    parent, depth = orient_from_root(n, edges, root)
+                    tree = prufer_decode(seq, n, root)
+                    assert tree.root == root and tree.parent == parent
+                    assert tree.heights()[1:] == depth[1:]
+
+    def test_decode_takes_array_or_sequence(self):
+        code = np.array([4, 4, 1], dtype=np.int64)
+        assert prufer_decode(code, 5, 2) == prufer_decode([4, 4, 1], 5, 2)
 
 
 class TestCornerSamplers:
@@ -517,24 +568,38 @@ def _graph_distances(g: RootedGraph):
 
 class TestProfileWeights:
     def test_w1_examples(self):
-        from surplus_lab.lattice_paths import HeightProfile
-
         assert w1_weight(HeightProfile((1, 2))) == 1   # center-rooted path on 3 labels
         assert w1_weight(HeightProfile((1, 1, 1))) == 0  # end-rooted path
         assert w1_weight(HeightProfile((1, 3))) == 3   # three same-level pairs
         assert w1_weight(HeightProfile((1, 2, 1))) == Fraction(3, 2)
 
     def test_ws_reduces_to_w1(self):
-        from surplus_lab.lattice_paths import HeightProfile
-
         for z in [(1, 2, 3, 1), (1, 1, 4), (1, 5, 2, 2)]:
             prof = HeightProfile(z)
             assert ws_weight(prof, 1) == w1_weight(prof)
 
+    def test_ws_matches_level_tuple_sum(self):
+        # s = 0..4 on every profile of a rooted labeled tree with n <= 6, against
+        # the sum over level tuples with gaps >= 2 of products of level terms
+        profiles = {height_profile(prufer_decode(seq, n, root)).z
+                    for n in range(2, 7)
+                    for seq in product(range(1, n + 1), repeat=n - 2)
+                    for root in range(1, n + 1)}
+        for z in profiles:
+            term = [0] + [comb(z[k], 2) + Fraction(z[k] * (z[k - 1] - 1), 2)
+                          for k in range(1, len(z))]
+            for s in range(5):
+                brute = Fraction(0)
+                for levels in combinations(range(1, len(z)), s):
+                    if all(b - a >= 2 for a, b in zip(levels, levels[1:])):
+                        prod = Fraction(1)
+                        for k in levels:
+                            prod *= term[k]
+                        brute += prod
+                assert ws_weight(HeightProfile(z), s) == brute, (z, s)
+
     def test_ws_replacement_bound(self):
         # 0 <= W1^s - s! Ws <= c W1^{s-1} max(z)^2 with c = 3 s^2 2^s
-        from surplus_lab.lattice_paths import HeightProfile
-
         rng = RngStream(23)
         for r in range(200):
             t = sample_labeled_tree(9, rng.substream(r))
