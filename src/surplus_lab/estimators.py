@@ -194,7 +194,7 @@ def two_point_law(n: int, s: int, reps: int, rng: RngStream, mode: str = "bf") -
         return to_map(smp.graph_distance(x1, x2))
 
     def height(smp: TiltSample) -> float:
-        return to_height(smp.vals[int(smp.gen.random() * 2 * n)])
+        return to_height(int(smp.exc.values[int(smp.gen.random() * 2 * n)]))
 
     return _map_and_contour_laws(n, s, mode, reps, rng, distance, height)
 

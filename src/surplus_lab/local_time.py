@@ -12,6 +12,16 @@ For an excursion ``f`` of half-length ``n``:
 
 Totals ``B(f)`` and ``D(f)`` sum the per-corner weights over all of
 ``i = 0..2n``; the boundary corners contribute zero.
+
+Both weights are read off one sorted corner index, the interior corners
+ordered by (level, time).  For an interior corner ``j`` let ``q(j)`` be the
+last time before ``j`` at level ``f(j) - 1`` (``q(j) = 0`` when
+``f(j) = 1``).  Then:
+
+* ``B(f; i)`` is a same-level count, the corners from ``i`` on at level
+  ``f(i)``, plus a count one level down, those from ``i`` on at ``f(i) - 1``;
+* ``j`` is a depth-first partner of ``i`` exactly when ``q(j) < i <= j``, so
+  ``D(f; i) = #{j : q(j) < i <= j}`` and ``D(f) = sum_j (j - q(j))``.
 """
 
 from __future__ import annotations
@@ -62,38 +72,60 @@ def level_occupancy(f) -> np.ndarray:
     return np.bincount(values)
 
 
-def bf_per_index(values: list[int]) -> list[int]:
-    """Backward sweep computing all breadth-first corner weights in O(n)."""
-    two_n = len(values) - 1
-    cnt = [0] * (max(values) + 2)
-    out = [0] * (two_n + 1)
-    for i in range(two_n - 1, 0, -1):
-        h = values[i]
-        cnt[h] += 1
-        out[i] = cnt[h] + cnt[h - 1]
-    return out
+class _CornerIndex(NamedTuple):
+    """The interior corners sorted by (level, time): the ``k``-th has time
+    ``times[k]``, level ``levels[k]`` and ``q[k] = q(times[k])``; ``down[k]`` is
+    the position of the first corner one level down after it, and ``start[y]``
+    the position of level ``y``'s first corner."""
+
+    times: np.ndarray
+    levels: np.ndarray
+    start: np.ndarray
+    q: np.ndarray
+    down: np.ndarray
+
+    def bf_weights(self) -> np.ndarray:
+        """``B(f; i)``: the corners from ``i`` on at its level plus those one level down."""
+        out = np.zeros(len(self.times) + 2, dtype=np.int64)
+        same = self.start[self.levels + 1] - np.arange(len(self.times))
+        out[self.times] = same + self.start[self.levels] - self.down
+        return out
+
+    def df_weights(self) -> np.ndarray:
+        """``D(f; i) = #{j : q(j) < i} - #{j : j < i}``, one difference array."""
+        span = len(self.times) + 2
+        return np.cumsum(np.bincount(self.q + 1, minlength=span)
+                         - np.bincount(self.times + 1, minlength=span))
 
 
-def df_per_index(values: list[int]) -> list[int]:
-    """Backward sweep computing all depth-first corner weights in O(n).
+def _corner_index(values) -> _CornerIndex:
+    """One stable sort by level, then ``q`` by a forward fill: ``q(j) = j - 1``
+    after an up-step, and after a down-step the path stayed above ``f(j)`` since
+    the previous corner at that level, which has the same ``q``."""
+    values = np.asarray(values, dtype=np.int64)
+    interior = values[1:-1]
+    top = int(interior.max())
+    times = np.argsort(interior.astype(np.int16 if top < 2 ** 15 else np.int32),
+                       kind="stable") + 1
+    levels = values[times]
+    start = np.zeros(top + 2, dtype=np.int64)
+    np.cumsum(np.bincount(interior, minlength=top + 1), out=start[1:])
+    rank = np.arange(len(times))
+    q = (times - 1)[np.maximum.accumulate(np.where(values[times - 1] < levels, rank, 0))]
+    pos = np.empty(len(values), dtype=np.int64)
+    pos[0] = -1  # q = 0 at level one: no corner one level down
+    pos[times] = rank
+    return _CornerIndex(times, levels, start, q, pos[q] + 1)
 
-    Maintains, per level, the number of later times at which the running
-    minimum from the current time sits at that level; stepping left past an
-    up-step kills the level above.
-    """
-    two_n = len(values) - 1
-    live = [0] * (max(values) + 2)
-    total = 0
-    out = [0] * (two_n + 1)
-    for i in range(two_n - 1, 0, -1):
-        h = values[i]
-        if values[i + 1] == h + 1:
-            total -= live[h + 1]
-            live[h + 1] = 0
-        live[h] += 1
-        total += 1
-        out[i] = total
-    return out
+
+def bf_per_index(values) -> np.ndarray:
+    """All breadth-first corner weights ``B(f; i)``, ``i = 0..2n``."""
+    return _corner_index(values).bf_weights()
+
+
+def df_per_index(values) -> np.ndarray:
+    """All depth-first corner weights ``D(f; i)``, ``i = 0..2n``."""
+    return _corner_index(values).df_weights()
 
 
 def corner_window(f: LatticeExcursion, levels, lo: int, hi: int) -> np.ndarray:
@@ -115,29 +147,8 @@ def bf_index_set(f: LatticeExcursion, i: int) -> list[int]:
 
 def df_index_set(f: LatticeExcursion, i: int) -> list[int]:
     """Corners ``j >= i`` at which the running minimum from ``i`` is attained (and >= 1)."""
-    return sorted(t for ts in df_level_sets(f, i).values() for t in ts)
-
-
-def df_level_sets(f: LatticeExcursion, i: int) -> dict[int, list[int]]:
-    """The depth-first partner corners of ``i`` bucketed by their level.
-
-    Level ``y`` holds the revisit times of the depth-``y`` ancestor of the
-    corner's vertex, i.e. the times ``u >= i`` with ``f(u) = y`` and
-    ``min f[i..u] >= y``.
-    """
-    vals = f.values
-    two_n = len(vals) - 1
-    buckets: dict[int, list[int]] = {}
-    runmin = int(vals[i])
-    for j in range(max(i, 1), two_n):
-        v = int(vals[j])
-        if v < runmin:
-            runmin = v
-        if runmin < 1:
-            break
-        if v == runmin:
-            buckets.setdefault(v, []).append(j)
-    return buckets
+    vals = f.values.tolist()
+    return [j for j in range(max(i, 1), len(vals) - 1) if vals[j] == min(vals[i:j + 1])]
 
 
 class Functional(NamedTuple):
@@ -188,5 +199,4 @@ def corner_weight_telescope(f: LatticeExcursion) -> tuple[int, int, int]:
         tele += field.lattice(two_n, h) - field.lattice(i - 1, h)
         tele += field.lattice(two_n, h - 1) - field.lattice(i - 1, h - 1)
     boundary = sum(1 for i in range(1, two_n) if vals[i] == 1)
-    total = int(np.sum(np.array(bf_per_index(vals))))
-    return tele, total, boundary
+    return tele, int(bf_per_index(f.values).sum()), boundary

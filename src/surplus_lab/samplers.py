@@ -33,7 +33,7 @@ from .lattice_paths import (
     tree_of_contour,
     vervaat,
 )
-from .local_time import bf_per_index, corner_window, df_per_index, df_level_sets
+from .local_time import _corner_index, bf_per_index, corner_window, df_per_index
 from .maps import (
     AdmissibleCorners,
     GenusOneTerms,
@@ -173,7 +173,7 @@ def sample_corners_bf(f: LatticeExcursion, s: int, rng, per_index=None) -> Admis
     same height or one below."""
     gen = as_generator(rng)
     if per_index is None:
-        per_index = np.array(bf_per_index(f.values.tolist()), dtype=np.int64)
+        per_index = bf_per_index(f.values)
     if int(per_index.sum()) == 0:
         raise DegenerateEnsembleError("breadth-first corner weight vanished")
     pairs = []
@@ -187,26 +187,22 @@ def sample_corners_bf(f: LatticeExcursion, s: int, rng, per_index=None) -> Admis
 
 def sample_corners_df(f: LatticeExcursion, s: int, rng, per_index=None) -> AdmissibleCorners:
     """Independent corner pairs: first index by weight, then an ancestor level
-    by its revisit count, then a uniform revisit time."""
+    by its revisit count, then a uniform revisit time.  The partners of ``i``
+    are the corners ``j >= i`` with ``q(j) < i``, by (level, time)."""
     gen = as_generator(rng)
-    vals = f.values.tolist()
+    index = _corner_index(f.values)
     if per_index is None:
-        per_index = np.array(df_per_index(vals), dtype=np.int64)
+        per_index = index.df_weights()
     if int(per_index.sum()) == 0:
         raise DegenerateEnsembleError("depth-first corner weight vanished")
     pairs = []
     for _ in range(s):
         i1 = _weighted_index(per_index, gen)
-        buckets = df_level_sets(f, i1)
-        sizes = [(y, len(ts)) for y, ts in sorted(buckets.items())]
-        total = sum(c for _, c in sizes)
-        u = int(gen.integers(total))
-        for y, c in sizes:
-            if u < c:
-                i2 = buckets[y][int(gen.integers(c))]
-                break
-            u -= c
-        pairs.append((i1, i2))
+        partners = (index.times >= i1) & (index.q < i1)
+        times, levels = index.times[partners], index.levels[partners]
+        y = levels[int(gen.integers(len(times)))]
+        lo, hi = np.searchsorted(levels, (y, y + 1)).tolist()
+        pairs.append((i1, int(times[lo + int(gen.integers(hi - lo))])))
     return _pairs_to_decoration("df", pairs)
 
 
@@ -266,27 +262,22 @@ def _sample_tuple_genus_one(f: LatticeExcursion, terms: GenusOneTerms, gen: np.r
 # -- exact decoration counts ---------------------------------------------------
 
 
-def _endpoint_tables(values, mode: str):
-    """Per-corner pair-endpoint counts: (as-first, as-second) for every corner."""
-    two_n = len(values) - 1
+def _endpoint_tables(values: np.ndarray, mode: str) -> tuple[np.ndarray, np.ndarray]:
+    """Per-corner pair-endpoint counts: (as-first, as-second) for every corner.
+
+    As second, a breadth-first corner pairs with the corners up to it at its
+    level and the earlier ones one level up; a depth-first ``j`` with ``(q(j), j]``.
+    """
+    index = _corner_index(values)
+    second = np.zeros(len(values), dtype=np.int64)
     if mode == "bf":
-        first = bf_per_index(values)
-        second = [0] * (two_n + 1)
-        cnt = [0] * (max(values) + 2)
-        for c in range(1, two_n):
-            cnt[values[c]] += 1
-            second[c] = cnt[values[c]] + cnt[values[c] + 1]
-    else:
-        first = df_per_index(values)
-        second = [0] * (two_n + 1)
-        stack = [0]  # positions with strictly increasing... previous smaller value
-        for c in range(1, two_n):
-            while stack and values[stack[-1]] >= values[c]:
-                stack.pop()
-            prev_smaller = stack[-1] if stack else 0
-            second[c] = c - prev_smaller
-            stack.append(c)
-    return first, second
+        keys = index.levels * len(values) + index.times
+        up = np.searchsorted(keys, keys + len(values))  # the first corner one level up after
+        second[index.times] = (np.arange(len(keys)) - index.start[index.levels] + 1
+                               + up - index.start[index.levels + 1])
+        return index.bf_weights(), second
+    second[index.times] = index.times - index.q
+    return index.df_weights(), second
 
 
 def _pairs_and_gap(f: LatticeExcursion, s: int, mode: str) -> tuple[int, int]:
@@ -296,18 +287,15 @@ def _pairs_and_gap(f: LatticeExcursion, s: int, mode: str) -> tuple[int, int]:
                          "use enumerate_admissible for more")
     if s == 0:
         return 0, 0
-    vals = f.values.tolist()
-    two_n = len(vals) - 1
-    first, second = _endpoint_tables(vals, mode)
-    total_pairs = sum(first[1:two_n])
+    first, second = _endpoint_tables(f.values, mode)
+    total_pairs = int(first.sum())
     if s == 1:
         return total_pairs, 0
-    n_loops = two_n - 1
-    inc = [first[c] + second[c] - 1 for c in range(two_n)]
-    mult = [first[c] + second[c] for c in range(two_n)]
-    y_share = sum(inc[c] * (mult[c] - 1) for c in range(1, two_n)) - total_pairs + n_loops
-    sum_inc = sum(inc[1:two_n])
-    return total_pairs, y_share + 2 * total_pairs + 2 * sum_inc
+    inc = (first + second - 1)[1:-1]
+    if int(inc.max()) ** 2 * len(inc) >= 2 ** 63:
+        raise ValueError(f"the decoration count at n={f.n} overflows 64-bit integers")
+    y_share = int(inc @ inc) - total_pairs + len(inc)
+    return total_pairs, y_share + 2 * total_pairs + 2 * int(inc.sum())
 
 
 def decoration_count(f: LatticeExcursion, s: int, mode: str) -> int:
@@ -394,7 +382,6 @@ class TiltSample:
         self.mode = mode
         self.tilt = tilt
         self._pairings = pairings
-        self._vals = None
         self._bf = None
         self._df = None
         self._times = None
@@ -402,20 +389,14 @@ class TiltSample:
         self._weight = None
         self._um_terms = None
 
-    @property
-    def vals(self) -> list[int]:
-        if self._vals is None:
-            self._vals = self.exc.values.tolist()
-        return self._vals
-
     def bf_index_weights(self) -> np.ndarray:
         if self._bf is None:
-            self._bf = np.array(bf_per_index(self.vals), dtype=np.int64)
+            self._bf = bf_per_index(self.exc.values)
         return self._bf
 
     def df_index_weights(self) -> np.ndarray:
         if self._df is None:
-            self._df = np.array(df_per_index(self.vals), dtype=np.int64)
+            self._df = df_per_index(self.exc.values)
         return self._df
 
     def weight(self) -> float:
@@ -575,7 +556,7 @@ def sample_map_decoration(n: int, s: int, rng) -> tuple[LatticeExcursion, Admiss
         return exc, xi, float(len(decorations))
     xi = sample_corners_bf(exc, s, gen)
     weight = float(decoration_count(exc, s, "bf")) if s == 2 else \
-        tilt_weight(int(np.sum(bf_per_index(exc.values.tolist()))), s, "bf", n)
+        tilt_weight(int(bf_per_index(exc.values).sum()), s, "bf", n)
     return exc, xi, weight
 
 

@@ -41,6 +41,7 @@ CASES = {
                               "--n", "25", "--g", "1", "--reps", "40", "--seed", "6"],
     "verify-jeulin": ["verify", "--suite", "jeulin", "--n", "64", "--reps", "400",
                       "--seed", "7", "--threshold", "0.5"],
+    "verify-lemma3": ["verify", "--suite", "lemma3", "--s", "2", "--reps", "20", "--seed", "33"],
     "verify-sg": ["verify", "--suite", "sg"],
     "sample-excursion": ["sample", "excursion", "--n", "3", "--reps", "24", "--seed", "41"],
     "sample-tree": ["sample", "tree", "--n", "30", "--reps", "8", "--seed", "42"],
@@ -106,6 +107,10 @@ DIGESTS = {
     'verify-jeulin': {
         'verify_jeulin.csv':
             '1e57adf41a21f8337ff83797f4dc363a0d15921a7f9f44fc63baf05fa554775d',
+    },
+    'verify-lemma3': {
+        'verify_lemma3.csv':
+            'bcfb22076aaec7500beb4efb42353d9a5ad624c77b8743b66ebd31f6ccaae7ed',
     },
     'verify-sg': {
         'verify_sg.csv':

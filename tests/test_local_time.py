@@ -1,7 +1,8 @@
 """Local-time fields, corner weights, and excursion functionals.
 
-Brute-force oracles evaluate the defining sets directly; the module under
-test must reproduce them exactly.
+Brute-force oracles evaluate the defining sets directly, and O(n) sweeps
+over the path are the reference definitions of the per-corner tables; the
+module under test must reproduce them exactly.
 """
 
 import pytest
@@ -21,12 +22,12 @@ from surplus_lab.local_time import (
     corner_weight_telescope,
     corner_window,
     df_index_set,
-    df_level_sets,
     df_per_index,
     inverse_height_functional,
     level_occupancy,
     sq_localtime_functional,
 )
+from surplus_lab.samplers import RngStream, _endpoint_tables, sample_uniform_excursion
 
 
 def oracle_bf_set(vals, i):
@@ -47,10 +48,93 @@ def oracle_df_set(vals, i):
 
 
 def random_excursions(count, n, seed):
-    from surplus_lab.samplers import RngStream, sample_uniform_excursion
-
     rng = RngStream(seed)
     return [sample_uniform_excursion(n, rng.substream(r)) for r in range(count)]
+
+
+def sweep_bf(values):
+    """Backward sweep: ``B(f; i)`` from per-level counts of the later corners."""
+    two_n = len(values) - 1
+    cnt = [0] * (max(values) + 2)
+    out = [0] * (two_n + 1)
+    for i in range(two_n - 1, 0, -1):
+        h = values[i]
+        cnt[h] += 1
+        out[i] = cnt[h] + cnt[h - 1]
+    return out
+
+
+def sweep_df(values):
+    """Backward sweep: ``D(f; i)`` from, per level, the later times at which the
+    running minimum from ``i`` sits there; stepping left past an up-step kills
+    the level above."""
+    two_n = len(values) - 1
+    live = [0] * (max(values) + 2)
+    total = 0
+    out = [0] * (two_n + 1)
+    for i in range(two_n - 1, 0, -1):
+        h = values[i]
+        if values[i + 1] == h + 1:
+            total -= live[h + 1]
+            live[h + 1] = 0
+        live[h] += 1
+        total += 1
+        out[i] = total
+    return out
+
+
+def sweep_second_bf(values):
+    """Forward sweep: the corners up to ``c`` at level ``f(c)`` and at ``f(c) + 1``."""
+    two_n = len(values) - 1
+    cnt = [0] * (max(values) + 2)
+    out = [0] * (two_n + 1)
+    for c in range(1, two_n):
+        cnt[values[c]] += 1
+        out[c] = cnt[values[c]] + cnt[values[c] + 1]
+    return out
+
+
+def sweep_second_df(values):
+    """Forward sweep with a stack: ``c`` minus the last earlier time below ``f(c)``."""
+    two_n = len(values) - 1
+    out = [0] * (two_n + 1)
+    stack = [0]
+    for c in range(1, two_n):
+        while values[stack[-1]] >= values[c]:
+            stack.pop()
+        out[c] = c - stack[-1]
+        stack.append(c)
+    return out
+
+
+def df_level_sets(f, i):
+    """The depth-first partners of ``i`` bucketed by level: the times ``u >= i``
+    with ``f(u) = y`` and ``min f[i..u] >= y`` for each level ``y >= 1``."""
+    vals = f.values.tolist()
+    buckets = {}
+    runmin = vals[i]
+    for j in range(max(i, 1), len(vals) - 1):
+        runmin = min(runmin, vals[j])
+        if runmin < 1:
+            break
+        if vals[j] == runmin:
+            buckets.setdefault(vals[j], []).append(j)
+    return buckets
+
+
+def tent(height):
+    return LatticeExcursion(list(range(height)) + list(range(height, -1, -1)))
+
+
+def assert_tables_match_sweeps(f):
+    vals = f.values.tolist()
+    assert bf_per_index(f.values).tolist() == sweep_bf(vals)
+    assert df_per_index(f.values).tolist() == sweep_df(vals)
+    for mode, first, second in (("bf", sweep_bf, sweep_second_bf),
+                                ("df", sweep_df, sweep_second_df)):
+        got_first, got_second = _endpoint_tables(f.values, mode)
+        assert got_first.tolist() == first(vals)
+        assert got_second.tolist() == second(vals)
 
 
 class TestLocalTime:
@@ -95,16 +179,16 @@ class TestLocalTime:
 class TestCornerWeights:
     def test_bf_example(self):
         per = bf_per_index([0, 1, 2, 1, 0])
-        assert per == [0, 2, 2, 1, 0]
+        assert per.tolist() == [0, 2, 2, 1, 0]
         assert sum(per) == 5
 
     def test_bf_single_edge(self):
-        assert bf_per_index([0, 1, 0]) == [0, 1, 0]
+        assert bf_per_index([0, 1, 0]).tolist() == [0, 1, 0]
         assert bf_index_set(LatticeExcursion([0, 1, 0]), 1) == [1]
 
     def test_df_example(self):
         per = df_per_index([0, 1, 2, 1, 0])
-        assert per == [0, 2, 2, 1, 0]
+        assert per.tolist() == [0, 2, 2, 1, 0]
         assert sum(per) == 5
 
     def test_df_single_edge(self):
@@ -138,6 +222,7 @@ class TestCornerWeights:
                 assert per[0] == 0 and per[-1] == 0
 
     def test_df_level_sets_partition(self):
+        # the bucketed reference of the depth-first draw covers the partner set
         for f in enumerate_excursions(5):
             for i in range(1, 2 * f.n):
                 buckets = df_level_sets(f, i)
@@ -145,6 +230,20 @@ class TestCornerWeights:
                 assert flat == df_index_set(f, i)
                 for y, ts in buckets.items():
                     assert all(f.values[t] == y for t in ts)
+
+    def test_tables_match_sweeps_exhaustive(self):
+        for n in range(1, 8):
+            for f in enumerate_excursions(n):
+                assert_tables_match_sweeps(f)
+
+    def test_tables_match_sweeps_sampled(self):
+        for f in random_excursions(200, 1000, seed=17):
+            assert_tables_match_sweeps(f)
+
+    def test_tables_match_sweeps_at_extreme_heights(self):
+        # a tent above 2^15 needs wider sort keys than int16; n = 1 has one corner
+        for f in (tent(2 ** 15 + 3), LatticeExcursion([0, 1, 0])):
+            assert_tables_match_sweeps(f)
 
     def test_corner_window_against_filter_exhaustive(self):
         # every window, and every order of one or two levels in and just out of range

@@ -54,15 +54,17 @@ from surplus_lab.samplers import (
     ws_weight,
 )
 
+from test_local_time import df_level_sets
+
 CHI2_CRIT = {8: 20.090, 13: 27.688}  # 1% upper tail, by degrees of freedom
 
 
 def bf_total(f) -> int:
-    return sum(bf_per_index(f.values.tolist()))
+    return int(bf_per_index(f.values).sum())
 
 
 def df_total(f) -> int:
-    return sum(df_per_index(f.values.tolist()))
+    return int(df_per_index(f.values).sum())
 
 
 def three_sigma(p: float, n: int) -> float:
@@ -216,10 +218,33 @@ class TestCornerSamplers:
             for r in range(reps):
                 xi = sample_corners_df(f, 1, rng.substream(f.n, r))
                 c[xi.indices] += 1
-            dw = df_per_index(f.values.tolist())
+            dw = df_per_index(f.values)
             for (i1, i2), cnt in c.items():
                 p = (dw[i1] / sum(dw)) / len(df_index_set(f, i1))
                 assert abs(cnt / reps - p) < max(three_sigma(p, reps), 5e-3)
+
+    def test_df_draw_matches_bucket_draw(self):
+        # the draw before the corner index: partners bucketed by level, one
+        # integer for the bucket position and one for the time within it
+        def bucket_draw(f, s, gen):
+            per_index = df_per_index(f.values)
+            pairs = []
+            for _ in range(s):
+                i1 = samplers._weighted_index(per_index, gen)
+                sizes = sorted((y, ts) for y, ts in df_level_sets(f, i1).items())
+                u = int(gen.integers(sum(len(ts) for _, ts in sizes)))
+                for _, ts in sizes:
+                    if u < len(ts):
+                        pairs.append((i1, ts[int(gen.integers(len(ts)))]))
+                        break
+                    u -= len(ts)
+            return samplers._pairs_to_decoration("df", pairs)
+
+        rng = RngStream(29)
+        for r in range(200):
+            f = sample_uniform_excursion(40, rng.substream(0, r))
+            want = bucket_draw(f, 3, rng.substream(1, r).generator())
+            assert sample_corners_df(f, 3, rng.substream(1, r)) == want
 
     def test_sampled_decorations_validate(self):
         rng = RngStream(21)
@@ -280,7 +305,7 @@ class TestUnicellularDecoration:
 class TestTiltedEnsemble:
     def test_s0_uniform(self):
         ens = tilted_ensemble(5, 0, "bf", 200, RngStream(5),
-                              {"area": lambda smp: float(sum(smp.vals))})
+                              {"area": lambda smp: float(smp.exc.values.sum())})
         assert np.all(ens.weights == 1.0)
         assert ens.ess() == pytest.approx(200.0)
 
@@ -297,7 +322,7 @@ class TestTiltedEnsemble:
         # weighted frequency of each shape tracks its exact tilted probability
         reps = 30_000
         ens = tilted_ensemble(4, 1, "bf", reps, RngStream(77),
-                              {"key": lambda smp: float(hash(tuple(smp.vals)) % 997)})
+                              {"key": lambda smp: float(hash(smp.exc.as_tuple()) % 997)})
         keys = {}
         weights = {}
         rng = RngStream(77)
@@ -658,6 +683,15 @@ class TestDecorationCounts:
         for fn in (decoration_count, decoration_count_gap):
             with pytest.raises(ValueError):
                 fn(f, 3, "bf")
+
+    def test_int64_overflow_rejected(self):
+        # one vertex carrying 2^20 leaves: the s = 2 sum of squares may pass 2^63
+        n = 2 ** 20 + 1
+        values = np.ones(2 * n + 1, dtype=np.int64)
+        values[2:-1:2] = 2
+        values[0] = values[-1] = 0
+        with pytest.raises(ValueError, match="overflows 64-bit"):
+            decoration_count_gap(LatticeExcursion(values, validate=False), 2, "bf")
 
 
 class TestTiltedExpectationOracle:
