@@ -25,6 +25,7 @@ from .lattice_paths import (
 )
 from .maps import (
     PermutationPairing,
+    all_pairings,
     bf_explore,
     bfs_distances,
     df_explore,
@@ -73,38 +74,25 @@ def bijection_suite(n_max: int = 5, s_max: int = 2) -> SuiteResult:
     for n in range(1, n_max + 1):
         trees = [tree_of_contour(f) for f in enumerate_excursions(n)]
         for s in range(1, s_max + 1):
-            built = {}
-            ok_round = True
-            for tree in trees:
-                for xi in enumerate_admissible(tree, s, "bf"):
-                    m = insert_edges(tree, xi)
-                    key = m.canonical_key()
-                    if key in built:
-                        ok_round = False
-                    built[key] = m
-                    t2, xi2 = bf_explore(m)
-                    if t2 != tree or xi2 != xi:
-                        ok_round = False
-                    if insert_edges(t2, xi2).canonical_key() != key:
-                        ok_round = False
-            res.add(f"bf-roundtrip-n{n}-s{s}", ok_round, f"{len(built)} maps")
-            built_df = {}
-            ok_round = True
-            for tree in trees:
-                for xi in enumerate_admissible(tree, s, "df"):
-                    m = insert_edges(tree, xi)
-                    key = m.canonical_key()
-                    if key in built_df:
-                        ok_round = False
-                    built_df[key] = m
-                    t2, xi2 = df_explore(m)
-                    if t2 != tree or xi2 != xi:
-                        ok_round = False
-                    if insert_edges(t2, xi2).canonical_key() != key:
-                        ok_round = False
-            res.add(f"df-roundtrip-n{n}-s{s}", ok_round, f"{len(built_df)} maps")
-            res.add(f"same-map-set-n{n}-s{s}", set(built) == set(built_df),
-                    f"bf={len(built)} df={len(built_df)}")
+            keys = {}
+            for mode, explore in (("bf", bf_explore), ("df", df_explore)):
+                built = keys[mode] = set()
+                ok_round = True
+                for tree in trees:
+                    for xi in enumerate_admissible(tree, s, mode):
+                        m = insert_edges(tree, xi)
+                        key = m.canonical_key()
+                        if key in built:
+                            ok_round = False
+                        built.add(key)
+                        t2, xi2 = explore(m)
+                        if t2 != tree or xi2 != xi:
+                            ok_round = False
+                        if insert_edges(t2, xi2).canonical_key() != key:
+                            ok_round = False
+                res.add(f"{mode}-roundtrip-n{n}-s{s}", ok_round, f"{len(built)} maps")
+            res.add(f"same-map-set-n{n}-s{s}", keys["bf"] == keys["df"],
+                    f"bf={len(keys['bf'])} df={len(keys['df'])}")
     return res
 
 
@@ -186,7 +174,7 @@ def vervaat_suite(n_max: int = 6) -> SuiteResult:
     return res
 
 
-def sg_suite(check_size_2: bool = True) -> SuiteResult:
+def sg_suite() -> SuiteResult:
     """Pinned small entangled-pairing facts and order-convention agreement."""
     res = SuiteResult("sg")
     s1 = entangled_pairings(1)
@@ -197,26 +185,18 @@ def sg_suite(check_size_2: bool = True) -> SuiteResult:
     ex2 = PermutationPairing.parse("(1,3)(2,4)(5,7)(6,8)")
     res.add("g2-example-1", is_entangled(ex1))
     res.add("g2-example-2", is_entangled(ex2))
-    if check_size_2:
-        from .maps import _all_pairings
-
-        first = {p for p in _all_pairings(8)
-                 if is_entangled(PermutationPairing(p), "pairing-first")}
-        second = {p for p in _all_pairings(8)
-                  if is_entangled(PermutationPairing(p), "cycle-first")}
-        res.add("g2-order-agreement", first == second, f"|S_(2)|={len(first)}")
-        res.add("g2-examples-in-set",
-                ex1.transpositions in first and ex2.transpositions in first)
+    first = {p for p in all_pairings(8) if is_entangled(PermutationPairing(p), "pairing-first")}
+    second = {p for p in all_pairings(8) if is_entangled(PermutationPairing(p), "cycle-first")}
+    res.add("g2-order-agreement", first == second, f"|S_(2)|={len(first)}")
+    res.add("g2-examples-in-set", ex1.transpositions in first and ex2.transpositions in first)
     return res
 
 
 def gluing_dichotomy_suite(n_max: int = 5) -> SuiteResult:
     """Gluing dichotomy: one face exactly when the pairing is entangled."""
-    from .maps import _all_pairings
-
     res = SuiteResult("dichotomy")
     g = 1
-    pairings = [PermutationPairing(p) for p in _all_pairings(4 * g)]
+    pairings = [PermutationPairing(p) for p in all_pairings(4 * g)]
     entangled = {p.transpositions for p in entangled_pairings(g)}
     for n in range(3, n_max + 1):
         ok = True
@@ -237,11 +217,12 @@ def gluing_dichotomy_suite(n_max: int = 5) -> SuiteResult:
     return res
 
 
-def radius_invariance_suite(n_enum: int = 4, n_sample: int = 1000, reps: int = 10_000,
+def radius_invariance_suite(n_sample: int = 1000, reps: int = 10_000,
                             seed: int = 20_240_501) -> SuiteResult:
-    """Map radius equals exploration-tree height; ball volumes match level counts."""
+    """Map radius equals exploration-tree height; ball volumes match level counts
+    (every map with n <= 4, then sampled maps)."""
     res = SuiteResult("radius")
-    for n in range(1, n_enum + 1):
+    for n in range(1, 5):
         for s in range(0, 3):
             ok = True
             for m in enumerate_maps(n, s):

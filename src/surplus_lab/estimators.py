@@ -422,27 +422,26 @@ class CountTable:
     prediction: float
 
 
-def count_asymptotics(family: str, n: int, s_or_g: int, omega1: float = 1.0,
-                      with_exact: bool = True) -> CountTable:
+def count_asymptotics(family: str, n: int, s_or_g: int, omega1: float = 1.0) -> CountTable:
     """Exact count (where enumerable) next to its asymptotic prediction."""
     s = s_or_g
     if family == "f":
         pred = 4.0 ** (n - 1) / (sqrt(pi) * max(n - 1, 1) ** 1.5) if n >= 2 else 1.0
-        exact = excursion_count(n) if with_exact else None
+        exact = excursion_count(n)
     elif family == "m":
         if s == 0:
             pred = 4.0 ** (n - 1) / (sqrt(pi) * max(n - 1, 1) ** 1.5) if n >= 2 else 1.0
-            exact = excursion_count(n) if with_exact else None
+            exact = excursion_count(n)
         else:
             w = wright_sequence(s, omega1)[-1]
             pred = w * n ** (1.5 * (s - 1)) * 4.0 ** n / (2.0 ** s * gamma((3 * s - 1) / 2.0))
-            exact = exact_map_count(n, s) if with_exact and n <= 12 and s <= 2 else None
+            exact = exact_map_count(n, s) if n <= 12 and s <= 2 else None
     elif family == "h":
         mom = excursion_mean_area_power(s, omega1)
         from math import factorial
 
         pred = float(n) ** (n - 1 + 1.5 * s) * mom / factorial(s)
-        if with_exact and n <= 6 and s <= 2:
+        if n <= 6 and s <= 2:
             from .samplers import enumerate_surplus_graphs
 
             exact = len(enumerate_surplus_graphs(n, s))
@@ -455,7 +454,7 @@ def count_asymptotics(family: str, n: int, s_or_g: int, omega1: float = 1.0,
     elif family == "umstar":
         g = s_or_g
         pred = (4.0 ** (g - 1) / (3.0 ** g * gamma(g + 1) * sqrt(pi))) * n ** (3 * g - 1.5) * 4.0 ** n
-        exact = unicellular_star_count(n, g) if with_exact and n <= 5 and g == 1 else None
+        exact = unicellular_star_count(n, g) if n <= 5 and g == 1 else None
     else:
         raise ValueError(f"unknown family {family!r}")
     return CountTable(family, n, s_or_g, exact, pred)

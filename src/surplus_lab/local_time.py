@@ -13,13 +13,16 @@ For an excursion ``f`` of half-length ``n``:
 Totals ``B(f)`` and ``D(f)`` sum the per-corner weights over all of
 ``i = 0..2n``; the boundary corners contribute zero.
 
-Both weights are read off one sorted corner index, the interior corners
-ordered by (level, time).  For an interior corner ``j`` let ``q(j)`` be the
-last time before ``j`` at level ``f(j) - 1`` (``q(j) = 0`` when
-``f(j) = 1``).  Then:
+Every corner set is read off one sorted corner index, the interior corners
+ordered by (level, time) (:func:`corner_index`).  A level is one block of the
+index, and the corners of a level in a time window ``[lo, hi)`` are a run of
+that block, found by two binary searches (:meth:`CornerIndex.window`).  For an
+interior corner ``j`` let ``q(j)`` be the last time before ``j`` at level
+``f(j) - 1`` (``q(j) = 0`` when ``f(j) = 1``).  Then:
 
-* ``B(f; i)`` is a same-level count, the corners from ``i`` on at level
-  ``f(i)``, plus a count one level down, those from ``i`` on at ``f(i) - 1``;
+* the breadth-first partners of ``i`` are the run of its block from ``i`` on,
+  then the run of the block one level down from ``i`` on, so ``B(f; i)`` is
+  two gathers;
 * ``j`` is a depth-first partner of ``i`` exactly when ``q(j) < i <= j``, so
   ``D(f; i) = #{j : q(j) < i <= j}`` and ``D(f) = sum_j (j - q(j))``.
 """
@@ -72,33 +75,32 @@ def level_occupancy(f) -> np.ndarray:
     return np.bincount(values)
 
 
-class _CornerIndex(NamedTuple):
-    """The interior corners sorted by (level, time): the ``k``-th has time
-    ``times[k]``, level ``levels[k]`` and ``q[k] = q(times[k])``; ``down[k]`` is
-    the position of the first corner one level down after it, and ``start[y]``
-    the position of level ``y``'s first corner."""
+class CornerIndex(NamedTuple):
+    """The interior corners sorted by (level, time).
+
+    The ``k``-th corner has time ``times[k]``, level ``levels[k]``, sort key
+    ``keys[k] = levels[k] * (2n + 1) + times[k]`` and ``q[k] = q(times[k])``;
+    ``down[k]`` is the position of the first corner one level down after it.
+    ``start[y]`` is the position of level ``y``'s first corner, and ``pos[t]``
+    the position of time ``t`` (``-1`` at the boundary times).
+    """
 
     times: np.ndarray
     levels: np.ndarray
+    keys: np.ndarray
     start: np.ndarray
     q: np.ndarray
     down: np.ndarray
+    pos: np.ndarray
 
-    def bf_weights(self) -> np.ndarray:
-        """``B(f; i)``: the corners from ``i`` on at its level plus those one level down."""
-        out = np.zeros(len(self.times) + 2, dtype=np.int64)
-        same = self.start[self.levels + 1] - np.arange(len(self.times))
-        out[self.times] = same + self.start[self.levels] - self.down
-        return out
-
-    def df_weights(self) -> np.ndarray:
-        """``D(f; i) = #{j : q(j) < i} - #{j : j < i}``, one difference array."""
-        span = len(self.times) + 2
-        return np.cumsum(np.bincount(self.q + 1, minlength=span)
-                         - np.bincount(self.times + 1, minlength=span))
+    def window(self, levels, lo: int, hi: int) -> np.ndarray:
+        """Corners in ``[lo, hi)`` at each of ``levels`` in turn, ascending within a level."""
+        width = len(self.pos)
+        cut = np.searchsorted(self.keys, [y * width + t for y in levels for t in (lo, hi)]).tolist()
+        return np.concatenate([self.times[a:b] for a, b in zip(cut[::2], cut[1::2])])
 
 
-def _corner_index(values) -> _CornerIndex:
+def corner_index(values) -> CornerIndex:
     """One stable sort by level, then ``q`` by a forward fill: ``q(j) = j - 1``
     after an up-step, and after a down-step the path stayed above ``f(j)`` since
     the previous corner at that level, which has the same ``q``."""
@@ -112,43 +114,32 @@ def _corner_index(values) -> _CornerIndex:
     np.cumsum(np.bincount(interior, minlength=top + 1), out=start[1:])
     rank = np.arange(len(times))
     q = (times - 1)[np.maximum.accumulate(np.where(values[times - 1] < levels, rank, 0))]
-    pos = np.empty(len(values), dtype=np.int64)
-    pos[0] = -1  # q = 0 at level one: no corner one level down
+    pos = np.full(len(values), -1, dtype=np.int64)  # pos[0] = -1: q = 0 has no corner below
     pos[times] = rank
-    return _CornerIndex(times, levels, start, q, pos[q] + 1)
+    return CornerIndex(times, levels, levels * len(values) + times, start, q, pos[q] + 1, pos)
 
 
-def bf_per_index(values) -> np.ndarray:
-    """All breadth-first corner weights ``B(f; i)``, ``i = 0..2n``."""
-    return _corner_index(values).bf_weights()
+def _index_of(f) -> CornerIndex:
+    return f if isinstance(f, CornerIndex) else corner_index(f)
 
 
-def df_per_index(values) -> np.ndarray:
-    """All depth-first corner weights ``D(f; i)``, ``i = 0..2n``."""
-    return _corner_index(values).df_weights()
+def bf_per_index(f) -> np.ndarray:
+    """All breadth-first corner weights ``B(f; i)``, ``i = 0..2n``, of a path or its index:
+    the corners from ``i`` on at its level plus those one level down."""
+    index = _index_of(f)
+    out = np.zeros(len(index.pos), dtype=np.int64)
+    same = index.start[index.levels + 1] - np.arange(len(index.times))
+    out[index.times] = same + index.start[index.levels] - index.down
+    return out
 
 
-def corner_window(f: LatticeExcursion, levels, lo: int, hi: int) -> np.ndarray:
-    """Interior corners in ``[lo, hi)`` at each of ``levels`` in turn, ascending within a level.
-
-    The admissible-corner sets of the breadth-first and unicellular gluings
-    are all of this form: one or two adjacent levels, read in a time window.
-    """
-    lo = max(lo, 1)
-    window = f.values[lo:min(hi, 2 * f.n)]
-    return np.concatenate([np.flatnonzero(window == y) for y in levels]) + lo
-
-
-def bf_index_set(f: LatticeExcursion, i: int) -> list[int]:
-    """Corners ``j >= max(i, 1)``, ``j <= 2n-1`` at height ``f(i)`` or ``f(i)-1``."""
-    h = int(f.values[i])
-    return sorted(corner_window(f, (h, h - 1), i, 2 * f.n).tolist())
-
-
-def df_index_set(f: LatticeExcursion, i: int) -> list[int]:
-    """Corners ``j >= i`` at which the running minimum from ``i`` is attained (and >= 1)."""
-    vals = f.values.tolist()
-    return [j for j in range(max(i, 1), len(vals) - 1) if vals[j] == min(vals[i:j + 1])]
+def df_per_index(f) -> np.ndarray:
+    """All depth-first corner weights ``D(f; i)``, ``i = 0..2n``, of a path or its index:
+    ``#{j : q(j) < i} - #{j : j < i}``, one difference array."""
+    index = _index_of(f)
+    span = len(index.pos)
+    return np.cumsum(np.bincount(index.q + 1, minlength=span)
+                     - np.bincount(index.times + 1, minlength=span))
 
 
 class Functional(NamedTuple):

@@ -17,7 +17,7 @@ tree as a map; the breadth-first and depth-first explorations invert it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, combinations_with_replacement, permutations, product
+from itertools import chain, combinations, combinations_with_replacement, permutations, product
 from operator import itemgetter
 
 import numpy as np
@@ -29,11 +29,28 @@ from .lattice_paths import (
     contour_of_tree,
     tree_of_contour,
 )
-from .local_time import bf_index_set, df_index_set
+from .local_time import corner_index
 
 SG_CAP = 3
 TUPLE_ENUMERATION_CAP = 10  # largest n for genus >= 2 tuple counts, which enumerate the tuples
 _CANONICAL_ORDER = itemgetter(0, 2, 1)  # decoration pairs (i1, k1, i2, k2) sort by (i1, i2, k1)
+
+
+def _orbits(perm) -> tuple[list[list[int]], list[int]]:
+    """The cycles of a permutation of ``0..len-1``, each walked from its smallest
+    element, in increasing order of that element; and each element's cycle number."""
+    label = [-1] * len(perm)
+    cycles = []
+    for h0 in range(len(perm)):
+        if label[h0] < 0:
+            cyc = []
+            h = h0
+            while label[h] < 0:
+                label[h] = len(cycles)
+                cyc.append(h)
+                h = perm[h]
+            cycles.append(cyc)
+    return cycles, label
 
 
 class RootedMap:
@@ -52,18 +69,8 @@ class RootedMap:
     # -- structure -------------------------------------------------------
 
     def _orbit_labels(self):
-        n_half = len(self.sigma)
-        origin = [-1] * n_half
-        label = 0
-        for h0 in range(n_half):
-            if origin[h0] >= 0:
-                continue
-            h = h0
-            while origin[h] < 0:
-                origin[h] = label
-                h = self.sigma[h]
-            label += 1
-        return origin, label
+        cycles, origin = _orbits(self.sigma)
+        return origin, len(cycles)
 
     def _check(self):
         n_half = len(self.sigma)
@@ -116,40 +123,13 @@ class RootedMap:
         return sum(1 for h in range(self.num_half_edges) if self.origin[h] == v)
 
     def rotation_cycles(self) -> list[list[int]]:
-        cycles = []
-        seen = [False] * self.num_half_edges
-        for h0 in range(self.num_half_edges):
-            if seen[h0]:
-                continue
-            cyc = []
-            h = h0
-            while not seen[h]:
-                seen[h] = True
-                cyc.append(h)
-                h = self.sigma[h]
-            cycles.append(cyc)
-        return cycles
+        return _orbits(self.sigma)[0]
 
     # -- faces and genus ---------------------------------------------------
 
-    def face_next(self, h: int) -> int:
-        return self.sigma[self.alpha[h]]
-
     def faces(self) -> list[list[int]]:
         """Orbits of the face permutation (rotation after the involution)."""
-        seen = [False] * self.num_half_edges
-        out = []
-        for h0 in range(self.num_half_edges):
-            if seen[h0]:
-                continue
-            cyc = []
-            h = h0
-            while not seen[h]:
-                seen[h] = True
-                cyc.append(h)
-                h = self.face_next(h)
-            out.append(cyc)
-        return out
+        return _orbits([self.sigma[a] for a in self.alpha])[0]
 
     def genus(self) -> int:
         chi = self.num_vertices - self.num_edges + len(self.faces())
@@ -522,10 +502,20 @@ def df_explore(m: RootedMap):
 
 
 def admissible_pairs(f: LatticeExcursion, mode: str) -> list[tuple[int, int]]:
-    """All ordered corner pairs (i1 <= i2) a single surplus edge may join."""
-    two_n = 2 * f.n
-    index_set = bf_index_set if mode == "bf" else df_index_set
-    return [(i, j) for i in range(1, two_n) for j in index_set(f, i)]
+    """All ordered corner pairs (i1 <= i2) a single surplus edge may join, sorted.
+
+    Read off one corner index: a breadth-first ``i`` pairs with the run of its
+    level's block from ``i`` on and the run one level down from ``i`` on; a
+    depth-first ``j`` pairs with every ``i`` in ``(q(j), j]``.
+    """
+    index = corner_index(f.values)
+    times = index.times.tolist()
+    if mode == "df":
+        return sorted((i, j) for j, q in zip(times, index.q.tolist()) for i in range(q + 1, j + 1))
+    runs = zip(index.start[index.levels + 1].tolist(), index.down.tolist(),
+               index.start[index.levels].tolist())
+    return sorted((times[k], times[m]) for k, (end, down, below) in enumerate(runs)
+                  for m in chain(range(k, end), range(down, below)))
 
 
 def enumerate_admissible(tree: PlaneTree, s: int, mode: str, cap: int = 8) -> list[AdmissibleCorners]:
@@ -707,14 +697,14 @@ def entangled_pairings(g: int, cap: int = SG_CAP) -> list[PermutationPairing]:
     if g > cap:
         raise EnumerationCapExceeded(f"g={g} exceeds pairing cap {cap}")
     out = []
-    for pairing in _all_pairings(4 * g):
+    for pairing in all_pairings(4 * g):
         p = PermutationPairing(pairing)
         if is_entangled(p):
             out.append(p)
     return out
 
 
-def _all_pairings(size: int):
+def all_pairings(size: int):
     """Perfect matchings of 1..size as canonical transposition tuples."""
     items = list(range(1, size + 1))
 

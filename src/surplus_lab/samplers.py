@@ -33,7 +33,7 @@ from .lattice_paths import (
     tree_of_contour,
     vervaat,
 )
-from .local_time import _corner_index, bf_per_index, corner_window, df_per_index
+from .local_time import CornerIndex, bf_per_index, corner_index, df_per_index
 from .maps import (
     AdmissibleCorners,
     GenusOneTerms,
@@ -168,31 +168,37 @@ def _pairs_to_decoration(mode: str, pairs: list[tuple[int, int]]) -> AdmissibleC
     return AdmissibleCorners.from_tagged(mode, tagged)
 
 
-def sample_corners_bf(f: LatticeExcursion, s: int, rng, per_index=None) -> AdmissibleCorners:
+def sample_corners_bf(f: LatticeExcursion, s: int, rng,
+                      index: CornerIndex | None = None) -> AdmissibleCorners:
     """Independent corner pairs: first index by weight, partner uniform at the
-    same height or one below."""
+    same height or one below.  The partners of ``i`` are its level's block of
+    the corner index from ``i`` on, then the block one level down from ``i`` on.
+    ``index`` is :func:`corner_index` of ``f``, for a caller that holds it."""
     gen = as_generator(rng)
-    if per_index is None:
-        per_index = bf_per_index(f.values)
+    index = corner_index(f.values) if index is None else index
+    per_index = bf_per_index(index)
     if int(per_index.sum()) == 0:
         raise DegenerateEnsembleError("breadth-first corner weight vanished")
     pairs = []
     for _ in range(s):
         i1 = _weighted_index(per_index, gen)
-        h = int(f.values[i1])
-        partners = corner_window(f, (h, h - 1), i1, 2 * f.n)
-        pairs.append((i1, int(partners[gen.integers(len(partners))])))
+        k = int(index.pos[i1])
+        h, down = int(index.levels[k]), int(index.down[k])
+        same = int(index.start[h + 1]) - k
+        u = int(gen.integers(same + int(index.start[h]) - down))
+        pairs.append((i1, int(index.times[k + u if u < same else down + u - same])))
     return _pairs_to_decoration("bf", pairs)
 
 
-def sample_corners_df(f: LatticeExcursion, s: int, rng, per_index=None) -> AdmissibleCorners:
+def sample_corners_df(f: LatticeExcursion, s: int, rng,
+                      index: CornerIndex | None = None) -> AdmissibleCorners:
     """Independent corner pairs: first index by weight, then an ancestor level
     by its revisit count, then a uniform revisit time.  The partners of ``i``
-    are the corners ``j >= i`` with ``q(j) < i``, by (level, time)."""
+    are the corners ``j >= i`` with ``q(j) < i``, by (level, time); ``index``
+    is as in :func:`sample_corners_bf`."""
     gen = as_generator(rng)
-    index = _corner_index(f.values)
-    if per_index is None:
-        per_index = index.df_weights()
+    index = corner_index(f.values) if index is None else index
+    per_index = df_per_index(index)
     if int(per_index.sum()) == 0:
         raise DegenerateEnsembleError("depth-first corner weight vanished")
     pairs = []
@@ -253,8 +259,9 @@ def _sample_tuple_genus_one(f: LatticeExcursion, terms: GenusOneTerms, gen: np.r
     w = terms.per_r2(r3).astype(np.float64)
     r2 = 1 + int(np.searchsorted(np.cumsum(w), gen.random() * w.sum(), side="right"))
     h3, h2 = int(f.values[r3]), int(f.values[r2])
-    below = corner_window(f, (h3, h3 + 1), 1, r2)
-    above = corner_window(f, (h2, h2 - 1), r3 + 1, 2 * f.n)
+    index = corner_index(f.values)
+    below = index.window((h3, h3 + 1), 1, r2)
+    above = index.window((h2, h2 - 1), r3 + 1, 2 * f.n)
     r1 = int(below[gen.integers(len(below))])
     return (r1, r2, r3, int(above[gen.integers(len(above))]))
 
@@ -268,16 +275,15 @@ def _endpoint_tables(values: np.ndarray, mode: str) -> tuple[np.ndarray, np.ndar
     As second, a breadth-first corner pairs with the corners up to it at its
     level and the earlier ones one level up; a depth-first ``j`` with ``(q(j), j]``.
     """
-    index = _corner_index(values)
+    index = corner_index(values)
     second = np.zeros(len(values), dtype=np.int64)
     if mode == "bf":
-        keys = index.levels * len(values) + index.times
-        up = np.searchsorted(keys, keys + len(values))  # the first corner one level up after
-        second[index.times] = (np.arange(len(keys)) - index.start[index.levels] + 1
+        up = np.searchsorted(index.keys, index.keys + len(values))  # first corner one level up
+        second[index.times] = (np.arange(len(index.keys)) - index.start[index.levels] + 1
                                + up - index.start[index.levels + 1])
-        return index.bf_weights(), second
+        return bf_per_index(index), second
     second[index.times] = index.times - index.q
-    return index.df_weights(), second
+    return df_per_index(index), second
 
 
 def _pairs_and_gap(f: LatticeExcursion, s: int, mode: str) -> tuple[int, int]:
@@ -382,22 +388,11 @@ class TiltSample:
         self.mode = mode
         self.tilt = tilt
         self._pairings = pairings
-        self._bf = None
-        self._df = None
+        self._index = None  # the corner index behind a bf or df weight; the chords reuse it
         self._times = None
         self._chords = None
         self._weight = None
         self._um_terms = None
-
-    def bf_index_weights(self) -> np.ndarray:
-        if self._bf is None:
-            self._bf = bf_per_index(self.exc.values)
-        return self._bf
-
-    def df_index_weights(self) -> np.ndarray:
-        if self._df is None:
-            self._df = df_per_index(self.exc.values)
-        return self._df
 
     def weight(self) -> float:
         if self._weight is None:
@@ -409,12 +404,11 @@ class TiltSample:
                 raise ValueError(f"unknown tilt mode {self.mode!r}")
             elif self.tilt == 0:
                 self._weight = 1.0  # B^0 = D^0 = 1
-            elif self.mode == "bf":
-                self._weight = tilt_weight(int(self.bf_index_weights().sum()), self.tilt, "bf",
-                                           self.exc.n)
             else:
-                self._weight = tilt_weight(int(self.df_index_weights().sum()), self.tilt, "df",
-                                           self.exc.n)
+                self._index = corner_index(self.exc.values)
+                per_index = bf_per_index if self.mode == "bf" else df_per_index
+                self._weight = tilt_weight(int(per_index(self._index).sum()), self.tilt,
+                                           self.mode, self.exc.n)
         return self._weight
 
     def chords(self) -> list[tuple[int, int]]:
@@ -427,10 +421,8 @@ class TiltSample:
                                                                     self._um_terms)
                 self._chords = [(corners[a - 1], corners[b - 1]) for a, b in pairing.transpositions]
             else:
-                if self.mode == "bf":
-                    xi = sample_corners_bf(self.exc, self.tilt, self.gen, self.bf_index_weights())
-                else:
-                    xi = sample_corners_df(self.exc, self.tilt, self.gen, self.df_index_weights())
+                sample = sample_corners_bf if self.mode == "bf" else sample_corners_df
+                xi = sample(self.exc, self.tilt, self.gen, self._index)
                 self._chords = [(xi.indices[2 * j], xi.indices[2 * j + 1]) for j in range(xi.s)]
         return self._chords
 
@@ -554,9 +546,10 @@ def sample_map_decoration(n: int, s: int, rng) -> tuple[LatticeExcursion, Admiss
         decorations = enumerate_admissible(tree, 2, "bf", cap=max(8, n))
         xi = decorations[int(gen.integers(len(decorations)))]
         return exc, xi, float(len(decorations))
-    xi = sample_corners_bf(exc, s, gen)
+    index = corner_index(exc.values)
+    xi = sample_corners_bf(exc, s, gen, index)
     weight = float(decoration_count(exc, s, "bf")) if s == 2 else \
-        tilt_weight(int(bf_per_index(exc.values).sum()), s, "bf", n)
+        tilt_weight(int(bf_per_index(index).sum()), s, "bf", n)
     return exc, xi, weight
 
 

@@ -42,7 +42,7 @@ def test_04_corner_tuple_identity():
 
 
 def test_05_entangled_pairings():
-    res = checks.sg_suite(check_size_2=True)
+    res = checks.sg_suite()
     report(5, res.passed, "pinned pairings at genus 1 and 2; composition orders agree")
 
 
@@ -57,8 +57,7 @@ def test_07_vervaat():
 
 
 def test_08_radius_invariance():
-    res = checks.radius_invariance_suite(n_enum=4, n_sample=1000, reps=10_000,
-                                         seed=20_240_501)
+    res = checks.radius_invariance_suite(n_sample=1000, reps=10_000, seed=20_240_501)
     report(8, res.passed,
            "map radius = exploration height, ball volumes = level counts "
            "(enumerated families and 10^4 maps at n=1000)")

@@ -140,14 +140,15 @@ class TestDecorationGap:
 
     def test_gap_bound_brute(self):
         # union bound on collision tuples dominates the exact gap (ordered pairs)
-        from surplus_lab.local_time import bf_index_set
         from surplus_lab.samplers import decoration_count_gap
+        from test_local_time import oracle_bf_set
 
         rng = RngStream(15)
         s = 2
         for r in range(20):
             f = sample_uniform_excursion(12, rng.substream(r))
-            pairs = [(i, j) for i in range(1, 2 * f.n) for j in bf_index_set(f, i)]
+            vals = f.values.tolist()
+            pairs = [(i, j) for i in range(1, 2 * f.n) for j in oracle_bf_set(vals, i)]
             a12 = a13 = a14 = a24 = 0
             for p1 in pairs:
                 for p2 in pairs:

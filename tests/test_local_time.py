@@ -17,11 +17,9 @@ from surplus_lab.lattice_paths import (
 from surplus_lab.local_time import (
     LocalTimeField,
     area_functional,
-    bf_index_set,
     bf_per_index,
+    corner_index,
     corner_weight_telescope,
-    corner_window,
-    df_index_set,
     df_per_index,
     inverse_height_functional,
     level_occupancy,
@@ -184,7 +182,7 @@ class TestCornerWeights:
 
     def test_bf_single_edge(self):
         assert bf_per_index([0, 1, 0]).tolist() == [0, 1, 0]
-        assert bf_index_set(LatticeExcursion([0, 1, 0]), 1) == [1]
+        assert corner_index([0, 1, 0]).window((1, 0), 1, 2).tolist() == [1]
 
     def test_df_example(self):
         per = df_per_index([0, 1, 2, 1, 0])
@@ -201,8 +199,6 @@ class TestCornerWeights:
                 bw = bf_per_index(vals)
                 dw = df_per_index(vals)
                 for i in range(2 * n + 1):
-                    assert bf_index_set(f, i) == oracle_bf_set(vals, i)
-                    assert df_index_set(f, i) == oracle_df_set(vals, i)
                     assert bw[i] == len(oracle_bf_set(vals, i))
                     assert dw[i] == len(oracle_df_set(vals, i))
 
@@ -227,7 +223,7 @@ class TestCornerWeights:
             for i in range(1, 2 * f.n):
                 buckets = df_level_sets(f, i)
                 flat = sorted(t for ts in buckets.values() for t in ts)
-                assert flat == df_index_set(f, i)
+                assert flat == oracle_df_set(f.values.tolist(), i)
                 for y, ts in buckets.items():
                     assert all(f.values[t] == y for t in ts)
 
@@ -249,6 +245,7 @@ class TestCornerWeights:
         # every window, and every order of one or two levels in and just out of range
         for n in range(1, 7):
             for f in enumerate_excursions(n):
+                index = corner_index(f.values)
                 vals = f.values.tolist()
                 top = max(vals) + 1
                 orders = [(y,) for y in range(-1, top + 1)]
@@ -258,7 +255,7 @@ class TestCornerWeights:
                         for levels in orders:
                             want = [j for y in levels for j in range(max(lo, 1), min(hi, 2 * n))
                                     if vals[j] == y]
-                            assert corner_window(f, levels, lo, hi).tolist() == want
+                            assert index.window(levels, lo, hi).tolist() == want
 
     def test_telescope_identity(self):
         # the local-time telescoping sum overcounts by the number of height-one corners

@@ -17,8 +17,8 @@ from surplus_lab.maps import (
     PermutationPairing,
     RootedMap,
     TUPLE_ENUMERATION_CAP,
-    _all_pairings,
     admissible_pairs,
+    all_pairings,
     bf_explore,
     df_explore,
     entangled_pairings,
@@ -31,6 +31,8 @@ from surplus_lab.maps import (
     pairing_tuple_count,
     unicellular_glue,
 )
+
+from test_local_time import oracle_bf_set, oracle_df_set
 
 PATH2 = LatticeExcursion([0, 1, 2, 1, 0])
 DOUBLE3 = LatticeExcursion([0, 1, 2, 1, 2, 1, 0])
@@ -189,7 +191,7 @@ class TestPairings:
         assert not is_entangled(PermutationPairing(((1, 2), (3, 4))))
 
     def test_orders_agree(self):
-        for p in _all_pairings(8):
+        for p in all_pairings(8):
             pp = PermutationPairing(p)
             assert is_entangled(pp, "pairing-first") == is_entangled(pp, "cycle-first")
 
@@ -234,7 +236,7 @@ class TestGlue:
         for f in enumerate_excursions(4):
             t = tree_of_contour(f)
             for corners in combinations(range(1, 2 * 4), 4):
-                for p in _all_pairings(4):
+                for p in all_pairings(4):
                     pp = PermutationPairing(p)
                     _, uni = unicellular_glue(t, pp, corners)
                     assert uni == (pp.transpositions in entangled)
@@ -329,6 +331,15 @@ class TestJsonAndCanonical:
 
 
 class TestAdmissiblePairs:
+    def test_against_oracle_exhaustive(self):
+        # the pairs read off the corner index equal the defining sets, in order
+        for n in range(1, 8):
+            for f in enumerate_excursions(n):
+                vals = f.values.tolist()
+                for mode, oracle in (("bf", oracle_bf_set), ("df", oracle_df_set)):
+                    want = [(i, j) for i in range(1, 2 * n) for j in oracle(vals, i)]
+                    assert admissible_pairs(f, mode) == want
+
     def test_matches_weight_totals(self):
         for f in enumerate_excursions(5):
             vals = f.values.tolist()

@@ -15,7 +15,7 @@ from surplus_lab.lattice_paths import (
     height_profile,
     tree_of_contour,
 )
-from surplus_lab.local_time import bf_per_index, df_index_set, df_per_index
+from surplus_lab.local_time import bf_per_index, corner_index, df_per_index
 from surplus_lab.maps import (
     adjacency,
     bfs_distances,
@@ -25,7 +25,7 @@ from surplus_lab.maps import (
     tree_adjacency,
     unicellular_glue,
 )
-from surplus_lab import samplers
+from surplus_lab import local_time, samplers
 from surplus_lab.samplers import (
     DegenerateEnsembleError,
     WeightedEnsemble,
@@ -54,7 +54,7 @@ from surplus_lab.samplers import (
     ws_weight,
 )
 
-from test_local_time import df_level_sets
+from test_local_time import df_level_sets, oracle_df_set
 
 CHI2_CRIT = {8: 20.090, 13: 27.688}  # 1% upper tail, by degrees of freedom
 
@@ -220,7 +220,7 @@ class TestCornerSamplers:
                 c[xi.indices] += 1
             dw = df_per_index(f.values)
             for (i1, i2), cnt in c.items():
-                p = (dw[i1] / sum(dw)) / len(df_index_set(f, i1))
+                p = (dw[i1] / sum(dw)) / len(oracle_df_set(f.values.tolist(), i1))
                 assert abs(cnt / reps - p) < max(three_sigma(p, reps), 5e-3)
 
     def test_df_draw_matches_bucket_draw(self):
@@ -373,6 +373,23 @@ class TestTiltedEnsemble:
         for mode in ("bf", "df"):
             ens = tilted_ensemble(1, 0, mode, 5, RngStream(10), {})
             assert np.all(ens.weights == 1.0)
+
+    @pytest.mark.parametrize("mode,tilt", [("bf", 0), ("bf", 2), ("df", 0), ("df", 2)])
+    def test_one_corner_index_per_replicate(self, mode, tilt, monkeypatch):
+        # the weight and the chords of a replicate read one index
+        calls = []
+
+        def counted(values):
+            calls.append(values)
+            return corner_index(values)
+
+        for module in (local_time, samplers):
+            monkeypatch.setattr(module, "corner_index", counted)
+        reps = 6
+        ens = tilted_ensemble(30, tilt, mode, reps, RngStream(8),
+                              {"chords": lambda smp: len(smp.chords())})
+        assert ens.columns["chords"].tolist() == [tilt] * reps
+        assert len(calls) == reps
 
 
 def _oracle_adjacency(smp: TiltSample):
