@@ -72,23 +72,23 @@ def bijection_suite(n_max: int = 5, s_max: int = 2) -> SuiteResult:
     """Exploration/insertion round trips and the three-way count equality."""
     res = SuiteResult("bijection")
     for n in range(1, n_max + 1):
-        trees = [tree_of_contour(f) for f in enumerate_excursions(n)]
+        excursions = enumerate_excursions(n)
         for s in range(1, s_max + 1):
             keys = {}
             for mode, explore in (("bf", bf_explore), ("df", df_explore)):
                 built = keys[mode] = set()
                 ok_round = True
-                for tree in trees:
-                    for xi in enumerate_admissible(tree, s, mode):
-                        m = insert_edges(tree, xi)
+                for f in excursions:
+                    for xi in enumerate_admissible(f, s, mode):
+                        m = insert_edges(f, xi)
                         key = m.canonical_key()
                         if key in built:
                             ok_round = False
                         built.add(key)
-                        t2, xi2 = explore(m)
-                        if t2 != tree or xi2 != xi:
+                        f2, xi2 = explore(m)
+                        if f2 != f or xi2 != xi:
                             ok_round = False
-                        if insert_edges(t2, xi2).canonical_key() != key:
+                        if insert_edges(f2, xi2).canonical_key() != key:
                             ok_round = False
                 res.add(f"{mode}-roundtrip-n{n}-s{s}", ok_round, f"{len(built)} maps")
             res.add(f"same-map-set-n{n}-s{s}", keys["bf"] == keys["df"],
@@ -202,10 +202,9 @@ def gluing_dichotomy_suite(n_max: int = 5) -> SuiteResult:
         ok = True
         tested = 0
         for f in enumerate_excursions(n):
-            tree = tree_of_contour(f)
             for corners in combinations(range(1, 2 * n), 4 * g):
                 for pairing in pairings:
-                    m, unicellular = unicellular_glue(tree, pairing, corners)
+                    m, unicellular = unicellular_glue(f, pairing, corners)
                     tested += 1
                     if unicellular != (pairing.transpositions in entangled):
                         ok = False
@@ -226,7 +225,7 @@ def radius_invariance_suite(n_sample: int = 1000, reps: int = 10_000,
         for s in range(0, 3):
             ok = True
             for m in enumerate_maps(n, s):
-                tree, _ = bf_explore(m)
+                tree = tree_of_contour(bf_explore(m)[0])
                 metric = metric_from_root(m)
                 if metric.radius != tree.height():
                     ok = False
@@ -266,10 +265,9 @@ def decoration_count_suite(n_max: int = 5) -> SuiteResult:
         ok2 = True
         for n in range(1, n_max + 1):
             for f in enumerate_excursions(n):
-                tree = tree_of_contour(f)
-                if decoration_count(f, 1, mode) != len(enumerate_admissible(tree, 1, mode)):
+                if decoration_count(f, 1, mode) != len(enumerate_admissible(f, 1, mode)):
                     ok1 = False
-                if decoration_count(f, 2, mode) != len(enumerate_admissible(tree, 2, mode)):
+                if decoration_count(f, 2, mode) != len(enumerate_admissible(f, 2, mode)):
                     ok2 = False
         res.add(f"{mode}-s1-n<={n_max}", ok1)
         res.add(f"{mode}-s2-n<={n_max}", ok2)

@@ -14,8 +14,8 @@ from math import sqrt
 from pathlib import Path
 
 from . import __version__, checks, estimators, persistence
-from .lattice_paths import PlaneTree, tree_of_contour
-from .maps import AdmissibleCorners, bf_explore, df_explore, insert_edges
+from .lattice_paths import LatticeExcursion
+from .maps import AdmissibleCorners, bf_explore, df_explore, insert_edges, unicellular_glue
 from .samplers import (
     DegenerateEnsembleError,
     RngStream,
@@ -148,10 +148,8 @@ def cmd_sample(args) -> int:
         path.write_text("\n".join(lines) + "\n")
         files.append(path)
     elif args.kind == "tree":
-        lines = []
-        for r in range(args.reps):
-            exc = sample_uniform_excursion(args.n, rng.substream(r))
-            lines.append(tree_of_contour(exc).to_parens())
+        lines = [sample_uniform_excursion(args.n, rng.substream(r)).to_parens()
+                 for r in range(args.reps)]
         path = outdir / "trees.txt"
         path.write_text("\n".join(lines) + "\n")
         files.append(path)
@@ -185,9 +183,7 @@ def cmd_sample(args) -> int:
             except DegenerateEnsembleError:
                 rows.append([r, "degenerate", "", ""])
                 continue
-            from .maps import unicellular_glue
-
-            m, unicellular = unicellular_glue(tree_of_contour(exc), pairing, corners)
+            m, unicellular = unicellular_glue(exc, pairing, corners)
             if not unicellular:
                 raise AssertionError("glued sample is not unicellular")
             path = outdir / f"crum_{r}.json"
@@ -246,10 +242,10 @@ def cmd_explore(args) -> int:
         0, "explore", argv=args.argv,
         parameters={"mode": args.mode, "in": str(args.infile)})
     m = persistence.load_map(args.infile)
-    tree, xi = bf_explore(m) if args.mode == "bf" else df_explore(m)
+    exc, xi = bf_explore(m) if args.mode == "bf" else df_explore(m)
     result = {
         "mode": args.mode,
-        "tree": tree.to_parens(),
+        "tree": exc.to_parens(),
         "indices": list(xi.indices),
         "tags": list(xi.tags),
     }
@@ -266,14 +262,14 @@ def cmd_invert(args) -> int:
         0, "invert", argv=args.argv,
         parameters={"tree": args.tree, "corners": args.corners,
                     "tags": args.tags, "mode": args.mode})
-    tree = PlaneTree.from_parens(args.tree)
+    exc = LatticeExcursion.from_parens(args.tree)
     indices = tuple(int(x) for x in args.corners.split(",") if x)
     if args.tags:
         tags = tuple(int(x) for x in args.tags.split(",") if x)
     else:
         tags = tuple(1 for _ in indices)
     xi = AdmissibleCorners(args.mode, indices, tags)
-    m = insert_edges(tree, xi)
+    m = insert_edges(exc, xi)
     path = outdir / "map.json"
     persistence.save_map(m, path)
     _finish(manifest, outdir, path)

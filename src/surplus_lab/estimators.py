@@ -279,8 +279,7 @@ def profile_laws(n: int, s: int, reps: int, rng: RngStream,
         tree_rows[r] = _profile_from_levels(z, pos_tree, 1.0 / sqrt(n))
     if not np.any(tree_w > 0):
         raise DegenerateEnsembleError(f"all tree weights vanished at n={n}, s={s}")
-    tree_ens = WeightedEnsemble(n=n, mode="tree-w", tilt=s, proposal="uniform-labeled-tree",
-                                seed=rng.seed, stream=rng.path + (1,), weights=tree_w,
+    tree_ens = WeightedEnsemble(mode="tree-w", tilt=s, weights=tree_w,
                                 columns={"profile": tree_rows})
     mean_map, _ = map_ens.estimate("profile")
     mean_lt, _ = map_ens.estimate("lt_profile")

@@ -54,7 +54,7 @@ class LatticeExcursion:
                 raise ValueError("excursion must start and end at 0")
             if np.any(np.abs(steps) != 1):
                 raise ValueError("excursion steps must be +-1")
-            if len(arr) > 3 and np.any(arr[1:-1] <= 0):
+            if np.any(arr[1:-1] <= 0):
                 raise ValueError("excursion interior must be strictly positive")
 
     def __len__(self) -> int:
@@ -89,6 +89,14 @@ class LatticeExcursion:
             else:
                 raise ValueError(f"invalid step character {ch!r}")
         return cls(vals)
+
+    def to_parens(self) -> str:
+        """The coded tree as nested parentheses: ``(`` per up-step, ``)`` per down-step."""
+        return self.steps_string().replace("U", "(").replace("D", ")")
+
+    @classmethod
+    def from_parens(cls, text: str) -> "LatticeExcursion":
+        return cls.from_steps(text.strip().replace("(", "U").replace(")", "D"))
 
 
 class LatticeBridge:
@@ -158,7 +166,7 @@ class PlaneTree:
         return hash(tuple(self.parent))
 
     def __repr__(self) -> str:
-        return f"PlaneTree(parens={self.to_parens()!r})"
+        return f"PlaneTree(parens={contour_of_tree(self).to_parens()!r})"
 
     def num_vertices(self) -> int:
         return self.n + 1
@@ -168,14 +176,6 @@ class PlaneTree:
 
     def degree(self, v: int) -> int:
         return len(self.children[v]) + (0 if v == 0 else 1)
-
-    def to_parens(self) -> str:
-        return contour_of_tree(self).steps_string().replace("U", "(").replace("D", ")")
-
-    @classmethod
-    def from_parens(cls, text: str) -> "PlaneTree":
-        steps = text.strip().replace("(", "U").replace(")", "D")
-        return tree_of_contour(LatticeExcursion.from_steps(steps))
 
 
 def tree_of_contour(f: LatticeExcursion) -> PlaneTree:

@@ -8,10 +8,12 @@ vertex (required to have degree one).  Faces are the orbits of
 next edge after the one it arrived by; a plane tree then has exactly one
 face.  Genus comes from Euler's formula.
 
-Surplus edges are recorded against a spanning plane tree as a decoration: a
-list of corner indices (contour times) plus small integer tags that order
-parallel insertions sharing a corner.  ``insert_edges`` realizes a decorated
-tree as a map; the breadth-first and depth-first explorations invert it.
+Surplus edges are recorded against the contour excursion of a spanning plane
+tree as a decoration: a list of corner indices (contour times) plus small
+integer tags that order parallel insertions sharing a corner.
+``insert_edges`` builds the map of a decorated excursion in one pass over the
+contour; the breadth-first and depth-first explorations invert it, returning
+the excursion and the decoration.
 """
 
 from __future__ import annotations
@@ -22,13 +24,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .lattice_paths import (
-    EnumerationCapExceeded,
-    LatticeExcursion,
-    PlaneTree,
-    contour_of_tree,
-    tree_of_contour,
-)
+from .lattice_paths import EnumerationCapExceeded, LatticeExcursion, PlaneTree
 from .local_time import corner_index
 
 SG_CAP = 3
@@ -285,78 +281,47 @@ class AdmissibleCorners:
                 raise ValueError(f"tags at corner {i} are not a permutation of 1..{len(ks)}")
 
 
-# -- plane tree as a map, and edge insertion ---------------------------------
+# -- edge insertion -------------------------------------------------------------
 
 
-def _tree_half_structures(tree: PlaneTree):
-    """Rotation lists, contour half sequence, and corner reference halves.
+def insert_edges(f: LatticeExcursion, corners: AdmissibleCorners, validate: bool = True) -> RootedMap:
+    """The map of the tree coded by ``f`` plus one edge per decoration pair.
 
-    Tree edge to vertex ``v >= 1`` has down-half ``2(v-1)`` (parent to v) and
-    up-half ``2(v-1)+1``.  The contour traverses halves ``f_1 .. f_{2n}``;
-    corner ``i`` sits immediately before ``f_{i+1}`` at the vertex visited at
-    time ``i``.
-    """
-    n = tree.n
-    down = lambda v: 2 * (v - 1)
-    up = lambda v: 2 * (v - 1) + 1
-    rotations: list[list[int]] = [[] for _ in range(n + 1)]
-    rotations[0] = [down(c) for c in tree.children[0]]
-    for v in range(1, n + 1):
-        rotations[v] = [up(v)] + [down(c) for c in tree.children[v]]
-    seq: list[int] = []
-    stack: list[list[int]] = [[0, 0]]
-    while stack:
-        v, k = stack[-1]
-        if k < len(tree.children[v]):
-            stack[-1][1] += 1
-            c = tree.children[v][k]
-            seq.append(down(c))
-            stack.append([c, 0])
-        else:
-            stack.pop()
-            if stack:
-                seq.append(up(v))
-    origin_of_half = [0] * (2 * n)
-    for v in range(1, n + 1):
-        origin_of_half[down(v)] = tree.parent[v]
-        origin_of_half[up(v)] = v
-    return rotations, seq, origin_of_half
-
-
-def insert_edges(tree: PlaneTree, corners: AdmissibleCorners, validate: bool = True) -> RootedMap:
-    """Add one edge per decoration pair between the named corners of the tree.
-
-    Within a corner, inserted half-edges are ordered by increasing tag toward
-    the corner's reference edge.  Inverse of the matching exploration.
+    One pass over the contour: the ``k``-th up-step creates vertex ``k``,
+    whose edge to its parent has down-half ``2k-2`` and up-half ``2k-1``, and
+    corner ``i`` sits just before the half leaving the walk at time ``i``.  A
+    vertex's rotation lists its departures in contour order, closed at its
+    up-half, and each corner's inserted halves enter it just before that
+    corner's departure, by increasing tag.  Inverse of the matching
+    exploration.
     """
     if validate and corners.s:
-        corners.validate(contour_of_tree(tree))
-    n = tree.n
-    rotations, seq, _ = _tree_half_structures(tree)
-    # reference half of corner i is the (i+1)-th contour half
+        corners.validate(f)
+    vals = f.values.tolist()
+    two_n = len(vals) - 1
     runs: dict[int, list[tuple[int, int]]] = {}
-    for j in range(corners.s):
-        for end in range(2):
-            i = corners.indices[2 * j + end]
-            k = corners.tags[2 * j + end]
-            runs.setdefault(seq[i], []).append((k, 2 * n + 2 * j + end))
-    n_half = 2 * n + 2 * corners.s
-    alpha = [0] * n_half
-    for v in range(1, n + 1):
-        alpha[2 * (v - 1)] = 2 * (v - 1) + 1
-        alpha[2 * (v - 1) + 1] = 2 * (v - 1)
-    for j in range(corners.s):
-        alpha[2 * n + 2 * j] = 2 * n + 2 * j + 1
-        alpha[2 * n + 2 * j + 1] = 2 * n + 2 * j
-    sigma = [0] * n_half
-    for rot in rotations:
-        full: list[int] = []
-        for h in rot:
-            if h in runs:
-                full.extend(x for _, x in sorted(runs[h]))
-            full.append(h)
-        for a, b in zip(full, full[1:] + full[:1]):
-            sigma[a] = b
+    for h, (i, k) in enumerate(zip(corners.indices, corners.tags), start=two_n):
+        runs.setdefault(i, []).append((k, h))
+    sigma = [0] * (two_n + 2 * corners.s)
+    last = [0]  # last half so far in each vertex's rotation, which starts at its up-half
+    # (the root's at half 0, so the first step closes the root's rotation)
+    stack = [0]
+    for t in range(two_n):
+        v = stack[-1]
+        if t in runs:
+            for _, h in sorted(runs[t]):
+                sigma[last[v]] = h
+                last[v] = h
+        if vals[t + 1] > vals[t]:
+            h = len(last) * 2 - 2
+            sigma[last[v]] = h
+            last[v] = h
+            last.append(h + 1)
+            stack.append(len(last) - 1)
+        else:
+            sigma[last[v]] = 2 * v - 1
+            stack.pop()
+    alpha = [h ^ 1 for h in range(len(sigma))]
     return RootedMap(sigma, alpha, root=0, check=validate)
 
 
@@ -442,7 +407,6 @@ def _decoration_from_tree(m: RootedMap, tree_halves: set[int], mode: str):
         else:
             vals.append(vals[-1] - 1)
     exc = LatticeExcursion(vals)
-    ptree = tree_of_contour(exc)
     # corners and ranks of the surplus half-edges, one rotation walk per vertex
     surplus = [h for h in range(m.num_half_edges) if h not in tree_halves]
     corner_of: dict[int, int] = {}
@@ -483,17 +447,17 @@ def _decoration_from_tree(m: RootedMap, tree_halves: set[int], mode: str):
         pair_list.append(min(a, b) + max(a, b))
     xi = AdmissibleCorners.from_tagged(mode, pair_list)
     xi.validate(exc)
-    return ptree, xi
+    return exc, xi
 
 
-def bf_explore(m: RootedMap):
-    """Breadth-first spanning tree and the decoration that recovers ``m``."""
+def bf_explore(m: RootedMap) -> tuple[LatticeExcursion, AdmissibleCorners]:
+    """Contour of the breadth-first spanning tree and the decoration that recovers ``m``."""
     _require_msns(m)
     return _decoration_from_tree(m, _bf_tree_halves(m), "bf")
 
 
-def df_explore(m: RootedMap):
-    """Depth-first (contour) spanning tree and the decoration that recovers ``m``."""
+def df_explore(m: RootedMap) -> tuple[LatticeExcursion, AdmissibleCorners]:
+    """Contour of the depth-first spanning tree and the decoration that recovers ``m``."""
     _require_msns(m)
     return _decoration_from_tree(m, _df_tree_halves(m), "df")
 
@@ -518,13 +482,13 @@ def admissible_pairs(f: LatticeExcursion, mode: str) -> list[tuple[int, int]]:
                   for m in chain(range(k, end), range(down, below)))
 
 
-def enumerate_admissible(tree: PlaneTree, s: int, mode: str, cap: int = 8) -> list[AdmissibleCorners]:
-    """All decorations of ``tree`` with ``s`` surplus edges, in canonical form."""
-    if tree.n > cap or s > 4:
-        raise EnumerationCapExceeded(f"n={tree.n}, s={s} too large for decoration enumeration")
+def enumerate_admissible(f: LatticeExcursion, s: int, mode: str,
+                         cap: int = 8) -> list[AdmissibleCorners]:
+    """All decorations of the tree coded by ``f`` with ``s`` surplus edges, in canonical form."""
+    if f.n > cap or s > 4:
+        raise EnumerationCapExceeded(f"n={f.n}, s={s} too large for decoration enumeration")
     if s == 0:
         return [AdmissibleCorners(mode, (), ())]
-    f = contour_of_tree(tree)
     pairs = admissible_pairs(f, mode)
     out: set[tuple] = set()
     for multi in combinations_with_replacement(range(len(pairs)), s):
@@ -746,19 +710,15 @@ def glue_heights_ok(f: LatticeExcursion, pairing: PermutationPairing, corners) -
     return True
 
 
-def unicellular_glue(tree: PlaneTree, pairing: PermutationPairing, corners,
-                     strict: bool = False) -> tuple[RootedMap, bool]:
-    """Glue ``4g`` corners of a plane tree in pairs; report unicellularity.
+def unicellular_glue(f: LatticeExcursion, pairing: PermutationPairing,
+                     corners) -> tuple[RootedMap, bool]:
+    """Glue ``4g`` corners of the tree coded by ``f`` in pairs; report unicellularity.
 
-    With ``strict=True`` the corner heights must satisfy the one-level drop
-    rule, which guarantees the glued map's breadth-first exploration returns
-    the original tree with this decoration.
+    When :func:`glue_heights_ok` holds, the glued map's breadth-first
+    exploration returns ``f`` with this decoration.
     """
-    f = contour_of_tree(tree)
-    if strict and not glue_heights_ok(f, pairing, corners):
-        raise ValueError("corner heights violate the one-level drop rule")
     xi = glue_decoration(pairing, corners)
-    m = insert_edges(tree, xi, validate=False)
+    m = insert_edges(f, xi, validate=False)
     return m, m.is_unicellular()
 
 

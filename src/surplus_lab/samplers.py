@@ -30,7 +30,6 @@ from .lattice_paths import (
     LatticeBridge,
     LatticeExcursion,
     excursion_from_shape,
-    tree_of_contour,
     vervaat,
 )
 from .local_time import CornerIndex, bf_per_index, corner_index, df_per_index
@@ -269,16 +268,16 @@ def _sample_tuple_genus_one(f: LatticeExcursion, terms: GenusOneTerms, gen: np.r
 # -- exact decoration counts ---------------------------------------------------
 
 
-def _endpoint_tables(values: np.ndarray, mode: str) -> tuple[np.ndarray, np.ndarray]:
+def _endpoint_tables(index: CornerIndex, mode: str) -> tuple[np.ndarray, np.ndarray]:
     """Per-corner pair-endpoint counts: (as-first, as-second) for every corner.
 
     As second, a breadth-first corner pairs with the corners up to it at its
     level and the earlier ones one level up; a depth-first ``j`` with ``(q(j), j]``.
     """
-    index = corner_index(values)
-    second = np.zeros(len(values), dtype=np.int64)
+    width = len(index.pos)
+    second = np.zeros(width, dtype=np.int64)
     if mode == "bf":
-        up = np.searchsorted(index.keys, index.keys + len(values))  # first corner one level up
+        up = np.searchsorted(index.keys, index.keys + width)  # first corner one level up
         second[index.times] = (np.arange(len(index.keys)) - index.start[index.levels] + 1
                                + up - index.start[index.levels + 1])
         return bf_per_index(index), second
@@ -286,26 +285,29 @@ def _endpoint_tables(values: np.ndarray, mode: str) -> tuple[np.ndarray, np.ndar
     return df_per_index(index), second
 
 
-def _pairs_and_gap(f: LatticeExcursion, s: int, mode: str) -> tuple[int, int]:
-    """Pair count ``P`` and the exact gap ``s! * (decoration count) - P^s`` for s <= 2."""
+def _pairs_and_gap(f: LatticeExcursion | CornerIndex, s: int, mode: str) -> tuple[int, int]:
+    """Pair count ``P`` and the exact gap ``s! * (decoration count) - P^s`` for s <= 2,
+    of an excursion or its corner index."""
     if not 0 <= s <= 2:
         raise ValueError("decoration counts are implemented for s <= 2; "
                          "use enumerate_admissible for more")
     if s == 0:
         return 0, 0
-    first, second = _endpoint_tables(f.values, mode)
+    first, second = _endpoint_tables(f if isinstance(f, CornerIndex) else corner_index(f.values),
+                                     mode)
     total_pairs = int(first.sum())
     if s == 1:
         return total_pairs, 0
     inc = (first + second - 1)[1:-1]
     if int(inc.max()) ** 2 * len(inc) >= 2 ** 63:
-        raise ValueError(f"the decoration count at n={f.n} overflows 64-bit integers")
+        raise ValueError(f"the decoration count at n={len(first) // 2} overflows 64-bit integers")
     y_share = int(inc @ inc) - total_pairs + len(inc)
     return total_pairs, y_share + 2 * total_pairs + 2 * int(inc.sum())
 
 
-def decoration_count(f: LatticeExcursion, s: int, mode: str) -> int:
-    """Exact number of canonical decorations with ``s`` surplus edges (s <= 2)."""
+def decoration_count(f: LatticeExcursion | CornerIndex, s: int, mode: str) -> int:
+    """Exact number of canonical decorations with ``s`` surplus edges (s <= 2) of an
+    excursion or its corner index."""
     pairs, gap = _pairs_and_gap(f, s, mode)
     ordered = pairs ** s + gap
     if ordered % factorial(s):
@@ -334,12 +336,8 @@ def tilt_weight(total: int, s: int, mode: str, n: int) -> float:
 class WeightedEnsemble:
     """Samples of named functionals with importance weights from a tilted run."""
 
-    n: int
     mode: str
     tilt: int
-    proposal: str
-    seed: int
-    stream: tuple
     weights: np.ndarray
     columns: dict[str, np.ndarray] = field(default_factory=dict)
 
@@ -466,8 +464,7 @@ class TiltSample:
 
 
 def tilted_ensemble(n: int, tilt: int, mode: str, reps: int, rng: RngStream,
-                    functionals: dict[str, Callable[[TiltSample], object]],
-                    proposal: str = "uniform-excursion") -> WeightedEnsemble:
+                    functionals: dict[str, Callable[[TiltSample], object]]) -> WeightedEnsemble:
     """Self-normalized importance-sampling run against the uniform excursion law.
 
     ``functionals`` maps column names to callables evaluated on the lazy
@@ -497,8 +494,7 @@ def tilted_ensemble(n: int, tilt: int, mode: str, reps: int, rng: RngStream,
         zero = np.zeros_like(np.asarray(template, dtype=np.float64))
         filled = [zero if v is None else v for v in vals]
         columns[name] = np.asarray(filled, dtype=np.float64)
-    return WeightedEnsemble(n=n, mode=mode, tilt=tilt, proposal=proposal,
-                            seed=rng.seed, stream=rng.path, weights=weights, columns=columns)
+    return WeightedEnsemble(mode=mode, tilt=tilt, weights=weights, columns=columns)
 
 
 # -- maps: enumeration and uniform sampling ---------------------------------------
@@ -513,9 +509,8 @@ def enumerate_maps(n: int, s: int, mode: str = "bf", cap: int = 5) -> list[Roote
     out = []
     seen = set()
     for f in enumerate_excursions(n):
-        tree = tree_of_contour(f)
-        for xi in enumerate_admissible(tree, s, mode):
-            m = insert_edges(tree, xi)
+        for xi in enumerate_admissible(f, s, mode):
+            m = insert_edges(f, xi)
             key = m.canonical_key()
             if key in seen:
                 raise RuntimeError("decoration enumeration produced duplicate maps")
@@ -538,17 +533,14 @@ def sample_map_decoration(n: int, s: int, rng) -> tuple[LatticeExcursion, Admiss
     exc = sample_uniform_excursion(n, gen)
     if s == 0:
         return exc, AdmissibleCorners("bf", (), ()), 1.0
-    if s == 1:
-        xi = sample_corners_bf(exc, 1, gen)
-        return exc, xi, float(decoration_count(exc, 1, "bf"))
     if s == 2 and n <= 40:
-        tree = tree_of_contour(exc)
-        decorations = enumerate_admissible(tree, 2, "bf", cap=max(8, n))
+        decorations = enumerate_admissible(exc, 2, "bf", cap=max(8, n))
         xi = decorations[int(gen.integers(len(decorations)))]
         return exc, xi, float(len(decorations))
     index = corner_index(exc.values)
     xi = sample_corners_bf(exc, s, gen, index)
-    weight = float(decoration_count(exc, s, "bf")) if s == 2 else \
+    # at s = 1 the decoration count is B(f), the tilt weight
+    weight = float(decoration_count(index, s, "bf")) if s == 2 else \
         tilt_weight(int(bf_per_index(index).sum()), s, "bf", n)
     return exc, xi, weight
 
@@ -556,7 +548,7 @@ def sample_map_decoration(n: int, s: int, rng) -> tuple[LatticeExcursion, Admiss
 def sample_uniform_map(n: int, s: int, rng) -> tuple[RootedMap, float]:
     """One weighted map draw; see :func:`sample_map_decoration` for the law."""
     exc, xi, weight = sample_map_decoration(n, s, rng)
-    return insert_edges(tree_of_contour(exc), xi, validate=False), weight
+    return insert_edges(exc, xi, validate=False), weight
 
 
 # -- labeled graphs with surplus -----------------------------------------------------

@@ -52,6 +52,9 @@ CASES = {
     "sample-crum": ["sample", "crum", "--n", "12", "--g", "1", "--reps", "3", "--seed", "21"],
     "sample-crum-n60": ["sample", "crum", "--n", "60", "--g", "1", "--reps", "6", "--seed", "22"],
     "sample-crum-g2": ["sample", "crum", "--n", "8", "--g", "2", "--reps", "3", "--seed", "23"],
+    "enumerate-m": ["enumerate", "--family", "m", "--n", "3", "--s", "1"],
+    "enumerate-um": ["enumerate", "--family", "um", "--n", "4", "--g", "1"],
+    "invert": ["invert", "--tree", "((()()))", "--corners", "3,5"],
     "selftest": ["selftest"],
 }
 
@@ -185,6 +188,18 @@ DIGESTS = {
             '3f536d1927ec13d69ef35fc34bc84270a4a97c85ae09c092811b269e6424e5f9',
         'crum_decorations.csv':
             'a828db0a8273d15be190b804367a9c5185b6f38a6d8654693ec9454a5cc357b2',
+    },
+    'enumerate-m': {
+        'family_m.txt':
+            '29ee896be64d612f27c62a3d7142fa7210e41302b031bbced1f35fb674362531',
+    },
+    'enumerate-um': {
+        'family_um.txt':
+            '6baa74c3c86290f82b1b72c60775c22eb9f2cbd549c76b9c77feddb136f1983f',
+    },
+    'invert': {
+        'map.json':
+            '41a8c6a3612d62b709959fcd0f5ce871e6019c3fa103e4354c80153c55f340b5',
     },
     'selftest': {
         'selftest.csv':

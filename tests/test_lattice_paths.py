@@ -80,9 +80,13 @@ class TestContour:
                 assert contour_of_tree(tree_of_contour(f)) == f
 
     def test_parens(self):
-        t = tree_of_contour(LatticeExcursion([0, 1, 2, 1, 2, 1, 0]))
-        assert t.to_parens() == "(()())"
-        assert PlaneTree.from_parens(t.to_parens()) == t
+        f = LatticeExcursion([0, 1, 2, 1, 2, 1, 0])
+        assert f.to_parens() == "(()())"
+        assert LatticeExcursion.from_parens(" (()()) ") == f
+        assert repr(tree_of_contour(f)) == "PlaneTree(parens='(()())')"
+        for bad in ("(()", "(()x)", ")("):
+            with pytest.raises(ValueError):
+                LatticeExcursion.from_parens(bad)
 
 
 class TestLukasiewicz:

@@ -130,7 +130,7 @@ def assert_tables_match_sweeps(f):
     assert df_per_index(f.values).tolist() == sweep_df(vals)
     for mode, first, second in (("bf", sweep_bf, sweep_second_bf),
                                 ("df", sweep_df, sweep_second_df)):
-        got_first, got_second = _endpoint_tables(f.values, mode)
+        got_first, got_second = _endpoint_tables(corner_index(f.values), mode)
         assert got_first.tolist() == first(vals)
         assert got_second.tolist() == second(vals)
 

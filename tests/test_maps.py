@@ -7,6 +7,7 @@ import pytest
 from surplus_lab.lattice_paths import (
     EnumerationCapExceeded,
     LatticeExcursion,
+    PlaneTree,
     enumerate_excursions,
     height_profile,
     tree_of_contour,
@@ -32,6 +33,13 @@ from surplus_lab.maps import (
     unicellular_glue,
 )
 
+from surplus_lab.samplers import (
+    RngStream,
+    sample_corners_bf,
+    sample_corners_df,
+    sample_uniform_excursion,
+)
+
 from test_local_time import oracle_bf_set, oracle_df_set
 
 PATH2 = LatticeExcursion([0, 1, 2, 1, 0])
@@ -40,9 +48,56 @@ TALL3 = LatticeExcursion([0, 1, 2, 3, 2, 1, 0])
 G1 = PermutationPairing(((1, 3), (2, 4)))
 
 
-def tree_map(tree):
-    """The plane tree itself as a rooted map (no surplus edges)."""
-    return insert_edges(tree, AdmissibleCorners("bf", (), ()))
+def tree_map(f):
+    """The plane tree coded by ``f`` itself as a rooted map (no surplus edges)."""
+    return insert_edges(f, AdmissibleCorners("bf", (), ()))
+
+
+def oracle_rotation_system(tree: PlaneTree, corners: AdmissibleCorners):
+    """``(sigma, alpha)`` of a decorated tree, built by walking the decoded tree.
+
+    Tree edge to vertex ``v >= 1`` has down-half ``2(v-1)`` and up-half
+    ``2(v-1)+1``; vertex ``v``'s rotation is its up-half, then the down-halves
+    of its children left to right.  The contour traverses halves
+    ``f_1 .. f_{2n}``, and the inserted halves of corner ``i`` enter the
+    rotation just before ``f_{i+1}``, by increasing tag.
+    """
+    n = tree.n
+    down = lambda v: 2 * (v - 1)
+    up = lambda v: 2 * (v - 1) + 1
+    rotations = [[down(c) for c in tree.children[0]]]
+    rotations += [[up(v)] + [down(c) for c in tree.children[v]] for v in range(1, n + 1)]
+    seq = []
+    stack = [[0, 0]]
+    while stack:
+        v, k = stack[-1]
+        if k < len(tree.children[v]):
+            stack[-1][1] += 1
+            c = tree.children[v][k]
+            seq.append(down(c))
+            stack.append([c, 0])
+        else:
+            stack.pop()
+            if stack:
+                seq.append(up(v))
+    runs = {}
+    for j in range(corners.s):
+        for end in range(2):
+            i, k = corners.indices[2 * j + end], corners.tags[2 * j + end]
+            runs.setdefault(seq[i], []).append((k, 2 * n + 2 * j + end))
+    n_half = 2 * n + 2 * corners.s
+    alpha = [0] * n_half
+    for h in range(0, n_half, 2):
+        alpha[h], alpha[h + 1] = h + 1, h
+    sigma = [0] * n_half
+    for rot in rotations:
+        full = []
+        for h in rot:
+            full.extend(x for _, x in sorted(runs.get(h, [])))
+            full.append(h)
+        for a, b in zip(full, full[1:] + full[:1]):
+            sigma[a] = b
+    return sigma, alpha
 
 
 def brute_tuple_count(f, pairing):
@@ -65,43 +120,39 @@ class TestTreeAsMap:
     def test_tree_map_one_face(self):
         for n in range(1, 6):
             for f in enumerate_excursions(n):
-                m = tree_map(tree_of_contour(f))
+                m = tree_map(f)
                 assert len(m.faces()) == 1
                 assert m.genus() == 0
                 assert m.surplus == 0
 
     def test_empty_decoration_is_identity(self):
-        t = tree_of_contour(PATH2)
-        m = insert_edges(t, AdmissibleCorners("bf", (), ()))
-        t2, xi2 = bf_explore(m)
-        assert t2 == t and xi2.s == 0
+        m = insert_edges(PATH2, AdmissibleCorners("bf", (), ()))
+        f2, xi2 = bf_explore(m)
+        assert f2 == PATH2 and xi2.s == 0
 
 
 class TestInsertExplore:
     def test_bfac_path(self):
-        t = tree_of_contour(PATH2)
-        xs = enumerate_admissible(t, 1, "bf")
+        xs = enumerate_admissible(PATH2, 1, "bf")
         assert sorted(x.indices for x in xs) == [(1, 1), (1, 3), (2, 2), (2, 3), (3, 3)]
-        maps = {insert_edges(t, x).canonical_key() for x in xs}
+        maps = {insert_edges(PATH2, x).canonical_key() for x in xs}
         assert len(maps) == 5
 
     def test_dfac_path(self):
-        t = tree_of_contour(PATH2)
-        xs = enumerate_admissible(t, 1, "df")
+        xs = enumerate_admissible(PATH2, 1, "df")
         assert sorted(x.indices for x in xs) == [(1, 1), (1, 3), (2, 2), (2, 3), (3, 3)]
 
     def test_single_edge_one_decoration(self):
-        t = tree_of_contour(LatticeExcursion([0, 1, 0]))
-        xs = enumerate_admissible(t, 1, "bf")
+        xs = enumerate_admissible(LatticeExcursion([0, 1, 0]), 1, "bf")
         assert [x.indices for x in xs] == [(1, 1)]  # loop at the unique child corner
 
     def test_n1_s2_three_maps(self):
-        t = tree_of_contour(LatticeExcursion([0, 1, 0]))
-        xs = enumerate_admissible(t, 2, "bf")
+        f = LatticeExcursion([0, 1, 0])
+        xs = enumerate_admissible(f, 2, "bf")
         assert len(xs) == 3
-        keys = {insert_edges(t, x).canonical_key() for x in xs}
+        keys = {insert_edges(f, x).canonical_key() for x in xs}
         assert len(keys) == 3
-        genera = sorted(insert_edges(t, x).genus() for x in xs)
+        genera = sorted(insert_edges(f, x).genus() for x in xs)
         assert genera == [0, 0, 1]  # the crossing pairing is the only entangled one
 
     @pytest.mark.parametrize("mode", ["bf", "df"])
@@ -110,17 +161,15 @@ class TestInsertExplore:
         for n in range(1, 5):
             for s in range(1, 3):
                 for f in enumerate_excursions(n):
-                    t = tree_of_contour(f)
-                    for xi in enumerate_admissible(t, s, mode):
-                        m = insert_edges(t, xi)
-                        t2, xi2 = explore(m)
-                        assert t2 == t
+                    for xi in enumerate_admissible(f, s, mode):
+                        m = insert_edges(f, xi)
+                        f2, xi2 = explore(m)
+                        assert f2 == f
                         assert xi2 == xi
 
     def test_bf_height_rule_on_explored_maps(self):
         for f in enumerate_excursions(4):
-            t = tree_of_contour(f)
-            for xi in enumerate_admissible(t, 2, "bf"):
+            for xi in enumerate_admissible(f, 2, "bf"):
                 xi.validate(f)
 
     def test_root_degree_rejection(self):
@@ -131,13 +180,39 @@ class TestInsertExplore:
             RootedMap(sigma, alpha, 0)
 
     def test_invalid_decoration_rejected(self):
-        t = tree_of_contour(PATH2)
         with pytest.raises(ValueError):
-            insert_edges(t, AdmissibleCorners("bf", (1, 2), (1, 1)))  # height rule broken
+            insert_edges(PATH2, AdmissibleCorners("bf", (1, 2), (1, 1)))  # height rule broken
         with pytest.raises(ValueError):
-            insert_edges(t, AdmissibleCorners("bf", (3, 1), (1, 1)))  # order broken
+            insert_edges(PATH2, AdmissibleCorners("bf", (3, 1), (1, 1)))  # order broken
         with pytest.raises(ValueError):
-            insert_edges(t, AdmissibleCorners("df", (1, 2), (1, 1)))  # not an ancestor
+            insert_edges(PATH2, AdmissibleCorners("df", (1, 2), (1, 1)))  # not an ancestor
+
+
+class TestContourBuilder:
+    """The one-pass contour builder against the plane-tree builder it replaced."""
+
+    @pytest.mark.parametrize("mode", ["bf", "df"])
+    def test_equals_tree_builder_exhaustive(self, mode):
+        built = 0
+        for n in range(1, 8):
+            for f in enumerate_excursions(n):
+                tree = tree_of_contour(f)
+                for s in range(3 if n <= 5 else 2):
+                    for xi in enumerate_admissible(f, s, mode):
+                        m = insert_edges(f, xi, validate=False)
+                        assert (m.sigma, m.alpha) == oracle_rotation_system(tree, xi)
+                        built += 1
+        assert built == 18_663  # bf and df each decorate the same number of ways
+
+    def test_equals_tree_builder_n1000(self):
+        rng = RngStream(909)
+        for r in range(200):
+            gen = rng.substream(r).generator()
+            f = sample_uniform_excursion(1000, gen)
+            draw = sample_corners_bf if r % 2 else sample_corners_df
+            xi = draw(f, 1 + r % 3, gen)
+            m = insert_edges(f, xi)
+            assert (m.sigma, m.alpha) == oracle_rotation_system(tree_of_contour(f), xi)
 
 
 class TestFacesGenus:
@@ -145,9 +220,8 @@ class TestFacesGenus:
         # 4-cycle plus pendant root edge: close the depth-4 branch back to its
         # depth-1 ancestor (a depth-first decoration); two faces, genus zero
         f = LatticeExcursion([0, 1, 2, 3, 4, 3, 2, 1, 0])
-        t = tree_of_contour(f)
         xi = AdmissibleCorners("df", (4, 7), (1, 1))
-        m = insert_edges(t, xi)
+        m = insert_edges(f, xi)
         assert m.num_vertices == 5 and m.num_edges == 5
         degrees = sorted(m.degree(v) for v in range(m.num_vertices))
         assert degrees == [1, 2, 2, 2, 3]  # pendant root, the cycle, one junction
@@ -156,15 +230,15 @@ class TestFacesGenus:
 
     def test_planar_loop_two_faces(self):
         f = LatticeExcursion([0, 1, 2, 3, 4, 3, 2, 1, 0])
-        m = insert_edges(tree_of_contour(f), AdmissibleCorners("bf", (1, 7), (1, 1)))
+        m = insert_edges(f, AdmissibleCorners("bf", (1, 7), (1, 1)))
         assert len(m.faces()) == 2 and m.genus() == 0
 
     def test_genus_one_glue(self):
         # among the three double-loop maps on a single edge, only the crossing
         # pairing has genus one
-        t1 = tree_of_contour(LatticeExcursion([0, 1, 0]))
-        xs = [x for x in enumerate_admissible(t1, 2, "bf")
-              if insert_edges(t1, x).genus() == 1]
+        f1 = LatticeExcursion([0, 1, 0])
+        xs = [x for x in enumerate_admissible(f1, 2, "bf")
+              if insert_edges(f1, x).genus() == 1]
         assert len(xs) == 1
         assert xs[0].tags == (1, 3, 2, 4)  # ranks cross: (1,3)(2,4) on the four slots
 
@@ -172,9 +246,8 @@ class TestFacesGenus:
         for n in range(1, 5):
             for s in range(0, 3):
                 for f in enumerate_excursions(n):
-                    t = tree_of_contour(f)
-                    for xi in enumerate_admissible(t, s, "bf"):
-                        m = insert_edges(t, xi)
+                    for xi in enumerate_admissible(f, s, "bf"):
+                        m = insert_edges(f, xi)
                         assert m.num_vertices - m.num_edges + len(m.faces()) == 2 - 2 * m.genus()
                         assert m.genus() >= 0
 
@@ -204,41 +277,36 @@ class TestPairings:
 
 class TestGlue:
     def test_unicellular_glue_example(self):
-        t = tree_of_contour(DOUBLE3)
-        m, uni = unicellular_glue(t, G1, (1, 2, 3, 4), strict=True)
+        assert glue_heights_ok(DOUBLE3, G1, (1, 2, 3, 4))
+        m, uni = unicellular_glue(DOUBLE3, G1, (1, 2, 3, 4))
         assert uni and m.genus() == 1
         assert len(m.faces()) == 1
 
     def test_height_rule_violation(self):
-        t = tree_of_contour(DOUBLE3)
         assert not glue_heights_ok(DOUBLE3, G1, (1, 2, 4, 5))
-        with pytest.raises(ValueError):
-            unicellular_glue(t, G1, (1, 2, 4, 5), strict=True)
-        # non-strict glue still succeeds
-        m, uni = unicellular_glue(t, G1, (1, 2, 4, 5))
+        # the glue itself does not check the heights
+        m, uni = unicellular_glue(DOUBLE3, G1, (1, 2, 4, 5))
         assert isinstance(uni, bool)
 
     def test_non_entangled_pairing_multi_face(self):
-        t = tree_of_contour(DOUBLE3)
-        m, uni = unicellular_glue(t, PermutationPairing(((1, 2), (3, 4))), (1, 2, 3, 4))
+        m, uni = unicellular_glue(DOUBLE3, PermutationPairing(((1, 2), (3, 4))), (1, 2, 3, 4))
         assert not uni
 
     def test_glued_bf_exploration_returns_tree(self):
-        t = tree_of_contour(DOUBLE3)
-        m, _ = unicellular_glue(t, G1, (1, 2, 3, 4), strict=True)
-        t2, xi2 = bf_explore(m)
-        assert t2 == t
+        assert glue_heights_ok(DOUBLE3, G1, (1, 2, 3, 4))
+        m, _ = unicellular_glue(DOUBLE3, G1, (1, 2, 3, 4))
+        f2, xi2 = bf_explore(m)
+        assert f2 == DOUBLE3
         assert xi2.indices == (1, 3, 2, 4)  # pairs sorted canonically
         assert set(xi2.tags) == {1}
 
     def test_dichotomy_small(self):
         entangled = {p.transpositions for p in entangled_pairings(1)}
         for f in enumerate_excursions(4):
-            t = tree_of_contour(f)
             for corners in combinations(range(1, 2 * 4), 4):
                 for p in all_pairings(4):
                     pp = PermutationPairing(p)
-                    _, uni = unicellular_glue(t, pp, corners)
+                    _, uni = unicellular_glue(f, pp, corners)
                     assert uni == (pp.transpositions in entangled)
 
 
@@ -258,8 +326,6 @@ class TestTupleCounts:
                 assert pairing_tuple_count(f, G1) == brute_tuple_count(f, G1)
 
     def test_dp_vs_brute_n40(self):
-        from surplus_lab.samplers import RngStream, sample_uniform_excursion
-
         f = sample_uniform_excursion(40, RngStream(17))
         assert pairing_tuple_count(f, G1) == brute_tuple_count(f, G1)
 
@@ -284,18 +350,16 @@ class TestTupleCounts:
 class TestMetric:
     def test_tree_radius_is_height(self):
         for f in enumerate_excursions(5):
-            t = tree_of_contour(f)
-            m = tree_map(t)
-            assert metric_from_root(m).radius == t.height()
+            m = tree_map(f)
+            assert metric_from_root(m).radius == tree_of_contour(f).height()
 
     def test_radius_and_balls_match_bf_tree(self):
         for n in range(1, 5):
             for s in range(0, 3):
                 for f in enumerate_excursions(n):
-                    t = tree_of_contour(f)
-                    for xi in enumerate_admissible(t, s, "bf"):
-                        m = insert_edges(t, xi)
-                        t2, _ = bf_explore(m)
+                    for xi in enumerate_admissible(f, s, "bf"):
+                        m = insert_edges(f, xi)
+                        t2 = tree_of_contour(bf_explore(m)[0])
                         metric = metric_from_root(m)
                         assert metric.radius == t2.height()
                         assert list(metric.level_counts) == list(height_profile(t2).z)
@@ -316,7 +380,7 @@ class TestJsonAndCanonical:
             RootedMap.from_json_dict(data)
 
     def test_inconsistent_counts(self):
-        m = tree_map(tree_of_contour(PATH2))
+        m = tree_map(PATH2)
         data = m.to_json_dict()
         data["n"] = 9
         with pytest.raises(ValueError):

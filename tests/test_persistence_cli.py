@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from surplus_lab import maps, persistence, samplers
+from surplus_lab import checks, cli, estimators, lattice_paths, maps, persistence, samplers
 from surplus_lab.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
 from surplus_lab.maps import TUPLE_ENUMERATION_CAP, genus_one_terms
 from surplus_lab.samplers import enumerate_maps
@@ -205,6 +205,31 @@ class TestCli:
         # sample draws one excursion per replicate, estimate two (map and contour routes)
         replicates = 4 if argv[0] == "sample" else 8
         assert len(calls) == replicates
+
+    @pytest.mark.parametrize("argv", [
+        ["sample", "map", "--n", "12", "--s", "2", "--reps", "2", "--seed", "5"],
+        ["sample", "map", "--n", "50", "--s", "2", "--reps", "2", "--seed", "5"],
+        ["sample", "crum", "--n", "12", "--g", "1", "--reps", "2", "--seed", "5"],
+        ["sample", "tree", "--n", "12", "--reps", "2", "--seed", "5"],
+        ["enumerate", "--family", "m", "--n", "3", "--s", "1"],
+    ])
+    def test_map_paths_decode_no_tree(self, argv, tmp_path, monkeypatch):
+        # maps are built from the contour: no tree decode and no re-encoding
+        calls = []
+
+        def counted(fn):
+            def wrapped(*args):
+                calls.append(fn.__name__)
+                return fn(*args)
+            return wrapped
+
+        for name in ("tree_of_contour", "contour_of_tree"):
+            wrapped = counted(getattr(lattice_paths, name))
+            for module in (lattice_paths, maps, samplers, checks, estimators, cli):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, wrapped)
+        assert main(argv + ["--out", str(tmp_path / "o")]) == EXIT_OK
+        assert calls == []
 
     def test_counts_command(self, tmp_path, capsys):
         out = tmp_path / "c"

@@ -20,12 +20,13 @@ from surplus_lab.maps import (
     adjacency,
     bfs_distances,
     entangled_pairings,
+    glue_heights_ok,
     insert_edges,
     metric_from_root,
     tree_adjacency,
     unicellular_glue,
 )
-from surplus_lab import local_time, samplers
+from surplus_lab import local_time, maps, samplers
 from surplus_lab.samplers import (
     DegenerateEnsembleError,
     WeightedEnsemble,
@@ -294,7 +295,8 @@ class TestUnicellularDecoration:
                 pairing, _, corners = sample_unicellular_decoration(f, 1, rng.substream(1, r))
             except DegenerateEnsembleError:
                 continue
-            m, uni = unicellular_glue(tree_of_contour(f), pairing, corners, strict=True)
+            assert glue_heights_ok(f, pairing, corners)
+            m, uni = unicellular_glue(f, pairing, corners)
             assert uni and m.genus() == 1
 
     def test_degenerate(self):
@@ -440,13 +442,12 @@ class TestContourDistances:
                 continue
             gen = rng.substream(r).generator()
             exc = sample_uniform_excursion(n, gen)
-            tree = tree_of_contour(exc)
             if mode == "um":
                 pairing, _, corners = sample_unicellular_decoration(exc, tilt, gen)
-                m, unicellular = unicellular_glue(tree, pairing, corners)
+                m, unicellular = unicellular_glue(exc, pairing, corners)
                 assert unicellular
             else:
-                m = insert_edges(tree, sample_corners_bf(exc, tilt, gen))
+                m = insert_edges(exc, sample_corners_bf(exc, tilt, gen))
             # tree vertex v >= 1 owns the up-half 2(v-1)+1 of its parent edge
             label = [m.origin[m.root]] + [m.origin[2 * v - 1] for v in range(1, n + 1)]
             metric = metric_from_root(m)
@@ -467,6 +468,23 @@ class TestContourDistances:
 
 
 class TestMapSampling:
+    @pytest.mark.parametrize("n,s", [(30, 1), (12, 2), (60, 2), (30, 3)])
+    def test_one_corner_index_per_draw(self, n, s, monkeypatch):
+        # the corner draw and the weight of a map draw read one index
+        calls = []
+
+        def counted(values):
+            calls.append(values)
+            return corner_index(values)
+
+        for module in (local_time, maps, samplers):
+            monkeypatch.setattr(module, "corner_index", counted)
+        reps = 5
+        for r in range(reps):
+            _, xi, weight = sample_map_decoration(n, s, RngStream(9).substream(r))
+            assert xi.s == s and weight > 0
+        assert len(calls) == reps
+
     def test_enumeration_counts(self):
         assert len(enumerate_maps(1, 1)) == 1
         assert len(enumerate_maps(2, 1)) == 5
@@ -489,7 +507,7 @@ class TestMapSampling:
         acc = Counter()
         for r in range(reps):
             exc, xi, w = sample_map_decoration(3, 1, rng.substream(r))
-            m = insert_edges(tree_of_contour(exc), xi, validate=False)
+            m = insert_edges(exc, xi, validate=False)
             acc[m.canonical_key()] += w
         universe = {m.canonical_key() for m in enumerate_maps(3, 1)}
         assert set(acc) == universe
@@ -506,7 +524,7 @@ class TestMapSampling:
         acc = Counter()
         for r in range(reps):
             exc, xi, w = sample_map_decoration(2, 2, rng.substream(r))
-            m = insert_edges(tree_of_contour(exc), xi, validate=False)
+            m = insert_edges(exc, xi, validate=False)
             acc[m.canonical_key()] += w
         universe = {m.canonical_key() for m in enumerate_maps(2, 2)}
         assert set(acc) == universe
@@ -687,11 +705,12 @@ class TestDecorationCounts:
 
         for n in range(1, 6):
             for f in enumerate_excursions(n):
-                t = tree_of_contour(f)
                 for mode in ("bf", "df"):
                     for s in (0, 1, 2):
                         assert decoration_count(f, s, mode) == \
-                            len(enumerate_admissible(t, s, mode))
+                            len(enumerate_admissible(f, s, mode))
+                        assert decoration_count(corner_index(f.values), s, mode) == \
+                            decoration_count(f, s, mode)
                     gap = 2 * decoration_count(f, 2, mode) - decoration_count(f, 1, mode) ** 2
                     assert decoration_count_gap(f, 2, mode) == gap
 
@@ -765,11 +784,9 @@ class TestEnsembleInvariants:
         import numpy as np
 
         with pytest.raises(ValueError):
-            WeightedEnsemble(n=1, mode="bf", tilt=0, proposal="x", seed=0, stream=(),
-                             weights=np.array([0.0, 0.0]))
+            WeightedEnsemble(mode="bf", tilt=0, weights=np.array([0.0, 0.0]))
         with pytest.raises(ValueError):
-            WeightedEnsemble(n=1, mode="bf", tilt=0, proposal="x", seed=0, stream=(),
-                             weights=np.array([1.0, np.inf]))
+            WeightedEnsemble(mode="bf", tilt=0, weights=np.array([1.0, np.inf]))
 
     def test_ess_range(self):
         ens = tilted_ensemble(10, 1, "bf", 64, RngStream(2), {})
