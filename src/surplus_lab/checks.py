@@ -88,8 +88,6 @@ def bijection_suite(n_max: int = 5, s_max: int = 2) -> SuiteResult:
                         f2, xi2 = explore(m)
                         if f2 != f or xi2 != xi:
                             ok_round = False
-                        if insert_edges(f2, xi2).canonical_key() != key:
-                            ok_round = False
                 res.add(f"{mode}-roundtrip-n{n}-s{s}", ok_round, f"{len(built)} maps")
             res.add(f"same-map-set-n{n}-s{s}", keys["bf"] == keys["df"],
                     f"bf={len(keys['bf'])} df={len(keys['df'])}")

@@ -23,7 +23,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-# Default size cap for exhaustive enumeration of excursions.
+# Size cap for exhaustive enumeration of excursions.
 ENUMERATION_CAP = 12
 
 
@@ -352,12 +352,12 @@ def excursion_from_shape(shape: LatticeBridge) -> LatticeExcursion:
     return LatticeExcursion(vals, validate=False)
 
 
-def enumerate_excursions(n: int, cap: int = ENUMERATION_CAP) -> list[LatticeExcursion]:
+def enumerate_excursions(n: int) -> list[LatticeExcursion]:
     """All contour excursions of half-length ``n``; there are Catalan(n-1) of them."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n > cap:
-        raise EnumerationCapExceeded(f"n={n} exceeds enumeration cap {cap}")
+    if n > ENUMERATION_CAP:
+        raise EnumerationCapExceeded(f"n={n} exceeds enumeration cap {ENUMERATION_CAP}")
     out: list[LatticeExcursion] = []
     # interior = 1 + Dyck path of length 2n-2
     path = [0] * (2 * n + 1)
@@ -384,10 +384,10 @@ def enumerate_excursions(n: int, cap: int = ENUMERATION_CAP) -> list[LatticeExcu
     return out
 
 
-def enumerate_bridges(n: int, cap: int = 8) -> list[LatticeBridge]:
+def enumerate_bridges(n: int) -> list[LatticeBridge]:
     """All +-1 bridges from 0 to -1 with ``2n + 1`` steps."""
-    if n > cap:
-        raise EnumerationCapExceeded(f"n={n} exceeds enumeration cap {cap}")
+    if n > 8:
+        raise EnumerationCapExceeded(f"n={n} exceeds enumeration cap 8")
     from itertools import combinations
 
     length = 2 * n + 1

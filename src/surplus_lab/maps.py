@@ -12,8 +12,10 @@ Surplus edges are recorded against the contour excursion of a spanning plane
 tree as a decoration: a list of corner indices (contour times) plus small
 integer tags that order parallel insertions sharing a corner.
 ``insert_edges`` builds the map of a decorated excursion in one pass over the
-contour; the breadth-first and depth-first explorations invert it, returning
-the excursion and the decoration.
+contour.  The breadth-first and depth-first explorations invert it with one
+shared contour walk of the map, which reads the excursion and the decoration
+together: breadth-first hands the walk its spanning tree, depth-first lets the
+walk choose the tree as it goes.
 """
 
 from __future__ import annotations
@@ -355,97 +357,39 @@ def _bf_tree_halves(m: RootedMap) -> set[int]:
     return tree
 
 
-def _df_tree_halves(m: RootedMap) -> set[int]:
-    """Half-edges kept by the contour walk that deletes cycle-closing edges."""
-    tree = {m.root, m.alpha[m.root]}
-    visited = {m.origin[m.root], m.origin[m.alpha[m.root]]}
-    deleted: set[int] = set()
-    two_n = 2 * (m.num_vertices - 1)
-    cur = m.root
-    i = 1
-    while i < two_n:
-        h = m.sigma[m.alpha[cur]]
-        while h in deleted:
-            h = m.sigma[h]
-        if h in tree:
-            cur = h
-            i += 1
-            continue
-        w = m.origin[m.alpha[h]]
-        if w not in visited:
-            visited.add(w)
-            tree.add(h)
-            tree.add(m.alpha[h])
-            cur = h
-            i += 1
-        else:
-            deleted.add(h)
-            deleted.add(m.alpha[h])
-    return tree
+def _contour_walk(m: RootedMap, mode: str, tree: set[int]):
+    """The contour of a spanning tree inside ``m`` and the decoration of the rest.
 
-
-def _decoration_from_tree(m: RootedMap, tree_halves: set[int], mode: str):
-    two_n = len(tree_halves)
-    # contour sequence of the spanning tree inside m
-    seq = [m.root]
-    time_of = {m.root: 1}
-    cur = m.root
-    for k in range(2, two_n + 1):
-        h = m.sigma[m.alpha[cur]]
-        while h not in tree_halves:
-            h = m.sigma[h]
-        seq.append(h)
-        time_of[h] = k
-        cur = h
+    At each time the walk rotates from the twin of the half it arrived by and
+    skips the non-tree halves; a skipped half sits at the previous time's
+    corner, tagged by its 1-based place in the skipped run.  The walk then
+    steps up to a new vertex or down to a visited one.  Breadth-first passes
+    its whole tree; depth-first passes an empty set and grows the tree on the
+    way: a half whose far endpoint is unvisited joins it with its twin.
+    """
+    sigma, alpha, origin = m.sigma, m.alpha, m.origin
+    grow = mode == "df"
+    visited = [False] * m.num_vertices
+    visited[origin[m.root]] = True
     vals = [0]
-    tree_visited = {m.origin[m.root]}
-    for h in seq:
-        w = m.origin[m.alpha[h]]
-        if w not in tree_visited:
-            tree_visited.add(w)
-            vals.append(vals[-1] + 1)
-        else:
-            vals.append(vals[-1] - 1)
-    exc = LatticeExcursion(vals)
-    # corners and ranks of the surplus half-edges, one rotation walk per vertex
-    surplus = [h for h in range(m.num_half_edges) if h not in tree_halves]
-    corner_of: dict[int, int] = {}
-    rank_of: dict[int, int] = {}
-    done_vertices: set[int] = set()
-    for h0 in surplus:
-        v = m.origin[h0]
-        if v in done_vertices:
-            continue
-        done_vertices.add(v)
-        rot = []
-        h = h0
-        while True:
-            rot.append(h)
-            h = m.sigma[h]
-            if h == h0:
+    found: dict[int, tuple[int, int]] = {}  # surplus half -> (corner, tag)
+    h = m.root
+    for t in range(1, 2 * m.n + 1):
+        tag = 0
+        while h not in tree:
+            if grow and not visited[origin[alpha[h]]]:
+                tree.update((h, alpha[h]))
                 break
-        start = next(idx for idx, g in enumerate(rot) if g in tree_halves)
-        ordered = rot[start:] + rot[:start]
-        run: list[int] = []
-        for g in ordered[1:] + ordered[:1]:
-            if g in tree_halves:
-                for r, x in enumerate(run):
-                    corner_of[x] = time_of[g] - 1
-                    rank_of[x] = r + 1
-                run = []
-            else:
-                run.append(g)
-    pair_list = []
-    seen: set[int] = set()
-    for h in surplus:
-        if h in seen:
-            continue
-        seen.add(h)
-        seen.add(m.alpha[h])
-        a = (corner_of[h], rank_of[h])
-        b = (corner_of[m.alpha[h]], rank_of[m.alpha[h]])
-        pair_list.append(min(a, b) + max(a, b))
-    xi = AdmissibleCorners.from_tagged(mode, pair_list)
+            tag += 1
+            found[h] = (t - 1, tag)
+            h = sigma[h]
+        w = origin[alpha[h]]
+        vals.append(vals[-1] - 1 if visited[w] else vals[-1] + 1)
+        visited[w] = True
+        h = sigma[alpha[h]]
+    exc = LatticeExcursion(vals)
+    xi = AdmissibleCorners.from_tagged(
+        mode, [a + found[alpha[h]] for h, a in found.items() if a < found[alpha[h]]])
     xi.validate(exc)
     return exc, xi
 
@@ -453,13 +397,13 @@ def _decoration_from_tree(m: RootedMap, tree_halves: set[int], mode: str):
 def bf_explore(m: RootedMap) -> tuple[LatticeExcursion, AdmissibleCorners]:
     """Contour of the breadth-first spanning tree and the decoration that recovers ``m``."""
     _require_msns(m)
-    return _decoration_from_tree(m, _bf_tree_halves(m), "bf")
+    return _contour_walk(m, "bf", _bf_tree_halves(m))
 
 
 def df_explore(m: RootedMap) -> tuple[LatticeExcursion, AdmissibleCorners]:
     """Contour of the depth-first spanning tree and the decoration that recovers ``m``."""
     _require_msns(m)
-    return _decoration_from_tree(m, _df_tree_halves(m), "df")
+    return _contour_walk(m, "df", set())
 
 
 # -- enumeration of decorations ----------------------------------------------
@@ -730,17 +674,11 @@ def pairing_tuple_count(f: LatticeExcursion, pairing: PermutationPairing) -> int
 
     Counts tuples ``r_1 < ... < r_4g`` in ``[1, 2n-1]`` such that each glued
     pair of corners drops by zero or one level.  Genus one sums
-    :func:`genus_one_terms`; higher genus enumerates the tuples, which is
-    O(n^{4g}), and raises :class:`EnumerationCapExceeded` above
-    ``n = TUPLE_ENUMERATION_CAP``.
+    :func:`genus_one_terms`; higher genus enumerates the tuples.
     """
     if pairing.g == 1:
         return genus_one_terms(f).total
-    if f.n > TUPLE_ENUMERATION_CAP:
-        raise EnumerationCapExceeded(
-            f"genus-{pairing.g} tuple counts enumerate the tuples and are capped at "
-            f"n<={TUPLE_ENUMERATION_CAP} (got n={f.n})")
-    return sum(1 for _ in enumerate_pairing_tuples(f, pairing))
+    return len(enumerate_pairing_tuples(f, pairing))
 
 
 @dataclass(frozen=True)
@@ -786,17 +724,27 @@ def genus_one_terms(f: LatticeExcursion) -> GenusOneTerms:
     return terms
 
 
-def enumerate_pairing_tuples(f: LatticeExcursion, pairing: PermutationPairing):
-    """Yield every increasing gluable corner tuple (small sizes only)."""
+def enumerate_pairing_tuples(f: LatticeExcursion,
+                             pairing: PermutationPairing) -> list[tuple[int, ...]]:
+    """Every increasing gluable corner tuple, in lexicographic order.
+
+    This is O(n^{4g}); genus two and above raise
+    :class:`EnumerationCapExceeded` above ``n = TUPLE_ENUMERATION_CAP``.
+    """
+    if pairing.g > 1 and f.n > TUPLE_ENUMERATION_CAP:
+        raise EnumerationCapExceeded(
+            f"genus-{pairing.g} tuple counts enumerate the tuples and are capped at "
+            f"n<={TUPLE_ENUMERATION_CAP} (got n={f.n})")
     vals = f.values.tolist()
     two_n = len(vals) - 1
     size = 4 * pairing.g
     close_at = {b: a for a, b in pairing.transpositions}
     chosen = [0] * (size + 1)
+    out: list[tuple[int, ...]] = []
 
-    def rec(pos: int, start: int):
+    def rec(pos: int, start: int) -> None:
         if pos > size:
-            yield tuple(chosen[1:])
+            out.append(tuple(chosen[1:]))
             return
         for t in range(start, two_n - (size - pos)):
             if pos in close_at:
@@ -804,6 +752,7 @@ def enumerate_pairing_tuples(f: LatticeExcursion, pairing: PermutationPairing):
                 if not 0 <= ha - vals[t] <= 1:
                     continue
             chosen[pos] = t
-            yield from rec(pos + 1, t + 1)
+            rec(pos + 1, t + 1)
 
-    yield from rec(1, 1)
+    rec(1, 1)
+    return out

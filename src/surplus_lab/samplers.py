@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, islice
+from itertools import combinations
 from math import factorial
 from typing import Callable
 
@@ -37,12 +37,12 @@ from .maps import (
     AdmissibleCorners,
     GenusOneTerms,
     RootedMap,
+    bfs_distances,
     enumerate_admissible,
     enumerate_pairing_tuples,
     entangled_pairings,
     genus_one_terms,
     insert_edges,
-    pairing_tuple_count,
 )
 
 
@@ -212,13 +212,15 @@ def sample_corners_df(f: LatticeExcursion, s: int, rng,
 
 
 def unicellular_terms(f: LatticeExcursion, g: int, pairings=None):
-    """The genus-``g`` pairings, their gluable-tuple counts and, at genus one,
-    the :class:`GenusOneTerms` behind the single count."""
+    """The genus-``g`` pairings, their gluable-tuple counts and what was counted:
+    at genus one the :class:`GenusOneTerms` behind the single count, above it
+    each pairing's list of gluable tuples."""
     pairings = entangled_pairings(g) if pairings is None else pairings
     if g == 1:
         terms = genus_one_terms(f)
         return pairings, [terms.total], terms
-    return pairings, [pairing_tuple_count(f, p) for p in pairings], None
+    tuples = [enumerate_pairing_tuples(f, p) for p in pairings]
+    return pairings, [len(t) for t in tuples], tuples
 
 
 def sample_unicellular_decoration(f: LatticeExcursion, g: int, rng, terms=None):
@@ -231,7 +233,7 @@ def sample_unicellular_decoration(f: LatticeExcursion, g: int, rng, terms=None):
     it already.
     """
     gen = as_generator(rng)
-    pairings, totals, genus_one = unicellular_terms(f, g) if terms is None else terms
+    pairings, totals, counted = unicellular_terms(f, g) if terms is None else terms
     grand = sum(totals)
     if grand == 0:
         raise DegenerateEnsembleError(f"no gluable corner tuples at n={f.n}, g={g}")
@@ -242,10 +244,9 @@ def sample_unicellular_decoration(f: LatticeExcursion, g: int, rng, terms=None):
         choice += 1
     pairing = pairings[choice]
     if g == 1:
-        corners = _sample_tuple_genus_one(f, genus_one, gen)
+        corners = _sample_tuple_genus_one(f, counted, gen)
     else:
-        target = int(gen.integers(totals[choice]))
-        corners = next(islice(enumerate_pairing_tuples(f, pairing), target, None))
+        corners = counted[choice][int(gen.integers(totals[choice]))]
     vals = f.values
     heights = tuple(int(vals[corners[a - 1]]) for a, b in pairing.transpositions)
     return pairing, heights, corners
@@ -500,11 +501,11 @@ def tilted_ensemble(n: int, tilt: int, mode: str, reps: int, rng: RngStream,
 # -- maps: enumeration and uniform sampling ---------------------------------------
 
 
-def enumerate_maps(n: int, s: int, mode: str = "bf", cap: int = 5) -> list[RootedMap]:
+def enumerate_maps(n: int, s: int, mode: str = "bf") -> list[RootedMap]:
     """All rooted maps with n+1 vertices, surplus s, and a degree-one root."""
     from .lattice_paths import enumerate_excursions
 
-    if n > cap or s > 2:
+    if n > 5 or s > 2:
         raise EnumerationCapExceeded(f"map enumeration capped at n<=5, s<=2 (got n={n}, s={s})")
     out = []
     seen = set()
@@ -580,32 +581,16 @@ def _edge(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
 
 
-def _is_connected(n: int, edges) -> bool:
-    adj: dict[int, list[int]] = {v: [] for v in range(1, n + 1)}
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    seen = {1}
-    stack = [1]
-    while stack:
-        u = stack.pop()
-        for v in adj[u]:
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    return len(seen) == n
-
-
-def enumerate_surplus_graphs(n: int, s: int, cap: int = 6) -> list[RootedGraph]:
+def enumerate_surplus_graphs(n: int, s: int) -> list[RootedGraph]:
     """All rooted connected simple graphs on [n] with surplus s."""
-    if n > cap or s > 2:
+    if n > 6 or s > 2:
         raise EnumerationCapExceeded(f"graph enumeration capped at n<=6, s<=2 (got n={n}, s={s})")
     all_pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
     out = []
     for subset in combinations(all_pairs, n - 1 + s):
-        if _is_connected(n, subset):
-            for root in range(1, n + 1):
-                out.append(RootedGraph(n, root, frozenset(subset)))
+        edges = frozenset(subset)
+        if -1 not in bfs_distances(RootedGraph(n, 1, edges).adjacency(), 1)[1:]:
+            out.extend(RootedGraph(n, root, edges) for root in range(1, n + 1))
     return out
 
 

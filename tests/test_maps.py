@@ -35,8 +35,10 @@ from surplus_lab.maps import (
 
 from surplus_lab.samplers import (
     RngStream,
+    enumerate_maps,
     sample_corners_bf,
     sample_corners_df,
+    sample_map_decoration,
     sample_uniform_excursion,
 )
 
@@ -51,6 +53,16 @@ G1 = PermutationPairing(((1, 3), (2, 4)))
 def tree_map(f):
     """The plane tree coded by ``f`` itself as a rooted map (no surplus edges)."""
     return insert_edges(f, AdmissibleCorners("bf", (), ()))
+
+
+def relabel(m: RootedMap, perm) -> RootedMap:
+    """``m`` with half-edge ``h`` renamed ``perm[h]``; the root moves with it."""
+    sigma = [0] * len(perm)
+    alpha = [0] * len(perm)
+    for h, p in enumerate(perm):
+        sigma[p] = perm[m.sigma[h]]
+        alpha[p] = perm[m.alpha[h]]
+    return RootedMap(sigma, alpha, perm[m.root])
 
 
 def oracle_rotation_system(tree: PlaneTree, corners: AdmissibleCorners):
@@ -166,6 +178,34 @@ class TestInsertExplore:
                         f2, xi2 = explore(m)
                         assert f2 == f
                         assert xi2 == xi
+
+    def test_roundtrip_n1000(self):
+        rng = RngStream(1000)
+        for r in range(200):
+            gen = rng.substream(r).generator()
+            s = 1 + r % 3
+            if r % 2:
+                f, xi, _ = sample_map_decoration(1000, s, gen)
+            else:
+                f = sample_uniform_excursion(1000, gen)
+                xi = sample_corners_df(f, s, gen)
+            explore = bf_explore if xi.mode == "bf" else df_explore
+            assert explore(insert_edges(f, xi)) == (f, xi)
+
+    def test_explorations_ignore_half_edge_ids(self):
+        # maps read from JSON need not carry the ids insert_edges gives
+        rng = RngStream(77)
+        maps = [m for n in range(1, 5) for s in range(3) for m in enumerate_maps(n, s)]
+        for r in range(6):
+            gen = rng.substream(r).generator()
+            f = sample_uniform_excursion(200, gen)
+            draw = sample_corners_bf if r % 2 else sample_corners_df
+            maps.append(insert_edges(f, draw(f, 1 + r % 3, gen)))
+        gen = rng.generator()
+        for m in maps:
+            moved = relabel(m, gen.permutation(m.num_half_edges).tolist())
+            assert bf_explore(moved) == bf_explore(m)
+            assert df_explore(moved) == df_explore(m)
 
     def test_bf_height_rule_on_explored_maps(self):
         for f in enumerate_excursions(4):
