@@ -54,21 +54,17 @@ def _orbits(perm) -> tuple[list[list[int]], list[int]]:
 class RootedMap:
     """Rooted map on half-edges 0..2E-1 with clockwise rotations."""
 
-    __slots__ = ("sigma", "alpha", "root", "origin", "num_vertices")
+    __slots__ = ("sigma", "alpha", "root", "origin", "_cycles")
 
     def __init__(self, sigma, alpha, root: int, check: bool = True):
         self.sigma = list(sigma)
         self.alpha = list(alpha)
         self.root = root
-        self.origin, self.num_vertices = self._orbit_labels()
+        self._cycles, self.origin = _orbits(self.sigma)
         if check:
             self._check()
 
     # -- structure -------------------------------------------------------
-
-    def _orbit_labels(self):
-        cycles, origin = _orbits(self.sigma)
-        return origin, len(cycles)
 
     def _check(self):
         n_half = len(self.sigma)
@@ -101,6 +97,10 @@ class RootedMap:
             raise ValueError("root vertex must have degree one")
 
     @property
+    def num_vertices(self) -> int:
+        return len(self._cycles)
+
+    @property
     def num_half_edges(self) -> int:
         return len(self.sigma)
 
@@ -121,7 +121,8 @@ class RootedMap:
         return sum(1 for h in range(self.num_half_edges) if self.origin[h] == v)
 
     def rotation_cycles(self) -> list[list[int]]:
-        return _orbits(self.sigma)[0]
+        """The vertex rotations, as computed once at construction; do not mutate."""
+        return self._cycles
 
     # -- faces and genus ---------------------------------------------------
 

@@ -130,7 +130,32 @@ def replay(manifest_path: Path, scratch: Path) -> RunManifest:
 
 
 def save_map(m: RootedMap, path: Path) -> None:
-    path.write_text(json.dumps(m.to_json_dict(), indent=2, sort_keys=True) + "\n")
+    """Write ``json.dumps(m.to_json_dict(), indent=2, sort_keys=True) + "\\n"``.
+
+    The map schema holds only ints, int lists and lists of int lists, so the
+    same bytes are joined directly instead of going through the pure-Python
+    indenting encoder.
+    """
+    items = sorted(m.to_json_dict().items())
+    path.write_text("{\n" + ",\n".join(f'  "{k}": {_indented(v, "  ")}' for k, v in items)
+                    + "\n}\n")
+
+
+def _indented(value, pad: str) -> str:
+    """``json.dumps(value, indent=2)`` nested at ``pad``, for an int, an int list or
+    a list of non-empty int lists (rotation cycles are never empty)."""
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if not value:
+        return "[]"
+    inner = pad + "  "
+    if isinstance(value[0], int):
+        items = map(int.__repr__, value)
+    else:
+        deep = inner + "  "
+        sep = f",\n{deep}"
+        items = [f"[\n{deep}{sep.join(map(int.__repr__, v))}\n{inner}]" for v in value]
+    return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}]"
 
 
 def load_map(path: Path) -> RootedMap:

@@ -595,33 +595,79 @@ def enumerate_surplus_graphs(n: int, s: int) -> list[RootedGraph]:
 
 
 def spanning_tree_count(n: int, edges) -> int:
-    """Matrix-tree count via an exact integer (Bareiss) determinant."""
-    if n == 1:
-        return 1
-    lap = [[0] * n for _ in range(n)]
-    for u, v in edges:
-        lap[u - 1][u - 1] += 1
-        lap[v - 1][v - 1] += 1
-        lap[u - 1][v - 1] -= 1
-        lap[v - 1][u - 1] -= 1
-    m = [row[1:] for row in lap[1:]]
-    size = n - 1
-    prev = 1
-    for k in range(size - 1):
-        if m[k][k] == 0:
-            for swap in range(k + 1, size):
-                if m[swap][k] != 0:
-                    m[k], m[swap] = m[swap], m[k]
-                    for row in m:
-                        row[k], row[swap] = row[swap], row[k]
-                    break
-            else:
-                return 0
-        for i in range(k + 1, size):
-            for j in range(k + 1, size):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return m[size - 1][size - 1]
+    """Exact number of spanning trees of the multigraph on [n] with ``edges``.
+
+    Disconnected graphs give 0, and loops are ignored.  Pruning leaves keeps
+    the count, so τ(G) = τ(2-core): an empty core gives 1 and a core that is
+    one cycle gives its length.  Otherwise each path of degree-2 core vertices
+    between kernel vertices (core degree >= 3) is series-reduced to one kernel
+    edge of length ℓ, and τ = Π ℓ_e · det(reduced kernel Laplacian with
+    conductances 1/ℓ_e), as in Janson, Knuth, Łuczak & Pittel (1993).  A loop
+    path contributes its ℓ and no Laplacian entry.  The kernel of a surplus-s
+    graph has at most 2(s-1) vertices, so the cost is O(n + s³).
+    """
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(n + 1)]
+    for eid, (u, v) in enumerate(edges):
+        if u != v:
+            adj[u].append((v, eid))
+            adj[v].append((u, eid))
+    if -1 in bfs_distances([[w for w, _ in nbrs] for nbrs in adj], 1)[1:]:
+        return 0
+    deg = [len(nbrs) for nbrs in adj]
+    leaves = [v for v in range(1, n + 1) if deg[v] == 1]
+    while leaves:
+        v = leaves.pop()
+        deg[v] = 0
+        for w, _ in adj[v]:
+            if deg[w]:
+                deg[w] -= 1
+                if deg[w] == 1:
+                    leaves.append(w)
+    core = [v for v in range(1, n + 1) if deg[v] >= 2]
+    kernel = {v: i for i, v in enumerate(v for v in core if deg[v] >= 3)}
+    if not kernel:
+        return max(len(core), 1)
+    lap = [[Fraction(0)] * len(kernel) for _ in kernel]
+    scale = 1
+    walked: set[int] = set()
+    for a, ia in kernel.items():
+        for w, first in adj[a]:
+            if deg[w] < 2 or first in walked:
+                continue
+            length, prev, cur = 1, first, w
+            while deg[cur] == 2:
+                cur, prev = next((x, e) for x, e in adj[cur] if deg[x] >= 2 and e != prev)
+                length += 1
+            walked.update((first, prev))
+            scale *= length
+            ib = kernel[cur]
+            if ia != ib:
+                conductance = Fraction(1, length)
+                lap[ia][ia] += conductance
+                lap[ib][ib] += conductance
+                lap[ia][ib] -= conductance
+                lap[ib][ia] -= conductance
+    return int(scale * _det([row[1:] for row in lap[1:]]))
+
+
+def _det(m: list[list[Fraction]]) -> Fraction:
+    """Determinant of a positive definite matrix (consumed), by elimination.
+
+    A reduced Laplacian of a connected graph is positive definite, so no pivot vanishes.
+    """
+    det = Fraction(1)
+    for k, row in enumerate(m):
+        det *= row[k]
+        for other in m[k + 1:]:
+            factor = other[k] / row[k]
+            for j in range(k, len(m)):
+                other[j] -= factor * row[j]
+    return det
+
+
+def _pair_rank(n: int, u, v):
+    """Lexicographic rank of the pair ``u < v`` among all pairs of [n]."""
+    return (u - 1) * (2 * n - u) // 2 + v - u - 1
 
 
 def sample_surplus_graph(n: int, s: int, rng) -> tuple[RootedGraph, float]:
@@ -629,16 +675,31 @@ def sample_surplus_graph(n: int, s: int, rng) -> tuple[RootedGraph, float]:
 
     Proposal: uniform rooted labeled tree plus ``s`` uniform distinct
     non-tree edges; weight ``1 / (number of spanning trees)`` corrects the
-    multiplicity with which each graph arises.
+    multiplicity with which each graph arises.  The non-tree edges are drawn
+    as ranks k among the lexicographically ordered non-tree pairs: the k-th
+    free rank skips past the sorted ranks of the tree edges and is unranked
+    to its pair, so no list of the O(n²) free pairs is built.
     """
     gen = as_generator(rng)
     tree = sample_labeled_tree(n, gen)
     tree_edges = {_edge(v, tree.parent[v]) for v in range(1, n + 1) if v != tree.root}
-    pool = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)
-            if (u, v) not in tree_edges]
-    if len(pool) < s:
+    free = n * (n - 1) // 2 - (n - 1)
+    if free < s:
         raise DegenerateEnsembleError(f"no simple graph on {n} vertices with surplus {s}")
-    extra = [pool[int(k)] for k in gen.choice(len(pool), size=s, replace=False)] if s else []
+    extra = []
+    if s:
+        ks = gen.choice(free, size=s, replace=False)
+        parent = np.asarray(tree.parent, dtype=np.int64)
+        kids = np.flatnonzero(parent)
+        ends = parent[kids]
+        taken = np.sort(_pair_rank(n, np.minimum(kids, ends), np.maximum(kids, ends)))
+        # free ranks below taken[i]: taken[i] - i; the k-th free rank is k plus
+        # the number of taken ranks with at most k free ranks below them
+        ranks = ks + np.searchsorted(taken - np.arange(len(taken)), ks, side="right")
+        firsts = np.arange(1, n)
+        u = np.searchsorted(_pair_rank(n, firsts, firsts + 1), ranks, side="right")
+        v = ranks - _pair_rank(n, u, u + 1) + u + 1
+        extra = list(zip(u.tolist(), v.tolist()))
     edges = frozenset(tree_edges | set(extra))
     graph = RootedGraph(n, tree.root, edges)
     return graph, 1.0 / spanning_tree_count(n, edges)

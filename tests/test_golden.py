@@ -49,6 +49,8 @@ CASES = {
     "sample-map-enumerated": ["sample", "map", "--n", "12", "--s", "2", "--reps", "4",
                               "--seed", "33"],
     "sample-graph": ["sample", "graph", "--n", "8", "--s", "2", "--reps", "3", "--seed", "32"],
+    "sample-graph-n60": ["sample", "graph", "--n", "60", "--s", "3", "--reps", "4",
+                         "--seed", "34"],
     "sample-crum": ["sample", "crum", "--n", "12", "--g", "1", "--reps", "3", "--seed", "21"],
     "sample-crum-n60": ["sample", "crum", "--n", "60", "--g", "1", "--reps", "6", "--seed", "22"],
     "sample-crum-g2": ["sample", "crum", "--n", "8", "--g", "2", "--reps", "3", "--seed", "23"],
@@ -152,6 +154,10 @@ DIGESTS = {
     'sample-graph': {
         'graphs.csv':
             '78869ac7ae2a627b33d6d695f3e95f63b721c4fda1fde05ff61e8006467b9491',
+    },
+    'sample-graph-n60': {
+        'graphs.csv':
+            '92f037c67b80c74eceb5dda8e8e6d75f1252ebef2535587d522284aadbf55a7b',
     },
     'sample-crum': {
         'crum_0.json':

@@ -23,6 +23,43 @@ class TestPersistence:
             persistence.save_map(m2, path2)
             assert path.read_bytes() == path2.read_bytes()
 
+    @staticmethod
+    def assert_saved_as_json(m, path):
+        """``save_map`` writes the indented ``json.dumps`` bytes; ``load_map`` reads them back."""
+        persistence.save_map(m, path)
+        expected = json.dumps(m.to_json_dict(), indent=2, sort_keys=True) + "\n"
+        assert path.read_bytes() == expected.encode()
+        assert persistence.load_map(path).canonical_key() == m.canonical_key()
+
+    def test_save_map_bytes_enumerated(self, tmp_path):
+        for n in range(1, 5):
+            for s in range(3):
+                for m in enumerate_maps(n, s):
+                    self.assert_saved_as_json(m, tmp_path / "m.json")
+
+    def test_save_map_bytes_sampled(self, tmp_path):
+        rng = samplers.RngStream(71)
+        for r in range(20):
+            m, _ = samplers.sample_uniform_map(1000, 2, rng.substream(r))
+            self.assert_saved_as_json(m, tmp_path / "m.json")
+
+    @pytest.mark.parametrize("n,g", [(60, 1), (8, 2)])
+    def test_save_map_bytes_crum(self, tmp_path, n, g):
+        rng = samplers.RngStream(72 + g)
+        saved = 0
+        for r in range(6):
+            gen = rng.substream(r).generator()
+            exc = samplers.sample_uniform_excursion(n, gen)
+            try:
+                pairing, _, corners = samplers.sample_unicellular_decoration(exc, g, gen)
+            except samplers.DegenerateEnsembleError:
+                continue
+            m, unicellular = maps.unicellular_glue(exc, pairing, corners)
+            assert unicellular and m.genus() == g
+            self.assert_saved_as_json(m, tmp_path / "m.json")
+            saved += 1
+        assert saved
+
     def test_bad_map_schema(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"schema": 99, "root": 0, "involution": [1, 0],

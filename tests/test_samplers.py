@@ -534,6 +534,36 @@ class TestMapSampling:
             assert abs(wsum / total - p) < three_sigma(p, reps) + 0.01
 
 
+def bareiss_tree_count(n: int, edges) -> int:
+    """Matrix-tree oracle: the reduced Laplacian's determinant by exact integer Bareiss."""
+    if n == 1:
+        return 1
+    lap = [[0] * n for _ in range(n)]
+    for u, v in edges:
+        lap[u - 1][u - 1] += 1
+        lap[v - 1][v - 1] += 1
+        lap[u - 1][v - 1] -= 1
+        lap[v - 1][u - 1] -= 1
+    m = [row[1:] for row in lap[1:]]
+    size = n - 1
+    prev = 1
+    for k in range(size - 1):
+        if m[k][k] == 0:
+            for swap in range(k + 1, size):
+                if m[swap][k] != 0:
+                    m[k], m[swap] = m[swap], m[k]
+                    for row in m:
+                        row[k], row[swap] = row[swap], row[k]
+                    break
+            else:
+                return 0
+        for i in range(k + 1, size):
+            for j in range(k + 1, size):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return m[size - 1][size - 1]
+
+
 class TestSurplusGraphs:
     def test_counts(self):
         assert len(enumerate_surplus_graphs(2, 1)) == 0
@@ -547,6 +577,62 @@ class TestSurplusGraphs:
         assert spanning_tree_count(4, k4) == 16
         assert spanning_tree_count(4, [(1, 2), (2, 3), (3, 4)]) == 1
         assert spanning_tree_count(4, [(1, 2), (3, 4)]) == 0
+
+    def test_tree_count_matches_bareiss_exhaustive(self):
+        for n in range(1, 7):
+            for s in range(3):
+                for edges in {g.edges for g in enumerate_surplus_graphs(n, s)}:
+                    assert spanning_tree_count(n, edges) == bareiss_tree_count(n, edges)
+
+    def test_tree_count_matches_bareiss_random(self):
+        rnd = np.random.default_rng(61)
+        kinds = Counter()
+        for _ in range(300):
+            n = int(rnd.integers(2, 41))
+            pairs = list(combinations(range(1, n + 1), 2))
+            if rnd.random() < 0.5:
+                # a random tree plus up to 6 surplus edges: sparse, often several kernel vertices
+                parent = [0, 0] + [int(rnd.integers(1, v)) for v in range(2, n + 1)]
+                extra = rnd.choice(len(pairs), size=min(len(pairs), int(rnd.integers(7))),
+                                   replace=False)
+                edges = {(parent[v], v) for v in range(2, n + 1)} | {pairs[k] for k in extra}
+            else:
+                p = rnd.choice([0.03, 0.1, 0.5, 0.9])
+                edges = {e for e in pairs if rnd.random() < p}
+            tau = spanning_tree_count(n, edges)
+            assert tau == bareiss_tree_count(n, edges)
+            kinds["disconnected" if tau == 0 else "dense" if len(edges) > 2 * n
+                  else "sparse"] += 1
+        assert min(kinds.values()) >= 20 and len(kinds) == 3
+
+    def test_tree_count_kernels(self):
+        # theta graph: three paths of lengths 2, 3, 4 between two kernel vertices
+        theta = [(1, 2), (2, 3), (1, 4), (4, 5), (5, 3), (1, 6), (6, 7), (7, 8), (8, 3)]
+        assert spanning_tree_count(8, theta) == 2 * 3 + 3 * 4 + 2 * 4
+        # figure eight: a single kernel vertex with two loop paths, plus a pendant vertex
+        eight = [(1, 2), (2, 3), (3, 1), (1, 4), (4, 5), (5, 6), (6, 1), (6, 7)]
+        assert spanning_tree_count(7, eight) == 3 * 4
+        # multigraph edges and loops, as the Laplacian sees them
+        assert spanning_tree_count(2, [(1, 2), (1, 2), (2, 2)]) == 2
+        assert spanning_tree_count(3, [(1, 2), (1, 2), (2, 3), (2, 3), (1, 3)]) == 8
+
+    @pytest.mark.parametrize("s", [0, 1, 2, 3])
+    def test_rank_draw_equals_pool(self, s):
+        """The rank draw of the surplus edges picks what a list of free pairs would."""
+        for n in range(3, 301):
+            gen, oracle = RngStream(n, (s,)).generator(), RngStream(n, (s,)).generator()
+            tree = sample_labeled_tree(n, oracle)
+            tree_edges = {tuple(sorted((v, tree.parent[v]))) for v in range(1, n + 1)
+                          if v != tree.root}
+            pool = [e for e in combinations(range(1, n + 1), 2) if e not in tree_edges]
+            if len(pool) < s:
+                with pytest.raises(DegenerateEnsembleError):
+                    sample_surplus_graph(n, s, gen)
+                continue
+            extra = [pool[k] for k in oracle.choice(len(pool), size=s, replace=False)] if s else []
+            g, _ = sample_surplus_graph(n, s, gen)
+            assert g.edges == frozenset(tree_edges | set(extra)) and g.root == tree.root
+            assert gen.random() == oracle.random()
 
     def test_no_simple_graph_error(self):
         with pytest.raises(DegenerateEnsembleError):
