@@ -259,14 +259,8 @@ def decoration_count_suite(n_max: int = 5) -> SuiteResult:
 
     res = SuiteResult("decoration-count")
     for mode in ("bf", "df"):
-        ok1 = True
-        ok2 = True
-        for n in range(1, n_max + 1):
-            for f in enumerate_excursions(n):
-                if decoration_count(f, 1, mode) != len(enumerate_admissible(f, 1, mode)):
-                    ok1 = False
-                if decoration_count(f, 2, mode) != len(enumerate_admissible(f, 2, mode)):
-                    ok2 = False
-        res.add(f"{mode}-s1-n<={n_max}", ok1)
-        res.add(f"{mode}-s2-n<={n_max}", ok2)
+        for s in (1, 2):
+            res.add(f"{mode}-s{s}-n<={n_max}",
+                    all(decoration_count(f, s, mode) == len(enumerate_admissible(f, s, mode))
+                        for n in range(1, n_max + 1) for f in enumerate_excursions(n)))
     return res

@@ -306,9 +306,7 @@ def _statistical_suite(args):
     for stream, mode in enumerate(("bf", "df")):
         ests = estimators.decoration_gap_estimates(n_list, s, reps,
                                                    RngStream(seed).substream(stream), mode)
-        for prev, cur in zip(ests, ests[1:]):
-            slack = 2.0 * (prev.se ** 2 + cur.se ** 2) ** 0.5
-            step_ok = cur.mean <= prev.mean + slack
+        for prev, cur, slack, step_ok in estimators.gap_trend_steps(ests):
             ok = ok and step_ok
             lines.append(f"{'PASS' if step_ok else 'FAIL'} lemma3:{mode}-step "
                          f"n={prev.n}->{cur.n} {prev.mean:.6f}->{cur.mean:.6f} "

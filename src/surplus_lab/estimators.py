@@ -97,18 +97,14 @@ def ks_two_sample_critical(m: int, n: int, alpha: float = 0.01) -> float:
 # -- radius, two-point, and profile laws --------------------------------------------
 
 
-def _route_scales(n: int, mode: str):
-    """Rescalings of (map distance, contour height) for the breadth-first and
-    unicellular models.
-
-    Each model keeps the float expression its seeded outputs are pinned
-    with; an algebraically equal rewrite can change the last bit.
-    """
-    root = sqrt(2.0 * n)
+def _route_scale(n: int, mode: str):
+    """One float expression per model for an integer map distance or contour height, so
+    equal integers give equal floats: ``sqrt(2/n) * h`` breadth-first, ``h / sqrt(2n)`` um."""
     if mode == "um":
-        return (lambda d: d / root), (lambda h: h / root)
+        root = sqrt(2.0 * n)
+        return lambda h: h / root
     scale = sqrt(2.0 / n)
-    return (lambda d: scale * d), (lambda h: 2.0 * h / root)
+    return lambda h: scale * h
 
 
 @dataclass
@@ -131,14 +127,14 @@ def radius_laws(n: int, s: int, reps: int, rng: RngStream) -> RadiusLaws:
     over ``sqrt(2n)``.  Inverse-height route: the reciprocal-height sum under
     the depth-first tilt over ``sqrt(2n)``.
     """
-    to_map, to_height = _route_scales(n, "bf")
+    scaled = _route_scale(n, "bf")
     map_ens = tilted_ensemble(
         n, s, "bf", reps, rng.substream(0),
-        {"radius": lambda smp: to_map(smp.distances_from_root().max())},
+        {"radius": lambda smp: scaled(smp.distances_from_root().max())},
     )
     bf_ens = tilted_ensemble(
         n, s, "bf", reps, rng.substream(1),
-        {"sup": lambda smp: to_height(smp.exc.max_height())},
+        {"sup": lambda smp: scaled(smp.exc.max_height())},
     )
     df_ens = tilted_ensemble(
         n, s, "df", reps, rng.substream(2),
@@ -186,15 +182,15 @@ def two_point_law(n: int, s: int, reps: int, rng: RngStream, mode: str = "bf") -
     At ``n = 1`` there is a single non-root vertex and the map side is a
     point mass at zero.
     """
-    to_map, to_height = _route_scales(n, mode)
+    scaled = _route_scale(n, mode)
 
     def distance(smp: TiltSample) -> float:
         x1 = int(smp.gen.integers(1, n + 1))
         x2 = int(smp.gen.integers(1, n + 1))
-        return to_map(smp.graph_distance(x1, x2))
+        return scaled(smp.graph_distance(x1, x2))
 
     def height(smp: TiltSample) -> float:
-        return to_height(int(smp.exc.values[int(smp.gen.random() * 2 * n)]))
+        return scaled(int(smp.exc.values[int(smp.gen.random() * 2 * n)]))
 
     return _map_and_contour_laws(n, s, mode, reps, rng, distance, height)
 
@@ -206,11 +202,11 @@ def unicellular_laws(target: str, n: int, g: int, reps: int, rng: RngStream) -> 
         return two_point_law(n, g, reps, rng, mode="um")
     if target != "radius":
         raise ValueError("profile estimation is available for --model h only")
-    to_map, to_height = _route_scales(n, "um")
+    scaled = _route_scale(n, "um")
     return _map_and_contour_laws(
         n, g, "um", reps, rng,
-        lambda smp: to_map(smp.distances_from_root().max()),
-        lambda smp: to_height(smp.exc.max_height()))
+        lambda smp: scaled(smp.distances_from_root().max()),
+        lambda smp: scaled(smp.exc.max_height()))
 
 
 DEFAULT_PROFILE_GRID = tuple(round(0.1 * k, 1) for k in range(31))
@@ -360,6 +356,13 @@ def decoration_gap_estimates(n_list, s: int, reps: int, rng: RngStream,
         out.append(GapEstimate(n, float(vals.mean()), float(vals.std(ddof=1) / sqrt(reps))
                                if reps > 1 else 0.0))
     return out
+
+
+def gap_trend_steps(ests: list[GapEstimate]) -> list[tuple]:
+    """``(prev, cur, slack, ok)`` per step between consecutive sizes: the gap is taken as
+    nonincreasing when its mean rises by at most ``slack = 2 sqrt(se_1^2 + se_2^2)``."""
+    steps = [(a, b, 2.0 * (a.se ** 2 + b.se ** 2) ** 0.5) for a, b in zip(ests, ests[1:])]
+    return [(a, b, slack, b.mean <= a.mean + slack) for a, b, slack in steps]
 
 
 # -- growth-constant recursion and count asymptotics -----------------------------------

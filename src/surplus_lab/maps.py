@@ -21,7 +21,7 @@ walk choose the tree as it goes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, combinations, combinations_with_replacement, permutations, product
+from itertools import chain, combinations, combinations_with_replacement, islice, permutations, product
 from operator import itemgetter
 
 import numpy as np
@@ -427,10 +427,9 @@ def admissible_pairs(f: LatticeExcursion, mode: str) -> list[tuple[int, int]]:
                   for m in chain(range(k, end), range(down, below)))
 
 
-def enumerate_admissible(f: LatticeExcursion, s: int, mode: str,
-                         cap: int = 8) -> list[AdmissibleCorners]:
+def enumerate_admissible(f: LatticeExcursion, s: int, mode: str) -> list[AdmissibleCorners]:
     """All decorations of the tree coded by ``f`` with ``s`` surplus edges, in canonical form."""
-    if f.n > cap or s > 4:
+    if f.n > 8 or s > 4:
         raise EnumerationCapExceeded(f"n={f.n}, s={s} too large for decoration enumeration")
     if s == 0:
         return [AdmissibleCorners(mode, (), ())]
@@ -439,25 +438,13 @@ def enumerate_admissible(f: LatticeExcursion, s: int, mode: str,
     for multi in combinations_with_replacement(range(len(pairs)), s):
         chosen = [pairs[i] for i in multi]
         ends: dict[int, list[tuple[int, int]]] = {}
-        for j, (i1, i2) in enumerate(chosen):
-            ends.setdefault(i1, []).append((j, 0))
-            ends.setdefault(i2, []).append((j, 1))
-        corners_list = sorted(ends)
-        tag_choices = [permutations(range(1, len(ends[c]) + 1)) for c in corners_list]
-        for assignment in product(*tag_choices):
-            tag_of: dict[tuple[int, int], int] = {}
-            for c, perm in zip(corners_list, assignment):
-                for (j, end), k in zip(ends[c], perm):
-                    tag_of[(j, end)] = k
-            tagged = []
-            ok = True
-            for j, (i1, i2) in enumerate(chosen):
-                k1, k2 = tag_of[(j, 0)], tag_of[(j, 1)]
-                if i1 == i2 and k1 > k2:
-                    ok = False
-                    break
-                tagged.append((i1, k1, i2, k2))
-            if ok:
+        for j, side in product(range(s), (0, 1)):
+            ends.setdefault(chosen[j][side], []).append((j, side))
+        blocks = list(ends.values())  # each corner's ends take a permutation of its tags
+        for perms in product(*(permutations(range(1, len(b) + 1)) for b in blocks)):
+            tag_of = {end: k for block, perm in zip(blocks, perms) for end, k in zip(block, perm)}
+            tagged = [(i1, tag_of[j, 0], i2, tag_of[j, 1]) for j, (i1, i2) in enumerate(chosen)]
+            if all(i1 != i2 or k1 < k2 for i1, k1, i2, k2 in tagged):  # loops in tag order
                 out.add(tuple(sorted(tagged, key=_CANONICAL_ORDER)))
     result = [AdmissibleCorners.from_tagged(mode, tagged) for tagged in sorted(out)]
     for xi in result:
@@ -675,11 +662,16 @@ def pairing_tuple_count(f: LatticeExcursion, pairing: PermutationPairing) -> int
 
     Counts tuples ``r_1 < ... < r_4g`` in ``[1, 2n-1]`` such that each glued
     pair of corners drops by zero or one level.  Genus one sums
-    :func:`genus_one_terms`; higher genus enumerates the tuples.
+    :func:`genus_one_terms`; higher genus walks the tuples without keeping them.
     """
     if pairing.g == 1:
         return genus_one_terms(f).total
-    return len(enumerate_pairing_tuples(f, pairing))
+    return sum(1 for _ in enumerate_pairing_tuples(f, pairing))
+
+
+def pairing_tuple(f: LatticeExcursion, pairing: PermutationPairing, k: int) -> tuple[int, ...]:
+    """The ``k``-th gluable corner tuple of ``pairing`` in lexicographic order."""
+    return next(islice(enumerate_pairing_tuples(f, pairing), k, None))
 
 
 @dataclass(frozen=True)
@@ -725,9 +717,8 @@ def genus_one_terms(f: LatticeExcursion) -> GenusOneTerms:
     return terms
 
 
-def enumerate_pairing_tuples(f: LatticeExcursion,
-                             pairing: PermutationPairing) -> list[tuple[int, ...]]:
-    """Every increasing gluable corner tuple, in lexicographic order.
+def enumerate_pairing_tuples(f: LatticeExcursion, pairing: PermutationPairing):
+    """Every increasing gluable corner tuple, one at a time, in lexicographic order.
 
     This is O(n^{4g}); genus two and above raise
     :class:`EnumerationCapExceeded` above ``n = TUPLE_ENUMERATION_CAP``.
@@ -741,19 +732,18 @@ def enumerate_pairing_tuples(f: LatticeExcursion,
     size = 4 * pairing.g
     close_at = {b: a for a, b in pairing.transpositions}
     chosen = [0] * (size + 1)
-    out: list[tuple[int, ...]] = []
-
-    def rec(pos: int, start: int) -> None:
-        if pos > size:
-            out.append(tuple(chosen[1:]))
-            return
-        for t in range(start, two_n - (size - pos)):
-            if pos in close_at:
-                ha = vals[chosen[close_at[pos]]]
-                if not 0 <= ha - vals[t] <= 1:
-                    continue
+    candidates = [None, iter(range(1, two_n - size + 1))] + [None] * (size - 1)
+    pos = 1  # the position being filled; candidates[pos] holds its untried corners
+    while pos:
+        for t in candidates[pos]:
+            if pos in close_at and not 0 <= vals[chosen[close_at[pos]]] - vals[t] <= 1:
+                continue
             chosen[pos] = t
-            rec(pos + 1, t + 1)
-
-    rec(1, 1)
-    return out
+            if pos == size:
+                yield tuple(chosen[1:])
+            else:
+                pos += 1
+                candidates[pos] = iter(range(t + 1, two_n - size + pos))
+                break
+        else:
+            pos -= 1

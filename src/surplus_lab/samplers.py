@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from math import factorial
+from math import factorial, isqrt
 from typing import Callable
 
 import numpy as np
@@ -39,10 +39,11 @@ from .maps import (
     RootedMap,
     bfs_distances,
     enumerate_admissible,
-    enumerate_pairing_tuples,
     entangled_pairings,
     genus_one_terms,
     insert_edges,
+    pairing_tuple,
+    pairing_tuple_count,
 )
 
 
@@ -181,12 +182,15 @@ def sample_corners_bf(f: LatticeExcursion, s: int, rng,
     pairs = []
     for _ in range(s):
         i1 = _weighted_index(per_index, gen)
-        k = int(index.pos[i1])
-        h, down = int(index.levels[k]), int(index.down[k])
-        same = int(index.start[h + 1]) - k
-        u = int(gen.integers(same + int(index.start[h]) - down))
-        pairs.append((i1, int(index.times[k + u if u < same else down + u - same])))
+        pairs.append((i1, _bf_partner(index, i1, int(gen.integers(int(per_index[i1]))))))
     return _pairs_to_decoration("bf", pairs)
+
+
+def _bf_partner(index: CornerIndex, i: int, u: int) -> int:
+    """The ``u``-th breadth-first partner of corner ``i``, in the order given above."""
+    k = int(index.pos[i])
+    same = int(index.start[index.levels[k] + 1]) - k
+    return int(index.times[k + u if u < same else int(index.down[k]) + u - same])
 
 
 def sample_corners_df(f: LatticeExcursion, s: int, rng,
@@ -212,15 +216,13 @@ def sample_corners_df(f: LatticeExcursion, s: int, rng,
 
 
 def unicellular_terms(f: LatticeExcursion, g: int, pairings=None):
-    """The genus-``g`` pairings, their gluable-tuple counts and what was counted:
-    at genus one the :class:`GenusOneTerms` behind the single count, above it
-    each pairing's list of gluable tuples."""
+    """The genus-``g`` pairings, their gluable-tuple counts and, at genus one,
+    the :class:`GenusOneTerms` behind the single count (``None`` above it)."""
     pairings = entangled_pairings(g) if pairings is None else pairings
     if g == 1:
         terms = genus_one_terms(f)
         return pairings, [terms.total], terms
-    tuples = [enumerate_pairing_tuples(f, p) for p in pairings]
-    return pairings, [len(t) for t in tuples], tuples
+    return pairings, [pairing_tuple_count(f, p) for p in pairings], None
 
 
 def sample_unicellular_decoration(f: LatticeExcursion, g: int, rng, terms=None):
@@ -246,7 +248,7 @@ def sample_unicellular_decoration(f: LatticeExcursion, g: int, rng, terms=None):
     if g == 1:
         corners = _sample_tuple_genus_one(f, counted, gen)
     else:
-        corners = counted[choice][int(gen.integers(totals[choice]))]
+        corners = pairing_tuple(f, pairing, int(gen.integers(totals[choice])))
     vals = f.values
     heights = tuple(int(vals[corners[a - 1]]) for a, b in pairing.transpositions)
     return pairing, heights, corners
@@ -269,56 +271,92 @@ def _sample_tuple_genus_one(f: LatticeExcursion, terms: GenusOneTerms, gen: np.r
 # -- exact decoration counts ---------------------------------------------------
 
 
-def _endpoint_tables(index: CornerIndex, mode: str) -> tuple[np.ndarray, np.ndarray]:
-    """Per-corner pair-endpoint counts: (as-first, as-second) for every corner.
-
-    As second, a breadth-first corner pairs with the corners up to it at its
-    level and the earlier ones one level up; a depth-first ``j`` with ``(q(j), j]``.
-    """
-    width = len(index.pos)
-    second = np.zeros(width, dtype=np.int64)
-    if mode == "bf":
-        up = np.searchsorted(index.keys, index.keys + width)  # first corner one level up
-        second[index.times] = (np.arange(len(index.keys)) - index.start[index.levels] + 1
-                               + up - index.start[index.levels + 1])
-        return bf_per_index(index), second
-    second[index.times] = index.times - index.q
-    return df_per_index(index), second
-
-
-def _pairs_and_gap(f: LatticeExcursion | CornerIndex, s: int, mode: str) -> tuple[int, int]:
-    """Pair count ``P`` and the exact gap ``s! * (decoration count) - P^s`` for s <= 2,
-    of an excursion or its corner index."""
+def _terms(f: LatticeExcursion | CornerIndex, s: int, mode: str):
+    """The pair count ``P``, the pair ends at each corner of the index (a loop has two)
+    and the count of decorations with ``s <= 2`` surplus edges as a sum: ``[1]``, ``[P]``,
+    or ``[C(P, 2), 2P, sum_c C(ends_c, 2)]`` for two distinct pairs, a doubled pair and
+    two ends at one corner.  A breadth-first corner's ends are the index positions from
+    its partners one level down to the corners a level up before it, plus its loop's
+    second end; a depth-first ``j`` is second end of a pair with each of ``(q(j), j]``."""
     if not 0 <= s <= 2:
         raise ValueError("decoration counts are implemented for s <= 2; "
                          "use enumerate_admissible for more")
     if s == 0:
-        return 0, 0
-    first, second = _endpoint_tables(f if isinstance(f, CornerIndex) else corner_index(f.values),
-                                     mode)
-    total_pairs = int(first.sum())
+        return 0, None, [1]
+    index = f if isinstance(f, CornerIndex) else corner_index(f.values)
+    ends = (np.searchsorted(index.keys, index.keys + len(index.pos)) - index.down + 1
+            if mode == "bf" else df_per_index(index)[index.times] + index.times - index.q)
+    pairs = int(ends.sum()) // 2
     if s == 1:
-        return total_pairs, 0
-    inc = (first + second - 1)[1:-1]
-    if int(inc.max()) ** 2 * len(inc) >= 2 ** 63:
-        raise ValueError(f"the decoration count at n={len(first) // 2} overflows 64-bit integers")
-    y_share = int(inc @ inc) - total_pairs + len(inc)
-    return total_pairs, y_share + 2 * total_pairs + 2 * int(inc.sum())
+        return pairs, ends, [pairs]
+    if int(ends.max()) ** 2 * len(ends) >= 2 ** 63:
+        raise ValueError(f"decoration count at n={len(index.pos) // 2} overflows 64-bit integers")
+    return pairs, ends, [pairs * (pairs - 1) // 2, 2 * pairs, (int(ends @ ends) - 2 * pairs) // 2]
 
 
 def decoration_count(f: LatticeExcursion | CornerIndex, s: int, mode: str) -> int:
     """Exact number of canonical decorations with ``s`` surplus edges (s <= 2) of an
-    excursion or its corner index."""
-    pairs, gap = _pairs_and_gap(f, s, mode)
-    ordered = pairs ** s + gap
-    if ordered % factorial(s):
-        raise ValueError(f"decoration count {ordered}/{s}! is not an integer")
-    return ordered // factorial(s)
+    excursion or its corner index, summed from the terms that the s = 2 draw uses."""
+    return sum(_terms(f, s, mode)[2])
 
 
 def decoration_count_gap(f: LatticeExcursion, s: int, mode: str) -> int:
     """Exact value of ``s! * (decoration count) - (pair count)^s`` for s <= 2."""
-    return _pairs_and_gap(f, s, mode)[1]
+    pairs, _, terms = _terms(f, s, mode)
+    return factorial(s) * sum(terms) - pairs ** s
+
+
+# the tags of a doubled pair (i, j, i, j): its two orders, or a loop's three matchings
+_DOUBLED_TAGS = {False: ((1, 1, 2, 2), (1, 2, 2, 1)),
+                 True: ((1, 2, 3, 4), (1, 4, 2, 3), (1, 3, 2, 4))}
+
+
+def _unrank_two(u: int) -> tuple[int, int]:
+    """The ``u``-th pair ``a < b`` in colexicographic order."""
+    b = (1 + isqrt(8 * u + 1)) // 2
+    return u - b * (b - 1) // 2, b
+
+
+def _s2_decoration(index: CornerIndex, ends: np.ndarray, terms: list[int],
+                   u: int) -> AdmissibleCorners:
+    """The ``u``-th breadth-first decoration with two surplus edges, for the ends and the
+    terms of :func:`_terms`: two distinct pairs with the base tags, a doubled pair in one
+    of its orders, or two ends at a corner ``c``.  Those are its loop's two ends, crossed,
+    or ends of two pairs whose base tags at ``c`` change: the end that is not a loop's
+    takes the other chosen end's place.  Pairs rank by first corner, then partner."""
+    if u < terms[0] + terms[1]:
+        first = bf_per_index(index)
+        cum = first.cumsum()
+
+        def pair(r: int) -> tuple[int, int]:
+            i = int(cum.searchsorted(r, side="right"))
+            return i, _bf_partner(index, i, r - int(cum[i] - first[i]))
+
+        if u < terms[0]:
+            return _pairs_to_decoration("bf", [pair(r) for r in _unrank_two(u)])
+        i, j = pair((u - terms[0]) // 2)
+        return AdmissibleCorners("bf", (i, j, i, j), _DOUBLED_TAGS[i == j][(u - terms[0]) % 2])
+    u -= terms[0] + terms[1]
+    share = ends * (ends - 1) // 2
+    cum = share.cumsum()
+    k = int(cum.searchsorted(u, side="right"))
+    c, down = int(index.times[k]), int(index.down[k])
+    chosen = []  # the pair of each chosen end at c, and the end's side of the pair
+    for e in _unrank_two(u - int(cum[k] - share[k])):
+        t = c if e == ends[k] - 1 else int(index.times[down + e])
+        chosen.append(((min(t, c), max(t, c)), int(t < c or e == ends[k] - 1)))
+    (p1, s1), (p2, s2) = sorted(chosen)
+    if p1 == p2:
+        return AdmissibleCorners("bf", (c,) * 4, _DOUBLED_TAGS[True][2])
+    base = _pairs_to_decoration("bf", [p1, p2])  # end 2j + side is pair j's at that side
+    tags = list(base.tags)
+    order = sorted((e for e in range(4) if base.indices[e] == c), key=tags.__getitem__)
+    moved, other = (2 + s2, s1) if p2[0] != p2[1] else (s1, 2 + s2)
+    at = order.index(other)
+    order.insert(at, order.pop(order.index(moved)))
+    for tag, e in enumerate(order, start=1):
+        tags[e] = tag
+    return AdmissibleCorners("bf", base.indices, tuple(tags))
 
 
 # -- weighted ensembles -----------------------------------------------------------
@@ -397,8 +435,7 @@ class TiltSample:
         if self._weight is None:
             if self.mode == "um":
                 self._um_terms = unicellular_terms(self.exc, self.tilt, self._pairings)
-                _, counts, _ = self._um_terms
-                self._weight = float(sum(counts))
+                self._weight = float(sum(self._um_terms[1]))
             elif self.mode not in ("bf", "df"):
                 raise ValueError(f"unknown tilt mode {self.mode!r}")
             elif self.tilt == 0:
@@ -525,25 +562,23 @@ def sample_map_decoration(n: int, s: int, rng) -> tuple[LatticeExcursion, Admiss
 
     The excursion carries weight equal to its exact decoration count and the
     decoration is uniform among the tree's decorations, so the weighted law
-    over glued maps is uniform.  Exact for ``s <= 1`` at any size and for
-    ``s = 2`` up to moderate sizes (decorations are enumerated on demand);
-    beyond that the independent-pair surrogate law is used for the
-    decoration, whose total-variation gap vanishes with n.
+    over glued maps is uniform: exactly for ``s <= 2`` at any size, where at s = 2
+    one integer below the count picks a decoration.  For ``s >= 3`` the decoration
+    is the independent-pair surrogate weighted by ``B(f)^s``, whose total-variation
+    gap vanishes with n.
     """
     gen = as_generator(rng)
     exc = sample_uniform_excursion(n, gen)
     if s == 0:
         return exc, AdmissibleCorners("bf", (), ()), 1.0
-    if s == 2 and n <= 40:
-        decorations = enumerate_admissible(exc, 2, "bf", cap=max(8, n))
-        xi = decorations[int(gen.integers(len(decorations)))]
-        return exc, xi, float(len(decorations))
     index = corner_index(exc.values)
-    xi = sample_corners_bf(exc, s, gen, index)
+    if s == 2:
+        _, ends, terms = _terms(index, 2, "bf")
+        total = sum(terms)
+        return exc, _s2_decoration(index, ends, terms, int(gen.integers(total))), float(total)
     # at s = 1 the decoration count is B(f), the tilt weight
-    weight = float(decoration_count(index, s, "bf")) if s == 2 else \
-        tilt_weight(int(bf_per_index(index).sum()), s, "bf", n)
-    return exc, xi, weight
+    xi = sample_corners_bf(exc, s, gen, index)
+    return exc, xi, tilt_weight(int(bf_per_index(index).sum()), s, "bf", n)
 
 
 def sample_uniform_map(n: int, s: int, rng) -> tuple[RootedMap, float]:

@@ -5,6 +5,7 @@ from math import factorial, pi, sqrt
 import numpy as np
 import pytest
 
+from surplus_lab import estimators
 from surplus_lab.estimators import (
     CountTable,
     EmpiricalLaw,
@@ -100,6 +101,19 @@ class TestRadiusTwoPointSmall:
             live = ens.weights > 0
             assert np.array_equal(ens.columns["radius"][live], ens.columns["bfs"][live])
             assert np.array_equal(ens.columns["radius"][live], ens.columns["sup"][live])
+
+    @pytest.mark.parametrize("n", [40, 1000])
+    def test_routes_scale_heights_alike(self, n):
+        # a map distance and a contour height of h give the same float, so a KS distance
+        # between the two routes measures the laws, not the rounding
+        scale = sqrt(2.0 / n)
+        scaled = estimators._route_scale(n, "bf")
+        atoms = [scale * h for h in range(2 * n + 1)]
+        assert [scaled(h) for h in range(2 * n + 1)] == atoms
+        laws = radius_laws(n, 1, 20, RngStream(5))
+        tp = two_point_law(n, 1, 20, RngStream(6))
+        for law in (laws.map_law, laws.bf_law, tp.map_law, tp.excursion_law):
+            assert all(v == atoms[round(v / scale)] for v in law.values)
 
     def test_two_point_small(self):
         tp = two_point_law(50, 1, 300, RngStream(10))

@@ -46,8 +46,8 @@ CASES = {
     "sample-excursion": ["sample", "excursion", "--n", "3", "--reps", "24", "--seed", "41"],
     "sample-tree": ["sample", "tree", "--n", "30", "--reps", "8", "--seed", "42"],
     "sample-map": ["sample", "map", "--n", "50", "--s", "2", "--reps", "3", "--seed", "31"],
-    "sample-map-enumerated": ["sample", "map", "--n", "12", "--s", "2", "--reps", "4",
-                              "--seed", "33"],
+    "sample-map-n12": ["sample", "map", "--n", "12", "--s", "2", "--reps", "4",
+                       "--seed", "33"],
     "sample-graph": ["sample", "graph", "--n", "8", "--s", "2", "--reps", "3", "--seed", "32"],
     "sample-graph-n60": ["sample", "graph", "--n", "60", "--s", "3", "--reps", "4",
                          "--seed", "34"],
@@ -131,23 +131,23 @@ DIGESTS = {
     },
     'sample-map': {
         'map_0.json':
-            'aea3b621e85a382d1dad92b11ba6ebd60d2b682854b111c01bb1a5e8611c7706',
+            'd4d29e3735b9eed12c30b94e2524d7d7bc51e7a9dde847de77bdb218647e8d7b',
         'map_1.json':
-            '0b95acdabea7c5e735ca5dc87d5dd90cdd4fb810af32d0028ef0aae71a742f09',
+            '2db36eebeb2bbd82cb4ecab8e8ff811947d0089f43cf60f980a06f784fa0ede2',
         'map_2.json':
-            '2be3212160a41980799737e45c14268161b9e274220a812261bc06ee51f217dd',
+            '72e807ab387852b5155ced15062f71838aff61fc443087518f70281d42b8aff7',
         'map_weights.csv':
             '642d349553c54fdb4a7a0f7bf0b19974a0d2084ed3d8aeb9d4bc56ff47cba29f',
     },
-    'sample-map-enumerated': {
+    'sample-map-n12': {
         'map_0.json':
-            '3ac5125b34073d85a666a2b88b4bb062cf900820aecd4ba4e84ea5f2ebfd33f6',
+            '49a451a255ba6595211e2e401f4e94776a34f14011f3914660618151ae69a8e2',
         'map_1.json':
-            '63031541f37cb8be0340af2d5e75963cc0d0e92dbc2b6166838ce9f796282dd3',
+            '459ee8c6efae29e51fda630857ae80fe144f694dc0153f91fefc5157a2ebaa82',
         'map_2.json':
-            '3b7c449e63e282421d41b52ad5d503996b1ba3a8647b9400555e448186e13c63',
+            'be28729403548da99b98367b7dea34adeaf7d43fb7493d47f3eaf5e1b1342f96',
         'map_3.json':
-            '98f235722f2d26f62e19e5c0256dd6e7d38b9ba0fb784346bbbcd1bfd5ed9c78',
+            '9bc2c3fb20d0516cd4d479c9216cdb6dce29d280dcad43f3c8c80fe5bd0e3901',
         'map_weights.csv':
             'eb2170bfedbae60ec74a33991a7f1a9173c85e91ee0887ddb44bdde103424b19',
     },

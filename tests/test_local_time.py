@@ -25,7 +25,7 @@ from surplus_lab.local_time import (
     level_occupancy,
     sq_localtime_functional,
 )
-from surplus_lab.samplers import RngStream, _endpoint_tables, sample_uniform_excursion
+from surplus_lab.samplers import RngStream, _terms, sample_uniform_excursion
 
 
 def oracle_bf_set(vals, i):
@@ -130,9 +130,9 @@ def assert_tables_match_sweeps(f):
     assert df_per_index(f.values).tolist() == sweep_df(vals)
     for mode, first, second in (("bf", sweep_bf, sweep_second_bf),
                                 ("df", sweep_df, sweep_second_df)):
-        got_first, got_second = _endpoint_tables(corner_index(f.values), mode)
-        assert got_first.tolist() == first(vals)
-        assert got_second.tolist() == second(vals)
+        index = corner_index(f.values)
+        ends = [a + b for a, b in zip(first(vals), second(vals))]
+        assert _terms(index, 1, mode)[1].tolist() == [ends[t] for t in index.times]
 
 
 class TestLocalTime:

@@ -29,6 +29,7 @@ from surplus_lab.maps import (
     insert_edges,
     is_entangled,
     metric_from_root,
+    pairing_tuple,
     pairing_tuple_count,
     unicellular_glue,
 )
@@ -378,6 +379,16 @@ class TestTupleCounts:
         f = LatticeExcursion([0] + [1, 2] * 8 + [1, 0])
         p2 = entangled_pairings(2)[0]
         assert pairing_tuple_count(f, p2) == brute_tuple_count(f, p2) > 0
+
+    def test_kth_tuple_matches_enumeration(self):
+        # the draw's k-th tuple is the k-th of the oracle list, for two genus-two pairings
+        pairings = entangled_pairings(2)
+        for p in (pairings[0], pairings[-1]):
+            for n in range(1, 7):
+                for f in enumerate_excursions(n):
+                    tuples = list(enumerate_pairing_tuples(f, p))
+                    assert [pairing_tuple(f, p, k) for k in range(len(tuples))] == tuples
+                    assert tuples == sorted(tuples) and pairing_tuple_count(f, p) == len(tuples)
 
     def test_genus_two_count_capped(self):
         n = TUPLE_ENUMERATION_CAP + 1

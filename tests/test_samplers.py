@@ -4,6 +4,7 @@ from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
 from math import comb, sqrt
+import time
 
 import numpy as np
 import pytest
@@ -499,39 +500,54 @@ class TestMapSampling:
                 assert bf == df
 
     def test_uniform_map_law_small(self):
-        # weighted empirical law over canonical maps is uniform at n=3, s=1
-        from surplus_lab.maps import insert_edges
-
-        reps = 25_000
-        rng = RngStream(55)
-        acc = Counter()
-        for r in range(reps):
-            exc, xi, w = sample_map_decoration(3, 1, rng.substream(r))
-            m = insert_edges(exc, xi, validate=False)
-            acc[m.canonical_key()] += w
-        universe = {m.canonical_key() for m in enumerate_maps(3, 1)}
-        assert set(acc) == universe
-        total = sum(acc.values())
-        p = 1 / len(universe)
-        for key, wsum in acc.items():
-            assert abs(wsum / total - p) < three_sigma(p, reps) + 0.01
+        assert_uniform_map_law(3, 1, RngStream(55))
 
     def test_uniform_map_law_s2(self):
-        from surplus_lab.maps import insert_edges
+        assert_uniform_map_law(2, 2, RngStream(56))
 
-        reps = 25_000
-        rng = RngStream(56)
-        acc = Counter()
-        for r in range(reps):
-            exc, xi, w = sample_map_decoration(2, 2, rng.substream(r))
-            m = insert_edges(exc, xi, validate=False)
-            acc[m.canonical_key()] += w
-        universe = {m.canonical_key() for m in enumerate_maps(2, 2)}
-        assert set(acc) == universe
-        total = sum(acc.values())
-        p = 1 / len(universe)
-        for key, wsum in acc.items():
-            assert abs(wsum / total - p) < three_sigma(p, reps) + 0.01
+    def test_uniform_map_law_s2_n3(self):
+        assert_uniform_map_law(3, 2, RngStream(57))
+
+    def test_s2_decorations_biject_onto_enumeration(self):
+        # every outcome of the three count terms is a distinct valid decoration, and together
+        # they are all of them
+        for n in range(1, 7):
+            for f in enumerate_excursions(n):
+                index = corner_index(f.values)
+                _, ends, terms = samplers._terms(index, 2, "bf")
+                outcomes = [samplers._s2_decoration(index, ends, terms, u)
+                            for u in range(sum(terms))]
+                for xi in outcomes:
+                    xi.validate(f)
+                assert len(set(outcomes)) == len(outcomes) == decoration_count(f, 2, "bf")
+                assert set(outcomes) == set(maps.enumerate_admissible(f, 2, "bf"))
+
+    def test_s2_draw_is_fast_at_n40(self):
+        # the exact s = 2 draw needs no enumeration: well under 10 ms at n = 40
+        sample_map_decoration(40, 2, RngStream(1))
+        start = time.perf_counter()
+        for r in range(20):
+            sample_map_decoration(40, 2, RngStream(2).substream(r))
+        assert (time.perf_counter() - start) / 20 < 0.01
+
+
+def assert_uniform_map_law(n: int, s: int, rng: RngStream, reps: int = 25_000) -> None:
+    """The weighted law of ``sample_map_decoration`` over canonical maps is uniform.
+
+    Draws are tallied per decorated excursion, and each of those is glued once."""
+    drawn = Counter()
+    for r in range(reps):
+        exc, xi, w = sample_map_decoration(n, s, rng.substream(r))
+        drawn[exc, xi] += w
+    acc = Counter()
+    for (exc, xi), wsum in drawn.items():
+        acc[insert_edges(exc, xi).canonical_key()] += wsum
+    universe = {m.canonical_key() for m in enumerate_maps(n, s)}
+    assert set(acc) == universe
+    total = sum(acc.values())
+    p = 1 / len(universe)
+    for key, wsum in acc.items():
+        assert abs(wsum / total - p) < three_sigma(p, reps) + 0.01
 
 
 def bareiss_tree_count(n: int, edges) -> int:
