@@ -206,9 +206,10 @@ def gluing_dichotomy_suite(n_max: int = 5) -> SuiteResult:
                     tested += 1
                     if unicellular != (pairing.transpositions in entangled):
                         ok = False
-                    if m.genus() not in (0, 1):
+                    genus = m.genus()
+                    if genus not in (0, 1):
                         ok = False
-                    if unicellular and m.genus() != 1:
+                    if unicellular and genus != 1:
                         ok = False
         res.add(f"dichotomy-n{n}", ok, f"{tested} gluings")
     return res

@@ -37,6 +37,10 @@ def _as_int_array(values: Sequence[int]) -> np.ndarray:
     return arr
 
 
+def _same_path(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.tobytes() == b.tobytes()  # both int64 vectors: equal bytes, equal paths
+
+
 class LatticeExcursion:
     """A +-1 contour path of half-length ``n``: the encoding of a plane tree."""
 
@@ -49,19 +53,18 @@ class LatticeExcursion:
         self.values = arr
         self.n = (len(arr) - 1) // 2
         if validate:
-            steps = np.diff(arr)
             if arr[0] != 0 or arr[-1] != 0:
                 raise ValueError("excursion must start and end at 0")
-            if np.any(np.abs(steps) != 1):
+            if np.count_nonzero(np.abs(arr[1:] - arr[:-1]) != 1):
                 raise ValueError("excursion steps must be +-1")
-            if np.any(arr[1:-1] <= 0):
+            if np.count_nonzero(arr[1:-1] <= 0):
                 raise ValueError("excursion interior must be strictly positive")
 
     def __len__(self) -> int:
         return len(self.values)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, LatticeExcursion) and np.array_equal(self.values, other.values)
+        return isinstance(other, LatticeExcursion) and _same_path(self.values, other.values)
 
     def __hash__(self) -> int:
         return hash(self.as_tuple())
@@ -111,17 +114,16 @@ class LatticeBridge:
         self.values = arr
         self.n = (len(arr) - 2) // 2
         if validate:
-            steps = np.diff(arr)
             if arr[0] != 0 or arr[-1] != -1:
                 raise ValueError("bridge must run from 0 to -1")
-            if np.any(np.abs(steps) != 1):
+            if np.count_nonzero(np.abs(arr[1:] - arr[:-1]) != 1):
                 raise ValueError("bridge steps must be +-1")
 
     def __len__(self) -> int:
         return len(self.values)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, LatticeBridge) and np.array_equal(self.values, other.values)
+        return isinstance(other, LatticeBridge) and _same_path(self.values, other.values)
 
     def __hash__(self) -> int:
         return hash(self.as_tuple())

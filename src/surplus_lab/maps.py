@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, combinations, combinations_with_replacement, islice, permutations, product
-from operator import itemgetter
+from operator import eq, itemgetter
 
 import numpy as np
 
@@ -41,10 +41,11 @@ def _orbits(perm) -> tuple[list[list[int]], list[int]]:
     cycles = []
     for h0 in range(len(perm)):
         if label[h0] < 0:
+            c = len(cycles)
             cyc = []
             h = h0
             while label[h] < 0:
-                label[h] = len(cycles)
+                label[h] = c
                 cyc.append(h)
                 h = perm[h]
             cycles.append(cyc)
@@ -67,33 +68,33 @@ class RootedMap:
     # -- structure -------------------------------------------------------
 
     def _check(self):
-        n_half = len(self.sigma)
+        sigma, alpha, origin, cycles = self.sigma, self.alpha, self.origin, self._cycles
+        n_half = len(sigma)
         if n_half % 2:
             raise ValueError("odd number of half-edges")
-        if sorted(self.sigma) != list(range(n_half)):
+        if sorted(sigma) != list(range(n_half)):
             raise ValueError("rotation is not a permutation")
-        if len(self.alpha) != n_half:
+        if len(alpha) != n_half:
             raise ValueError("involution length mismatch")
-        for h in range(n_half):
-            if self.alpha[h] == h or self.alpha[self.alpha[h]] != h:
-                raise ValueError("involution is not fixed-point-free")
+        if any(map(eq, alpha, range(n_half))) or [alpha[a] for a in alpha] != list(range(n_half)):
+            raise ValueError("involution is not fixed-point-free")
         if not 0 <= self.root < n_half:
             raise ValueError("root half-edge out of range")
-        # connectivity: half-edges reachable via sigma and alpha
-        seen = [False] * n_half
-        stack = [self.root]
-        seen[self.root] = True
+        # connectivity: vertices reachable from the root's across edges
+        seen = [False] * len(cycles)
+        stack = [origin[self.root]]
+        seen[stack[0]] = True
         count = 0
         while stack:
-            h = stack.pop()
             count += 1
-            for g in (self.sigma[h], self.alpha[h]):
-                if not seen[g]:
-                    seen[g] = True
-                    stack.append(g)
-        if count != n_half:
+            for h in cycles[stack.pop()]:
+                w = origin[alpha[h]]
+                if not seen[w]:
+                    seen[w] = True
+                    stack.append(w)
+        if count != len(cycles):
             raise ValueError("map is not connected")
-        if self.degree(self.origin[self.root]) != 1:
+        if self.degree(origin[self.root]) != 1:
             raise ValueError("root vertex must have degree one")
 
     @property
@@ -118,7 +119,8 @@ class RootedMap:
         return self.num_edges - self.num_vertices + 1
 
     def degree(self, v: int) -> int:
-        return sum(1 for h in range(self.num_half_edges) if self.origin[h] == v)
+        """The length of ``v``'s rotation cycle: the half-edges leaving ``v``."""
+        return len(self._cycles[v])
 
     def rotation_cycles(self) -> list[list[int]]:
         """The vertex rotations, as computed once at construction; do not mutate."""
@@ -147,30 +149,26 @@ class RootedMap:
         Two rooted maps are isomorphic exactly when their keys agree: the
         traversal order is determined by the structure and the root alone.
         """
-        order: dict[int, int] = {}
+        sigma, alpha, origin = self.sigma, self.alpha, self.origin
+        order = [0] * len(sigma)
         rev: list[int] = []
-        root_v = self.origin[self.root]
-        vqueue = [(root_v, self.root)]
-        seen_v = {root_v}
-        qi = 0
-        while qi < len(vqueue):
-            _, start = vqueue[qi]
-            qi += 1
+        seen_v = [False] * len(self._cycles)
+        seen_v[origin[self.root]] = True
+        starts = [self.root]
+        for start in starts:  # grows as the walk meets new vertices
             h = start
             while True:
                 order[h] = len(rev)
                 rev.append(h)
-                back = self.alpha[h]
-                w = self.origin[back]
-                if w not in seen_v:
-                    seen_v.add(w)
-                    vqueue.append((w, back))
-                h = self.sigma[h]
+                back = alpha[h]
+                w = origin[back]
+                if not seen_v[w]:
+                    seen_v[w] = True
+                    starts.append(back)
+                h = sigma[h]
                 if h == start:
                     break
-        new_alpha = tuple(order[self.alpha[g]] for g in rev)
-        new_sigma = tuple(order[self.sigma[g]] for g in rev)
-        return (new_alpha, new_sigma)
+        return tuple([order[alpha[g]] for g in rev]), tuple([order[sigma[g]] for g in rev])
 
     def __eq__(self, other) -> bool:
         return isinstance(other, RootedMap) and self.canonical_key() == other.canonical_key()
@@ -220,6 +218,12 @@ class RootedMap:
 # -- decorations ------------------------------------------------------------
 
 
+def _split_ends(tagged) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The indices and the tags of ``(i1, k1, i2, k2)`` quadruples, in the order given."""
+    ends = tuple(chain.from_iterable(tagged))  # index, tag, index, tag, ...
+    return ends[::2], ends[1::2]
+
+
 @dataclass(frozen=True)
 class AdmissibleCorners:
     """Corner indices and insertion tags recording surplus edges against a tree.
@@ -237,51 +241,58 @@ class AdmissibleCorners:
     @classmethod
     def from_tagged(cls, mode: str, tagged) -> "AdmissibleCorners":
         """The decoration of ``(i1, k1, i2, k2)`` quadruples, in their canonical order."""
-        tagged = sorted(tagged, key=_CANONICAL_ORDER)
-        return cls(mode, tuple(x for p in tagged for x in (p[0], p[2])),
-                   tuple(x for p in tagged for x in (p[1], p[3])))
+        return cls(mode, *_split_ends(sorted(tagged, key=_CANONICAL_ORDER)))
 
     @property
     def s(self) -> int:
         return len(self.indices) // 2
 
-    def pairs(self) -> list[tuple[tuple[int, int], tuple[int, int]]]:
-        return [
-            ((self.indices[2 * j], self.tags[2 * j]), (self.indices[2 * j + 1], self.tags[2 * j + 1]))
-            for j in range(self.s)
-        ]
-
     def validate(self, f: LatticeExcursion) -> None:
-        vals = f.values
+        """Raise ``ValueError`` unless this is a canonical decoration of the tree coded by ``f``.
+
+        The rules, in the order checked:
+
+        * ``indices`` and ``tags`` have one even length, and the mode is "bf" or "df";
+        * every index is an insertion corner, in ``[1, 2n-1]``;
+        * each pair is ordered: ``i1 < i2``, or ``i1 == i2`` with ``k1 < k2``;
+        * breadth-first, ``f(i2)`` is ``f(i1)`` or ``f(i1) - 1`` (the height rule);
+          depth-first, ``f(i2)`` is the minimum of ``f`` on ``[i1, i2]``, so the
+          vertex of corner ``i2`` is an ancestor of that of ``i1``;
+        * the pairs strictly increase in ``(i1, i2, k1)``;
+        * the tags at each corner are a permutation of ``1..`` its number of ends.
+        """
+        indices, tags = self.indices, self.tags
         two_n = 2 * f.n
-        if len(self.indices) != len(self.tags) or len(self.indices) % 2:
+        if len(indices) != len(tags) or len(indices) % 2:
             raise ValueError("indices and tags must have even equal length")
         if self.mode not in ("bf", "df"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        for i in self.indices:
+        for i in indices:
             if not 1 <= i <= two_n - 1:
                 raise ValueError(f"corner index {i} outside [1, {two_n - 1}]")
+        vals = f.values.tolist()
+        bf = self.mode == "bf"
         prev = None
-        for (i1, k1), (i2, k2) in self.pairs():
-            if i1 > i2 or (i1 == i2 and k1 >= k2):
+        for j in range(0, len(indices), 2):
+            i1, i2, k1 = indices[j], indices[j + 1], tags[j]
+            if i1 > i2 or (i1 == i2 and k1 >= tags[j + 1]):
                 raise ValueError("pair not in canonical order")
-            if self.mode == "bf":
-                if vals[i2] not in (vals[i1], vals[i1] - 1):
+            if bf:
+                if not 0 <= vals[i1] - vals[i2] <= 1:
                     raise ValueError(f"corner pair ({i1},{i2}) violates the height rule")
-            else:
-                if min(vals[i1:i2 + 1]) != vals[i2]:
-                    raise ValueError(f"corner {i2} is not at an ancestor of corner {i1}")
+            elif min(vals[i1:i2 + 1]) != vals[i2]:
+                raise ValueError(f"corner {i2} is not at an ancestor of corner {i1}")
             key = (i1, i2, k1)
             if prev is not None and key <= prev:
                 raise ValueError("pairs not sorted canonically")
             prev = key
-        # tags within each equal-index block form a permutation of 1..block size
-        blocks: dict[int, list[int]] = {}
-        for i, k in zip(self.indices, self.tags):
-            blocks.setdefault(i, []).append(k)
-        for i, ks in blocks.items():
-            if sorted(ks) != list(range(1, len(ks) + 1)):
-                raise ValueError(f"tags at corner {i} are not a permutation of 1..{len(ks)}")
+        # sorted by corner, each corner's tags must read 1, 2, ...; name the first bad corner
+        ends = sorted(zip(indices, tags))
+        bad = [i for (i, k), (i0, k0) in zip(ends, [(0, 0)] + ends)
+               if k != (k0 + 1 if i == i0 else 1)]
+        if bad:
+            i = min(bad, key=indices.index)
+            raise ValueError(f"tags at corner {i} are not a permutation of 1..{indices.count(i)}")
 
 
 # -- edge insertion -------------------------------------------------------------
@@ -302,28 +313,29 @@ def insert_edges(f: LatticeExcursion, corners: AdmissibleCorners, validate: bool
         corners.validate(f)
     vals = f.values.tolist()
     two_n = len(vals) - 1
-    runs: dict[int, list[tuple[int, int]]] = {}
-    for h, (i, k) in enumerate(zip(corners.indices, corners.tags), start=two_n):
-        runs.setdefault(i, []).append((k, h))
+    # inserted halves (corner, tag, half) in rotation order, then a sentinel past the last corner
+    ends = sorted(zip(corners.indices, corners.tags, range(two_n, two_n + len(corners.indices))))
+    ends.append((two_n, 0, 0))
+    e = 0
     sigma = [0] * (two_n + 2 * corners.s)
-    last = [0]  # last half so far in each vertex's rotation, which starts at its up-half
-    # (the root's at half 0, so the first step closes the root's rotation)
-    stack = [0]
+    # for each vertex on the current path: the first half of its rotation (its up-half)
+    # and the last so far; the root's both are half 0, so the first step closes its rotation
+    heads, tails = [0], [0]
+    h = 0  # down-half of the next new vertex
     for t in range(two_n):
-        v = stack[-1]
-        if t in runs:
-            for _, h in sorted(runs[t]):
-                sigma[last[v]] = h
-                last[v] = h
+        while ends[e][0] == t:
+            g = ends[e][2]
+            sigma[tails[-1]] = g
+            tails[-1] = g
+            e += 1
         if vals[t + 1] > vals[t]:
-            h = len(last) * 2 - 2
-            sigma[last[v]] = h
-            last[v] = h
-            last.append(h + 1)
-            stack.append(len(last) - 1)
+            sigma[tails[-1]] = h
+            tails[-1] = h
+            heads.append(h + 1)
+            tails.append(h + 1)
+            h += 2
         else:
-            sigma[last[v]] = 2 * v - 1
-            stack.pop()
+            sigma[tails.pop()] = heads.pop()
     alpha = [h ^ 1 for h in range(len(sigma))]
     return RootedMap(sigma, alpha, root=0, check=validate)
 
@@ -338,23 +350,21 @@ def _require_msns(m: RootedMap) -> None:
 
 def _bf_tree_halves(m: RootedMap) -> set[int]:
     """Half-edges of the breadth-first spanning tree (rotation-order scan)."""
-    tree = {m.root, m.alpha[m.root]}
-    visited = {m.origin[m.root], m.origin[m.alpha[m.root]]}
+    sigma, alpha, origin = m.sigma, m.alpha, m.origin
+    tree = {m.root, alpha[m.root]}
+    visited = [False] * m.num_vertices
+    visited[origin[m.root]] = visited[origin[alpha[m.root]]] = True
     queue = [m.root]
-    qi = 0
-    while qi < len(queue):
-        e = queue[qi]
-        qi += 1
-        back = m.alpha[e]
-        h = m.sigma[back]
+    for e in queue:  # grows as the scan meets new vertices
+        back = alpha[e]
+        h = sigma[back]
         while h != back:
-            w = m.origin[m.alpha[h]]
-            if w not in visited:
-                visited.add(w)
-                tree.add(h)
-                tree.add(m.alpha[h])
+            w = origin[alpha[h]]
+            if not visited[w]:
+                visited[w] = True
+                tree.update((h, alpha[h]))
                 queue.append(h)
-            h = m.sigma[h]
+            h = sigma[h]
     return tree
 
 
@@ -362,32 +372,35 @@ def _contour_walk(m: RootedMap, mode: str, tree: set[int]):
     """The contour of a spanning tree inside ``m`` and the decoration of the rest.
 
     At each time the walk rotates from the twin of the half it arrived by and
-    skips the non-tree halves; a skipped half sits at the previous time's
-    corner, tagged by its 1-based place in the skipped run.  The walk then
-    steps up to a new vertex or down to a visited one.  Breadth-first passes
-    its whole tree; depth-first passes an empty set and grows the tree on the
-    way: a half whose far endpoint is unvisited joins it with its twin.
+    skips the non-tree halves; a skipped half sits at that time's corner,
+    tagged by its 1-based place in the skipped run.  The walk then steps up
+    to a new vertex or down to a visited one.  Breadth-first passes its whole
+    tree; depth-first passes an empty set and grows the tree on the way: a
+    half whose far endpoint is unvisited joins it with its twin.
     """
     sigma, alpha, origin = m.sigma, m.alpha, m.origin
     grow = mode == "df"
     visited = [False] * m.num_vertices
     visited[origin[m.root]] = True
     vals = [0]
+    y = 0
     found: dict[int, tuple[int, int]] = {}  # surplus half -> (corner, tag)
     h = m.root
-    for t in range(1, 2 * m.n + 1):
+    for t in range(2 * m.n):
         tag = 0
         while h not in tree:
             if grow and not visited[origin[alpha[h]]]:
                 tree.update((h, alpha[h]))
                 break
             tag += 1
-            found[h] = (t - 1, tag)
+            found[h] = (t, tag)
             h = sigma[h]
-        w = origin[alpha[h]]
-        vals.append(vals[-1] - 1 if visited[w] else vals[-1] + 1)
+        back = alpha[h]
+        w = origin[back]
+        y += -1 if visited[w] else 1
         visited[w] = True
-        h = sigma[alpha[h]]
+        vals.append(y)
+        h = sigma[back]
     exc = LatticeExcursion(vals)
     xi = AdmissibleCorners.from_tagged(
         mode, [a + found[alpha[h]] for h, a in found.items() if a < found[alpha[h]]])
@@ -435,18 +448,22 @@ def enumerate_admissible(f: LatticeExcursion, s: int, mode: str) -> list[Admissi
         return [AdmissibleCorners(mode, (), ())]
     pairs = admissible_pairs(f, mode)
     out: set[tuple] = set()
-    for multi in combinations_with_replacement(range(len(pairs)), s):
-        chosen = [pairs[i] for i in multi]
-        ends: dict[int, list[tuple[int, int]]] = {}
-        for j, side in product(range(s), (0, 1)):
-            ends.setdefault(chosen[j][side], []).append((j, side))
-        blocks = list(ends.values())  # each corner's ends take a permutation of its tags
-        for perms in product(*(permutations(range(1, len(b) + 1)) for b in blocks)):
-            tag_of = {end: k for block, perm in zip(blocks, perms) for end, k in zip(block, perm)}
-            tagged = [(i1, tag_of[j, 0], i2, tag_of[j, 1]) for j, (i1, i2) in enumerate(chosen)]
+    for chosen in combinations_with_replacement(pairs, s):
+        ends = [i for pair in chosen for i in pair]  # end 2j + side is a side of pair j
+        blocks: dict[int, list[int]] = {}
+        for e, i in enumerate(ends):
+            blocks.setdefault(i, []).append(e)
+        # each corner's ends take a permutation of its tags; a lone end takes tag 1
+        shared = [b for b in blocks.values() if len(b) > 1]
+        tags = [1] * len(ends)
+        for perms in product(*(permutations(range(1, len(b) + 1)) for b in shared)):
+            for block, perm in zip(shared, perms):
+                for e, k in zip(block, perm):
+                    tags[e] = k
+            tagged = [(ends[e], tags[e], ends[e + 1], tags[e + 1]) for e in range(0, len(ends), 2)]
             if all(i1 != i2 or k1 < k2 for i1, k1, i2, k2 in tagged):  # loops in tag order
                 out.add(tuple(sorted(tagged, key=_CANONICAL_ORDER)))
-    result = [AdmissibleCorners.from_tagged(mode, tagged) for tagged in sorted(out)]
+    result = [AdmissibleCorners(mode, *_split_ends(tagged)) for tagged in sorted(out)]
     for xi in result:
         xi.validate(f)
     return result

@@ -25,6 +25,12 @@ from surplus_lab.lattice_paths import (
     tree_of_contour,
     vervaat,
 )
+from surplus_lab.samplers import sample_uniform_excursion
+
+
+def excursion_values(n: int) -> list[int]:
+    """A fixed excursion of half-length ``n``, as a list."""
+    return sample_uniform_excursion(n, np.random.default_rng(n)).values.tolist()
 
 
 def path_tree(depth: int) -> PlaneTree:
@@ -48,6 +54,31 @@ class TestExcursionType:
     def test_invalid(self, vals):
         with pytest.raises(ValueError):
             LatticeExcursion(vals)
+
+    @pytest.mark.parametrize("n", [5, 1000])
+    @pytest.mark.parametrize("defect, message", [
+        ("even length", r"odd length 2n\+1"),
+        ("start", "start and end at 0"),
+        ("end", "start and end at 0"),
+        ("zero step", r"steps must be \+-1"),
+        ("two steps", r"steps must be \+-1"),
+        ("zero interior", "interior must be strictly positive"),
+    ])
+    def test_rejection_messages(self, n, defect, message):
+        # each defect alone, on a path of length 2n+1 (or 2n, for the even length)
+        vals = excursion_values(n)
+        top = vals.index(max(vals))  # a peak of height >= 2: both neighbours one lower
+        bad = {
+            "even length": vals[:-1],
+            "start": [2] + vals[1:],
+            "end": vals[:-1] + [2],
+            "zero step": vals[:top] + [vals[top] - 1] + vals[top + 1:],
+            "two steps": [0] + [v + 1 for v in vals[1:-1]] + [0],  # +2 first, -2 last
+            "zero interior": excursion_values(n // 2)[:-1] + excursion_values(n - n // 2),
+        }[defect]
+        assert len(bad) == 2 * n + (defect != "even length")
+        with pytest.raises(ValueError, match=message):
+            LatticeExcursion(bad)
 
     def test_steps_roundtrip(self):
         f = LatticeExcursion([0, 1, 2, 1, 2, 1, 0])

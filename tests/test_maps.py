@@ -1,5 +1,6 @@
 """Half-edge maps: insertion, exploration, faces, pairings, gluings."""
 
+import hashlib
 from itertools import combinations
 
 import pytest
@@ -220,6 +221,44 @@ class TestInsertExplore:
         with pytest.raises(ValueError):
             RootedMap(sigma, alpha, 0)
 
+    @pytest.mark.parametrize("mode, indices, tags, message", [
+        ("bf", (1, 3), (1,), "even equal length"),
+        ("bf", (1,), (1,), "even equal length"),
+        ("up", (1, 3), (1, 1), "unknown mode 'up'"),
+        ("bf", (0, 1), (1, 1), r"corner index 0 outside \[1, 9\]"),
+        ("df", (1, 10), (1, 1), r"corner index 10 outside \[1, 9\]"),
+        ("bf", (3, 1), (1, 1), "pair not in canonical order"),
+        ("bf", (3, 3), (2, 1), "pair not in canonical order"),
+        ("bf", (1, 2), (1, 1), r"corner pair \(1,2\) violates the height rule"),
+        ("bf", (5, 9), (1, 1), r"corner pair \(5,9\) violates the height rule"),
+        ("df", (1, 2), (1, 1), "corner 2 is not at an ancestor of corner 1"),
+        ("df", (5, 8), (1, 1), "corner 8 is not at an ancestor of corner 5"),
+        ("bf", (2, 3, 1, 3), (1, 1, 1, 2), "pairs not sorted canonically"),
+        ("bf", (1, 3, 1, 3), (2, 2, 1, 1), "pairs not sorted canonically"),
+        ("bf", (1, 3, 2, 3), (1, 1, 1, 1), r"tags at corner 3 are not a permutation of 1\.\.2"),
+        ("bf", (1, 1), (1, 3), r"tags at corner 1 are not a permutation of 1\.\.2"),
+        # two bad corners: the one met first in ``indices`` is named
+        ("bf", (2, 8, 3, 3), (1, 2, 1, 3), r"tags at corner 8 are not a permutation of 1\.\.1"),
+    ])
+    def test_validate_rejection_messages(self, mode, indices, tags, message):
+        f = LatticeExcursion([0, 1, 2, 1, 2, 3, 2, 1, 2, 1, 0])
+        with pytest.raises(ValueError, match=message):
+            AdmissibleCorners(mode, indices, tags).validate(f)
+
+    @pytest.mark.parametrize("sigma, alpha, root, message", [
+        ([0], [0], 0, "odd number of half-edges"),
+        ([0, 0], [1, 0], 0, "rotation is not a permutation"),
+        ([1, 0], [1], 0, "involution length mismatch"),
+        ([0, 1], [0, 1], 0, "involution is not fixed-point-free"),
+        ([0, 1, 2, 3], [1, 2, 3, 0], 0, "involution is not fixed-point-free"),
+        ([0, 1], [1, 0], 2, "root half-edge out of range"),
+        ([0, 1, 2, 3], [1, 0, 3, 2], 0, "map is not connected"),
+        ([1, 0, 3, 2], [2, 3, 0, 1], 0, "root vertex must have degree one"),
+    ])
+    def test_map_rejection_messages(self, sigma, alpha, root, message):
+        with pytest.raises(ValueError, match=message):
+            RootedMap(sigma, alpha, root)
+
     def test_invalid_decoration_rejected(self):
         with pytest.raises(ValueError):
             insert_edges(PATH2, AdmissibleCorners("bf", (1, 2), (1, 1)))  # height rule broken
@@ -227,6 +266,23 @@ class TestInsertExplore:
             insert_edges(PATH2, AdmissibleCorners("bf", (3, 1), (1, 1)))  # order broken
         with pytest.raises(ValueError):
             insert_edges(PATH2, AdmissibleCorners("df", (1, 2), (1, 1)))  # not an ancestor
+
+
+class TestEnumerationDigest:
+    def test_enumerate_admissible_digest(self):
+        # every decoration, in order, for n <= 5 at s <= 2 and n <= 4 at s = 3, both modes
+        digest = hashlib.sha256()
+        count = 0
+        for mode in ("bf", "df"):
+            for n, s in [(n, 1) for n in range(1, 6)] + [(n, 2) for n in range(1, 6)] + \
+                    [(n, 3) for n in range(1, 5)]:
+                for f in enumerate_excursions(n):
+                    for xi in enumerate_admissible(f, s, mode):
+                        digest.update(repr((mode, f.steps_string(), xi.indices, xi.tags)).encode())
+                        count += 1
+        assert count == 72758
+        assert digest.hexdigest() == \
+            "c7a9d7ab137efd584d6398d9ce34430fb5f0bf5ea21279d76169357486f1e5a5"
 
 
 class TestContourBuilder:
@@ -268,6 +324,24 @@ class TestFacesGenus:
         assert degrees == [1, 2, 2, 2, 3]  # pendant root, the cycle, one junction
         assert len(m.faces()) == 2
         assert m.genus() == 0
+
+    def test_degree_is_origin_count(self):
+        def assert_degrees(m):
+            counts = [0] * m.num_vertices
+            for v in m.origin:
+                counts[v] += 1
+            assert [m.degree(v) for v in range(m.num_vertices)] == counts
+
+        for mode in ("bf", "df"):
+            for n in range(1, 5):
+                for s in range(3):
+                    for m in enumerate_maps(n, s, mode):
+                        assert_degrees(m)
+        for f in enumerate_excursions(4):
+            for corners in combinations(range(1, 8), 4):
+                assert_degrees(unicellular_glue(f, G1, corners)[0])
+        f, xi, _ = sample_map_decoration(1000, 2, RngStream(1000).generator())
+        assert_degrees(insert_edges(f, xi))
 
     def test_planar_loop_two_faces(self):
         f = LatticeExcursion([0, 1, 2, 3, 4, 3, 2, 1, 0])
