@@ -234,8 +234,7 @@ def radius_invariance_suite(n_sample: int = 1000, reps: int = 10_000,
     # sampled maps: decorate uniform trees with one surplus edge
     rng = RngStream(seed)
     ok = True
-    for r in range(reps):
-        gen = rng.substream(r).generator()
+    for gen in rng.generators(reps):
         exc = sample_uniform_excursion(n_sample, gen)
         tree = tree_of_contour(exc)
         xi = sample_corners_bf(exc, 1, gen)

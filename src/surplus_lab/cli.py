@@ -142,21 +142,21 @@ def cmd_sample(args) -> int:
     rng = RngStream(args.seed)
     files = []
     if args.kind == "excursion":
-        lines = [sample_uniform_excursion(args.n, rng.substream(r)).steps_string()
-                 for r in range(args.reps)]
+        lines = [sample_uniform_excursion(args.n, gen).steps_string()
+                 for gen in rng.generators(args.reps)]
         path = outdir / "excursions.txt"
         path.write_text("\n".join(lines) + "\n")
         files.append(path)
     elif args.kind == "tree":
-        lines = [sample_uniform_excursion(args.n, rng.substream(r)).to_parens()
-                 for r in range(args.reps)]
+        lines = [sample_uniform_excursion(args.n, gen).to_parens()
+                 for gen in rng.generators(args.reps)]
         path = outdir / "trees.txt"
         path.write_text("\n".join(lines) + "\n")
         files.append(path)
     elif args.kind == "map":
         rows = []
-        for r in range(args.reps):
-            m, weight = sample_uniform_map(args.n, args.s, rng.substream(r))
+        for r, gen in enumerate(rng.generators(args.reps)):
+            m, weight = sample_uniform_map(args.n, args.s, gen)
             path = outdir / f"map_{r}.json"
             persistence.save_map(m, path)
             files.append(path)
@@ -166,8 +166,8 @@ def cmd_sample(args) -> int:
         files.append(wpath)
     elif args.kind == "graph":
         rows = []
-        for r in range(args.reps):
-            graph, weight = sample_surplus_graph(args.n, args.s, rng.substream(r))
+        for r, gen in enumerate(rng.generators(args.reps)):
+            graph, weight = sample_surplus_graph(args.n, args.s, gen)
             rows.append([r, graph.root, json.dumps(sorted(graph.edges)).replace(",", ";"),
                          weight])
         path = outdir / "graphs.csv"
@@ -175,8 +175,7 @@ def cmd_sample(args) -> int:
         files.append(path)
     else:  # crum
         rows = []
-        for r in range(args.reps):
-            gen = rng.substream(r).generator()
+        for r, gen in enumerate(rng.generators(args.reps)):
             exc = sample_uniform_excursion(args.n, gen)
             try:
                 pairing, heights, corners = sample_unicellular_decoration(exc, args.g, gen)

@@ -266,8 +266,7 @@ def profile_laws(n: int, s: int, reps: int, rng: RngStream,
     # weighted labeled-tree route (its own proposal; replicate r uses substream (1, r))
     tree_rows = np.empty((reps, len(grid)))
     tree_w = np.empty(reps)
-    for r in range(reps):
-        gen = rng.substream(1, r).generator()
+    for r, gen in enumerate(rng.substream(1).generators(reps)):
         tree = sample_labeled_tree(n, gen)
         prof = height_profile(tree)
         tree_w[r] = float(ws_weight(prof, s))
@@ -349,10 +348,8 @@ def decoration_gap_estimates(n_list, s: int, reps: int, rng: RngStream,
     for k, n in enumerate(n_list):
         scale = (2.0 * n) ** (-1.5 * s)
         vals = np.empty(reps)
-        for r in range(reps):
-            gen = rng.substream(k, r).generator()
-            exc = sample_uniform_excursion(n, gen)
-            vals[r] = decoration_count_gap(exc, s, mode) * scale
+        for r, gen in enumerate(rng.substream(k).generators(reps)):
+            vals[r] = decoration_count_gap(sample_uniform_excursion(n, gen), s, mode) * scale
         out.append(GapEstimate(n, float(vals.mean()), float(vals.std(ddof=1) / sqrt(reps))
                                if reps > 1 else 0.0))
     return out

@@ -32,7 +32,8 @@ class EnumerationCapExceeded(ValueError):
 
 
 def _as_int_array(values: Sequence[int]) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.int64)
+    """A read-only int64 copy, so the caller's own array stays writeable and unshared."""
+    arr = np.array(values, dtype=np.int64)
     arr.setflags(write=False)
     return arr
 
@@ -340,18 +341,6 @@ def vervaat(b: LatticeBridge) -> LatticeBridge:
     wrap = vals[-1] - vals[tau] - vals[0]
     out = np.concatenate([vals[tau:] - vals[tau], vals[1:tau + 1] + wrap])
     return LatticeBridge(out, validate=False)
-
-
-def excursion_from_shape(shape: LatticeBridge) -> LatticeExcursion:
-    """Attach the root step: shift an excursion shape up one level and prepend 0.
-
-    Maps the nonnegative bridge ``v(0..2m+1)`` to the contour excursion
-    ``f(0) = 0, f(t) = v(t-1) + 1`` of half-length ``m + 1``.
-    """
-    if not shape.is_excursion_shape():
-        raise ValueError("bridge is not an excursion shape")
-    vals = np.concatenate([[0], shape.values + 1])
-    return LatticeExcursion(vals, validate=False)
 
 
 def enumerate_excursions(n: int) -> list[LatticeExcursion]:

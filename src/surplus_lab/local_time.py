@@ -25,6 +25,14 @@ interior corner ``j`` let ``q(j)`` be the last time before ``j`` at level
   two gathers;
 * ``j`` is a depth-first partner of ``i`` exactly when ``q(j) < i <= j``, so
   ``D(f; i) = #{j : q(j) < i <= j}`` and ``D(f) = sum_j (j - q(j))``.
+
+Let ``m = 2n - 1`` be the number of interior corners and ``down(k)`` the
+position of the first corner one level below index position ``k`` after it.  A
+corner at position ``k`` and level ``y`` has ``B(f; k) = (start(y+1) - k) +
+(start(y) - down(k))``, where ``start(y)`` opens level ``y``'s block.  The block
+bounds sum to ``m^2`` and the positions to ``m(m-1)/2``, so the breadth-first
+total is ``B(f) = m(m+1)/2 - sum_k down(k)``; likewise ``D(f) = m(m+1)/2 -
+sum_j q(j)``.
 """
 
 from __future__ import annotations
@@ -78,16 +86,16 @@ def level_occupancy(f) -> np.ndarray:
 class CornerIndex(NamedTuple):
     """The interior corners sorted by (level, time).
 
-    The ``k``-th corner has time ``times[k]``, level ``levels[k]``, sort key
-    ``keys[k] = levels[k] * (2n + 1) + times[k]`` and ``q[k] = q(times[k])``;
-    ``down[k]`` is the position of the first corner one level down after it.
-    ``start[y]`` is the position of level ``y``'s first corner, and ``pos[t]``
-    the position of time ``t`` (``-1`` at the boundary times).
+    The ``k``-th corner has time ``times[k]``, level ``levels[k]`` and
+    ``q[k] = q(times[k])``; ``down[k]`` is the position of the first corner one
+    level down after it.  ``start[y]`` is the position of level ``y``'s first
+    corner, and ``pos[t]`` the position of time ``t`` (``-1`` at the boundary
+    times).  ``down`` is nondecreasing: a level's block points into the block
+    one level below it.
     """
 
     times: np.ndarray
     levels: np.ndarray
-    keys: np.ndarray
     start: np.ndarray
     q: np.ndarray
     down: np.ndarray
@@ -96,7 +104,8 @@ class CornerIndex(NamedTuple):
     def window(self, levels, lo: int, hi: int) -> np.ndarray:
         """Corners in ``[lo, hi)`` at each of ``levels`` in turn, ascending within a level."""
         width = len(self.pos)
-        cut = np.searchsorted(self.keys, [y * width + t for y in levels for t in (lo, hi)]).tolist()
+        keys = self.levels * width + self.times  # ascending: the index order
+        cut = np.searchsorted(keys, [y * width + t for y in levels for t in (lo, hi)]).tolist()
         return np.concatenate([self.times[a:b] for a, b in zip(cut[::2], cut[1::2])])
 
 
@@ -106,17 +115,20 @@ def corner_index(values) -> CornerIndex:
     the previous corner at that level, which has the same ``q``."""
     values = np.asarray(values, dtype=np.int64)
     interior = values[1:-1]
-    top = int(interior.max())
-    times = np.argsort(interior.astype(np.int16 if top < 2 ** 15 else np.int32),
-                       kind="stable") + 1
-    levels = values[times]
-    start = np.zeros(top + 2, dtype=np.int64)
-    np.cumsum(np.bincount(interior, minlength=top + 1), out=start[1:])
+    span = len(values)  # heights stay below span / 2, so below 2^15 when span < 2^16
+    # the time before each corner, in index order
+    before = interior.astype(np.int16 if span < 2 ** 16 else np.int32).argsort(kind="stable")
+    times = before + 1
+    counts = np.bincount(interior)
+    start = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.add.accumulate(counts, out=start[1:])
     rank = np.arange(len(times))
-    q = (times - 1)[np.maximum.accumulate(np.where(values[times - 1] < levels, rank, 0))]
-    pos = np.full(len(values), -1, dtype=np.int64)  # pos[0] = -1: q = 0 has no corner below
+    up = interior > values[:-2]  # the step into each interior time, in time order
+    q = before[np.maximum.accumulate(rank * up[before])]  # from the block's last up-step
+    pos = np.empty(span, dtype=np.int64)
     pos[times] = rank
-    return CornerIndex(times, levels, levels * len(values) + times, start, q, pos[q] + 1, pos)
+    pos[0] = pos[-1] = -1  # pos[0] = -1: q = 0 has no corner below
+    return CornerIndex(times, interior[before], start, q, pos[q] + 1, pos)
 
 
 def _index_of(f) -> CornerIndex:
@@ -131,6 +143,14 @@ def bf_per_index(f) -> np.ndarray:
     same = index.start[index.levels + 1] - np.arange(len(index.times))
     out[index.times] = same + index.start[index.levels] - index.down
     return out
+
+
+def corner_total(f, mode: str) -> int:
+    """The total ``B(f)`` (``mode="bf"``) or ``D(f)`` (``"df"``) of a path or its index in
+    closed form, ``m(m+1)/2`` less the sum of ``down`` or of ``q`` over the ``m`` corners."""
+    index = _index_of(f)
+    m = len(index.times)
+    return m * (m + 1) // 2 - int((index.down if mode == "bf" else index.q).sum())
 
 
 def df_per_index(f) -> np.ndarray:
@@ -150,7 +170,7 @@ class Functional(NamedTuple):
 def sq_localtime_functional(f: LatticeExcursion) -> Functional:
     """Sum of squared terminal level counts, with its (2n)^{-3/2} scaling."""
     occ = level_occupancy(f)
-    raw = float(np.sum(occ.astype(np.float64) ** 2))
+    raw = float(int(occ @ occ))  # below 2^53: the float that summing the squares in floats gives
     two_n = 2 * f.n
     return Functional(raw, raw / two_n ** 1.5)
 
@@ -164,9 +184,9 @@ def inverse_height_functional(f: LatticeExcursion) -> Functional:
 
 
 def area_functional(f: LatticeExcursion) -> Functional:
-    """Trapezoid area under the path; scaled value is 2*area/(2n)^{3/2}."""
-    vals = f.values.astype(np.float64)
-    raw = float((vals[:-1] + vals[1:]).sum() / 2.0)
+    """Trapezoid area under the path, the sum of its values since both ends are 0; scaled
+    value is 2*area/(2n)^{3/2}."""
+    raw = float(int(f.values.sum()))
     two_n = 2 * f.n
     return Functional(raw, 2.0 * raw / two_n ** 1.5)
 

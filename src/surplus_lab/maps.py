@@ -664,9 +664,13 @@ def unicellular_glue(f: LatticeExcursion, pairing: PermutationPairing,
     """Glue ``4g`` corners of the tree coded by ``f`` in pairs; report unicellularity.
 
     When :func:`glue_heights_ok` holds, the glued map's breadth-first
-    exploration returns ``f`` with this decoration.
+    exploration returns ``f`` with this decoration.  The corners must lie in
+    ``[1, 2n-1]``: the root corner is never an insertion site.
     """
-    xi = glue_decoration(pairing, corners)
+    corners = tuple(corners)
+    xi = glue_decoration(pairing, corners)  # checks the count and the strict increase
+    if corners and not (corners[0] >= 1 and corners[-1] <= 2 * f.n - 1):
+        raise ValueError(f"glued corners must lie in [1, {2 * f.n - 1}], got {corners}")
     m = insert_edges(f, xi, validate=False)
     return m, m.is_unicellular()
 

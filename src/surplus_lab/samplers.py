@@ -4,7 +4,12 @@ Sampling is driven by :class:`RngStream`: a master seed plus a tuple of
 stream indices, expanded through ``numpy``'s ``SeedSequence`` spawning so
 that (seed, stream) fully determines every draw and distinct streams are
 statistically independent.  Ensemble replicate ``r`` always uses substream
-``r``, so results do not depend on evaluation order.
+``r``, so results do not depend on evaluation order.  An ensemble seeds its
+replicates' streams in one pass (:meth:`RngStream.generators`): the
+``SeedSequence`` hash of the shared (seed, path) prefix is run once and its
+last word, ``r``, is mixed in for all replicates at once in 32-bit integer
+arithmetic.  Each stream is the one ``SeedSequence`` itself gives, which
+:meth:`RngStream.generator` still builds and the tests compare against.
 
 Tilted laws are realized by self-normalized importance sampling from the
 uniform proposal: excursions are drawn uniformly and carry weights
@@ -19,7 +24,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from math import factorial, isqrt
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -27,12 +32,9 @@ from .lattice_paths import (
     EnumerationCapExceeded,
     HeightProfile,
     LabeledTree,
-    LatticeBridge,
     LatticeExcursion,
-    excursion_from_shape,
-    vervaat,
 )
-from .local_time import CornerIndex, bf_per_index, corner_index, df_per_index
+from .local_time import CornerIndex, bf_per_index, corner_index, corner_total, df_per_index
 from .maps import (
     AdmissibleCorners,
     GenusOneTerms,
@@ -68,6 +70,74 @@ class RngStream:
     def substream(self, *indices: int) -> "RngStream":
         return RngStream(self.seed, self.path + tuple(indices))
 
+    def generators(self, count: int) -> Iterator[np.random.Generator]:
+        """``substream(r).generator()`` for ``r = 0..count-1``, seeded in one pass."""
+        from numpy.random.bit_generator import ISeedSequence
+
+        ISeedSequence.register(_FixedSeed)  # here, so that importing leaves numpy.random out
+        generator, pcg64 = np.random.Generator, np.random.PCG64
+        for state in _pcg64_seeds(self.seed, self.path, count):
+            yield generator(pcg64(_FixedSeed(state)))
+
+
+class _FixedSeed:
+    """Hands ``PCG64`` the state words that :func:`_pcg64_seeds` computed for it."""
+
+    __slots__ = ("state",)
+
+    def __init__(self, state: np.ndarray):
+        self.state = state
+
+    def generate_state(self, n_words, dtype=np.uint32) -> np.ndarray:
+        return self.state
+
+
+_MASK32 = 0xFFFFFFFF
+
+
+def _hasher(const: int, mult: int):
+    """``SeedSequence``'s hashmix: each call steps the hash constant by ``mult``."""
+    def hashmix(value):
+        nonlocal const
+        value = value ^ const
+        const = const * mult & _MASK32
+        value = value * const & _MASK32
+        return value ^ value >> 16
+    return hashmix
+
+
+def _pcg64_seeds(seed: int, path: tuple[int, ...], count: int) -> np.ndarray:
+    """The four ``uint64`` words that ``SeedSequence(seed, spawn_key=path + (r,))`` hands
+    ``PCG64``, one row per ``r < count``.  The entropy is the seed's 32-bit words (low word
+    first, padded to four), then each path entry's, then ``r``.  The pool is mixed from all
+    words but the last once; ``r`` is mixed into every row at once in uint64 arithmetic,
+    masked to 32 bits, and ``generate_state`` draws eight 32-bit words per row."""
+    entries = [int(seed), *map(int, path)]
+    if min(entries) < 0 or not 0 <= count <= 2 ** 32:
+        raise ValueError(f"seed {seed}, path {path} and count {count} must be nonnegative, "
+                         "and the count at most 2^32")
+    words = [[v >> b & _MASK32 for b in range(0, max(v.bit_length(), 1), 32)] for v in entries]
+    entropy = words[0] + [0] * (4 - len(words[0])) + [w for ws in words[1:] for w in ws]
+
+    def mix(x, y):
+        value = (0xCA01F9DD * x - 0x4973F715 * y) & _MASK32
+        return value ^ value >> 16
+
+    hashmix = _hasher(0x43B0D7E5, 0x931E8875)
+    pool = [hashmix(w) for w in entropy[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for w in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(w))
+    r = np.arange(count, dtype=np.uint64)
+    pool = [mix(np.uint64(p), hashmix(r)) for p in pool]
+    draw = _hasher(0x8B51F9DD, 0x58F38DED)
+    state = [draw(pool[k % 4]) for k in range(8)]
+    return np.stack([state[k] | state[k + 1] << 32 for k in range(0, 8, 2)], axis=1)
+
 
 def as_generator(rng) -> np.random.Generator:
     if isinstance(rng, np.random.Generator):
@@ -82,26 +152,32 @@ def as_generator(rng) -> np.random.Generator:
 # -- uniform samplers -----------------------------------------------------------
 
 
-def sample_uniform_bridge(n: int, rng) -> LatticeBridge:
-    """Uniform +-1 bridge from 0 to -1 with ``2n + 1`` steps."""
-    gen = as_generator(rng)
-    steps = np.concatenate([np.ones(n, dtype=np.int64), -np.ones(n + 1, dtype=np.int64)])
-    steps = gen.permutation(steps)
-    return LatticeBridge(np.concatenate([[0], np.cumsum(steps)]), validate=False)
-
-
 def sample_uniform_excursion(n: int, rng) -> LatticeExcursion:
     """Uniform contour excursion of half-length ``n``.
 
-    The Vervaat rotation of a uniform bridge with ``2n - 1`` steps (the
-    cycle lemma makes it uniform over excursion shapes), with the root step
-    attached.
+    One shuffle of ``n - 1`` up-steps and ``n`` down-steps gives a uniform
+    bridge from 0 to -1; its Vervaat rotation at the first minimum ``m`` of its
+    partial sums ``c`` (the cycle lemma makes it uniform over excursion shapes),
+    with the root step attached, is ``0, c[k:] - m + 1, c[:k+1] - m``, where
+    ``k`` is the position of that minimum.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if n == 1:
         return LatticeExcursion([0, 1, 0], validate=False)
-    return excursion_from_shape(vervaat(sample_uniform_bridge(n - 1, rng)))
+    gen = as_generator(rng)
+    steps = np.empty(2 * n - 1, dtype=np.int64)
+    steps[:n - 1] = 1
+    steps[n - 1:] = -1
+    gen.shuffle(steps)
+    c = np.add.accumulate(steps)
+    k = int(c.argmin())
+    low = int(c[k])
+    values = np.empty(2 * n + 1, dtype=np.int64)
+    values[0] = 0
+    np.add(c[k:], 1 - low, out=values[1:2 * n - k])
+    np.subtract(c[:k + 1], low, out=values[2 * n - k:])
+    return LatticeExcursion(values, validate=False)
 
 
 def prufer_decode(code, n: int, root: int) -> LabeledTree:
@@ -276,16 +352,22 @@ def _terms(f: LatticeExcursion | CornerIndex, s: int, mode: str):
     and the count of decorations with ``s <= 2`` surplus edges as a sum: ``[1]``, ``[P]``,
     or ``[C(P, 2), 2P, sum_c C(ends_c, 2)]`` for two distinct pairs, a doubled pair and
     two ends at one corner.  A breadth-first corner's ends are the index positions from
-    its partners one level down to the corners a level up before it, plus its loop's
-    second end; a depth-first ``j`` is second end of a pair with each of ``(q(j), j]``."""
+    its partners one level down, ``down[k]``, to the corners a level up before it, plus its
+    loop's second end; since ``down`` is nondecreasing, the first corner a level up after
+    position ``k`` is at ``#{k' : down[k'] <= k}``.  A depth-first ``j`` is first end of a
+    pair with each ``j' >= j`` with ``q(j') < j`` and second end with each of ``(q(j), j]``:
+    ``#{j' : q(j') < j} + 1 - q(j)`` ends in all."""
     if not 0 <= s <= 2:
         raise ValueError("decoration counts are implemented for s <= 2; "
                          "use enumerate_admissible for more")
     if s == 0:
         return 0, None, [1]
     index = f if isinstance(f, CornerIndex) else corner_index(f.values)
-    ends = (np.searchsorted(index.keys, index.keys + len(index.pos)) - index.down + 1
-            if mode == "bf" else df_per_index(index)[index.times] + index.times - index.q)
+    m = len(index.times)
+    if mode == "bf":
+        ends = np.add.accumulate(np.bincount(index.down, minlength=m)) + 1 - index.down
+    else:
+        ends = np.add.accumulate(np.bincount(index.q, minlength=m))[index.times - 1] + 1 - index.q
     pairs = int(ends.sum()) // 2
     if s == 1:
         return pairs, ends, [pairs]
@@ -442,8 +524,7 @@ class TiltSample:
                 self._weight = 1.0  # B^0 = D^0 = 1
             else:
                 self._index = corner_index(self.exc.values)
-                per_index = bf_per_index if self.mode == "bf" else df_per_index
-                self._weight = tilt_weight(int(per_index(self._index).sum()), self.tilt,
+                self._weight = tilt_weight(corner_total(self._index, self.mode), self.tilt,
                                            self.mode, self.exc.n)
         return self._weight
 
@@ -516,14 +597,13 @@ def tilted_ensemble(n: int, tilt: int, mode: str, reps: int, rng: RngStream,
     pairings = entangled_pairings(tilt) if mode == "um" else None
     weights = np.empty(reps, dtype=np.float64)
     raw_cols: dict[str, list] = {name: [] for name in functionals}
-    for r in range(reps):
-        gen = rng.substream(r).generator()
+    for r, gen in enumerate(rng.generators(reps)):
         exc = sample_uniform_excursion(n, gen)
         sample = TiltSample(exc, gen, mode, tilt, pairings)
-        weights[r] = sample.weight()
+        weights[r] = weight = sample.weight()
         for name, fn in functionals.items():
             # zero-weight samples cannot always be decorated; their values never matter
-            raw_cols[name].append(fn(sample) if weights[r] > 0 else None)
+            raw_cols[name].append(fn(sample) if weight > 0 else None)
     if not np.any(weights > 0):
         raise DegenerateEnsembleError(f"all {reps} weights vanished (mode={mode}, n={n})")
     columns = {}
@@ -578,7 +658,7 @@ def sample_map_decoration(n: int, s: int, rng) -> tuple[LatticeExcursion, Admiss
         return exc, _s2_decoration(index, ends, terms, int(gen.integers(total))), float(total)
     # at s = 1 the decoration count is B(f), the tilt weight
     xi = sample_corners_bf(exc, s, gen, index)
-    return exc, xi, tilt_weight(int(bf_per_index(index).sum()), s, "bf", n)
+    return exc, xi, tilt_weight(corner_total(index, "bf"), s, "bf", n)
 
 
 def sample_uniform_map(n: int, s: int, rng) -> tuple[RootedMap, float]:

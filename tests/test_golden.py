@@ -31,6 +31,8 @@ CASES = {
                               "--reps", "60", "--seed", "13"],
     "estimate-two-point-s3": ["estimate", "--target", "two-point", "--n", "40", "--s", "3",
                               "--reps", "60", "--seed", "14"],
+    "estimate-radius-n1000-s3": ["estimate", "--target", "radius", "--n", "1000", "--s", "3",
+                                 "--reps", "20", "--seed", "15"],
     "estimate-profile": ["estimate", "--target", "profile", "--n", "60", "--s", "1",
                          "--reps", "60", "--seed", "2"],
     "estimate-profile-s3": ["estimate", "--target", "profile", "--n", "60", "--s", "3",
@@ -41,6 +43,8 @@ CASES = {
                               "--n", "25", "--g", "1", "--reps", "40", "--seed", "6"],
     "verify-jeulin": ["verify", "--suite", "jeulin", "--n", "64", "--reps", "400",
                       "--seed", "7", "--threshold", "0.5"],
+    "verify-jeulin-n2000": ["verify", "--suite", "jeulin", "--n", "2000", "--reps", "50",
+                            "--seed", "8", "--threshold", "0.5"],
     "verify-lemma3": ["verify", "--suite", "lemma3", "--s", "2", "--reps", "20", "--seed", "33"],
     "verify-sg": ["verify", "--suite", "sg"],
     "sample-excursion": ["sample", "excursion", "--n", "3", "--reps", "24", "--seed", "41"],
@@ -72,6 +76,12 @@ DIGESTS = {
             '11ca162872a0c05463f3dce211b72f6b6c519b795733fc3847556c8bd447cedf',
         'summary.json':
             '5d65608a389c5266b83f416c37aab82c075bd037aaa37c57e92f3e0cfb242c25',
+    },
+    'estimate-radius-n1000-s3': {
+        'estimate_radius.csv':
+            '964a5d521a45883e0eca8ca0a72928f39bec6df112e4ecab13c848e803473e93',
+        'summary.json':
+            '7689048aa269ad1303a94bb14f76233565b3460426a97a3e8ef239b97472449b',
     },
     'estimate-two-point-s1': {
         'estimate_two_point.csv':
@@ -112,6 +122,10 @@ DIGESTS = {
     'verify-jeulin': {
         'verify_jeulin.csv':
             '1e57adf41a21f8337ff83797f4dc363a0d15921a7f9f44fc63baf05fa554775d',
+    },
+    'verify-jeulin-n2000': {
+        'verify_jeulin.csv':
+            '7d3256444924f0a2a0ae67e2093788fa778d9c52a4e5dac0cddb62158334474a',
     },
     'verify-lemma3': {
         'verify_lemma3.csv':

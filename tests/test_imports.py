@@ -1,6 +1,10 @@
-"""Module boundaries: no ``surplus_lab`` module imports another module's private names."""
+"""Module boundaries: no ``surplus_lab`` module imports another module's private names, and
+the command line loads no more of numpy than its commands use."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import surplus_lab
@@ -29,3 +33,15 @@ def test_detector_sees_private_imports(tmp_path):
                      "from .local_time import __doc__\n"
                      "def f():\n    from .samplers import _weighted_index\n")
     assert private_imports(probe) == ["maps._runs", "samplers._weighted_index"]
+
+
+def test_cli_and_selftest_leave_numpy_random_unloaded(tmp_path):
+    # loading numpy.random adds several MiB to the resident set; the exact suites draw
+    # nothing, so the stream seeding must not load it when the package is imported
+    code = ("import sys, surplus_lab.cli as cli; "
+            "assert cli.main(['selftest', '--out', sys.argv[1]]) == 0; "
+            "assert 'numpy.random' not in sys.modules, 'numpy.random is loaded'")
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]

@@ -18,7 +18,6 @@ from surplus_lab.lattice_paths import (
     enumerate_bridges,
     enumerate_excursions,
     excursion_count,
-    excursion_from_shape,
     height_profile,
     lukasiewicz_of_tree,
     preorder_index,
@@ -26,6 +25,8 @@ from surplus_lab.lattice_paths import (
     vervaat,
 )
 from surplus_lab.samplers import sample_uniform_excursion
+
+from path_reference import excursion_from_shape
 
 
 def excursion_values(n: int) -> list[int]:
@@ -44,6 +45,16 @@ class TestExcursionType:
         f = LatticeExcursion([0, 1, 2, 1, 0])
         assert f.n == 2
         assert f.max_height() == 2
+
+    @pytest.mark.parametrize("cls, vals", [(LatticeExcursion, [0, 1, 2, 1, 0]),
+                                           (LatticeBridge, [0, 1, 0, -1])])
+    def test_caller_array_stays_writeable(self, cls, vals):
+        # an int64 array once became the path's own storage and was made read-only
+        arr = np.array(vals)
+        path = cls(arr)
+        assert arr.flags.writeable and not path.values.flags.writeable
+        arr[1] = 7
+        assert path.values.tolist() == vals
 
     @pytest.mark.parametrize("vals", [
         [0, 1, 2, 1],          # even length

@@ -5,6 +5,7 @@ over the path are the reference definitions of the per-corner tables; the
 module under test must reproduce them exactly.
 """
 
+import numpy as np
 import pytest
 
 from surplus_lab.lattice_paths import (
@@ -19,6 +20,7 @@ from surplus_lab.local_time import (
     area_functional,
     bf_per_index,
     corner_index,
+    corner_total,
     corner_weight_telescope,
     df_per_index,
     inverse_height_functional,
@@ -257,6 +259,21 @@ class TestCornerWeights:
                                     if vals[j] == y]
                             assert index.window(levels, lo, hi).tolist() == want
 
+    def test_closed_form_totals_exhaustive(self):
+        # B(f) = m(m+1)/2 - sum down and D(f) = m(m+1)/2 - sum q, on a path or its index
+        for n in range(1, 9):
+            for f in enumerate_excursions(n):
+                index = corner_index(f.values)
+                for path in (f.values, index):
+                    assert corner_total(path, "bf") == int(bf_per_index(f.values).sum())
+                    assert corner_total(path, "df") == int(df_per_index(f.values).sum())
+
+    def test_closed_form_totals_sampled(self):
+        for f in random_excursions(200, 1000, 17):
+            index = corner_index(f.values)
+            assert corner_total(index, "bf") == int(bf_per_index(index).sum())
+            assert corner_total(index, "df") == int(df_per_index(index).sum())
+
     def test_telescope_identity(self):
         # the local-time telescoping sum overcounts by the number of height-one corners
         for n in range(1, 7):
@@ -327,6 +344,16 @@ class TestFunctionals:
     def test_area_bound(self):
         for f in enumerate_excursions(6):
             assert area_functional(f).raw <= 2 * f.n * f.max_height()
+
+    def test_integer_sums_bit_equal_to_float_formulas(self):
+        # every partial sum is an integer below 2^53, so the integer sums give the same floats
+        paths = [f for n in range(1, 9) for f in enumerate_excursions(n)]
+        paths += random_excursions(20, 2000, 23) + [tent(3000)]
+        for f in paths:
+            occ = level_occupancy(f)
+            assert sq_localtime_functional(f).raw == float(np.sum(occ.astype(np.float64) ** 2))
+            vals = f.values.astype(np.float64)
+            assert area_functional(f).raw == float((vals[:-1] + vals[1:]).sum() / 2.0)
 
     def test_small_discrepancy_documented(self):
         # at n = 1 the squared-occupancy value is 5 while twice the area is 2;

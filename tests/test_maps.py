@@ -403,6 +403,13 @@ class TestGlue:
         m, uni = unicellular_glue(DOUBLE3, G1, (1, 2, 4, 5))
         assert isinstance(uni, bool)
 
+    @pytest.mark.parametrize("corners", [(0, 1, 2, 3), (1, 2, 3, 4), (-1, 1, 2, 3)])
+    def test_corners_outside_the_interior_rejected(self, corners):
+        # (0, 1, 2, 3) once glued at the root corner and reported a unicellular map
+        # whose root had degree 3; (1, 2, 3, 4) reaches the last time 2n = 4
+        with pytest.raises(ValueError, match="must lie in"):
+            unicellular_glue(PATH2, G1, corners)
+
     def test_non_entangled_pairing_multi_face(self):
         m, uni = unicellular_glue(DOUBLE3, PermutationPairing(((1, 2), (3, 4))), (1, 2, 3, 4))
         assert not uni

@@ -47,7 +47,6 @@ from surplus_lab.samplers import (
     sample_map_decoration,
     sample_surplus_graph,
     sample_unicellular_decoration,
-    sample_uniform_bridge,
     sample_uniform_excursion,
     spanning_tree_count,
     symmetrize,
@@ -56,6 +55,7 @@ from surplus_lab.samplers import (
     ws_weight,
 )
 
+from path_reference import bridge_excursion, sample_uniform_bridge
 from test_local_time import df_level_sets, oracle_df_set
 
 CHI2_CRIT = {8: 20.090, 13: 27.688}  # 1% upper tail, by degrees of freedom
@@ -98,9 +98,49 @@ class TestUniformExcursion:
         chi2 = sum((v - expected) ** 2 / expected for v in c.values())
         assert chi2 < CHI2_CRIT[13]
 
+    @pytest.mark.parametrize("n", [*range(1, 13), 1000, 2000])
+    def test_draw_matches_bridge_reference(self, n):
+        # the same excursion as the Vervaat rotation of the uniform bridge, from the same
+        # random calls: the generators end in the same state
+        for r in range(40 if n <= 12 else 5):
+            gen, ref = RngStream(n, (r,)).generator(), RngStream(n, (r,)).generator()
+            assert sample_uniform_excursion(n, gen) == bridge_excursion(n, ref)
+            assert gen.bit_generator.state == ref.bit_generator.state
+
     def test_bridge_sampler(self):
-        b = sample_uniform_bridge(4, RngStream(5))
+        b = sample_uniform_bridge(4, RngStream(5).generator())
         assert b.values[0] == 0 and b.values[-1] == -1
+
+
+class TestStreams:
+    SEEDS = [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64, 2 ** 130 + 12345, 2 ** 200 + 7]
+    PATHS = [(), (3,), (2 ** 32, 0), (1, 2 ** 40 + 7, 5)]
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("path", PATHS)
+    def test_generators_match_seed_sequence(self, seed, path):
+        count = 6
+        got = list(RngStream(seed, path).generators(count))
+        assert len(got) == count
+        for r, gen in enumerate(got):
+            ss = np.random.SeedSequence(entropy=seed, spawn_key=path + (r,))
+            assert gen.bit_generator.state == np.random.PCG64(ss).state
+
+    def test_generators_draw_alike(self):
+        rng = RngStream(99, (4,))
+        for r, gen in enumerate(rng.generators(3)):
+            assert gen.integers(10 ** 9, size=5).tolist() == \
+                rng.substream(r).generator().integers(10 ** 9, size=5).tolist()
+
+    def test_generators_edge_counts(self):
+        assert list(RngStream(5).generators(0)) == []
+        with pytest.raises(ValueError):
+            list(RngStream(-1).generators(2))
+        with pytest.raises(ValueError):
+            list(RngStream(5, (-2,)).generators(2))
+        for count in (-1, 2 ** 32 + 1):  # r >= 2^32 would take two entropy words
+            with pytest.raises(ValueError):
+                next(RngStream(5).generators(count))
 
 
 def textbook_prufer_edges(code, n: int) -> list[tuple[int, int]]:
@@ -536,8 +576,8 @@ def assert_uniform_map_law(n: int, s: int, rng: RngStream, reps: int = 25_000) -
 
     Draws are tallied per decorated excursion, and each of those is glued once."""
     drawn = Counter()
-    for r in range(reps):
-        exc, xi, w = sample_map_decoration(n, s, rng.substream(r))
+    for gen in rng.generators(reps):
+        exc, xi, w = sample_map_decoration(n, s, gen)
         drawn[exc, xi] += w
     acc = Counter()
     for (exc, xi), wsum in drawn.items():
