@@ -54,6 +54,7 @@ from .samplers import (
     sample_corners_df,
     sample_labeled_tree,
     sample_surplus_graph,
+    sample_tree_profile,
     sample_unicellular_decoration,
     sample_uniform_excursion,
     sample_uniform_map,

@@ -14,11 +14,7 @@ from math import gamma, pi, sqrt
 
 import numpy as np
 
-from .lattice_paths import (
-    enumerate_excursions,
-    excursion_count,
-    height_profile,
-)
+from .lattice_paths import enumerate_excursions, excursion_count
 from .local_time import (
     area_functional,
     inverse_height_functional,
@@ -32,7 +28,7 @@ from .samplers import (
     WeightedEnsemble,
     decoration_count,
     decoration_count_gap,
-    sample_labeled_tree,
+    sample_tree_profile,
     sample_uniform_excursion,
     tilted_ensemble,
     ws_weight,
@@ -237,10 +233,12 @@ def profile_laws(n: int, s: int, reps: int, rng: RngStream,
     the local time of the tilted contour.
 
     Map route: BFS level counts at level ``floor(r sqrt(n/2))`` scaled by
-    ``1/sqrt(2n)``.  Tree route: height profiles of uniform labeled trees
-    weighted by the symmetrized-tree weight, read at ``floor(r sqrt(n))``
-    and scaled by ``1/sqrt(n)``.  Local-time route: half the terminal level
-    occupancy at ``floor(r sqrt(2n)/2)`` scaled by ``1/sqrt(2n)``.
+    ``1/sqrt(2n)``.  Tree route: the level counts of uniform rooted labeled
+    trees, each drawn from one conditioned Poisson walk with no tree built
+    (:func:`sample_tree_profile`), weighted by the symmetrized-tree weight,
+    read at ``floor(r sqrt(n))`` and scaled by ``1/sqrt(n)``.  Local-time
+    route: half the terminal level occupancy at ``floor(r sqrt(2n)/2)``
+    scaled by ``1/sqrt(2n)``.
     """
     if s < 1:
         raise ValueError("the weighted-tree route needs s >= 1")
@@ -267,8 +265,7 @@ def profile_laws(n: int, s: int, reps: int, rng: RngStream,
     tree_rows = np.empty((reps, len(grid)))
     tree_w = np.empty(reps)
     for r, gen in enumerate(rng.substream(1).generators(reps)):
-        tree = sample_labeled_tree(n, gen)
-        prof = height_profile(tree)
+        prof = sample_tree_profile(n, gen)
         tree_w[r] = float(ws_weight(prof, s))
         z = np.asarray(prof.z, dtype=np.float64)
         tree_rows[r] = _profile_from_levels(z, pos_tree, 1.0 / sqrt(n))

@@ -215,13 +215,52 @@ def prufer_decode(code, n: int, root: int) -> LabeledTree:
 
 
 def sample_labeled_tree(n: int, rng) -> LabeledTree:
-    """Uniform over the ``n^(n-1)`` rooted labeled trees on [n]."""
+    """Uniform over the ``n^(n-1)`` rooted labeled trees on [n].
+
+    :func:`sample_surplus_graph` draws its spanning tree here; a height
+    profile alone comes from :func:`sample_tree_profile`, with no tree.
+    """
     gen = as_generator(rng)
     if n == 1:
         return LabeledTree(1, 1, [0, 0])
     root = int(gen.integers(1, n + 1))
     code = gen.integers(1, n + 1, size=n - 2) if n > 2 else ()
     return prufer_decode(code, n, root)
+
+
+def sample_tree_profile(n: int, rng) -> HeightProfile:
+    """Height profile of a uniform rooted labeled tree on [n], drawn without the tree.
+
+    Without its labels such a tree is a Poisson(1) Galton–Watson tree
+    conditioned on ``n`` vertices.  The child counts of ``n - 1`` uniform
+    labels in [n] are Poisson(1) counts conditioned on summing to ``n - 1``;
+    see :func:`_profile_of_labels` for the walk that turns them into levels.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    return _profile_of_labels(as_generator(rng).integers(1, n + 1, size=n - 1), n)
+
+
+def _profile_of_labels(labels, n: int) -> HeightProfile:
+    """Level counts of the tree that ``n - 1`` labels in [n] encode.
+
+    Label ``v`` occurring ``c_v`` times gives vertex ``v`` that many children.
+    The Łukasiewicz walk of the counts ends at -1; rotated to start after
+    its first minimum (the cycle lemma), the counts are those of a tree in
+    breadth-first order, whose vertices ``[lo, hi)`` of one generation have
+    children ``[hi, 1 + cum[hi - 1])``.  Each tree shape arises from
+    ``n! / prod(c_v!)`` label sequences, as many as rooted labeled trees have
+    that shape, so uniform labels give the profile law of uniform trees.
+    """
+    counts = np.bincount(labels, minlength=n + 1)[1:]
+    k = int(np.add.accumulate(counts - 1).argmin()) + 1
+    # the loop reads one entry per generation, as a Python int through a memoryview
+    cum = np.add.accumulate(np.concatenate((counts[k:], counts[:k]))).data
+    z, lo, hi = [], 0, 1
+    while lo < n:
+        z.append(hi - lo)
+        lo, hi = hi, 1 + cum[hi - 1]
+    return HeightProfile(tuple(z))
 
 
 # -- corner samplers --------------------------------------------------------------

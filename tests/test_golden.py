@@ -97,15 +97,15 @@ DIGESTS = {
     },
     'estimate-profile': {
         'estimate_profile.csv':
-            '81abbb872a10a48912cece65f278a07b3ba4185c971c020c36e422b8c9eded1c',
+            'ee657d664fbe392a4c316b4d7c98ab243a919be444f4538055b014671dc9f811',
         'summary.json':
-            'fb7e99811d0464d8f8f76e0dc04fe67c3d6b08335464cf932e02c6dc96a11acd',
+            '9df2e2b1c651e81cae07d4c0e7b792775a583f09d239cf162a1d792409ac40dd',
     },
     'estimate-profile-s3': {
         'estimate_profile.csv':
-            'f1bc6478835d36cf32e3dc7abf1a8ed721ae5b3f425b0330094b0bc1d3409d67',
+            '8bf4561416032882d3c202187f4fd2c8adb478c642678eb76dadbbd920c48a0d',
         'summary.json':
-            '8ac101c8fab2fb4e9a0700fea58d098a022fd48c16bdb35e6b5edd89bd250be4',
+            '4320cf32873eba36da426b42e2e2191ca0d7272a7ee24d4c38a63c3deeeb616f',
     },
     'estimate-um-radius': {
         'estimate_radius.csv':

@@ -46,6 +46,7 @@ from surplus_lab.samplers import (
     sample_labeled_tree,
     sample_map_decoration,
     sample_surplus_graph,
+    sample_tree_profile,
     sample_unicellular_decoration,
     sample_uniform_excursion,
     spanning_tree_count,
@@ -222,6 +223,39 @@ class TestLabeledTree:
     def test_decode_takes_array_or_sequence(self):
         code = np.array([4, 4, 1], dtype=np.int64)
         assert prufer_decode(code, 5, 2) == prufer_decode([4, 4, 1], 5, 2)
+
+
+class TestTreeProfile:
+    def test_edge_cases(self):
+        assert sample_tree_profile(1, RngStream(1)) == HeightProfile((1,))
+        assert sample_tree_profile(2, RngStream(1)) == HeightProfile((1, 1))
+        with pytest.raises(ValueError):
+            sample_tree_profile(0, RngStream(1))
+
+    def test_exact_law(self):
+        # every label sequence against every (root, code) tree: the same profiles,
+        # each as often, since both families have n^(n-1) members
+        for n in range(1, 7):
+            walks = Counter(samplers._profile_of_labels(np.array(labels, dtype=np.int64), n)
+                            for labels in product(range(1, n + 1), repeat=n - 1))
+            trees = Counter(height_profile(prufer_decode(code, n, root))
+                            for root in range(1, n + 1)
+                            for code in product(range(1, n + 1), repeat=n - 2)) \
+                if n > 1 else Counter([HeightProfile((1,))])
+            assert walks == trees, n
+
+    def test_matches_labeled_tree_route(self):
+        # mean height and mean w1 weight at n = 900, the walk against decoded trees
+        n, reps = 900, 2000
+        rng = RngStream(61)
+        walks = [sample_tree_profile(n, gen) for gen in rng.substream(0).generators(reps)]
+        trees = [height_profile(sample_labeled_tree(n, gen))
+                 for gen in rng.substream(1).generators(reps)]
+        for stat in (lambda p: len(p.z) - 1, lambda p: float(w1_weight(p))):
+            a = np.array([stat(p) for p in walks], dtype=np.float64)
+            b = np.array([stat(p) for p in trees], dtype=np.float64)
+            se = sqrt(a.var(ddof=1) / reps + b.var(ddof=1) / reps)
+            assert abs(a.mean() - b.mean()) < 4 * se
 
 
 class TestCornerSamplers:
