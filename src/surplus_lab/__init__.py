@@ -2,10 +2,11 @@
 and unicellular gluings.
 
 The package is organized around five layers: lattice paths and trees
-(`lattice_paths`), occupation counts and corner weights (`local_time`),
-half-edge maps with their explorations (`maps`), exact and weighted samplers
-(`samplers`), and estimators plus identity checks (`estimators`, `checks`).
-`persistence` and `cli` provide reproducible runs on top.
+(`lattice_paths`), occupation counts, corner weights and the coded tree off one
+corner index (`local_time`), half-edge maps built from the contour with their
+explorations (`maps`), exact and weighted samplers (`samplers`), and estimators
+plus identity checks (`estimators`, `checks`).  `persistence` and `cli` provide
+reproducible runs on top.  No code path decodes a tree.
 """
 
 __version__ = "0.1.0"
@@ -20,12 +21,10 @@ from .lattice_paths import (
     enumerate_excursions,
     excursion_count,
     height_profile,
-    lukasiewicz_of_tree,
     tree_of_contour,
     vervaat,
 )
 from .local_time import (
-    LocalTimeField,
     area_functional,
     inverse_height_functional,
     sq_localtime_functional,
@@ -59,7 +58,6 @@ from .samplers import (
     sample_uniform_excursion,
     sample_uniform_map,
     spanning_tree_count,
-    symmetrize,
     tilted_ensemble,
     w1_weight,
     ws_weight,

@@ -20,9 +20,9 @@ from .lattice_paths import (
     enumerate_excursions,
     excursion_count,
     height_profile,
-    tree_of_contour,
     vervaat,
 )
+from .local_time import contour_tree, corner_index, vertex_times
 from .maps import (
     PermutationPairing,
     all_pairings,
@@ -34,7 +34,6 @@ from .maps import (
     insert_edges,
     is_entangled,
     metric_from_root,
-    tree_adjacency,
     unicellular_glue,
 )
 from .samplers import (
@@ -215,20 +214,31 @@ def gluing_dichotomy_suite(n_max: int = 5) -> SuiteResult:
     return res
 
 
+def _root_distances(at, parent, chord) -> list[int]:
+    """Breadth-first distances from the root in the tree of :func:`contour_tree` plus the
+    edge joining the vertices visited at the two contour times of ``chord``."""
+    adj: list[list[int]] = [[] for _ in parent]
+    edges = list(enumerate(parent.tolist()))[1:] + [tuple(at[list(chord)].tolist())]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    return bfs_distances(adj, 0)
+
+
 def radius_invariance_suite(n_sample: int = 1000, reps: int = 10_000,
                             seed: int = 20_240_501) -> SuiteResult:
     """Map radius equals exploration-tree height; ball volumes match level counts
-    (every map with n <= 4, then sampled maps)."""
+    (every map with n <= 4, then sampled maps), a breadth-first search against the
+    contour, where vertex ``k`` sits at the height of the ``k``-th up-step."""
     res = SuiteResult("radius")
     for n in range(1, 5):
         for s in range(0, 3):
             ok = True
             for m in enumerate_maps(n, s):
-                tree = tree_of_contour(bf_explore(m)[0])
+                f = bf_explore(m)[0]
                 metric = metric_from_root(m)
-                if metric.radius != tree.height():
-                    ok = False
-                if list(metric.level_counts) != list(height_profile(tree).z):
+                depths = np.bincount(f.values[vertex_times(f.values)]).tolist()
+                if metric.radius != f.max_height() or list(metric.level_counts) != depths:
                     ok = False
             res.add(f"enumerated-n{n}-s{s}", ok)
     # sampled maps: decorate uniform trees with one surplus edge
@@ -236,17 +246,11 @@ def radius_invariance_suite(n_sample: int = 1000, reps: int = 10_000,
     ok = True
     for gen in rng.generators(reps):
         exc = sample_uniform_excursion(n_sample, gen)
-        tree = tree_of_contour(exc)
-        xi = sample_corners_bf(exc, 1, gen)
-        vat = tree.vertex_at_time
-        chord = (vat[xi.indices[0]], vat[xi.indices[1]])
-        dist = bfs_distances(tree_adjacency(tree, [chord]), 0)
-        if max(dist) != exc.max_height():
-            ok = False
-            break
-        levels = np.bincount(np.asarray(dist))
-        depths = np.bincount(np.asarray(tree.depth))
-        if len(levels) != len(depths) or not (levels == depths).all():
+        index = corner_index(exc.values)
+        xi = sample_corners_bf(exc, 1, gen, index)
+        dist = _root_distances(*contour_tree(exc.values, index), xi.indices)
+        depths = np.bincount(exc.values[vertex_times(exc.values)]).tolist()
+        if max(dist) != exc.max_height() or np.bincount(dist).tolist() != depths:
             ok = False
             break
     res.add(f"sampled-n{n_sample}-x{reps}", ok)

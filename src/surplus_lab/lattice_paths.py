@@ -19,7 +19,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -225,30 +225,6 @@ def contour_of_tree(t: PlaneTree) -> LatticeExcursion:
     return LatticeExcursion(vals, validate=False)
 
 
-def lukasiewicz_of_tree(t: PlaneTree) -> list[int]:
-    """Depth-first walk stepping by (number of children - 1); ends at -1."""
-    s = [0]
-    for v in _preorder(t):
-        s.append(s[-1] + len(t.children[v]) - 1)
-    return s
-
-
-def _preorder(t: PlaneTree) -> Iterator[int]:
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        yield v
-        stack.extend(reversed(t.children[v]))
-
-
-def preorder_index(t: PlaneTree) -> list[int]:
-    """Position of each vertex in the depth-first (preorder) vertex order."""
-    pos = [0] * (t.n + 1)
-    for k, v in enumerate(_preorder(t)):
-        pos[v] = k
-    return pos
-
-
 @dataclass(frozen=True)
 class HeightProfile:
     """Vertex counts per height: ``z[k]`` vertices at distance ``k`` from the root."""
@@ -314,16 +290,10 @@ class LabeledTree:
         return h
 
 
-def height_profile(t: PlaneTree | LabeledTree) -> HeightProfile:
+def height_profile(t: LabeledTree) -> HeightProfile:
     """Counts of vertices at each distance from the root."""
-    if isinstance(t, LabeledTree):
-        depths = np.array(t.heights()[1:], dtype=np.int64)
-        return HeightProfile(tuple(np.bincount(depths).tolist()))
-    depths = t.depth
-    z = [0] * (max(depths) + 1)
-    for d in depths:
-        z[d] += 1
-    return HeightProfile(tuple(z))
+    depths = np.array(t.heights()[1:], dtype=np.int64)
+    return HeightProfile(tuple(np.bincount(depths).tolist()))
 
 
 def vervaat(b: LatticeBridge) -> LatticeBridge:

@@ -1,9 +1,9 @@
-"""Discrete local-time fields and the corner weights used by the tilted ensembles.
+"""Occupation counts, corner weights for the tilted ensembles, and the coded tree.
 
 For an excursion ``f`` of half-length ``n``:
 
-* ``L(f; t, y)`` counts visits ``#{0 <= j <= t : f(j) = y}`` at integer
-  times and levels.
+* ``L(f; y) = #{0 <= j <= 2n : f(j) = y}`` counts the visits to level ``y``
+  (:func:`level_occupancy`).
 * The breadth-first weight of corner ``i`` counts the later corners at the
   same height or one level below:
   ``B(f; i) = #{j in [max(i,1), 2n-1] : f(j) in {f(i), f(i)-1}}``.
@@ -33,6 +33,8 @@ corner at position ``k`` and level ``y`` has ``B(f; k) = (start(y+1) - k) +
 bounds sum to ``m^2`` and the positions to ``m(m-1)/2``, so the breadth-first
 total is ``B(f) = m(m+1)/2 - sum_k down(k)``; likewise ``D(f) = m(m+1)/2 -
 sum_j q(j)``.
+
+The same index names the vertices of the coded tree (:func:`contour_tree`).
 """
 
 from __future__ import annotations
@@ -42,39 +44,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .lattice_paths import LatticeExcursion
-
-
-class LocalTimeField:
-    """Occupation counts of a lattice path at every integer time and level."""
-
-    __slots__ = ("values", "counts")
-
-    def __init__(self, values: np.ndarray, counts: np.ndarray):
-        self.values = values
-        self.counts = counts  # shape (T+1, y_max+2), cumulative in t
-
-    @classmethod
-    def of(cls, path) -> "LocalTimeField":
-        values = path.values if hasattr(path, "values") else np.asarray(path, dtype=np.int64)
-        if values.min() < 0:
-            raise ValueError("local-time fields are built for nonnegative paths")
-        t_max = len(values) - 1
-        y_max = int(values.max())
-        onehot = np.zeros((t_max + 1, y_max + 2), dtype=np.int64)
-        onehot[np.arange(t_max + 1), values] = 1
-        return cls(values, np.cumsum(onehot, axis=0))
-
-    @property
-    def t_max(self) -> int:
-        return self.counts.shape[0] - 1
-
-    def lattice(self, t: int, y: int) -> int:
-        """Visit count at integer time and level; zero outside the level range."""
-        if not 0 <= t <= self.t_max:
-            raise ValueError(f"time {t} outside [0, {self.t_max}]")
-        if y < 0 or y >= self.counts.shape[1]:
-            return 0
-        return int(self.counts[t, y])
 
 
 def level_occupancy(f) -> np.ndarray:
@@ -129,6 +98,28 @@ def corner_index(values) -> CornerIndex:
     pos[times] = rank
     pos[0] = pos[-1] = -1  # pos[0] = -1: q = 0 has no corner below
     return CornerIndex(times, interior[before], start, q, pos[q] + 1, pos)
+
+
+def vertex_times(values) -> np.ndarray:
+    """The time of each vertex's up-step in the tree a contour codes, 0 for the root:
+    vertex ``k`` is created by the ``k``-th up-step, so its depth is ``f(times[k])``."""
+    values = np.asarray(values, dtype=np.int64)
+    return np.concatenate([[0], np.flatnonzero(values[1:] > values[:-1]) + 1])
+
+
+def contour_tree(values, index: CornerIndex) -> tuple[np.ndarray, np.ndarray]:
+    """``(at, parent)`` of the tree a contour codes, read off its corner index: ``at[t]`` is
+    the vertex visited at time ``t``, at an interior time the one created by the up-step at
+    ``q(t) + 1``; ``parent[k]`` is the vertex visited just before vertex ``k``'s up-step
+    (``-1`` for the root).  ``index`` is :func:`corner_index` of ``values``."""
+    values = np.asarray(values, dtype=np.int64)
+    ups = np.cumsum(values[1:] > values[:-1])  # ups[t]: the up-steps up to time t + 1
+    at = np.zeros(len(values), dtype=np.int64)  # the boundary times visit the root
+    at[index.times] = ups[index.q]
+    times = vertex_times(values)
+    parent = at[times - 1]  # times[0] - 1 = -1 reads the root's last visit
+    parent[0] = -1
+    return at, parent
 
 
 def _index_of(f) -> CornerIndex:
@@ -189,25 +180,3 @@ def area_functional(f: LatticeExcursion) -> Functional:
     raw = float(int(f.values.sum()))
     two_n = 2 * f.n
     return Functional(raw, 2.0 * raw / two_n ** 1.5)
-
-
-def corner_weight_telescope(f: LatticeExcursion) -> tuple[int, int, int]:
-    """Evaluate the telescoping local-time identity for the breadth-first total.
-
-    Returns ``(telescoped_sum, bf_total, boundary)`` where ``telescoped_sum``
-    is ``sum_i [L(2n, f(i)) - L(i-1, f(i)) + L(2n, f(i)-1) - L(i-1, f(i)-1)]``
-    over interior corners.  The sum counts the terminal time at level 0 once
-    for every corner at height 1, which the corner-weight sets exclude, so
-    ``telescoped_sum = bf_total + boundary`` with
-    ``boundary = #{1 <= i <= 2n-1 : f(i) = 1}``.
-    """
-    field = LocalTimeField.of(f)
-    vals = f.values.tolist()
-    two_n = len(vals) - 1
-    tele = 0
-    for i in range(1, two_n):
-        h = vals[i]
-        tele += field.lattice(two_n, h) - field.lattice(i - 1, h)
-        tele += field.lattice(two_n, h - 1) - field.lattice(i - 1, h - 1)
-    boundary = sum(1 for i in range(1, two_n) if vals[i] == 1)
-    return tele, int(bf_per_index(f.values).sum()), boundary

@@ -26,7 +26,7 @@ from operator import eq, itemgetter
 
 import numpy as np
 
-from .lattice_paths import EnumerationCapExceeded, LatticeExcursion, PlaneTree
+from .lattice_paths import EnumerationCapExceeded, LatticeExcursion
 from .local_time import corner_index
 
 SG_CAP = 3
@@ -309,7 +309,7 @@ def insert_edges(f: LatticeExcursion, corners: AdmissibleCorners, validate: bool
     corner's departure, by increasing tag.  Inverse of the matching
     exploration.
     """
-    if validate and corners.s:
+    if validate and (corners.indices or corners.tags):
         corners.validate(f)
     vals = f.values.tolist()
     two_n = len(vals) - 1
@@ -476,17 +476,6 @@ def adjacency(m: RootedMap) -> list[list[int]]:
     adj: list[list[int]] = [[] for _ in range(m.num_vertices)]
     for h in range(m.num_half_edges):
         adj[m.origin[h]].append(m.origin[m.alpha[h]])
-    return adj
-
-
-def tree_adjacency(tree: PlaneTree, extra_edges=()) -> list[list[int]]:
-    """Neighbour lists of a plane tree plus extra edges given as vertex pairs."""
-    adj = [list(kids) for kids in tree.children]
-    for v in range(1, tree.n + 1):
-        adj[v].append(tree.parent[v])
-    for u, v in extra_edges:
-        adj[u].append(v)
-        adj[v].append(u)
     return adj
 
 

@@ -34,7 +34,8 @@ from .lattice_paths import (
     LabeledTree,
     LatticeExcursion,
 )
-from .local_time import CornerIndex, bf_per_index, corner_index, corner_total, df_per_index
+from .local_time import (CornerIndex, bf_per_index, corner_index, corner_total, df_per_index,
+                         vertex_times)
 from .maps import (
     AdmissibleCorners,
     GenusOneTerms,
@@ -585,8 +586,7 @@ class TiltSample:
     def _vertex_times(self) -> np.ndarray:
         """Contour time at which each vertex is first visited (its up-step)."""
         if self._times is None:
-            v = self.exc.values
-            self._times = np.concatenate([[0], np.flatnonzero(v[1:] > v[:-1]) + 1])
+            self._times = vertex_times(self.exc.values)
         return self._times
 
     def distances_from_root(self) -> np.ndarray:
@@ -859,85 +859,6 @@ def sample_surplus_graph(n: int, s: int, rng) -> tuple[RootedGraph, float]:
     return graph, 1.0 / spanning_tree_count(n, edges)
 
 
-# -- breadth-first symmetrization of labeled graphs -----------------------------------
-
-
-@dataclass(frozen=True)
-class SymmetrizeResult:
-    sbf: LabeledTree
-    sbar: LabeledTree | None  # None encodes the degenerate (empty) outcome
-    surplus_pairs: tuple[tuple[int, int], ...]
-    swapped: tuple[bool, ...]
-
-
-def bfs_spanning_tree(graph: RootedGraph) -> LabeledTree:
-    """Breadth-first spanning tree exploring neighbors in increasing label order."""
-    adj = graph.adjacency()
-    parent = [0] * (graph.n + 1)
-    seen = [False] * (graph.n + 1)
-    seen[graph.root] = True
-    queue = [graph.root]
-    qi = 0
-    while qi < len(queue):
-        u = queue[qi]
-        qi += 1
-        for v in adj[u]:
-            if not seen[v]:
-                seen[v] = True
-                parent[v] = u
-                queue.append(v)
-    if not all(seen[1:]):
-        raise ValueError("graph is not connected")
-    return LabeledTree(graph.n, graph.root, parent)
-
-
-def symmetrize(graph: RootedGraph, rng=None) -> SymmetrizeResult:
-    """Label-order BFS tree plus the randomized height-balancing swap.
-
-    Each surplus edge joins vertices whose heights differ by at most one; an
-    equal-height edge is kept as is, a one-step edge re-parents its deeper
-    endpoint with probability 1/2.  When two surplus edges have deeper
-    endpoints within one level of each other the symmetrized tree is the
-    degenerate (empty) outcome, encoded as ``sbar=None``.
-    """
-    sbf = bfs_spanning_tree(graph)
-    heights = sbf.heights()
-    tree_edges = {_edge(v, sbf.parent[v]) for v in range(1, graph.n + 1) if v != graph.root}
-    pairs = []
-    for u, v in sorted(graph.edges - frozenset(tree_edges)):
-        hu, hv = heights[u], heights[v]
-        if abs(hu - hv) > 1:
-            raise AssertionError("breadth-first tree left a surplus edge spanning 2+ levels")
-        if hu == hv:
-            pairs.append((min(u, v), max(u, v)))
-        elif hu == hv + 1:
-            pairs.append((u, v))
-        else:
-            pairs.append((v, u))
-    pairs.sort()
-    if graph.surplus != len(pairs):
-        raise AssertionError("surplus edge count mismatch")
-    for a in range(len(pairs)):
-        for b in range(a + 1, len(pairs)):
-            if abs(heights[pairs[a][0]] - heights[pairs[b][0]]) <= 1:
-                return SymmetrizeResult(sbf, None, tuple(pairs), ())
-    gen = as_generator(rng) if rng is not None else None
-    parent = list(sbf.parent)
-    swapped = []
-    for i, j in pairs:
-        if heights[i] == heights[j]:
-            swapped.append(False)
-            continue
-        if gen is None:
-            raise ValueError("swaps require a random stream")
-        do_swap = bool(gen.integers(2))
-        if do_swap:
-            parent[i] = j
-        swapped.append(do_swap)
-    sbar = LabeledTree(graph.n, graph.root, parent)
-    return SymmetrizeResult(sbf, sbar, tuple(pairs), tuple(swapped))
-
-
 # -- height-profile weights -------------------------------------------------------
 
 
@@ -973,25 +894,3 @@ def ws_weight(profile: HeightProfile, s: int) -> Fraction:
             cur[level] = terms[level] * pref
         prev = cur
     return Fraction(sum(prev), 2 ** s)
-
-
-def degenerate_tuple_bound(profile: HeightProfile, n: int, s: int) -> int:
-    """Size bound on height-colliding surplus tuples: 3 s (s-1) 2^s n^(s-1) (max z)^(s+1)."""
-    zmax = max(profile.z)
-    return 3 * s * (s - 1) * 2 ** s * n ** (s - 1) * zmax ** (s + 1)
-
-
-def count_degenerate_tuples(tree: LabeledTree, s: int) -> int:
-    """Brute count of ordered s-tuples of admissible pairs with a height collision."""
-    heights = tree.heights()
-    n = tree.n
-    pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)
-             if i != j and 0 <= heights[i] - heights[j] <= 1]
-    from itertools import product as iproduct
-
-    count = 0
-    for tup in iproduct(pairs, repeat=s):
-        if any(abs(heights[tup[a][0]] - heights[tup[b][0]]) <= 1
-               for a in range(s) for b in range(a + 1, s)):
-            count += 1
-    return count

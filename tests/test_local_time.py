@@ -8,26 +8,27 @@ module under test must reproduce them exactly.
 import numpy as np
 import pytest
 
-from surplus_lab.lattice_paths import (
-    LatticeExcursion,
-    enumerate_excursions,
-    lukasiewicz_of_tree,
-    preorder_index,
-    tree_of_contour,
-)
+from surplus_lab.lattice_paths import LatticeExcursion, enumerate_excursions, tree_of_contour
 from surplus_lab.local_time import (
-    LocalTimeField,
     area_functional,
     bf_per_index,
+    contour_tree,
     corner_index,
     corner_total,
-    corner_weight_telescope,
     df_per_index,
     inverse_height_functional,
     level_occupancy,
     sq_localtime_functional,
+    vertex_times,
 )
 from surplus_lab.samplers import RngStream, _terms, sample_uniform_excursion
+
+from tree_reference import (
+    LocalTimeField,
+    corner_weight_telescope,
+    lukasiewicz_of_tree,
+    preorder_index,
+)
 
 
 def oracle_bf_set(vals, i):
@@ -135,6 +136,37 @@ def assert_tables_match_sweeps(f):
         index = corner_index(f.values)
         ends = [a + b for a, b in zip(first(vals), second(vals))]
         assert _terms(index, 1, mode)[1].tolist() == [ends[t] for t in index.times]
+
+
+def assert_same_tree(f):
+    tree = tree_of_contour(f)
+    at, parent = contour_tree(f.values, corner_index(f.values))
+    assert at.tolist() == tree.vertex_at_time
+    assert parent.tolist() == tree.parent
+    assert f.values[vertex_times(f.values)].tolist() == tree.depth
+
+
+class TestContourTree:
+    """The tree read off the corner index against the decoded plane tree."""
+
+    def test_matches_decoder_exhaustive(self):
+        count = 0
+        for n in range(1, 9):
+            for f in enumerate_excursions(n):
+                assert_same_tree(f)
+                count += 1
+        assert count == 626
+
+    def test_matches_decoder_n1000(self):
+        for f in random_excursions(200, 1000, 41):
+            assert_same_tree(f)
+
+    def test_example(self):
+        f = LatticeExcursion([0, 1, 2, 1, 2, 3, 2, 1, 0])
+        at, parent = contour_tree(f.values, corner_index(f.values))
+        assert at.tolist() == [0, 1, 2, 1, 3, 4, 3, 1, 0]
+        assert parent.tolist() == [-1, 0, 1, 1, 3]
+        assert vertex_times(f.values.tolist()).tolist() == [0, 1, 2, 4, 5]
 
 
 class TestLocalTime:

@@ -10,10 +10,10 @@ from surplus_lab.lattice_paths import (
     LatticeExcursion,
     PlaneTree,
     enumerate_excursions,
-    height_profile,
     tree_of_contour,
 )
-from surplus_lab.local_time import bf_per_index, df_per_index
+from surplus_lab.checks import _root_distances
+from surplus_lab.local_time import bf_per_index, contour_tree, corner_index, df_per_index
 from surplus_lab.maps import (
     AdmissibleCorners,
     PermutationPairing,
@@ -22,6 +22,7 @@ from surplus_lab.maps import (
     admissible_pairs,
     all_pairings,
     bf_explore,
+    bfs_distances,
     df_explore,
     entangled_pairings,
     enumerate_admissible,
@@ -45,6 +46,7 @@ from surplus_lab.samplers import (
 )
 
 from test_local_time import oracle_bf_set, oracle_df_set
+from tree_reference import plane_tree_profile, tree_adjacency
 
 PATH2 = LatticeExcursion([0, 1, 2, 1, 0])
 DOUBLE3 = LatticeExcursion([0, 1, 2, 1, 2, 1, 0])
@@ -266,6 +268,12 @@ class TestInsertExplore:
             insert_edges(PATH2, AdmissibleCorners("bf", (3, 1), (1, 1)))  # order broken
         with pytest.raises(ValueError):
             insert_edges(PATH2, AdmissibleCorners("df", (1, 2), (1, 1)))  # not an ancestor
+
+    @pytest.mark.parametrize("indices, tags", [((3,), (1,)), ((), (1,)), ((1, 3, 1), (1, 1, 2))])
+    def test_uneven_decoration_rejected(self, indices, tags):
+        # an odd count of ends has s = len(indices) // 2 pairs, which once skipped validation
+        with pytest.raises(ValueError, match="even equal length"):
+            insert_edges(DOUBLE3, AdmissibleCorners("bf", indices, tags))
 
 
 class TestEnumerationDigest:
@@ -494,7 +502,20 @@ class TestMetric:
                         t2 = tree_of_contour(bf_explore(m)[0])
                         metric = metric_from_root(m)
                         assert metric.radius == t2.height()
-                        assert list(metric.level_counts) == list(height_profile(t2).z)
+                        assert list(metric.level_counts) == list(plane_tree_profile(t2).z)
+
+    def test_radius_route_matches_decoded_tree(self):
+        # criterion 08's sampled route (tree off the corner index) against a search on
+        # the decoded plane tree plus the same chord
+        rng = RngStream(808)
+        for gen in rng.generators(200):
+            f = sample_uniform_excursion(1000, gen)
+            index = corner_index(f.values)
+            xi = sample_corners_bf(f, 1, gen, index)
+            tree = tree_of_contour(f)
+            chord = [tuple(tree.vertex_at_time[i] for i in xi.indices)]
+            expected = bfs_distances(tree_adjacency(tree, chord), 0)
+            assert _root_distances(*contour_tree(f.values, index), xi.indices) == expected
 
 
 class TestJsonAndCanonical:

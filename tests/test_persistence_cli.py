@@ -133,6 +133,14 @@ class TestCli:
         assert data["indices"] == [1, 3]
         assert data["tags"] == [1, 1]
 
+    @pytest.mark.parametrize("corners, tags", [("3", ""), ("", "1")])
+    def test_invert_uneven_decoration_is_usage_error(self, corners, tags, tmp_path, capsys):
+        argv = ["invert", "--tree", "((()()))", "--corners", corners, "--tags", tags,
+                "--out", str(tmp_path / "o")]
+        assert main(argv) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("usage error:")
+        assert not (tmp_path / "o" / "map.json").exists()
+
     def test_verify_counts_pass(self, tmp_path):
         assert main(["verify", "--suite", "counts", "--n", "8",
                      "--out", str(tmp_path / "v")]) == EXIT_OK

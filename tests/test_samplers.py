@@ -24,7 +24,6 @@ from surplus_lab.maps import (
     glue_heights_ok,
     insert_edges,
     metric_from_root,
-    tree_adjacency,
     unicellular_glue,
 )
 from surplus_lab import local_time, maps, samplers
@@ -34,10 +33,8 @@ from surplus_lab.samplers import (
     RngStream,
     RootedGraph,
     TiltSample,
-    count_degenerate_tuples,
     decoration_count,
     decoration_count_gap,
-    degenerate_tuple_bound,
     enumerate_maps,
     enumerate_surplus_graphs,
     prufer_decode,
@@ -50,13 +47,18 @@ from surplus_lab.samplers import (
     sample_unicellular_decoration,
     sample_uniform_excursion,
     spanning_tree_count,
-    symmetrize,
     tilted_ensemble,
     w1_weight,
     ws_weight,
 )
 
 from path_reference import bridge_excursion, sample_uniform_bridge
+from tree_reference import (
+    count_degenerate_tuples,
+    degenerate_tuple_bound,
+    symmetrize,
+    tree_adjacency,
+)
 from test_local_time import df_level_sets, oracle_df_set
 
 CHI2_CRIT = {8: 20.090, 13: 27.688}  # 1% upper tail, by degrees of freedom
