@@ -63,7 +63,6 @@ from .samplers import (
     ws_weight,
 )
 from .estimators import (
-    EmpiricalLaw,
     count_asymptotics,
     decoration_gap_estimates,
     jeulin_check,

@@ -59,6 +59,10 @@ class SuiteResult:
     def passed(self) -> bool:
         return all(ok for _, ok, _ in self.checks)
 
+    def rows(self) -> list[list]:
+        """``[check, value, detail, ok]`` rows; an exact check has no value."""
+        return [[label, "", detail, int(ok)] for label, ok, detail in self.checks]
+
     def lines(self) -> list[str]:
         out = []
         for label, ok, detail in self.checks:

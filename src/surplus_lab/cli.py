@@ -50,6 +50,24 @@ def nonnegative_int(text: str) -> int:
     return value
 
 
+# name -> (the suite at size n, verify's default n, selftest's n or None when selftest
+# leaves it out); selftest runs its suites in this order
+EXACT_SUITES = {
+    "bijection": (lambda n, s=0, **_: checks.bijection_suite(n, s or 2), 5, 4),
+    "counts": (lambda n, **_: checks.count_suite(n), 10, 8),
+    "w1": (lambda n, **_: checks.w1_suite(2, n), 6, 5),
+    "psi": (lambda n, **_: checks.psi_suite(n), 5, 4),
+    "vervaat": (lambda n, **_: checks.vervaat_suite(n), 6, 5),
+    "sg": (lambda n, **_: checks.sg_suite(), 0, 0),
+    "dichotomy": (lambda n, **_: checks.gluing_dichotomy_suite(n), 5, 4),
+    "decoration": (lambda n, **_: checks.decoration_count_suite(n), 5, 4),
+    "radius": (lambda n, reps=0, seed=0, **_: checks.radius_invariance_suite(
+        n_sample=n, reps=reps or 10_000, seed=seed or 20_240_501), 1000, None),
+}
+
+SUITE_HEADER = ["check", "value", "detail", "ok"]
+
+
 def build_parser() -> _Parser:
     p = _Parser(prog="surplus-lab", description=__doc__)
     p.add_argument("--version", action="version", version=__version__)
@@ -85,8 +103,7 @@ def build_parser() -> _Parser:
 
     vp = sub.add_parser("verify", help="run an identity suite; exit 2 on failure")
     vp.add_argument("--suite", required=True,
-                    choices=["bijection", "counts", "w1", "psi", "vervaat", "sg",
-                             "dichotomy", "decoration", "radius", "lemma3", "jeulin"])
+                    choices=[*EXACT_SUITES, "lemma3", "jeulin"])
     vp.add_argument("--n", type=nonnegative_int, default=0)
     vp.add_argument("--s", type=nonnegative_int, default=0)
     vp.add_argument("--reps", type=nonnegative_int, default=0)
@@ -320,30 +337,16 @@ def cmd_verify(args) -> int:
     manifest = persistence.new_manifest(
         args.seed, "verify", argv=args.argv,
         parameters={"suite": args.suite, "n": args.n, "s": args.s, "reps": args.reps})
-    exact = {
-        "bijection": lambda: checks.bijection_suite(args.n or 5, args.s or 2),
-        "counts": lambda: checks.count_suite(args.n or 10),
-        "w1": lambda: checks.w1_suite(2, args.n or 6),
-        "psi": lambda: checks.psi_suite(args.n or 5),
-        "vervaat": lambda: checks.vervaat_suite(args.n or 6),
-        "sg": lambda: checks.sg_suite(),
-        "dichotomy": lambda: checks.gluing_dichotomy_suite(args.n or 5),
-        "decoration": lambda: checks.decoration_count_suite(args.n or 5),
-        "radius": lambda: checks.radius_invariance_suite(
-            n_sample=args.n or 1000, reps=args.reps or 10_000,
-            seed=args.seed or 20_240_501),
-    }
-    if args.suite in exact:
-        res = exact[args.suite]()
-        lines = res.lines()
-        ok = res.passed
-        rows = [[label, int(good), detail, ""] for label, good, detail in res.checks]
+    if args.suite in EXACT_SUITES:
+        run, default_n, _ = EXACT_SUITES[args.suite]
+        res = run(args.n or default_n, s=args.s, reps=args.reps, seed=args.seed)
+        lines, ok, rows = res.lines(), res.passed, res.rows()
     else:
         lines, ok, rows = _statistical_suite(args)
     for line in lines:
         print(line)
     path = outdir / f"verify_{args.suite}.csv"
-    persistence.write_csv(path, ["check", "value", "detail", "ok"], rows)
+    persistence.write_csv(path, SUITE_HEADER, rows)
     _finish(manifest, outdir, path)
     return EXIT_OK if ok else EXIT_VERIFY
 
@@ -358,51 +361,20 @@ def cmd_estimate(args) -> int:
         parameters={"target": args.target, "model": args.model, "n": args.n,
                     "s": args.s, "g": args.g, "reps": args.reps})
     rng = RngStream(args.seed)
-    summary: dict = {"target": args.target, "model": args.model, "n": args.n,
-                     "reps": args.reps, "seed": args.seed}
-    files = []
-    if args.model == "h" and args.target == "radius":
-        laws = estimators.radius_laws(args.n, args.s, args.reps, rng)
-        summary.update(ks_map_bf=laws.ks_map_bf, ks_bf_df=laws.ks_bf_df,
-                       ks_map_df=laws.ks_map_df, ess=laws.ess)
-        ens = laws.ensembles
-        header = ["replicate", "map", "map_w", "bf", "bf_w", "df", "df_w"]
-        rows = [[r,
-                 ens["map"].columns["radius"][r], ens["map"].weights[r],
-                 ens["bf"].columns["sup"][r], ens["bf"].weights[r],
-                 ens["df"].columns["invheight"][r], ens["df"].weights[r]]
-                for r in range(args.reps)]
-        lines = [f"ks(map,bf)={laws.ks_map_bf:.5f}", f"ks(bf,df)={laws.ks_bf_df:.5f}",
-                 f"ks(map,df)={laws.ks_map_df:.5f}"]
-    elif args.model == "h" and args.target == "profile":
-        laws = estimators.profile_laws(args.n, args.s, args.reps, rng)
-        summary.update(sup_map_vs_tree=laws.sup_map_vs_tree, ess=laws.ess,
-                       mass_map=laws.mass_map, mass_tree=laws.mass_tree)
-        header = ["r", "mean_map", "mean_tree", "mean_localtime"]
-        rows = [[float(laws.grid[k]), laws.mean_map[k], laws.mean_tree[k],
-                 laws.mean_localtime[k]] for k in range(len(laws.grid))]
-        lines = [f"sup|map-tree|={laws.sup_map_vs_tree:.5f}"]
+    if args.model == "um":
+        est = estimators.unicellular_laws(args.target, args.n, args.g, args.reps, rng)
+    elif args.target == "radius":
+        est = estimators.radius_laws(args.n, args.s, args.reps, rng)
+    elif args.target == "profile":
+        est = estimators.profile_laws(args.n, args.s, args.reps, rng)
     else:
-        if args.model == "um":
-            laws = estimators.unicellular_laws(args.target, args.n, args.g, args.reps, rng)
-        else:
-            laws = estimators.two_point_law(args.n, args.s, args.reps, rng)
-        summary.update(ks=laws.ks, ess=laws.ess)
-        ens = laws.ensembles
-        header = ["replicate", "map", "map_w", "excursion", "excursion_w"]
-        rows = [[r,
-                 ens["map"].columns["val"][r], ens["map"].weights[r],
-                 ens["excursion"].columns["val"][r], ens["excursion"].weights[r]]
-                for r in range(args.reps)]
-        lines = [f"ks(map,excursion)={laws.ks:.5f}"]
+        est = estimators.two_point_law(args.n, args.s, args.reps, rng)
     path = outdir / f"estimate_{args.target.replace('-', '_')}.csv"
-    persistence.write_csv(path, header, rows)
-    files.append(path)
+    persistence.write_csv(path, est.header, est.rows)
     spath = outdir / "summary.json"
-    spath.write_text(json.dumps(summary, indent=2, sort_keys=True, default=float) + "\n")
-    files.append(spath)
-    _finish(manifest, outdir, *files)
-    for line in lines:
+    spath.write_text(json.dumps(est.summary, indent=2, sort_keys=True, default=float) + "\n")
+    _finish(manifest, outdir, path, spath)
+    for line in est.lines:
         print(line)
     return EXIT_OK
 
@@ -452,26 +424,18 @@ def cmd_counts(args) -> int:
 def cmd_selftest(args) -> int:
     outdir = _outdir(args)
     manifest = persistence.new_manifest(0, "selftest", argv=args.argv, parameters={})
-    results = [
-        checks.bijection_suite(4, 2),
-        checks.count_suite(8),
-        checks.w1_suite(2, 5),
-        checks.psi_suite(4),
-        checks.vervaat_suite(5),
-        checks.sg_suite(),
-        checks.gluing_dichotomy_suite(4),
-        checks.decoration_count_suite(4),
-    ]
     ok = True
     rows = []
-    for res in results:
+    for run, _, size in EXACT_SUITES.values():
+        if size is None:
+            continue
+        res = run(size)
         for line in res.lines():
             print(line)
-        for label, good, detail in res.checks:
-            rows.append([label, int(good), detail, ""])
+        rows += res.rows()
         ok = ok and res.passed
     path = outdir / "selftest.csv"
-    persistence.write_csv(path, ["check", "ok", "detail", "note"], rows)
+    persistence.write_csv(path, SUITE_HEADER, rows)
     _finish(manifest, outdir, path)
     print("selftest:", "PASS" if ok else "FAIL")
     return EXIT_OK if ok else EXIT_VERIFY

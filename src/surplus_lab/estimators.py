@@ -37,57 +37,75 @@ from .samplers import (
 WRIGHT_CAP = 12
 
 
-# -- empirical laws and the KS statistic ------------------------------------------
+# -- weighted laws, the KS statistic and the result of an estimate --------------------
 
 
-@dataclass
-class EmpiricalLaw:
-    """Weighted scalar sample; weights normalized to a probability vector."""
-
-    values: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
-        w = np.asarray(self.weights, dtype=np.float64)
-        if len(v) == 0:
-            raise ValueError("empirical law needs at least one sample")
-        if len(v) != len(w):
-            raise ValueError("values and weights length mismatch")
-        if not np.all(np.isfinite(w)) or np.any(w < 0) or w.sum() <= 0:
-            raise ValueError("weights must be nonnegative, finite, not all zero")
-        order = np.argsort(v, kind="stable")
-        self.values = v[order]
-        self.weights = w[order] / w[order].sum()
-
-    @classmethod
-    def from_ensemble(cls, ens: WeightedEnsemble, column: str) -> "EmpiricalLaw":
-        return cls(ens.columns[column], ens.weights)
-
-    def cdf_at(self, xs: np.ndarray) -> np.ndarray:
-        cum = np.cumsum(self.weights)
-        idx = np.searchsorted(self.values, xs, side="right")
-        return np.where(idx > 0, cum[np.minimum(idx - 1, len(cum) - 1)], 0.0)
-
-    def mean(self) -> float:
-        return float(np.dot(self.weights, self.values))
-
-    def std_error(self) -> float:
-        """Delta-method standard error of the weighted mean."""
-        resid = self.values - self.mean()
-        return float(np.sqrt(np.sum((self.weights * resid) ** 2)))
+def _sorted_law(ens: WeightedEnsemble, column: str) -> tuple[np.ndarray, np.ndarray]:
+    """A column's values in stable sorted order, with the weights normalized after sorting."""
+    order = np.argsort(ens.columns[column], kind="stable")
+    w = ens.weights[order]
+    return ens.columns[column][order], w / w.sum()
 
 
-def ks_distance(a: EmpiricalLaw, b: EmpiricalLaw) -> float:
-    """Sup difference of the weighted empirical CDFs."""
-    grid = np.concatenate([a.values, b.values])
-    return float(np.max(np.abs(a.cdf_at(grid) - b.cdf_at(grid))))
+def _cdf_at(values: np.ndarray, weights: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    cum = np.cumsum(weights)
+    idx = np.searchsorted(values, xs, side="right")
+    return np.where(idx > 0, cum[np.minimum(idx - 1, len(cum) - 1)], 0.0)
 
 
-def ks_two_sample_critical(m: int, n: int, alpha: float = 0.01) -> float:
+def ks_distance(a: tuple[WeightedEnsemble, str], b: tuple[WeightedEnsemble, str]) -> float:
+    """Sup difference of the weighted empirical CDFs of two ``(ensemble, column)`` routes."""
+    (va, wa), (vb, wb) = _sorted_law(*a), _sorted_law(*b)
+    grid = np.concatenate([va, vb])
+    return float(np.max(np.abs(_cdf_at(va, wa, grid) - _cdf_at(vb, wb, grid))))
+
+
+def ks_two_sample_critical(m: float, n: float, alpha: float = 0.01) -> float:
     """Asymptotic two-sample KS critical value at level alpha."""
     c = sqrt(-np.log(alpha / 2.0) / 2.0)
     return c * sqrt((m + n) / (m * n))
+
+
+@dataclass
+class Estimate:
+    """One estimate: its CSV table, its ``summary.json`` and its printed lines."""
+
+    header: list[str]
+    rows: list[list]
+    summary: dict
+    lines: list[str]
+    ensembles: dict
+
+    @property
+    def ess(self) -> dict:
+        return self.summary["ess"]
+
+
+def _run_summary(target: str, model: str, n: int, reps: int, rng: RngStream) -> dict:
+    """The run's parameters, which open every ``summary.json``."""
+    return {"target": target, "model": model, "n": n, "reps": reps, "seed": rng.seed}
+
+
+def _route_estimate(summary: dict, routes: dict, pairs: dict) -> Estimate:
+    """The per-replicate table of weighted routes, each route's ESS, and per compared pair
+    the KS distance, printed beside its 1 % critical value at the two routes' ESS.
+
+    ``routes`` maps a route name to ``(ensemble, column)``; ``pairs`` maps a summary key to
+    the names of the two routes it compares.
+    """
+    ess = summary["ess"] = {name: ens.ess() for name, (ens, _) in routes.items()}
+    header, cols = ["replicate"], []
+    for name, (ens, column) in routes.items():
+        header += [name, f"{name}_w"]
+        cols += [ens.columns[column], ens.weights]
+    rows = [[r, *(col[r] for col in cols)] for r in range(len(cols[0]))]
+    lines = []
+    for key, (a, b) in pairs.items():
+        summary[key] = ks = ks_distance(routes[a], routes[b])
+        lines.append(f"ks({a},{b})={ks:.5f} "
+                     f"critical(1%)={ks_two_sample_critical(ess[a], ess[b]):.5f}")
+    return Estimate(header, rows, summary, lines,
+                    {name: ens for name, (ens, _) in routes.items()})
 
 
 # -- radius, two-point, and profile laws --------------------------------------------
@@ -103,19 +121,7 @@ def _route_scale(n: int, mode: str):
     return lambda h: scale * h
 
 
-@dataclass
-class RadiusLaws:
-    map_law: EmpiricalLaw
-    bf_law: EmpiricalLaw
-    df_law: EmpiricalLaw
-    ks_map_bf: float
-    ks_bf_df: float
-    ks_map_df: float
-    ess: dict
-    ensembles: dict
-
-
-def radius_laws(n: int, s: int, reps: int, rng: RngStream) -> RadiusLaws:
+def radius_laws(n: int, s: int, reps: int, rng: RngStream) -> Estimate:
     """Three routes to the same radius law.
 
     Map route: radius of weighted uniform-map samples scaled by
@@ -136,42 +142,22 @@ def radius_laws(n: int, s: int, reps: int, rng: RngStream) -> RadiusLaws:
         n, s, "df", reps, rng.substream(2),
         {"invheight": lambda smp: inverse_height_functional(smp.exc).scaled},
     )
-    law_a = EmpiricalLaw.from_ensemble(map_ens, "radius")
-    law_b = EmpiricalLaw.from_ensemble(bf_ens, "sup")
-    law_c = EmpiricalLaw.from_ensemble(df_ens, "invheight")
-    return RadiusLaws(
-        law_a, law_b, law_c,
-        ks_map_bf=ks_distance(law_a, law_b),
-        ks_bf_df=ks_distance(law_b, law_c),
-        ks_map_df=ks_distance(law_a, law_c),
-        ess={"map": map_ens.ess(), "bf": bf_ens.ess(), "df": df_ens.ess()},
-        ensembles={"map": map_ens, "bf": bf_ens, "df": df_ens},
-    )
+    return _route_estimate(
+        _run_summary("radius", "h", n, reps, rng),
+        {"map": (map_ens, "radius"), "bf": (bf_ens, "sup"), "df": (df_ens, "invheight")},
+        {"ks_map_bf": ("map", "bf"), "ks_bf_df": ("bf", "df"), "ks_map_df": ("map", "df")})
 
 
-@dataclass
-class TwoPointLaws:
-    """A map-side law against a contour-side law, each in column ``val``."""
-
-    map_law: EmpiricalLaw
-    excursion_law: EmpiricalLaw
-    ks: float
-    ess: dict
-    ensembles: dict
-
-
-def _map_and_contour_laws(n: int, tilt: int, mode: str, reps: int, rng: RngStream,
-                          map_fn, contour_fn) -> TwoPointLaws:
+def _map_and_contour_laws(target: str, n: int, tilt: int, mode: str, reps: int,
+                          rng: RngStream, map_fn, contour_fn) -> Estimate:
     map_ens = tilted_ensemble(n, tilt, mode, reps, rng.substream(0), {"val": map_fn})
     exc_ens = tilted_ensemble(n, tilt, mode, reps, rng.substream(1), {"val": contour_fn})
-    law_m = EmpiricalLaw.from_ensemble(map_ens, "val")
-    law_e = EmpiricalLaw.from_ensemble(exc_ens, "val")
-    return TwoPointLaws(law_m, law_e, ks_distance(law_m, law_e),
-                        {"map": map_ens.ess(), "excursion": exc_ens.ess()},
-                        {"map": map_ens, "excursion": exc_ens})
+    return _route_estimate(_run_summary(target, "um" if mode == "um" else "h", n, reps, rng),
+                           {"map": (map_ens, "val"), "excursion": (exc_ens, "val")},
+                           {"ks": ("map", "excursion")})
 
 
-def two_point_law(n: int, s: int, reps: int, rng: RngStream, mode: str = "bf") -> TwoPointLaws:
+def two_point_law(n: int, s: int, reps: int, rng: RngStream, mode: str = "bf") -> Estimate:
     """Distance between two uniform non-root vertices vs. the contour height
     at a uniform time, both under the breadth-first (or unicellular) tilt.
 
@@ -188,10 +174,10 @@ def two_point_law(n: int, s: int, reps: int, rng: RngStream, mode: str = "bf") -
     def height(smp: TiltSample) -> float:
         return scaled(int(smp.exc.values[int(smp.gen.random() * 2 * n)]))
 
-    return _map_and_contour_laws(n, s, mode, reps, rng, distance, height)
+    return _map_and_contour_laws("two-point", n, s, mode, reps, rng, distance, height)
 
 
-def unicellular_laws(target: str, n: int, g: int, reps: int, rng: RngStream) -> TwoPointLaws:
+def unicellular_laws(target: str, n: int, g: int, reps: int, rng: RngStream) -> Estimate:
     """Genus-``g`` unicellular radius or two-point law: glued-map route against
     the contour route."""
     if target == "two-point":
@@ -200,24 +186,12 @@ def unicellular_laws(target: str, n: int, g: int, reps: int, rng: RngStream) -> 
         raise ValueError("profile estimation is available for --model h only")
     scaled = _route_scale(n, "um")
     return _map_and_contour_laws(
-        n, g, "um", reps, rng,
+        "radius", n, g, "um", reps, rng,
         lambda smp: scaled(smp.distances_from_root().max()),
         lambda smp: scaled(smp.exc.max_height()))
 
 
 DEFAULT_PROFILE_GRID = tuple(round(0.1 * k, 1) for k in range(31))
-
-
-@dataclass
-class ProfileLaws:
-    grid: np.ndarray
-    mean_map: np.ndarray
-    mean_tree: np.ndarray
-    mean_localtime: np.ndarray
-    sup_map_vs_tree: float
-    ess: dict
-    mass_map: float  # n + 1 map vertices over n, exactly
-    mass_tree: float  # n labeled-tree vertices over n, exactly
 
 
 def _profile_from_levels(levels, positions: np.ndarray, value_scale: float) -> np.ndarray:
@@ -228,7 +202,7 @@ def _profile_from_levels(levels, positions: np.ndarray, value_scale: float) -> n
 
 
 def profile_laws(n: int, s: int, reps: int, rng: RngStream,
-                 grid=DEFAULT_PROFILE_GRID) -> ProfileLaws:
+                 grid=DEFAULT_PROFILE_GRID) -> Estimate:
     """Mean rescaled distance profiles via maps, weighted labeled trees, and
     the local time of the tilted contour.
 
@@ -276,16 +250,14 @@ def profile_laws(n: int, s: int, reps: int, rng: RngStream,
     mean_map, _ = map_ens.estimate("profile")
     mean_lt, _ = map_ens.estimate("lt_profile")
     mean_tree, _ = tree_ens.estimate("profile")
-    return ProfileLaws(
-        grid=grid,
-        mean_map=mean_map,
-        mean_tree=mean_tree,
-        mean_localtime=mean_lt,
-        sup_map_vs_tree=float(np.max(np.abs(mean_map - mean_tree))),
-        ess={"map": map_ens.ess(), "tree": tree_ens.ess()},
-        mass_map=(n + 1) / n,
-        mass_tree=1.0,
-    )
+    sup = float(np.max(np.abs(mean_map - mean_tree)))
+    summary = _run_summary("profile", "h", n, reps, rng)
+    # the masses are exact: n + 1 map vertices and n labeled-tree vertices, over n
+    summary.update(sup_map_vs_tree=sup, ess={"map": map_ens.ess(), "tree": tree_ens.ess()},
+                   mass_map=(n + 1) / n, mass_tree=1.0)
+    rows = [[float(r), *means] for r, *means in zip(grid, mean_map, mean_tree, mean_lt)]
+    return Estimate(["r", "mean_map", "mean_tree", "mean_localtime"], rows, summary,
+                    [f"sup|map-tree|={sup:.5f}"], {"map": map_ens, "tree": tree_ens})
 
 
 # -- the local-time / area identity ---------------------------------------------------
@@ -294,11 +266,10 @@ def profile_laws(n: int, s: int, reps: int, rng: RngStream,
 @dataclass
 class JeulinResult:
     ks: float
-    law_sq: EmpiricalLaw
-    law_area: EmpiricalLaw
     mean_sq: float
     mean_area: float
     se_diff: float
+    ensemble: WeightedEnsemble  # columns "sq" and "area2"
 
 
 def jeulin_check(n: int, reps: int, rng: RngStream) -> JeulinResult:
@@ -310,16 +281,14 @@ def jeulin_check(n: int, reps: int, rng: RngStream) -> JeulinResult:
         {"sq": lambda smp: sq_localtime_functional(smp.exc).scaled,
          "area2": lambda smp: area_functional(smp.exc).scaled},
     )
-    law_sq = EmpiricalLaw.from_ensemble(ens, "sq")
-    law_area = EmpiricalLaw.from_ensemble(ens, "area2")
+    (v_sq, w_sq), (v_area, w_area) = _sorted_law(ens, "sq"), _sorted_law(ens, "area2")
     diff = ens.columns["sq"] - ens.columns["area2"]
     return JeulinResult(
-        ks=ks_distance(law_sq, law_area),
-        law_sq=law_sq,
-        law_area=law_area,
-        mean_sq=law_sq.mean(),
-        mean_area=law_area.mean(),
+        ks=ks_distance((ens, "sq"), (ens, "area2")),
+        mean_sq=float(np.dot(w_sq, v_sq)),
+        mean_area=float(np.dot(w_area, v_area)),
         se_diff=float(np.std(diff, ddof=1) / sqrt(reps)),
+        ensemble=ens,
     )
 
 
@@ -443,10 +412,6 @@ def count_asymptotics(family: str, n: int, s_or_g: int, omega1: float = 1.0) -> 
             exact = len(enumerate_surplus_graphs(n, s))
         else:
             exact = None
-    elif family == "um":
-        g = s_or_g
-        pred = (4.0 ** g / (3.0 ** g * gamma(g + 1) * sqrt(pi))) * n ** (3 * g - 1.5) * 4.0 ** n
-        exact = None
     elif family == "umstar":
         g = s_or_g
         pred = (4.0 ** (g - 1) / (3.0 ** g * gamma(g + 1) * sqrt(pi))) * n ** (3 * g - 1.5) * 4.0 ** n

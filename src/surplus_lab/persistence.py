@@ -51,12 +51,6 @@ def write_csv(path: Path, header: list[str], rows) -> None:
         writer.writerows([fmt(v) for v in row] for row in rows)
 
 
-def read_csv(path: Path) -> tuple[list[str], list[list[str]]]:
-    with path.open(newline="") as fh:
-        header, *rows = csv.reader(fh)
-    return header, rows
-
-
 def sha256_file(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 

@@ -67,7 +67,7 @@ def test_09_localtime_area_identity():
     res = estimators.jeulin_check(2000, 10_000, RngStream(7))
     ok = res.ks <= 0.05
     # the two routes also estimate a common mean within three standard errors
-    se = (res.law_sq.std_error() ** 2 + res.law_area.std_error() ** 2) ** 0.5
+    se = (res.ensemble.estimate("sq")[1] ** 2 + res.ensemble.estimate("area2")[1] ** 2) ** 0.5
     means_ok = abs(res.mean_sq - res.mean_area) <= 3 * se
     report(9, ok and means_ok,
            f"KS(sq-occupancy, 2*area) = {res.ks:.4f} <= 0.05 at n=2000, 10^4 reps "
@@ -77,8 +77,8 @@ def test_09_localtime_area_identity():
 def test_10_radius_and_two_point_consistency():
     laws = estimators.radius_laws(1000, 1, 10_000, RngStream(101))
     tp = estimators.two_point_law(1000, 1, 10_000, RngStream(102))
-    ks_all = {"map-bf": laws.ks_map_bf, "bf-df": laws.ks_bf_df,
-              "map-df": laws.ks_map_df, "two-point": tp.ks}
+    ks_all = {"map-bf": laws.summary["ks_map_bf"], "bf-df": laws.summary["ks_bf_df"],
+              "map-df": laws.summary["ks_map_df"], "two-point": tp.summary["ks"]}
     ok = all(v <= 0.08 for v in ks_all.values())
     ok = ok and min(laws.ess.values()) > 10_000 / 50 and min(tp.ess.values()) > 10_000 / 50
     detail = ", ".join(f"{k}={v:.4f}" for k, v in ks_all.items())
@@ -87,12 +87,14 @@ def test_10_radius_and_two_point_consistency():
 
 def test_11_profile_consistency():
     pl = estimators.profile_laws(900, 1, 10_000, RngStream(103))
-    ok = pl.sup_map_vs_tree <= 0.1
-    ok = ok and pl.mass_map == pytest.approx(901 / 900) and pl.mass_tree == pytest.approx(1.0)
+    summary = pl.summary
+    ok = summary["sup_map_vs_tree"] <= 0.1
+    ok = ok and summary["mass_map"] == pytest.approx(901 / 900)
+    ok = ok and summary["mass_tree"] == pytest.approx(1.0)
     ok = ok and min(pl.ess.values()) > 10_000 / 50
     report(11, ok,
            f"mean-profile sup distance map vs weighted trees = "
-           f"{pl.sup_map_vs_tree:.4f} <= 0.1 at n=900, s=1")
+           f"{summary['sup_map_vs_tree']:.4f} <= 0.1 at n=900, s=1")
 
 
 def test_12_decoration_gap_trend():

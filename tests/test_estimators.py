@@ -8,7 +8,7 @@ import pytest
 from surplus_lab import estimators
 from surplus_lab.estimators import (
     CountTable,
-    EmpiricalLaw,
+    Estimate,
     count_asymptotics,
     decoration_gap_estimates,
     excursion_mean_area_power,
@@ -26,33 +26,50 @@ from surplus_lab.estimators import (
 )
 from surplus_lab.lattice_paths import tree_of_contour
 from surplus_lab.maps import bfs_distances
-from surplus_lab.samplers import RngStream, sample_uniform_excursion, tilted_ensemble
+from surplus_lab.samplers import (
+    RngStream,
+    WeightedEnsemble,
+    sample_uniform_excursion,
+    tilted_ensemble,
+)
 from surplus_lab.local_time import area_functional
 
 from tree_reference import tree_adjacency
 
 
+def route(values, weights):
+    """An ``(ensemble, column)`` route holding ``values`` with importance ``weights``."""
+    return WeightedEnsemble("bf", 1, np.array(weights, dtype=np.float64),
+                            {"x": np.array(values, dtype=np.float64)}), "x"
+
+
+def column(est: Estimate, name: str) -> np.ndarray:
+    """One column of an estimate's table."""
+    k = est.header.index(name)
+    return np.array([row[k] for row in est.rows])
+
+
 class TestEmpiricalLawKS:
     def test_identical_zero(self):
-        a = EmpiricalLaw(np.array([1.0, 2.0, 3.0]), np.ones(3))
-        b = EmpiricalLaw(np.array([3.0, 1.0, 2.0]), np.ones(3))
+        a = route([1.0, 2.0, 3.0], np.ones(3))
+        b = route([3.0, 1.0, 2.0], np.ones(3))
         assert ks_distance(a, b) == 0.0
 
     def test_point_masses(self):
-        a = EmpiricalLaw(np.array([0.0]), np.array([1.0]))
-        b = EmpiricalLaw(np.array([1.0]), np.array([1.0]))
+        a = route([0.0], [1.0])
+        b = route([1.0], [1.0])
         assert ks_distance(a, b) == 1.0
 
     def test_weighted_matches_duplication(self):
-        a = EmpiricalLaw(np.array([1.0, 2.0]), np.array([2.0, 1.0]))
-        b = EmpiricalLaw(np.array([1.0, 1.0, 2.0]), np.ones(3))
+        a = route([1.0, 2.0], [2.0, 1.0])
+        b = route([1.0, 1.0, 2.0], np.ones(3))
         assert ks_distance(a, b) == 0.0
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            EmpiricalLaw(np.array([]), np.array([]))
+            route([], [])
         with pytest.raises(ValueError):
-            EmpiricalLaw(np.array([1.0]), np.array([0.0]))
+            route([1.0], [0.0])
 
     def test_null_calibration(self):
         # two independent same-law samples stay under the 1% critical value
@@ -61,8 +78,7 @@ class TestEmpiricalLawKS:
         cols = {"area": lambda smp: area_functional(smp.exc).scaled}
         e1 = tilted_ensemble(500, 0, "bf", reps, rng.substream(0), cols)
         e2 = tilted_ensemble(500, 0, "bf", reps, rng.substream(1), cols)
-        ks = ks_distance(EmpiricalLaw.from_ensemble(e1, "area"),
-                         EmpiricalLaw.from_ensemble(e2, "area"))
+        ks = ks_distance((e1, "area"), (e2, "area"))
         assert ks < ks_two_sample_critical(reps, reps, 0.01)
 
 
@@ -81,10 +97,21 @@ class TestJeulin:
 class TestRadiusTwoPointSmall:
     def test_radius_laws_shapes(self):
         laws = radius_laws(50, 1, 300, RngStream(9))
-        for law in (laws.map_law, laws.bf_law, laws.df_law):
-            assert len(law.values) == 300
-        assert laws.ks_map_bf <= 1.0
+        assert laws.header == ["replicate", "map", "map_w", "bf", "bf_w", "df", "df_w"]
+        for name in ("map", "bf", "df"):
+            assert len(column(laws, name)) == 300
+        assert laws.summary["ks_map_bf"] <= 1.0
         assert min(laws.ess.values()) > 300 / 50
+        # each printed KS distance sits beside the 1% critical value at the two routes' ESS
+        ess = laws.ess
+        assert laws.lines == [
+            f"ks({a},{b})={laws.summary[key]:.5f} "
+            f"critical(1%)={ks_two_sample_critical(ess[a], ess[b]):.5f}"
+            for key, a, b in (("ks_map_bf", "map", "bf"), ("ks_bf_df", "bf", "df"),
+                              ("ks_map_df", "map", "df"))]
+        ens = laws.ensembles
+        assert laws.summary["ks_bf_df"] == ks_distance((ens["bf"], "sup"),
+                                                       (ens["df"], "invheight"))
 
     def test_map_radius_equals_sup_samplewise(self):
         # the radius found by a BFS on the decorated tree equals the contour sup
@@ -114,29 +141,30 @@ class TestRadiusTwoPointSmall:
         assert [scaled(h) for h in range(2 * n + 1)] == atoms
         laws = radius_laws(n, 1, 20, RngStream(5))
         tp = two_point_law(n, 1, 20, RngStream(6))
-        for law in (laws.map_law, laws.bf_law, tp.map_law, tp.excursion_law):
-            assert all(v == atoms[round(v / scale)] for v in law.values)
+        for values in (column(laws, "map"), column(laws, "bf"), column(tp, "map"),
+                       column(tp, "excursion")):
+            assert all(v == atoms[round(v / scale)] for v in values)
 
     def test_two_point_small(self):
         tp = two_point_law(50, 1, 300, RngStream(10))
-        assert 0 <= tp.ks <= 1
-        assert tp.map_law.mean() > 0
+        assert 0 <= tp.summary["ks"] <= 1
+        assert tp.ensembles["map"].estimate("val")[0] > 0
 
     def test_two_point_n1_degenerates_to_zero(self):
         tp = two_point_law(1, 1, 10, RngStream(1))
-        assert tp.map_law.mean() == 0.0
+        assert tp.ensembles["map"].estimate("val")[0] == 0.0
 
 
 class TestProfiles:
     def test_mass_conservation(self):
         pl = profile_laws(100, 1, 300, RngStream(11))
-        assert pl.mass_map == pytest.approx((100 + 1) / 100.0)
-        assert pl.mass_tree == pytest.approx(1.0)
+        assert pl.summary["mass_map"] == pytest.approx((100 + 1) / 100.0)
+        assert pl.summary["mass_tree"] == pytest.approx(1.0)
 
     def test_routes_close_at_moderate_size(self):
         pl = profile_laws(400, 1, 1500, RngStream(12))
-        assert pl.sup_map_vs_tree < 0.25
-        assert np.max(np.abs(pl.mean_map - pl.mean_localtime)) < 0.2
+        assert pl.summary["sup_map_vs_tree"] < 0.25
+        assert np.max(np.abs(column(pl, "mean_map") - column(pl, "mean_localtime"))) < 0.2
 
     def test_s0_rejected(self):
         with pytest.raises(ValueError):
@@ -243,6 +271,11 @@ class TestWrightAndCounts:
         assert t.exact == 4862
         assert t.exact / t.prediction == pytest.approx(1.0, abs=0.25)
 
+    @pytest.mark.parametrize("family", ["um", "graphs"])
+    def test_unknown_family_rejected(self, family):
+        with pytest.raises(ValueError, match="unknown family"):
+            count_asymptotics(family, 5, 1)
+
     def test_umstar_prediction_trend(self):
         # enumerable ratios approach 1 from below as n grows
         ratios = []
@@ -270,12 +303,12 @@ class TestUnicellularIdentity:
 class TestDegenerateAndEdgeCases:
     def test_two_point_n1_point_mass(self):
         tp = two_point_law(1, 1, 40, RngStream(3))
-        assert np.all(tp.map_law.values == 0.0)
+        assert np.all(column(tp, "map") == 0.0)
 
     def test_radius_s0_n1_point_mass(self):
         laws = radius_laws(1, 0, 30, RngStream(4))
-        assert np.allclose(laws.bf_law.values, 2.0 / sqrt(2.0))
-        assert np.allclose(laws.map_law.values, sqrt(2.0))
+        assert np.allclose(column(laws, "bf"), 2.0 / sqrt(2.0))
+        assert np.allclose(column(laws, "map"), sqrt(2.0))
 
     def test_profile_degenerate_weights_reported(self):
         from surplus_lab.samplers import DegenerateEnsembleError

@@ -133,7 +133,7 @@ DIGESTS = {
     },
     'verify-sg': {
         'verify_sg.csv':
-            '823181ee8ded78f0582de25bd2034c4fb914158bd04a06fd1c0f833684b04891',
+            '3f53495fb8e85c4249f221d0524c83553ea6d3f7311adfee5aa25a89b2dab6f7',
     },
     'sample-excursion': {
         'excursions.txt':
@@ -223,7 +223,7 @@ DIGESTS = {
     },
     'selftest': {
         'selftest.csv':
-            '22a71e7ba06fe059815dd8ac9168ccb67340be2867aa29bca3a039a032d8bcfa',
+            '2bbb5a3978c8cb441e64b94ca3c58e409ff550d471cd25c972064ec6edcbf815',
     },
 }
 

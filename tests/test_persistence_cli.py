@@ -10,6 +10,8 @@ from surplus_lab.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
 from surplus_lab.maps import TUPLE_ENUMERATION_CAP, genus_one_terms
 from surplus_lab.samplers import enumerate_maps
 
+from csv_reference import read_csv
+
 
 class TestPersistence:
     def test_map_roundtrip_m31(self, tmp_path):
@@ -145,6 +147,55 @@ class TestCli:
         assert main(["verify", "--suite", "counts", "--n", "8",
                      "--out", str(tmp_path / "v")]) == EXIT_OK
 
+    @pytest.mark.parametrize("argv, name, first", [
+        (["verify", "--suite", "sg"], "verify_sg.csv", ["g1-unique", "", "(1,3)(2,4)", "1"]),
+        (["selftest"], "selftest.csv", ["bf-roundtrip-n1-s1", "", "1 maps", "1"])])
+    def test_exact_suite_verdict_under_ok(self, argv, name, first, tmp_path):
+        # an exact check has no value: the 1/0 verdict goes under "ok"
+        assert main(argv + ["--out", str(tmp_path / "v")]) == EXIT_OK
+        header, rows = read_csv(tmp_path / "v" / name)
+        assert header == ["check", "value", "detail", "ok"]
+        assert rows[0] == first
+        assert all(row[1] == "" and row[3] == "1" for row in rows)
+
+    def test_verify_and_selftest_share_the_suite_table(self, tmp_path, monkeypatch, capsys):
+        calls = []
+
+        def recorder(name):
+            def suite(*args, **kwargs):
+                calls.append((name, args, kwargs))
+                return checks.SuiteResult(name)
+            return suite
+
+        names = ["bijection_suite", "count_suite", "w1_suite", "psi_suite", "vervaat_suite",
+                 "sg_suite", "gluing_dichotomy_suite", "decoration_count_suite",
+                 "radius_invariance_suite"]
+        for name in names:
+            monkeypatch.setattr(checks, name, recorder(name))
+        assert main(["selftest", "--out", str(tmp_path / "st")]) == EXIT_OK
+        assert calls == [("bijection_suite", (4, 2), {}), ("count_suite", (8,), {}),
+                         ("w1_suite", (2, 5), {}), ("psi_suite", (4,), {}),
+                         ("vervaat_suite", (5,), {}), ("sg_suite", (), {}),
+                         ("gluing_dichotomy_suite", (4,), {}),
+                         ("decoration_count_suite", (4,), {})]
+        calls.clear()
+        for suite in cli.EXACT_SUITES:
+            assert main(["verify", "--suite", suite, "--out", str(tmp_path / suite)]) == EXIT_OK
+        assert calls == [("bijection_suite", (5, 2), {}), ("count_suite", (10,), {}),
+                         ("w1_suite", (2, 6), {}), ("psi_suite", (5,), {}),
+                         ("vervaat_suite", (6,), {}), ("sg_suite", (), {}),
+                         ("gluing_dichotomy_suite", (5,), {}),
+                         ("decoration_count_suite", (5,), {}),
+                         ("radius_invariance_suite", (),
+                          {"n_sample": 1000, "reps": 10_000, "seed": 20_240_501})]
+        calls.clear()
+        assert main(["verify", "--suite", "bijection", "--n", "3", "--s", "1",
+                     "--out", str(tmp_path / "b")]) == EXIT_OK
+        assert main(["verify", "--suite", "radius", "--n", "7", "--reps", "9", "--seed", "3",
+                     "--out", str(tmp_path / "r")]) == EXIT_OK
+        assert calls == [("bijection_suite", (3, 1), {}),
+                         ("radius_invariance_suite", (), {"n_sample": 7, "reps": 9, "seed": 3})]
+
     def test_verify_jeulin_small_and_deterministic(self, tmp_path):
         # at this tiny size the identity gap exceeds the threshold, which is
         # fine here: the point is byte-identical reruns and a clean exit code
@@ -165,7 +216,7 @@ class TestCli:
             out = tmp_path / f"j{reps}"
             main(["verify", "--suite", "jeulin", "--n", "10", "--reps", str(reps),
                   "--seed", "7", "--out", str(out)])
-            _, rows = persistence.read_csv(out / "verify_jeulin.csv")
+            _, rows = read_csv(out / "verify_jeulin.csv")
             ks_row = next(row for row in rows if row[0] == "jeulin-ks")
             assert float(ks_row[2]) == pytest.approx(expected)
             assert ks_row[3] == str(int(float(ks_row[1]) <= float(ks_row[2])))
@@ -191,7 +242,7 @@ class TestCli:
         out = tmp_path / "p"
         assert main(["estimate", "--target", "profile", "--n", "60", "--s", "1",
                      "--reps", "60", "--seed", "2", "--out", str(out)]) == EXIT_OK
-        header, rows = persistence.read_csv(out / "estimate_profile.csv")
+        header, rows = read_csv(out / "estimate_profile.csv")
         assert header == ["r", "mean_map", "mean_tree", "mean_localtime"]
         assert len(rows) == 31
 
@@ -281,7 +332,7 @@ class TestCli:
         assert main(["counts", "--out", str(out)]) == EXIT_OK
         text = capsys.readouterr().out
         assert "anchor" in text
-        header, rows = persistence.read_csv(out / "counts.csv")
+        header, rows = read_csv(out / "counts.csv")
         assert header == ["family", "n", "param", "exact", "prediction"]
 
     def test_sample_crum(self, tmp_path):
@@ -296,7 +347,7 @@ class TestCli:
         out = tmp_path / "crum"
         assert main(["sample", "crum", "--n", "12", "--g", "1", "--reps", "3",
                      "--seed", "21", "--out", str(out)]) == EXIT_OK
-        header, rows = persistence.read_csv(out / "crum_decorations.csv")
+        header, rows = read_csv(out / "crum_decorations.csv")
         assert header == ["replicate", "pairing", "corners", "heights"]
         assert len(rows) == 3
         for row in rows:
