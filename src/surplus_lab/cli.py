@@ -51,19 +51,25 @@ def nonnegative_int(text: str) -> int:
 
 
 # name -> (the suite at size n, verify's default n, selftest's n or None when selftest
-# leaves it out); selftest runs its suites in this order
+# leaves it out, the verify options it reads); selftest runs its suites in this order
 EXACT_SUITES = {
-    "bijection": (lambda n, s=0, **_: checks.bijection_suite(n, s or 2), 5, 4),
-    "counts": (lambda n, **_: checks.count_suite(n), 10, 8),
-    "w1": (lambda n, **_: checks.w1_suite(2, n), 6, 5),
-    "psi": (lambda n, **_: checks.psi_suite(n), 5, 4),
-    "vervaat": (lambda n, **_: checks.vervaat_suite(n), 6, 5),
-    "sg": (lambda n, **_: checks.sg_suite(), 0, 0),
-    "dichotomy": (lambda n, **_: checks.gluing_dichotomy_suite(n), 5, 4),
-    "decoration": (lambda n, **_: checks.decoration_count_suite(n), 5, 4),
-    "radius": (lambda n, reps=0, seed=0, **_: checks.radius_invariance_suite(
-        n_sample=n, reps=reps or 10_000, seed=seed or 20_240_501), 1000, None),
+    "bijection": (lambda n, s=None: checks.bijection_suite(n, s or 2), 5, 4, ("n", "s")),
+    "counts": (lambda n: checks.count_suite(n), 10, 8, ("n",)),
+    "w1": (lambda n: checks.w1_suite(2, n), 6, 5, ("n",)),
+    "psi": (lambda n: checks.psi_suite(n), 5, 4, ("n",)),
+    "vervaat": (lambda n: checks.vervaat_suite(n), 6, 5, ("n",)),
+    "sg": (lambda n: checks.sg_suite(), 0, 0, ()),
+    "dichotomy": (lambda n: checks.gluing_dichotomy_suite(n), 5, 4, ("n",)),
+    "decoration": (lambda n: checks.decoration_count_suite(n), 5, 4, ("n",)),
+    "radius": (lambda n, reps, seed: checks.radius_invariance_suite(
+        n_sample=n, reps=reps or 10_000, seed=seed or 20_240_501), 1000, None,
+        ("n", "reps", "seed")),
 }
+# the verify options each seeded Monte Carlo suite reads
+STATISTICAL_SUITES = {"jeulin": ("n", "reps", "seed", "threshold"),
+                      "lemma3": ("s", "reps", "seed")}
+# verify's suite parameters; a suite that does not read one refuses it
+VERIFY_OPTIONS = ("n", "s", "reps", "seed", "threshold")
 
 SUITE_HEADER = ["check", "value", "detail", "ok"]
 
@@ -103,13 +109,13 @@ def build_parser() -> _Parser:
 
     vp = sub.add_parser("verify", help="run an identity suite; exit 2 on failure")
     vp.add_argument("--suite", required=True,
-                    choices=[*EXACT_SUITES, "lemma3", "jeulin"])
-    vp.add_argument("--n", type=nonnegative_int, default=0)
-    vp.add_argument("--s", type=nonnegative_int, default=0)
-    vp.add_argument("--reps", type=nonnegative_int, default=0)
-    vp.add_argument("--seed", type=int, default=0)
-    vp.add_argument("--threshold", type=float, default=0.0,
-                    help="statistic threshold for the statistical suites (default per suite)")
+                    choices=[*EXACT_SUITES, *STATISTICAL_SUITES])
+    # each suite reads some of these (default per suite) and refuses the others
+    vp.add_argument("--n", type=nonnegative_int)
+    vp.add_argument("--s", type=nonnegative_int)
+    vp.add_argument("--reps", type=nonnegative_int)
+    vp.add_argument("--seed", type=int)
+    vp.add_argument("--threshold", type=float, help="statistic threshold of the jeulin suite")
     vp.add_argument("--out", type=Path, default=Path("out"))
 
     tp = sub.add_parser("estimate", help="Monte Carlo laws for radius/two-point/profile")
@@ -333,13 +339,20 @@ def _statistical_suite(args):
 
 
 def cmd_verify(args) -> int:
+    exact = EXACT_SUITES.get(args.suite)
+    reads = exact[3] if exact else STATISTICAL_SUITES[args.suite]
+    unread = [f"--{opt}" for opt in VERIFY_OPTIONS
+              if opt not in reads and getattr(args, opt) is not None]
+    if unread:
+        raise UsageError(f"suite {args.suite} does not read {', '.join(unread)}")
     outdir = _outdir(args)
     manifest = persistence.new_manifest(
-        args.seed, "verify", argv=args.argv,
-        parameters={"suite": args.suite, "n": args.n, "s": args.s, "reps": args.reps})
-    if args.suite in EXACT_SUITES:
-        run, default_n, _ = EXACT_SUITES[args.suite]
-        res = run(args.n or default_n, s=args.s, reps=args.reps, seed=args.seed)
+        args.seed or 0, "verify", argv=args.argv,
+        parameters={"suite": args.suite, **{opt: getattr(args, opt) or 0
+                                            for opt in ("n", "s", "reps") if opt in reads}})
+    if exact:
+        run, default_n, _, _ = exact
+        res = run(args.n or default_n, **{opt: getattr(args, opt) for opt in reads if opt != "n"})
         lines, ok, rows = res.lines(), res.passed, res.rows()
     else:
         lines, ok, rows = _statistical_suite(args)
@@ -426,7 +439,7 @@ def cmd_selftest(args) -> int:
     manifest = persistence.new_manifest(0, "selftest", argv=args.argv, parameters={})
     ok = True
     rows = []
-    for run, _, size in EXACT_SUITES.values():
+    for run, _, size, _ in EXACT_SUITES.values():
         if size is None:
             continue
         res = run(size)

@@ -28,6 +28,7 @@ from .samplers import (
     WeightedEnsemble,
     decoration_count,
     decoration_count_gap,
+    replicate_rows,
     sample_tree_profile,
     sample_uniform_excursion,
     tilted_ensemble,
@@ -236,13 +237,16 @@ def profile_laws(n: int, s: int, reps: int, rng: RngStream,
         {"profile": map_profile, "lt_profile": localtime_profile},
     )
     # weighted labeled-tree route (its own proposal; replicate r uses substream (1, r))
-    tree_rows = np.empty((reps, len(grid)))
-    tree_w = np.empty(reps)
-    for r, gen in enumerate(rng.substream(1).generators(reps)):
-        prof = sample_tree_profile(n, gen)
-        tree_w[r] = float(ws_weight(prof, s))
-        z = np.asarray(prof.z, dtype=np.float64)
-        tree_rows[r] = _profile_from_levels(z, pos_tree, 1.0 / sqrt(n))
+    def tree_profiles(gens):
+        weights, profiles = [], []
+        for gen in gens:
+            prof = sample_tree_profile(n, gen)
+            weights.append(float(ws_weight(prof, s)))
+            z = np.asarray(prof.z, dtype=np.float64)
+            profiles.append(_profile_from_levels(z, pos_tree, 1.0 / sqrt(n)))
+        return [weights, profiles]
+
+    tree_w, tree_rows = replicate_rows(reps, rng.substream(1), tree_profiles)
     if not np.any(tree_w > 0):
         raise DegenerateEnsembleError(f"all tree weights vanished at n={n}, s={s}")
     tree_ens = WeightedEnsemble(mode="tree-w", tilt=s, weights=tree_w,
@@ -313,9 +317,9 @@ def decoration_gap_estimates(n_list, s: int, reps: int, rng: RngStream,
     out = []
     for k, n in enumerate(n_list):
         scale = (2.0 * n) ** (-1.5 * s)
-        vals = np.empty(reps)
-        for r, gen in enumerate(rng.substream(k).generators(reps)):
-            vals[r] = decoration_count_gap(sample_uniform_excursion(n, gen), s, mode) * scale
+        vals, = replicate_rows(reps, rng.substream(k), lambda gens: [
+            [decoration_count_gap(sample_uniform_excursion(n, gen), s, mode) * scale
+             for gen in gens]])
         out.append(GapEstimate(n, float(vals.mean()), float(vals.std(ddof=1) / sqrt(reps))
                                if reps > 1 else 0.0))
     return out

@@ -11,6 +11,12 @@ last word, ``r``, is mixed in for all replicates at once in 32-bit integer
 arithmetic.  Each stream is the one ``SeedSequence`` itself gives, which
 :meth:`RngStream.generator` still builds and the tests compare against.
 
+Replicate loops run their replicates in contiguous ranges on every CPU the
+process may use (:func:`replicate_rows`): on Linux each range after the
+first goes to a forked worker that seeds only its own substreams.  Outputs
+do not depend on how many CPUs there are, and ``taskset -c 0`` runs one
+process.
+
 Tilted laws are realized by self-normalized importance sampling from the
 uniform proposal: excursions are drawn uniformly and carry weights
 ``B(f)^s`` (breadth-first), ``D(f)^s`` (depth-first), or the number of
@@ -20,6 +26,8 @@ expectations under the corresponding tilted law.
 
 from __future__ import annotations
 
+import io
+import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
@@ -71,13 +79,13 @@ class RngStream:
     def substream(self, *indices: int) -> "RngStream":
         return RngStream(self.seed, self.path + tuple(indices))
 
-    def generators(self, count: int) -> Iterator[np.random.Generator]:
-        """``substream(r).generator()`` for ``r = 0..count-1``, seeded in one pass."""
+    def generators(self, count: int, start: int = 0) -> Iterator[np.random.Generator]:
+        """``substream(r).generator()`` for ``r = start..count-1``, seeded in one pass."""
         from numpy.random.bit_generator import ISeedSequence
 
         ISeedSequence.register(_FixedSeed)  # here, so that importing leaves numpy.random out
         generator, pcg64 = np.random.Generator, np.random.PCG64
-        for state in _pcg64_seeds(self.seed, self.path, count):
+        for state in _pcg64_seeds(self.seed, self.path, count, start):
             yield generator(pcg64(_FixedSeed(state)))
 
 
@@ -107,16 +115,16 @@ def _hasher(const: int, mult: int):
     return hashmix
 
 
-def _pcg64_seeds(seed: int, path: tuple[int, ...], count: int) -> np.ndarray:
+def _pcg64_seeds(seed: int, path: tuple[int, ...], count: int, start: int = 0) -> np.ndarray:
     """The four ``uint64`` words that ``SeedSequence(seed, spawn_key=path + (r,))`` hands
-    ``PCG64``, one row per ``r < count``.  The entropy is the seed's 32-bit words (low word
-    first, padded to four), then each path entry's, then ``r``.  The pool is mixed from all
-    words but the last once; ``r`` is mixed into every row at once in uint64 arithmetic,
-    masked to 32 bits, and ``generate_state`` draws eight 32-bit words per row."""
+    ``PCG64``, one row per ``start <= r < count``.  The entropy is the seed's 32-bit words
+    (low word first, padded to four), then each path entry's, then ``r``.  The pool is
+    mixed from all words but the last once; ``r`` is mixed into every row at once in uint64
+    arithmetic, masked to 32 bits, and ``generate_state`` draws eight 32-bit words per row."""
     entries = [int(seed), *map(int, path)]
-    if min(entries) < 0 or not 0 <= count <= 2 ** 32:
-        raise ValueError(f"seed {seed}, path {path} and count {count} must be nonnegative, "
-                         "and the count at most 2^32")
+    if min(entries) < 0 or not 0 <= start <= count <= 2 ** 32:
+        raise ValueError(f"seed {seed}, path {path}, start {start} and count {count} must be "
+                         "nonnegative, the start at most the count and the count at most 2^32")
     words = [[v >> b & _MASK32 for b in range(0, max(v.bit_length(), 1), 32)] for v in entries]
     entropy = words[0] + [0] * (4 - len(words[0])) + [w for ws in words[1:] for w in ws]
 
@@ -133,7 +141,7 @@ def _pcg64_seeds(seed: int, path: tuple[int, ...], count: int) -> np.ndarray:
     for w in entropy[4:]:
         for dst in range(4):
             pool[dst] = mix(pool[dst], hashmix(w))
-    r = np.arange(count, dtype=np.uint64)
+    r = np.arange(start, count, dtype=np.uint64)
     pool = [mix(np.uint64(p), hashmix(r)) for p in pool]
     draw = _hasher(0x8B51F9DD, 0x58F38DED)
     state = [draw(pool[k % 4]) for k in range(8)]
@@ -148,6 +156,119 @@ def as_generator(rng) -> np.random.Generator:
     if isinstance(rng, (int, np.integer)):
         return RngStream(int(rng)).generator()
     raise TypeError(f"cannot interpret {rng!r} as a random generator")
+
+
+# -- replicate ranges on every CPU ----------------------------------------------------
+
+# The fewest replicates a range is given.  Forking the interpreter with numpy loaded,
+# its pipe and its reaping cost about 3.5 ms on a 2-CPU x86-64 host, the time of about
+# 90 replicates of a tilted ensemble at small n (about 40 us each), so a shorter range
+# gains nothing from a worker of its own.
+MIN_FORKED_RANGE = 100
+
+
+def replicate_rows(reps: int, rng: RngStream,
+                   rows: Callable[[Iterator[np.random.Generator]], list[np.ndarray]]
+                   ) -> list[np.ndarray]:
+    """``rows`` over the generators of replicates ``0..reps-1``, each array of its list
+    concatenated in replicate order.
+
+    ``rows`` is handed the generators ``rng.substream(r).generator()`` of one contiguous
+    range of replicates and returns a list of arrays, read as float64, whose first axis
+    follows them; an array may leave out rows, and one with no rows may have any shape.
+    The ranges are one per CPU the process may use, each at least ``MIN_FORKED_RANGE``
+    long; on Linux the parent forks a worker for each range after the first, runs the
+    first itself and reads the workers' arrays over pipes.  Replicate ``r`` draws only
+    from substream ``r``, so the result does not depend on how many CPUs there are, and
+    ``taskset -c 0`` runs one process.  A worker's exception is raised again here with
+    its type, and every worker is reaped before the call returns.
+    """
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    ranges = min(cpus, reps // MIN_FORKED_RANGE) if hasattr(os, "fork") else 1
+    if ranges <= 1:
+        return _range_rows(rows, rng, 0, reps)
+    bounds = [reps * k // ranges for k in range(ranges + 1)]
+    workers = []  # (pid, read end of its pipe), or None for a range this process runs
+    try:
+        for start, stop in zip(bounds[1:-1], bounds[2:]):
+            workers.append(_fork_range(rows, rng, start, stop))
+        parts = [_range_rows(rows, rng, 0, bounds[1])]
+        for start, stop, worker in zip(bounds[1:-1], bounds[2:], workers):
+            parts.append(_read_range(*worker) if worker else _range_rows(rows, rng, start, stop))
+    except BaseException:
+        import signal
+
+        for pid, _ in filter(None, workers):
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for pid, fd in filter(None, workers):
+            os.close(fd)
+            os.waitpid(pid, 0)
+    return [np.concatenate([a for a in arrays if len(a)] or arrays[:1]) for arrays in zip(*parts)]
+
+
+def _range_rows(rows, rng: RngStream, start: int, stop: int) -> list[np.ndarray]:
+    return [np.asarray(a, dtype=np.float64) for a in rows(rng.generators(stop, start))]
+
+
+def _fork_range(rows, rng: RngStream, start: int, stop: int) -> tuple[int, int] | None:
+    """A forked worker that writes ``rows`` of replicates ``start..stop-1`` to a pipe: a
+    status byte, then either each array in ``.npy`` format or the pickled exception and
+    its traceback.  ``None`` when the process cannot fork."""
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:  # at a process limit the range runs in the parent
+        os.close(read_fd)
+        os.close(write_fd)
+        return None
+    if pid:
+        os.close(write_fd)
+        return pid, read_fd
+    try:
+        os.close(read_fd)
+        with open(write_fd, "wb") as out:
+            try:
+                arrays = _range_rows(rows, rng, start, stop)
+            except BaseException as exc:  # the parent raises it
+                import pickle
+                import traceback
+
+                trace = traceback.format_exc()
+                try:
+                    error = pickle.dumps((exc, trace))
+                except Exception:  # an exception that does not pickle is sent as its text
+                    error = pickle.dumps((RuntimeError(f"{type(exc).__name__}: {exc}"), trace))
+                out.write(b"\1" + error)
+            else:
+                buf = io.BytesIO(b"\0")
+                buf.seek(1)
+                for a in arrays:
+                    np.lib.format.write_array(buf, a, allow_pickle=False)
+                out.write(buf.getvalue())
+    finally:
+        os._exit(0)  # never back into the caller's code, and no exit handlers or flushes
+
+
+def _read_range(pid: int, fd: int) -> list[np.ndarray]:
+    """The arrays a forked worker wrote, once it has closed its pipe."""
+    chunks = []
+    while chunk := os.read(fd, 1 << 20):
+        chunks.append(chunk)
+    data = b"".join(chunks)
+    if data[:1] == b"\0":
+        buf = io.BytesIO(data[1:])
+        arrays = []
+        while buf.tell() < len(data) - 1:
+            arrays.append(np.lib.format.read_array(buf, allow_pickle=False))
+        return arrays
+    if data[:1] == b"\1":
+        import pickle
+
+        exc, trace = pickle.loads(data[1:])  # bytes that this program's own worker wrote
+        raise exc from RuntimeError(f"in the worker for this replicate range:\n{trace}")
+    raise ChildProcessError(f"replicate worker {pid} ended with no result")
 
 
 # -- uniform samplers -----------------------------------------------------------
@@ -634,23 +755,25 @@ def tilted_ensemble(n: int, tilt: int, mode: str, reps: int, rng: RngStream,
     if mode not in ("bf", "df", "um"):
         raise ValueError(f"unknown tilt mode {mode!r}")
     pairings = entangled_pairings(tilt) if mode == "um" else None
-    weights = np.empty(reps, dtype=np.float64)
-    raw_cols: dict[str, list] = {name: [] for name in functionals}
-    for r, gen in enumerate(rng.generators(reps)):
-        exc = sample_uniform_excursion(n, gen)
-        sample = TiltSample(exc, gen, mode, tilt, pairings)
-        weights[r] = weight = sample.weight()
-        for name, fn in functionals.items():
+
+    def rows(gens):
+        weights, values = [], {name: [] for name in functionals}
+        for gen in gens:
+            sample = TiltSample(sample_uniform_excursion(n, gen), gen, mode, tilt, pairings)
+            weights.append(weight := sample.weight())
             # zero-weight samples cannot always be decorated; their values never matter
-            raw_cols[name].append(fn(sample) if weight > 0 else None)
+            if weight > 0:
+                for name, fn in functionals.items():
+                    values[name].append(fn(sample))
+        return [weights, *values.values()]
+
+    weights, *positive = replicate_rows(reps, rng, rows)
     if not np.any(weights > 0):
         raise DegenerateEnsembleError(f"all {reps} weights vanished (mode={mode}, n={n})")
     columns = {}
-    for name, vals in raw_cols.items():
-        template = next(v for v in vals if v is not None)
-        zero = np.zeros_like(np.asarray(template, dtype=np.float64))
-        filled = [zero if v is None else v for v in vals]
-        columns[name] = np.asarray(filled, dtype=np.float64)
+    for name, vals in zip(functionals, positive):
+        columns[name] = np.zeros((reps, *vals.shape[1:]))
+        columns[name][weights > 0] = vals
     return WeightedEnsemble(mode=mode, tilt=tilt, weights=weights, columns=columns)
 
 

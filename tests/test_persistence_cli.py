@@ -158,6 +158,27 @@ class TestCli:
         assert rows[0] == first
         assert all(row[1] == "" and row[3] == "1" for row in rows)
 
+    @pytest.mark.parametrize("argv", [
+        ["--suite", "sg", "--n", "99"], ["--suite", "sg", "--seed", "0"],
+        ["--suite", "counts", "--s", "2"], ["--suite", "radius", "--threshold", "0.1"],
+        ["--suite", "lemma3", "--n", "50"], ["--suite", "jeulin", "--s", "1"]])
+    def test_verify_refuses_options_its_suite_does_not_read(self, argv, tmp_path, capsys):
+        assert main(["verify", *argv, "--out", str(tmp_path / "v")]) == EXIT_USAGE
+        assert f"does not read {argv[2]}" in capsys.readouterr().err
+        assert not (tmp_path / "v").exists()
+
+    def test_verify_manifest_records_the_options_its_suite_read(self, tmp_path):
+        for argv, parameters in [
+                (["--suite", "sg"], {"suite": "sg"}),
+                (["--suite", "counts", "--n", "8"], {"suite": "counts", "n": 8}),
+                (["--suite", "lemma3", "--reps", "20", "--seed", "3"],
+                 {"suite": "lemma3", "s": 0, "reps": 20})]:
+            out = tmp_path / argv[1]
+            assert main(["verify", *argv, "--out", str(out)]) == EXIT_OK
+            manifest = persistence.load_manifest(out / "manifest.json")
+            assert manifest.parameters == parameters
+            assert manifest.seed == (3 if "--seed" in argv else 0)
+
     def test_verify_and_selftest_share_the_suite_table(self, tmp_path, monkeypatch, capsys):
         calls = []
 

@@ -4,6 +4,7 @@ from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
 from math import comb, sqrt
+import os
 import time
 
 import numpy as np
@@ -134,6 +135,16 @@ class TestStreams:
         for r, gen in enumerate(rng.generators(3)):
             assert gen.integers(10 ** 9, size=5).tolist() == \
                 rng.substream(r).generator().integers(10 ** 9, size=5).tolist()
+
+    @pytest.mark.parametrize("start, count", [(0, 4), (3, 7), (5, 5), (130, 133)])
+    def test_generators_from_start(self, start, count):
+        rng = RngStream(2 ** 40 + 3, (1, 6))
+        got = list(rng.generators(count, start))
+        assert len(got) == count - start
+        for r, gen in zip(range(start, count), got):
+            assert gen.bit_generator.state == rng.substream(r).generator().bit_generator.state
+        with pytest.raises(ValueError):
+            next(rng.generators(start, start + 1))
 
     def test_generators_edge_counts(self):
         assert list(RngStream(5).generators(0)) == []
@@ -469,6 +480,112 @@ class TestTiltedEnsemble:
                               {"chords": lambda smp: len(smp.chords())})
         assert ens.columns["chords"].tolist() == [tilt] * reps
         assert len(calls) == reps
+
+
+def _two_point_distance(smp: TiltSample, n: int) -> float:
+    """Two uniform vertices drawn from the replicate's stream after its weight."""
+    x1, x2 = smp.gen.integers(1, n + 1, size=2)
+    return float(smp.graph_distance(int(x1), int(x2)))
+
+
+def _levels(smp: TiltSample) -> np.ndarray:
+    """A profile-shaped vector column: the first nine level counts, scaled."""
+    return np.bincount(smp.distances_from_root(), minlength=9)[:9] / 3.0
+
+
+class TestReplicateRanges:
+    """Replicate ranges on 1, 2 and 3 CPUs give bitwise-equal ensembles, and leave no
+    process behind."""
+
+    REPS = 3 * samplers.MIN_FORKED_RANGE + 1  # odd, and three ranges at three CPUs
+
+    @pytest.fixture(autouse=True)
+    def no_child_left(self):
+        yield
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @staticmethod
+    def on_cpus(monkeypatch, cpus: int) -> None:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+
+    CASES = {
+        "bf-s3": (12, 3, "bf", lambda smp: smp.exc.max_height() / 7.0),
+        "two-point": (12, 1, "bf", lambda smp: _two_point_distance(smp, 12)),
+        "profile": (30, 1, "bf", _levels),
+        "um-g1": (4, 1, "um", _levels),  # about half the weights vanish
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_same_bits_on_any_cpu_count(self, case, monkeypatch):
+        n, tilt, mode, fn = self.CASES[case]
+        runs = []
+        for cpus in (1, 2, 3):
+            self.on_cpus(monkeypatch, cpus)
+            runs.append(tilted_ensemble(n, tilt, mode, self.REPS, RngStream(31, (2,)),
+                                        {"value": fn, "u": lambda smp: smp.gen.random()}))
+        one = runs[0]
+        if mode == "um":
+            assert np.any(one.weights == 0) and np.all(one.columns["value"][one.weights == 0] == 0)
+        for other in runs[1:]:
+            assert other.weights.tobytes() == one.weights.tobytes()
+            for name in ("value", "u"):
+                assert other.columns[name].shape == one.columns[name].shape
+                assert other.columns[name].tobytes() == one.columns[name].tobytes()
+
+    def test_a_range_may_leave_out_every_row(self, monkeypatch):
+        self.on_cpus(monkeypatch, 3)
+        parent = os.getpid()
+
+        def rows(gens):
+            draws = [gen.random() for gen in gens]
+            return [draws, [[u, 1.0] for u in draws if os.getpid() == parent]]
+
+        draws, pairs = samplers.replicate_rows(self.REPS, RngStream(8), rows)
+        expected = [gen.random() for gen in RngStream(8).generators(self.REPS)]
+        assert draws.tolist() == expected
+        assert pairs.tolist() == [[u, 1.0] for u in expected[:self.REPS // 3]]
+
+    def in_this_process(self, reps: int) -> bool:
+        calls = []  # a worker's calls stay in the worker
+        tilted_ensemble(5, 1, "bf", reps, RngStream(4), {"x": lambda smp: calls.append(1) or 0})
+        return len(calls) == reps
+
+    def test_one_process_when_forking_gains_nothing(self, monkeypatch):
+        self.on_cpus(monkeypatch, 2)
+        assert not self.in_this_process(self.REPS)
+        assert self.in_this_process(2 * samplers.MIN_FORKED_RANGE - 1)  # ranges too short
+        self.on_cpus(monkeypatch, 1)
+        assert self.in_this_process(self.REPS)
+        self.on_cpus(monkeypatch, 3)
+        monkeypatch.delattr(os, "fork")
+        assert self.in_this_process(self.REPS)
+
+    def test_a_range_that_cannot_fork_runs_here(self, monkeypatch):
+        self.on_cpus(monkeypatch, 3)
+        expected = tilted_ensemble(9, 2, "df", self.REPS, RngStream(6), {})
+
+        def refuse():
+            raise BlockingIOError("fork: resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", refuse)
+        got = tilted_ensemble(9, 2, "df", self.REPS, RngStream(6), {})
+        assert got.weights.tobytes() == expected.weights.tobytes()
+
+    @pytest.mark.parametrize("where", ["worker", "parent"])
+    def test_an_exception_keeps_its_type(self, where, monkeypatch):
+        self.on_cpus(monkeypatch, 3)
+        parent = os.getpid()
+
+        def fail(smp):
+            if (os.getpid() == parent) == (where == "parent"):
+                raise DegenerateEnsembleError(f"raised in the {where}")
+            return 0.0
+
+        with pytest.raises(DegenerateEnsembleError, match=f"raised in the {where}") as info:
+            tilted_ensemble(6, 1, "bf", self.REPS, RngStream(3), {"x": fail})
+        if where == "worker":
+            assert "Traceback" in str(info.value.__cause__)
 
 
 def _oracle_adjacency(smp: TiltSample):
