@@ -52,6 +52,7 @@ CASES = {
     "sample-map": ["sample", "map", "--n", "50", "--s", "2", "--reps", "3", "--seed", "31"],
     "sample-map-n12": ["sample", "map", "--n", "12", "--s", "2", "--reps", "4",
                        "--seed", "33"],
+    "sample-map-s3": ["sample", "map", "--n", "12", "--s", "3", "--reps", "4", "--seed", "35"],
     "sample-graph": ["sample", "graph", "--n", "8", "--s", "2", "--reps", "3", "--seed", "32"],
     "sample-graph-n60": ["sample", "graph", "--n", "60", "--s", "3", "--reps", "4",
                          "--seed", "34"],
@@ -164,6 +165,18 @@ DIGESTS = {
             '9bc2c3fb20d0516cd4d479c9216cdb6dce29d280dcad43f3c8c80fe5bd0e3901',
         'map_weights.csv':
             'eb2170bfedbae60ec74a33991a7f1a9173c85e91ee0887ddb44bdde103424b19',
+    },
+    'sample-map-s3': {
+        'map_0.json':
+            'f2cf0b86ce28e0bd2939166664c327f5598a35538ae8230933601569a5c1b029',
+        'map_1.json':
+            '6bed57c3720d4791aaf5ed3bbe379105735241b85d6235150b178c1a31b2b0cc',
+        'map_2.json':
+            'fe7eb8e1a2c855e1ce4cc5bb8c03686ebff3dcdfa9757b664bbb4eb4f7ade09b',
+        'map_3.json':
+            '4b72a5a0d0cbd2cad6baf0153ade93cd45ba98af3d563ef55cb6b4b15df4cc72',
+        'map_weights.csv':
+            'fbaf057d239fb6a56222b62f4e875f15da3242fad3c314efe96143360b212bc4',
     },
     'sample-graph': {
         'graphs.csv':
