@@ -41,6 +41,7 @@ from .samplers import (
     enumerate_maps,
     enumerate_surplus_graphs,
     prufer_decode,
+    replicate_rows,
     sample_uniform_excursion,
     sample_corners_bf,
     w1_weight,
@@ -233,7 +234,8 @@ def radius_invariance_suite(n_sample: int = 1000, reps: int = 10_000,
                             seed: int = 20_240_501) -> SuiteResult:
     """Map radius equals exploration-tree height; ball volumes match level counts
     (every map with n <= 4, then sampled maps), a breadth-first search against the
-    contour, where vertex ``k`` sits at the height of the ``k``-th up-step."""
+    contour, where vertex ``k`` sits at the height of the ``k``-th up-step.  The sampled
+    maps run in replicate ranges on every CPU (:func:`replicate_rows`)."""
     res = SuiteResult("radius")
     for n in range(1, 5):
         for s in range(0, 3):
@@ -245,19 +247,20 @@ def radius_invariance_suite(n_sample: int = 1000, reps: int = 10_000,
                 if metric.radius != f.max_height() or list(metric.level_counts) != depths:
                     ok = False
             res.add(f"enumerated-n{n}-s{s}", ok)
-    # sampled maps: decorate uniform trees with one surplus edge
-    rng = RngStream(seed)
-    ok = True
-    for gen in rng.generators(reps):
-        exc = sample_uniform_excursion(n_sample, gen)
-        index = corner_index(exc.values)
-        xi = sample_corners_bf(exc, 1, gen, index)
-        dist = _root_distances(*contour_tree(exc.values, index), xi.indices)
-        depths = np.bincount(exc.values[vertex_times(exc.values)]).tolist()
-        if max(dist) != exc.max_height() or np.bincount(dist).tolist() != depths:
-            ok = False
-            break
-    res.add(f"sampled-n{n_sample}-x{reps}", ok)
+    # sampled maps: decorate uniform trees with one surplus edge, one 0/1 verdict each
+    def verdicts(gens):
+        out = []
+        for gen in gens:
+            exc = sample_uniform_excursion(n_sample, gen)
+            index = corner_index(exc.values)
+            xi = sample_corners_bf(exc, 1, gen, index)
+            dist = _root_distances(*contour_tree(exc.values, index), xi.indices)
+            depths = np.bincount(exc.values[vertex_times(exc.values)]).tolist()
+            out.append(max(dist) == exc.max_height() and np.bincount(dist).tolist() == depths)
+        return [out]
+
+    sampled, = replicate_rows(reps, RngStream(seed), verdicts)
+    res.add(f"sampled-n{n_sample}-x{reps}", bool(sampled.all()))
     return res
 
 

@@ -125,10 +125,11 @@ def _route_scale(n: int, mode: str):
 def radius_laws(n: int, s: int, reps: int, rng: RngStream) -> Estimate:
     """Three routes to the same radius law.
 
-    Map route: radius of weighted uniform-map samples scaled by
-    ``sqrt(2/n)``.  Contour route: twice the maximum of the tilted excursion
-    over ``sqrt(2n)``.  Inverse-height route: the reciprocal-height sum under
-    the depth-first tilt over ``sqrt(2n)``.
+    Map route: radius of the ``B(f)^s``-tilted independent-pair map draw of
+    :class:`TiltSample` (the uniform-map law exactly only at ``s = 1``) scaled
+    by ``sqrt(2/n)``.  Contour route: twice the maximum of the tilted
+    excursion over ``sqrt(2n)``.  Inverse-height route: the reciprocal-height
+    sum under the depth-first tilt over ``sqrt(2n)``.
     """
     scaled = _route_scale(n, "bf")
     map_ens = tilted_ensemble(
@@ -163,7 +164,9 @@ def two_point_law(n: int, s: int, reps: int, rng: RngStream, mode: str = "bf") -
     at a uniform time, both under the breadth-first (or unicellular) tilt.
 
     At ``n = 1`` there is a single non-root vertex and the map side is a
-    point mass at zero.
+    point mass at zero.  The breadth-first map side is the ``B(f)^s``-tilted
+    independent-pair draw of :class:`TiltSample`, the uniform-map law exactly
+    only at ``s = 1``.
     """
     scaled = _route_scale(n, mode)
 
@@ -207,13 +210,14 @@ def profile_laws(n: int, s: int, reps: int, rng: RngStream,
     """Mean rescaled distance profiles via maps, weighted labeled trees, and
     the local time of the tilted contour.
 
-    Map route: BFS level counts at level ``floor(r sqrt(n/2))`` scaled by
-    ``1/sqrt(2n)``.  Tree route: the level counts of uniform rooted labeled
-    trees, each drawn from one conditioned Poisson walk with no tree built
-    (:func:`sample_tree_profile`), weighted by the symmetrized-tree weight,
-    read at ``floor(r sqrt(n))`` and scaled by ``1/sqrt(n)``.  Local-time
-    route: half the terminal level occupancy at ``floor(r sqrt(2n)/2)``
-    scaled by ``1/sqrt(2n)``.
+    Map route: BFS level counts, of the ``B(f)^s``-tilted independent-pair map
+    draw of :class:`TiltSample` (the uniform-map law exactly only at ``s = 1``),
+    at level ``floor(r sqrt(n/2))`` scaled by ``1/sqrt(2n)``.  Tree route: the
+    level counts of uniform rooted labeled trees, each drawn from one
+    conditioned Poisson walk with no tree built (:func:`sample_tree_profile`),
+    weighted by the symmetrized-tree weight, read at ``floor(r sqrt(n))`` and
+    scaled by ``1/sqrt(n)``.  Local-time route: half the terminal level
+    occupancy at ``floor(r sqrt(2n)/2)`` scaled by ``1/sqrt(2n)``.
     """
     if s < 1:
         raise ValueError("the weighted-tree route needs s >= 1")

@@ -31,7 +31,7 @@ import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from math import factorial, isqrt
+from math import factorial
 from typing import Callable, Iterator
 
 import numpy as np
@@ -388,8 +388,8 @@ def _profile_of_labels(labels, n: int) -> HeightProfile:
 # -- corner samplers --------------------------------------------------------------
 
 
-def _weighted_index(per_index: np.ndarray, gen: np.random.Generator) -> int:
-    cum = np.cumsum(per_index, dtype=np.float64)
+def _weighted_index(cum: np.ndarray, gen: np.random.Generator) -> int:
+    """An index drawn in proportion to the weights whose float64 running sums are ``cum``."""
     u = gen.random() * cum[-1]
     return int(np.searchsorted(cum, u, side="right"))
 
@@ -416,9 +416,10 @@ def sample_corners_bf(f: LatticeExcursion, s: int, rng,
     per_index = bf_per_index(index)
     if int(per_index.sum()) == 0:
         raise DegenerateEnsembleError("breadth-first corner weight vanished")
+    cum = np.cumsum(per_index, dtype=np.float64)
     pairs = []
     for _ in range(s):
-        i1 = _weighted_index(per_index, gen)
+        i1 = _weighted_index(cum, gen)
         pairs.append((i1, _bf_partner(index, i1, int(gen.integers(int(per_index[i1]))))))
     return _pairs_to_decoration("bf", pairs)
 
@@ -441,9 +442,10 @@ def sample_corners_df(f: LatticeExcursion, s: int, rng,
     per_index = df_per_index(index)
     if int(per_index.sum()) == 0:
         raise DegenerateEnsembleError("depth-first corner weight vanished")
+    cum = np.cumsum(per_index, dtype=np.float64)
     pairs = []
     for _ in range(s):
-        i1 = _weighted_index(per_index, gen)
+        i1 = _weighted_index(cum, gen)
         partners = (index.times >= i1) & (index.q < i1)
         times, levels = index.times[partners], index.levels[partners]
         y = levels[int(gen.integers(len(times)))]
@@ -539,7 +541,7 @@ def _terms(f: LatticeExcursion | CornerIndex, s: int, mode: str):
 
 def decoration_count(f: LatticeExcursion | CornerIndex, s: int, mode: str) -> int:
     """Exact number of canonical decorations with ``s`` surplus edges (s <= 2) of an
-    excursion or its corner index, summed from the terms that the s = 2 draw uses."""
+    excursion or its corner index, summed from the terms of :func:`_terms`."""
     return sum(_terms(f, s, mode)[2])
 
 
@@ -549,66 +551,14 @@ def decoration_count_gap(f: LatticeExcursion, s: int, mode: str) -> int:
     return factorial(s) * sum(terms) - pairs ** s
 
 
-# the tags of a doubled pair (i, j, i, j): its two orders, or a loop's three matchings
-_DOUBLED_TAGS = {False: ((1, 1, 2, 2), (1, 2, 2, 1)),
-                 True: ((1, 2, 3, 4), (1, 4, 2, 3), (1, 3, 2, 4))}
-
-
-def _unrank_two(u: int) -> tuple[int, int]:
-    """The ``u``-th pair ``a < b`` in colexicographic order."""
-    b = (1 + isqrt(8 * u + 1)) // 2
-    return u - b * (b - 1) // 2, b
-
-
-def _s2_decoration(index: CornerIndex, ends: np.ndarray, terms: list[int],
-                   u: int) -> AdmissibleCorners:
-    """The ``u``-th breadth-first decoration with two surplus edges, for the ends and the
-    terms of :func:`_terms`: two distinct pairs with the base tags, a doubled pair in one
-    of its orders, or two ends at a corner ``c``.  Those are its loop's two ends, crossed,
-    or ends of two pairs whose base tags at ``c`` change: the end that is not a loop's
-    takes the other chosen end's place.  Pairs rank by first corner, then partner."""
-    if u < terms[0] + terms[1]:
-        first = bf_per_index(index)
-        cum = first.cumsum()
-
-        def pair(r: int) -> tuple[int, int]:
-            i = int(cum.searchsorted(r, side="right"))
-            return i, _bf_partner(index, i, r - int(cum[i] - first[i]))
-
-        if u < terms[0]:
-            return _pairs_to_decoration("bf", [pair(r) for r in _unrank_two(u)])
-        i, j = pair((u - terms[0]) // 2)
-        return AdmissibleCorners("bf", (i, j, i, j), _DOUBLED_TAGS[i == j][(u - terms[0]) % 2])
-    u -= terms[0] + terms[1]
-    share = ends * (ends - 1) // 2
-    cum = share.cumsum()
-    k = int(cum.searchsorted(u, side="right"))
-    c, down = int(index.times[k]), int(index.down[k])
-    chosen = []  # the pair of each chosen end at c, and the end's side of the pair
-    for e in _unrank_two(u - int(cum[k] - share[k])):
-        t = c if e == ends[k] - 1 else int(index.times[down + e])
-        chosen.append(((min(t, c), max(t, c)), int(t < c or e == ends[k] - 1)))
-    (p1, s1), (p2, s2) = sorted(chosen)
-    if p1 == p2:
-        return AdmissibleCorners("bf", (c,) * 4, _DOUBLED_TAGS[True][2])
-    base = _pairs_to_decoration("bf", [p1, p2])  # end 2j + side is pair j's at that side
-    tags = list(base.tags)
-    order = sorted((e for e in range(4) if base.indices[e] == c), key=tags.__getitem__)
-    moved, other = (2 + s2, s1) if p2[0] != p2[1] else (s1, 2 + s2)
-    at = order.index(other)
-    order.insert(at, order.pop(order.index(moved)))
-    for tag, e in enumerate(order, start=1):
-        tags[e] = tag
-    return AdmissibleCorners("bf", base.indices, tuple(tags))
-
-
 # -- weighted ensembles -----------------------------------------------------------
 
 
-def tilt_weight(total: int, s: int, mode: str, n: int) -> float:
-    """The tilt weight ``total ** s`` as a float; a ``ValueError`` if it overflows."""
+def tilt_weight(total: int, s: int, mode: str, n: int, scale: Fraction = Fraction(1)) -> float:
+    """The tilt weight ``total ** s``, times an exact ``scale``, rounded once to a float;
+    a ``ValueError`` if it overflows."""
     try:
-        return float(total ** s)
+        return total ** s * scale.numerator / scale.denominator
     except OverflowError:
         raise ValueError(f"the {mode} tilt weight {total}^{s} overflows a float at n={n}, "
                          f"s={s}; use a smaller s or n") from None
@@ -800,27 +750,42 @@ def enumerate_maps(n: int, s: int, mode: str = "bf") -> list[RootedMap]:
 
 
 def sample_map_decoration(n: int, s: int, rng) -> tuple[LatticeExcursion, AdmissibleCorners, float]:
-    """One weighted draw of (excursion, decoration) targeting the uniform map law.
+    """One weighted draw of (excursion, decoration) whose weighted law over glued maps
+    is exactly uniform, at every ``s``.
 
-    The excursion carries weight equal to its exact decoration count and the
-    decoration is uniform among the tree's decorations, so the weighted law
-    over glued maps is uniform: exactly for ``s <= 2`` at any size, where at s = 2
-    one integer below the count picks a decoration.  For ``s >= 3`` the decoration
-    is the independent-pair surrogate weighted by ``B(f)^s``, whose total-variation
-    gap vanishes with n.
+    :func:`sample_corners_bf` draws ``s`` independent pairs of a uniform excursion, each
+    admissible pair with probability ``1/B(f)``; the ends at each corner holding ends of
+    two or more pairs then take a uniform order, a loop's ends kept in tag order.  With
+    ``n_c`` ends at corner ``c`` and ``L`` loops, each decoration comes from ``s!`` draws
+    (its pairs in each order), each of probability ``2^L / (B(f)^s prod_c n_c!)``, so the
+    weight ``B(f)^s prod_c n_c! / (s! 2^L)`` gives it mass 1: the collision-weight identity
+    ``#dec(f, s) = (1/s!) sum over ordered s-tuples of pairs of prod_c n_c! / 2^L``.
     """
     gen = as_generator(rng)
     exc = sample_uniform_excursion(n, gen)
     if s == 0:
         return exc, AdmissibleCorners("bf", (), ()), 1.0
     index = corner_index(exc.values)
-    if s == 2:
-        _, ends, terms = _terms(index, 2, "bf")
-        total = sum(terms)
-        return exc, _s2_decoration(index, ends, terms, int(gen.integers(total))), float(total)
-    # at s = 1 the decoration count is B(f), the tilt weight
     xi = sample_corners_bf(exc, s, gen, index)
-    return exc, xi, tilt_weight(corner_total(index, "bf"), s, "bf", n)
+    ends, tags = xi.indices, list(xi.tags)  # end 2j + side is a side of pair j
+    at_corner: dict[int, list[int]] = {}
+    for e, i in enumerate(ends):
+        at_corner.setdefault(i, []).append(e)
+    collisions = 1
+    for block in at_corner.values():
+        collisions *= factorial(len(block))
+        if block[0] // 2 != block[-1] // 2:  # ends of two or more pairs take a uniform order
+            for e, k in zip(block, gen.permutation(len(block)).tolist()):
+                tags[e] = k + 1
+    loops = 0
+    for j in range(0, 2 * s, 2):
+        if ends[j] == ends[j + 1]:  # a loop keeps its ends in tag order
+            loops += 1
+            tags[j:j + 2] = sorted(tags[j:j + 2])
+    weight = tilt_weight(corner_total(index, "bf"), s, "bf", n,
+                         Fraction(collisions, factorial(s) << loops))
+    tagged = zip(ends[::2], tags[::2], ends[1::2], tags[1::2])
+    return exc, AdmissibleCorners.from_tagged("bf", tagged), weight
 
 
 def sample_uniform_map(n: int, s: int, rng) -> tuple[RootedMap, float]:

@@ -146,37 +146,37 @@ DIGESTS = {
     },
     'sample-map': {
         'map_0.json':
-            'd4d29e3735b9eed12c30b94e2524d7d7bc51e7a9dde847de77bdb218647e8d7b',
+            'aea3b621e85a382d1dad92b11ba6ebd60d2b682854b111c01bb1a5e8611c7706',
         'map_1.json':
-            '2db36eebeb2bbd82cb4ecab8e8ff811947d0089f43cf60f980a06f784fa0ede2',
+            '0b95acdabea7c5e735ca5dc87d5dd90cdd4fb810af32d0028ef0aae71a742f09',
         'map_2.json':
-            '72e807ab387852b5155ced15062f71838aff61fc443087518f70281d42b8aff7',
+            '2be3212160a41980799737e45c14268161b9e274220a812261bc06ee51f217dd',
         'map_weights.csv':
-            '642d349553c54fdb4a7a0f7bf0b19974a0d2084ed3d8aeb9d4bc56ff47cba29f',
+            'be9fd04b6bc986f0a967397a7c6b43dfcbcfd3944597d6da02eb4bb4c6e62553',
     },
     'sample-map-n12': {
         'map_0.json':
-            '49a451a255ba6595211e2e401f4e94776a34f14011f3914660618151ae69a8e2',
+            'f6f9a2629f7fde2c74bc2712c5c9f195a881bed37fd8a83b8833b0628e094d14',
         'map_1.json':
-            '459ee8c6efae29e51fda630857ae80fe144f694dc0153f91fefc5157a2ebaa82',
+            '9e8738151321523f68d4df8488b02c3cde735a50dd24a15bbcc9506fa5a03b2a',
         'map_2.json':
-            'be28729403548da99b98367b7dea34adeaf7d43fb7493d47f3eaf5e1b1342f96',
+            '4f195d47a0352eefb6420fbb8b80bcf6282b88dafa0f2308469be67b37ade32e',
         'map_3.json':
-            '9bc2c3fb20d0516cd4d479c9216cdb6dce29d280dcad43f3c8c80fe5bd0e3901',
+            '9cc71af61f993d39d315418edcefa3a7030b5213375c9c765c581b4bf1ef5851',
         'map_weights.csv':
-            'eb2170bfedbae60ec74a33991a7f1a9173c85e91ee0887ddb44bdde103424b19',
+            '10736d279e73d70d96a543dc6d03550799fc7d79848bd46276128b1b1247deb5',
     },
     'sample-map-s3': {
         'map_0.json':
-            'f2cf0b86ce28e0bd2939166664c327f5598a35538ae8230933601569a5c1b029',
+            '23a7b7853d8dc9bf5e5c48fb51880cbc32a7bcb407522c1d8e253927cd72c7e1',
         'map_1.json':
             '6bed57c3720d4791aaf5ed3bbe379105735241b85d6235150b178c1a31b2b0cc',
         'map_2.json':
             'fe7eb8e1a2c855e1ce4cc5bb8c03686ebff3dcdfa9757b664bbb4eb4f7ade09b',
         'map_3.json':
-            '4b72a5a0d0cbd2cad6baf0153ade93cd45ba98af3d563ef55cb6b4b15df4cc72',
+            '7a923ab234745944f461f16066f6684e49ffa311c94177d1d074b5d59a15151f',
         'map_weights.csv':
-            'fbaf057d239fb6a56222b62f4e875f15da3242fad3c314efe96143360b212bc4',
+            '36fa12190c131cdbe8b806b37b5f15ace94203c4660e8afe6f3eaf0c6bf8248b',
     },
     'sample-graph': {
         'graphs.csv':

@@ -12,6 +12,7 @@ from surplus_lab.lattice_paths import (
     enumerate_excursions,
     tree_of_contour,
 )
+from surplus_lab import checks
 from surplus_lab.checks import _root_distances
 from surplus_lab.local_time import bf_per_index, contour_tree, corner_index, df_per_index
 from surplus_lab.maps import (
@@ -516,6 +517,25 @@ class TestMetric:
             chord = [tuple(tree.vertex_at_time[i] for i in xi.indices)]
             expected = bfs_distances(tree_adjacency(tree, chord), 0)
             assert _root_distances(*contour_tree(f.values, index), xi.indices) == expected
+
+    def test_radius_suite_reads_every_replicate_range(self, monkeypatch):
+        # 300 sampled maps run in up to three ranges; one wrong search among them, in the
+        # last replicate, fails the sampled check
+        def sampled_ok():
+            res = checks.radius_invariance_suite(n_sample=30, reps=300, seed=5)
+            return dict((label, ok) for label, ok, _ in res.checks)["sampled-n30-x300"]
+
+        assert sampled_ok()
+        last = sample_uniform_excursion(30, RngStream(5).substream(299).generator())
+        last_at = contour_tree(last.values, corner_index(last.values))[0].tolist()
+        searched = checks._root_distances
+
+        def wrong_on_last(at, parent, chord):  # one more vertex at the root's level
+            dist = searched(at, parent, chord)
+            return dist + [0] if at.tolist() == last_at else dist
+
+        monkeypatch.setattr(checks, "_root_distances", wrong_on_last)
+        assert not sampled_ok()
 
 
 class TestJsonAndCanonical:

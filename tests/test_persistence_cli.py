@@ -274,11 +274,13 @@ class TestCli:
                      "--out", str(out)]) == EXIT_OK
 
     def test_weight_overflow_is_usage_error(self, tmp_path, capsys):
-        # B(f)^200 at n=200 does not fit a float
-        assert main(["estimate", "--target", "radius", "--n", "200", "--s", "200",
-                     "--reps", "3", "--out", str(tmp_path / "o")]) == EXIT_USAGE
-        err = capsys.readouterr().err
-        assert err.startswith("usage error:") and "n=200" in err and "s=200" in err
+        # B(f)^200 at n=200 does not fit a float, nor does the map weight B(f)^200 / 200!
+        for k, argv in enumerate([
+                ["estimate", "--target", "radius", "--n", "200", "--s", "200", "--reps", "3"],
+                ["sample", "map", "--n", "200", "--s", "200"]]):
+            assert main(argv + ["--out", str(tmp_path / f"o{k}")]) == EXIT_USAGE
+            err = capsys.readouterr().err
+            assert err.startswith("usage error:") and "n=200" in err and "s=200" in err
 
     @pytest.mark.parametrize("argv", [
         ["estimate", "--target", "radius", "--model", "um", "--g", "0", "--n", "10",

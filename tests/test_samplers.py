@@ -2,7 +2,7 @@
 
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 from math import comb, sqrt
 import os
 import time
@@ -316,10 +316,10 @@ class TestCornerSamplers:
         # the draw before the corner index: partners bucketed by level, one
         # integer for the bucket position and one for the time within it
         def bucket_draw(f, s, gen):
-            per_index = df_per_index(f.values)
+            cum = np.cumsum(df_per_index(f.values), dtype=np.float64)
             pairs = []
             for _ in range(s):
-                i1 = samplers._weighted_index(per_index, gen)
+                i1 = samplers._weighted_index(cum, gen)
                 sizes = sorted((y, ts) for y, ts in df_level_sets(f, i1).items())
                 u = int(gen.integers(sum(len(ts) for _, ts in sizes)))
                 for _, ts in sizes:
@@ -701,27 +701,85 @@ class TestMapSampling:
     def test_uniform_map_law_s2_n3(self):
         assert_uniform_map_law(3, 2, RngStream(57))
 
-    def test_s2_decorations_biject_onto_enumeration(self):
-        # every outcome of the three count terms is a distinct valid decoration, and together
-        # they are all of them
-        for n in range(1, 7):
-            for f in enumerate_excursions(n):
-                index = corner_index(f.values)
-                _, ends, terms = samplers._terms(index, 2, "bf")
-                outcomes = [samplers._s2_decoration(index, ends, terms, u)
-                            for u in range(sum(terms))]
-                for xi in outcomes:
-                    xi.validate(f)
-                assert len(set(outcomes)) == len(outcomes) == decoration_count(f, 2, "bf")
-                assert set(outcomes) == set(maps.enumerate_admissible(f, 2, "bf"))
+    @pytest.mark.parametrize("n,s", [(n, s) for n in range(1, 5) for s in (1, 2)]
+                             + [(n, 3) for n in range(1, 4)])
+    def test_weighted_law_is_exactly_uniform(self, n, s, monkeypatch):
+        # every outcome of the draw on a fixed excursion (its ordered pairs, then its end
+        # orders), its probability times its weight summed per decoration, is 1 on every
+        # decoration of the enumeration and on nothing else
+        for f in enumerate_excursions(n):
+            monkeypatch.setattr(samplers, "sample_uniform_excursion", lambda n, gen: f)
+            mass = Counter()
+            for prob, (_, xi, weight) in outcomes(lambda gen: sample_map_decoration(n, s, gen),
+                                                  bf_per_index(f.values)):
+                xi.validate(f)
+                mass[xi] += prob * weight
+            assert set(mass) == set(maps.enumerate_admissible(f, s, "bf"))
+            assert all(abs(m - 1) < 1e-12 for m in mass.values()), (f, mass)
 
-    def test_s2_draw_is_fast_at_n40(self):
-        # the exact s = 2 draw needs no enumeration: well under 10 ms at n = 40
-        sample_map_decoration(40, 2, RngStream(1))
+    @pytest.mark.parametrize("s", [2, 3])
+    def test_draw_is_fast_at_n40(self, s):
+        # the exact draw needs no enumeration: well under 10 ms at n = 40
+        sample_map_decoration(40, s, RngStream(1))
         start = time.perf_counter()
         for r in range(20):
-            sample_map_decoration(40, 2, RngStream(2).substream(r))
+            sample_map_decoration(40, s, RngStream(2).substream(r))
         assert (time.perf_counter() - start) / 20 < 0.01
+
+
+class ScriptedGenerator(np.random.Generator):
+    """A generator whose draws follow a script of choices, one per call, each among that
+    call's finitely many outcomes: ``random()`` picks an index of positive weight by the
+    weights it was given (returning the middle of that index's share of the unit interval),
+    ``integers(m)`` one of ``0..m-1`` and ``permutation(m)`` one of the ``m!`` orders.  Past
+    the script's end it takes the first outcome.  It records each call's outcome count and
+    the probability of the outcomes taken."""
+
+    _BITS = np.random.PCG64(0)  # never drawn from
+
+    def __init__(self, script: list[int], mids: np.ndarray, probs: np.ndarray):
+        super().__init__(self._BITS)
+        self.script, self.mids, self.probs = script, mids, probs
+        self.arities, self.prob = [], 1.0
+
+    def _choose(self, arity: int) -> int:
+        k = self.script[len(self.arities)] if len(self.arities) < len(self.script) else 0
+        self.arities.append(arity)
+        return k
+
+    def random(self, *args):
+        k = self._choose(len(self.mids))
+        self.prob *= self.probs[k]
+        return float(self.mids[k])
+
+    def integers(self, m, *args):
+        self.prob /= m
+        return self._choose(m)
+
+    def permutation(self, m):
+        orders = list(permutations(range(m)))
+        self.prob /= len(orders)
+        return np.array(orders[self._choose(len(orders))])
+
+
+def outcomes(draw, weights: np.ndarray):
+    """Every outcome of ``draw(gen)`` with its probability, for a draw whose random calls
+    are those of :class:`ScriptedGenerator` and whose first-index weights are ``weights``:
+    the scripts run through all choices in lexicographic order."""
+    cum = np.concatenate(([0], np.cumsum(weights)))
+    mids = ((cum[:-1] + cum[1:]) / (2 * cum[-1]))[weights > 0]
+    probs = weights[weights > 0] / cum[-1]
+    script = []
+    while True:
+        gen = ScriptedGenerator(script, mids, probs)
+        result = draw(gen)
+        yield gen.prob, result
+        script = gen.script + [0] * (len(gen.arities) - len(gen.script))
+        while script and script[-1] + 1 == gen.arities[len(script) - 1]:
+            script.pop()
+        if not script:
+            return
+        script[-1] += 1
 
 
 def assert_uniform_map_law(n: int, s: int, rng: RngStream, reps: int = 25_000) -> None:
