@@ -1,8 +1,9 @@
-"""Exact identity suites: bijections, counts, gluing dichotomies, fiber counts.
+"""Identity suites: bijections, counts, gluing dichotomies, fiber counts, and the seeded
+Monte Carlo checks of the radius invariance, the local-time/area identity and Lemma 3.
 
-Each suite returns a :class:`SuiteResult` holding one named, boolean-valued
-check per line, so the CLI and the acceptance tests share a single
-implementation of every exact identity.
+Each suite returns a :class:`SuiteResult`, one named row per check, so the CLI and the
+acceptance tests share a single implementation of every identity.  A suite's signature
+declares the ``verify`` options it reads and their defaults.
 """
 
 from __future__ import annotations
@@ -10,9 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, product
+from math import sqrt
 
 import numpy as np
 
+from .estimators import decoration_gap_estimates, gap_trend_steps, jeulin_check, um_count_identity
 from .lattice_paths import (
     LabeledTree,
     catalan,
@@ -38,6 +41,7 @@ from .maps import (
 )
 from .samplers import (
     RngStream,
+    decoration_count,
     enumerate_maps,
     enumerate_surplus_graphs,
     prufer_decode,
@@ -50,40 +54,47 @@ from .samplers import (
 
 @dataclass
 class SuiteResult:
-    name: str
-    checks: list[tuple[str, bool, str]] = field(default_factory=list)
+    """Checks as ``(label, ok, detail, value, line)``.  ``ok`` is a verdict, or ``None`` for
+    a row that only reports its ``value``; ``line`` replaces the label and detail on the
+    verdict's printed line."""
 
-    def add(self, label: str, ok: bool, detail: str = "") -> None:
-        self.checks.append((label, bool(ok), detail))
+    name: str
+    checks: list[tuple] = field(default_factory=list)
+
+    def add(self, label: str, ok: bool | None, detail="", value="", line: str = "") -> None:
+        self.checks.append((label, None if ok is None else bool(ok), detail, value, line))
 
     @property
     def passed(self) -> bool:
-        return all(ok for _, ok, _ in self.checks)
+        return all(ok for _, ok, *_ in self.checks if ok is not None)
 
     def rows(self) -> list[list]:
-        """``[check, value, detail, ok]`` rows; an exact check has no value."""
-        return [[label, "", detail, int(ok)] for label, ok, detail in self.checks]
+        """``[check, value, detail, ok]`` rows; an exact check has no value, and a row
+        with no verdict leaves ``ok`` empty."""
+        return [[label, value, detail, "" if ok is None else int(ok)]
+                for label, ok, detail, value, _ in self.checks]
 
     def lines(self) -> list[str]:
-        out = []
-        for label, ok, detail in self.checks:
-            status = "PASS" if ok else "FAIL"
-            out.append(f"{status} {self.name}:{label}" + (f" [{detail}]" if detail else ""))
-        return out
+        """One ``PASS`` or ``FAIL`` line per verdict."""
+        return [f"{'PASS' if ok else 'FAIL'} {self.name}:"
+                + (line or label + (f" [{detail}]" if detail else ""))
+                for label, ok, detail, _, line in self.checks if ok is not None]
 
 
-def bijection_suite(n_max: int = 5, s_max: int = 2) -> SuiteResult:
+def bijection_suite(n: int = 5, s: int = 2) -> SuiteResult:
     """Exploration/insertion round trips and the three-way count equality."""
+    if s < 1:  # with no surplus edge the suite would check nothing
+        raise ValueError(f"s must be >= 1, got {s}")
     res = SuiteResult("bijection")
-    for n in range(1, n_max + 1):
-        excursions = enumerate_excursions(n)
-        for s in range(1, s_max + 1):
+    for k in range(1, n + 1):
+        excursions = enumerate_excursions(k)
+        for j in range(1, s + 1):
             keys = {}
             for mode, explore in (("bf", bf_explore), ("df", df_explore)):
                 built = keys[mode] = set()
                 ok_round = True
                 for f in excursions:
-                    for xi in enumerate_admissible(f, s, mode):
+                    for xi in enumerate_admissible(f, j, mode):
                         m = insert_edges(f, xi)
                         key = m.canonical_key()
                         if key in built:
@@ -92,20 +103,20 @@ def bijection_suite(n_max: int = 5, s_max: int = 2) -> SuiteResult:
                         f2, xi2 = explore(m)
                         if f2 != f or xi2 != xi:
                             ok_round = False
-                res.add(f"{mode}-roundtrip-n{n}-s{s}", ok_round, f"{len(built)} maps")
-            res.add(f"same-map-set-n{n}-s{s}", keys["bf"] == keys["df"],
+                res.add(f"{mode}-roundtrip-n{k}-s{j}", ok_round, f"{len(built)} maps")
+            res.add(f"same-map-set-n{k}-s{j}", keys["bf"] == keys["df"],
                     f"bf={len(keys['bf'])} df={len(keys['df'])}")
     return res
 
 
-def count_suite(n_max: int = 10) -> SuiteResult:
+def count_suite(n: int = 10) -> SuiteResult:
     """Excursion counts against the closed form, plus the first map counts."""
     res = SuiteResult("counts")
-    for n in range(1, n_max + 1):
-        expected = excursion_count(n)
-        got = len(enumerate_excursions(n))
-        res.add(f"excursions-n{n}", got == expected, f"{got} vs {expected}")
-        res.add(f"catalan-n{n}", expected == catalan(n - 1))
+    for k in range(1, n + 1):
+        expected = excursion_count(k)
+        got = len(enumerate_excursions(k))
+        res.add(f"excursions-n{k}", got == expected, f"{got} vs {expected}")
+        res.add(f"catalan-n{k}", expected == catalan(k - 1))
     res.add("maps-n1-s1", len(enumerate_maps(1, 1)) == 1)
     res.add("maps-n2-s1", len(enumerate_maps(2, 1)) == 5)
     return res
@@ -121,58 +132,56 @@ def _all_rooted_labeled_trees(n: int):
             yield prufer_decode(seq, n, root)
 
 
-def w1_suite(n_min: int = 2, n_max: int = 6) -> SuiteResult:
+def w1_suite(n: int = 6) -> SuiteResult:
     """Symmetrized-tree weights summed over all rooted labeled trees equal
     the rooted unit-surplus graph count."""
     res = SuiteResult("w1")
-    for n in range(n_min, n_max + 1):
+    for k in range(2, n + 1):
         total = Fraction(0)
         trees = 0
-        for tree in _all_rooted_labeled_trees(n):
+        for tree in _all_rooted_labeled_trees(k):
             trees += 1
             total += w1_weight(height_profile(tree))
-        res.add(f"tree-count-n{n}", trees == n ** (n - 1), f"{trees}")
-        rhs = len(enumerate_surplus_graphs(n, 1))
-        res.add(f"w1-sum-n{n}", total == rhs, f"{total} vs {rhs}")
-        if n == 3:
+        res.add(f"tree-count-n{k}", trees == k ** (k - 1), f"{trees}")
+        rhs = len(enumerate_surplus_graphs(k, 1))
+        res.add(f"w1-sum-n{k}", total == rhs, f"{total} vs {rhs}")
+        if k == 3:
             res.add("w1-n3-value", total == 3, f"{total}")
     return res
 
 
-def psi_suite(n_max: int = 5) -> SuiteResult:
+def psi_suite(n: int = 5) -> SuiteResult:
     """Corner-tuple totals match the brute count of distinct-corner unicellular maps."""
-    from .estimators import um_count_identity
-
     res = SuiteResult("psi")
-    for n in range(2, n_max + 1):
-        lhs, rhs = um_count_identity(n, 1)
-        res.add(f"identity-n{n}", lhs == rhs, f"{lhs} vs {rhs}")
-        if n == 2:
+    for k in range(2, n + 1):
+        lhs, rhs = um_count_identity(k, 1)
+        res.add(f"identity-n{k}", lhs == rhs, f"{lhs} vs {rhs}")
+        if k == 2:
             res.add("n2-zero", lhs == 0)
-        if n == 3:
+        if k == 3:
             res.add("n3-value", lhs == 3, f"{lhs}")
     return res
 
 
-def vervaat_suite(n_max: int = 6) -> SuiteResult:
+def vervaat_suite(n: int = 6) -> SuiteResult:
     """Uniform bridges push forward uniformly onto excursion shapes with
     fibers of size 2n+1."""
     res = SuiteResult("vervaat")
-    for n in range(1, n_max + 1):
+    for k in range(1, n + 1):
         fibers: dict[tuple, int] = {}
         total = 0
-        for b in enumerate_bridges(n):
+        for b in enumerate_bridges(k):
             total += 1
             v = vervaat(b)
             if not v.is_excursion_shape():
-                res.add(f"shape-n{n}", False, f"non-shape image {v.as_tuple()}")
+                res.add(f"shape-n{k}", False, f"non-shape image {v.as_tuple()}")
                 break
             fibers[v.as_tuple()] = fibers.get(v.as_tuple(), 0) + 1
         else:
-            res.add(f"fiber-size-n{n}", set(fibers.values()) == {2 * n + 1},
-                    f"{len(fibers)} shapes x {2 * n + 1}")
-            res.add(f"shape-count-n{n}", len(fibers) == catalan(n), f"{len(fibers)}")
-            res.add(f"bridge-count-n{n}", total == (2 * n + 1) * catalan(n))
+            res.add(f"fiber-size-n{k}", set(fibers.values()) == {2 * k + 1},
+                    f"{len(fibers)} shapes x {2 * k + 1}")
+            res.add(f"shape-count-n{k}", len(fibers) == catalan(k), f"{len(fibers)}")
+            res.add(f"bridge-count-n{k}", total == (2 * k + 1) * catalan(k))
     return res
 
 
@@ -194,17 +203,17 @@ def sg_suite() -> SuiteResult:
     return res
 
 
-def gluing_dichotomy_suite(n_max: int = 5) -> SuiteResult:
+def gluing_dichotomy_suite(n: int = 5) -> SuiteResult:
     """Gluing dichotomy: one face exactly when the pairing is entangled."""
     res = SuiteResult("dichotomy")
     g = 1
     pairings = [PermutationPairing(p) for p in all_pairings(4 * g)]
     entangled = {p.transpositions for p in entangled_pairings(g)}
-    for n in range(3, n_max + 1):
+    for k in range(3, n + 1):
         ok = True
         tested = 0
-        for f in enumerate_excursions(n):
-            for corners in combinations(range(1, 2 * n), 4 * g):
+        for f in enumerate_excursions(k):
+            for corners in combinations(range(1, 2 * k), 4 * g):
                 for pairing in pairings:
                     m, unicellular = unicellular_glue(f, pairing, corners)
                     tested += 1
@@ -215,7 +224,7 @@ def gluing_dichotomy_suite(n_max: int = 5) -> SuiteResult:
                         ok = False
                     if unicellular and genus != 1:
                         ok = False
-        res.add(f"dichotomy-n{n}", ok, f"{tested} gluings")
+        res.add(f"dichotomy-n{k}", ok, f"{tested} gluings")
     return res
 
 
@@ -230,28 +239,28 @@ def _root_distances(at, parent, chord) -> list[int]:
     return bfs_distances(adj, 0)
 
 
-def radius_invariance_suite(n_sample: int = 1000, reps: int = 10_000,
+def radius_invariance_suite(n: int = 1000, reps: int = 10_000,
                             seed: int = 20_240_501) -> SuiteResult:
     """Map radius equals exploration-tree height; ball volumes match level counts
     (every map with n <= 4, then sampled maps), a breadth-first search against the
     contour, where vertex ``k`` sits at the height of the ``k``-th up-step.  The sampled
     maps run in replicate ranges on every CPU (:func:`replicate_rows`)."""
     res = SuiteResult("radius")
-    for n in range(1, 5):
+    for k in range(1, 5):
         for s in range(0, 3):
             ok = True
-            for m in enumerate_maps(n, s):
+            for m in enumerate_maps(k, s):
                 f = bf_explore(m)[0]
                 metric = metric_from_root(m)
                 depths = np.bincount(f.values[vertex_times(f.values)]).tolist()
                 if metric.radius != f.max_height() or list(metric.level_counts) != depths:
                     ok = False
-            res.add(f"enumerated-n{n}-s{s}", ok)
+            res.add(f"enumerated-n{k}-s{s}", ok)
     # sampled maps: decorate uniform trees with one surplus edge, one 0/1 verdict each
     def verdicts(gens):
         out = []
         for gen in gens:
-            exc = sample_uniform_excursion(n_sample, gen)
+            exc = sample_uniform_excursion(n, gen)
             index = corner_index(exc.values)
             xi = sample_corners_bf(exc, 1, gen, index)
             dist = _root_distances(*contour_tree(exc.values, index), xi.indices)
@@ -260,18 +269,46 @@ def radius_invariance_suite(n_sample: int = 1000, reps: int = 10_000,
         return [out]
 
     sampled, = replicate_rows(reps, RngStream(seed), verdicts)
-    res.add(f"sampled-n{n_sample}-x{reps}", bool(sampled.all()))
+    res.add(f"sampled-n{n}-x{reps}", bool(sampled.all()))
     return res
 
 
-def decoration_count_suite(n_max: int = 5) -> SuiteResult:
+def decoration_count_suite(n: int = 5) -> SuiteResult:
     """Closed-form decoration counts against exhaustive enumeration."""
-    from .samplers import decoration_count
-
     res = SuiteResult("decoration-count")
     for mode in ("bf", "df"):
         for s in (1, 2):
-            res.add(f"{mode}-s{s}-n<={n_max}",
+            res.add(f"{mode}-s{s}-n<={n}",
                     all(decoration_count(f, s, mode) == len(enumerate_admissible(f, s, mode))
-                        for n in range(1, n_max + 1) for f in enumerate_excursions(n)))
+                        for k in range(1, n + 1) for f in enumerate_excursions(k)))
+    return res
+
+
+def jeulin_suite(n: int = 2000, reps: int = 10_000, seed: int = 7,
+                 threshold: float | None = None) -> SuiteResult:
+    """The squared-occupancy law against twice the area law (:func:`jeulin_check`), within
+    a KS ``threshold``; by default the level of 0.05 at 10^4 replicates, carried to
+    ``reps``."""
+    res = SuiteResult("jeulin")
+    stats = jeulin_check(n, reps, RngStream(seed))
+    threshold = 0.05 * sqrt(10_000 / reps) if threshold is None else threshold
+    res.add("jeulin-ks", stats.ks <= threshold, threshold, stats.ks,
+            f"ks n={n} reps={reps} ks={stats.ks:.5f} threshold={threshold}")
+    res.add("jeulin-mean-sq", None, value=stats.mean_sq)
+    res.add("jeulin-mean-area", None, value=stats.mean_area)
+    return res
+
+
+def lemma3_suite(s: int = 1, reps: int = 400, seed: int = 7) -> SuiteResult:
+    """Lemma 3: the scaled decoration-count gap is nonincreasing in n, for both exploration
+    orders.  A row per size holds the mean gap and its standard error, and the verdict of
+    the step to that size (:func:`gap_trend_steps`)."""
+    res = SuiteResult("lemma3")
+    for stream, mode in enumerate(("bf", "df")):
+        ests = decoration_gap_estimates((50, 100, 200, 400), s, reps,
+                                        RngStream(seed).substream(stream), mode)
+        steps = [(ok, f"{mode}-step n={a.n}->{b.n} {a.mean:.6f}->{b.mean:.6f} slack={slack:.6f}")
+                 for a, b, slack, ok in gap_trend_steps(ests)]
+        for est, (ok, line) in zip(ests, [(None, ""), *steps]):
+            res.add(f"{mode}-gap-n{est.n}", ok, est.se, est.mean, line)
     return res

@@ -8,9 +8,9 @@ the same seed reproduces byte-identical CSV/JSON outputs.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
-from math import sqrt
 from pathlib import Path
 
 from . import __version__, checks, estimators, persistence
@@ -50,24 +50,30 @@ def nonnegative_int(text: str) -> int:
     return value
 
 
-# name -> (the suite at size n, verify's default n, selftest's n or None when selftest
-# leaves it out, the verify options it reads); selftest runs its suites in this order
-EXACT_SUITES = {
-    "bijection": (lambda n, s=None: checks.bijection_suite(n, s or 2), 5, 4, ("n", "s")),
-    "counts": (lambda n: checks.count_suite(n), 10, 8, ("n",)),
-    "w1": (lambda n: checks.w1_suite(2, n), 6, 5, ("n",)),
-    "psi": (lambda n: checks.psi_suite(n), 5, 4, ("n",)),
-    "vervaat": (lambda n: checks.vervaat_suite(n), 6, 5, ("n",)),
-    "sg": (lambda n: checks.sg_suite(), 0, 0, ()),
-    "dichotomy": (lambda n: checks.gluing_dichotomy_suite(n), 5, 4, ("n",)),
-    "decoration": (lambda n: checks.decoration_count_suite(n), 5, 4, ("n",)),
-    "radius": (lambda n, reps, seed: checks.radius_invariance_suite(
-        n_sample=n, reps=reps or 10_000, seed=seed or 20_240_501), 1000, None,
-        ("n", "reps", "seed")),
+def _positive_int(text: str) -> int:
+    """A suite's size or replicate count: at 0 a suite would pass vacuously."""
+    value = nonnegative_int(text)
+    if value == 0:
+        raise argparse.ArgumentTypeError("must be >= 1, got 0")
+    return value
+
+
+# name -> (the suite, selftest's keyword arguments or None when selftest leaves it out);
+# selftest runs its suites in this order.  A suite's signature names the verify options
+# it reads, with their defaults.
+SUITES = {
+    "bijection": (checks.bijection_suite, {"n": 4}),
+    "counts": (checks.count_suite, {"n": 8}),
+    "w1": (checks.w1_suite, {"n": 5}),
+    "psi": (checks.psi_suite, {"n": 4}),
+    "vervaat": (checks.vervaat_suite, {"n": 5}),
+    "sg": (checks.sg_suite, {}),
+    "dichotomy": (checks.gluing_dichotomy_suite, {"n": 4}),
+    "decoration": (checks.decoration_count_suite, {"n": 4}),
+    "radius": (checks.radius_invariance_suite, None),
+    "jeulin": (checks.jeulin_suite, None),
+    "lemma3": (checks.lemma3_suite, None),
 }
-# the verify options each seeded Monte Carlo suite reads
-STATISTICAL_SUITES = {"jeulin": ("n", "reps", "seed", "threshold"),
-                      "lemma3": ("s", "reps", "seed")}
 # verify's suite parameters; a suite that does not read one refuses it
 VERIFY_OPTIONS = ("n", "s", "reps", "seed", "threshold")
 
@@ -108,12 +114,11 @@ def build_parser() -> _Parser:
     ip.add_argument("--out", type=Path, default=Path("out"))
 
     vp = sub.add_parser("verify", help="run an identity suite; exit 2 on failure")
-    vp.add_argument("--suite", required=True,
-                    choices=[*EXACT_SUITES, *STATISTICAL_SUITES])
+    vp.add_argument("--suite", required=True, choices=SUITES)
     # each suite reads some of these (default per suite) and refuses the others
-    vp.add_argument("--n", type=nonnegative_int)
+    vp.add_argument("--n", type=_positive_int)
     vp.add_argument("--s", type=nonnegative_int)
-    vp.add_argument("--reps", type=nonnegative_int)
+    vp.add_argument("--reps", type=_positive_int)
     vp.add_argument("--seed", type=int)
     vp.add_argument("--threshold", type=float, help="statistic threshold of the jeulin suite")
     vp.add_argument("--out", type=Path, default=Path("out"))
@@ -302,64 +307,34 @@ def cmd_invert(args) -> int:
 # -- verify -----------------------------------------------------------------------
 
 
-def _statistical_suite(args):
-    """The two seeded Monte Carlo suites, as (lines, passed, rows)."""
-    seed = args.seed or 7
-    if args.suite == "jeulin":
-        n = args.n or 2000
-        reps = args.reps or 10_000
-        res = estimators.jeulin_check(n, reps, RngStream(seed))
-        # the KS level of 0.05 at 10^4 replicates, carried to other replicate counts
-        threshold = args.threshold or 0.05 * sqrt(10_000 / reps)
-        ok = res.ks <= threshold
-        lines = [f"{'PASS' if ok else 'FAIL'} jeulin:ks n={n} reps={reps} "
-                 f"ks={res.ks:.5f} threshold={threshold}"]
-        rows = [["jeulin-ks", res.ks, threshold, int(ok)],
-                ["jeulin-mean-sq", res.mean_sq, "", ""],
-                ["jeulin-mean-area", res.mean_area, "", ""]]
-        return lines, ok, rows
-    # decoration-count gap decreasing in n, for both exploration orders
-    n_list = (50, 100, 200, 400)
-    s = args.s or 1
-    reps = args.reps or 400
-    ok = True
-    rows = []
-    lines = []
-    for stream, mode in enumerate(("bf", "df")):
-        ests = estimators.decoration_gap_estimates(n_list, s, reps,
-                                                   RngStream(seed).substream(stream), mode)
-        for prev, cur, slack, step_ok in estimators.gap_trend_steps(ests):
-            ok = ok and step_ok
-            lines.append(f"{'PASS' if step_ok else 'FAIL'} lemma3:{mode}-step "
-                         f"n={prev.n}->{cur.n} {prev.mean:.6f}->{cur.mean:.6f} "
-                         f"slack={slack:.6f}")
-        for est in ests:
-            rows.append([f"{mode}-gap-n{est.n}", est.mean, est.se, ""])
-    return lines, ok, rows
+def _report(results, path: Path) -> bool:
+    """Print each suite's verdict lines as it finishes, write all their rows to ``path``,
+    and tell whether every suite passed."""
+    rows, ok = [], True
+    for res in results:
+        for line in res.lines():
+            print(line)
+        rows += res.rows()
+        ok = ok and res.passed
+    persistence.write_csv(path, SUITE_HEADER, rows)
+    return ok
 
 
 def cmd_verify(args) -> int:
-    exact = EXACT_SUITES.get(args.suite)
-    reads = exact[3] if exact else STATISTICAL_SUITES[args.suite]
+    run = SUITES[args.suite][0]
+    reads = inspect.signature(run).parameters
     unread = [f"--{opt}" for opt in VERIFY_OPTIONS
               if opt not in reads and getattr(args, opt) is not None]
     if unread:
         raise UsageError(f"suite {args.suite} does not read {', '.join(unread)}")
+    options = {opt: p.default if getattr(args, opt) is None else getattr(args, opt)
+               for opt, p in reads.items()}
     outdir = _outdir(args)
     manifest = persistence.new_manifest(
-        args.seed or 0, "verify", argv=args.argv,
-        parameters={"suite": args.suite, **{opt: getattr(args, opt) or 0
-                                            for opt in ("n", "s", "reps") if opt in reads}})
-    if exact:
-        run, default_n, _, _ = exact
-        res = run(args.n or default_n, **{opt: getattr(args, opt) for opt in reads if opt != "n"})
-        lines, ok, rows = res.lines(), res.passed, res.rows()
-    else:
-        lines, ok, rows = _statistical_suite(args)
-    for line in lines:
-        print(line)
+        options.get("seed", 0), "verify", argv=args.argv,
+        parameters={"suite": args.suite, **{k: v for k, v in options.items() if k != "seed"}})
     path = outdir / f"verify_{args.suite}.csv"
-    persistence.write_csv(path, SUITE_HEADER, rows)
+    ok = _report([run(**options)], path)
     _finish(manifest, outdir, path)
     return EXIT_OK if ok else EXIT_VERIFY
 
@@ -437,18 +412,9 @@ def cmd_counts(args) -> int:
 def cmd_selftest(args) -> int:
     outdir = _outdir(args)
     manifest = persistence.new_manifest(0, "selftest", argv=args.argv, parameters={})
-    ok = True
-    rows = []
-    for run, _, size, _ in EXACT_SUITES.values():
-        if size is None:
-            continue
-        res = run(size)
-        for line in res.lines():
-            print(line)
-        rows += res.rows()
-        ok = ok and res.passed
     path = outdir / "selftest.csv"
-    persistence.write_csv(path, SUITE_HEADER, rows)
+    ok = _report((run(**kwargs) for run, kwargs in SUITES.values() if kwargs is not None),
+                 path)
     _finish(manifest, outdir, path)
     print("selftest:", "PASS" if ok else "FAIL")
     return EXIT_OK if ok else EXIT_VERIFY
@@ -458,32 +424,17 @@ def cmd_selftest(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    handlers = {"sample": cmd_sample, "enumerate": cmd_enumerate, "explore": cmd_explore,
+                "invert": cmd_invert, "verify": cmd_verify, "estimate": cmd_estimate,
+                "counts": cmd_counts, "selftest": cmd_selftest}
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         args.argv = list(argv) if argv is not None else list(sys.argv[1:])
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    handlers = {
-        "sample": cmd_sample,
-        "enumerate": cmd_enumerate,
-        "explore": cmd_explore,
-        "invert": cmd_invert,
-        "verify": cmd_verify,
-        "estimate": cmd_estimate,
-        "counts": cmd_counts,
-        "selftest": cmd_selftest,
-    }
-    try:
         return handlers[args.command](args)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except (OSError, persistence.PersistenceError, json.JSONDecodeError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (ValueError, DegenerateEnsembleError) as exc:
+    except (UsageError, ValueError, DegenerateEnsembleError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

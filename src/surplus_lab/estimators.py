@@ -205,8 +205,7 @@ def _profile_from_levels(levels, positions: np.ndarray, value_scale: float) -> n
     return arr
 
 
-def profile_laws(n: int, s: int, reps: int, rng: RngStream,
-                 grid=DEFAULT_PROFILE_GRID) -> Estimate:
+def profile_laws(n: int, s: int, reps: int, rng: RngStream) -> Estimate:
     """Mean rescaled distance profiles via maps, weighted labeled trees, and
     the local time of the tilted contour.
 
@@ -221,7 +220,7 @@ def profile_laws(n: int, s: int, reps: int, rng: RngStream,
     """
     if s < 1:
         raise ValueError("the weighted-tree route needs s >= 1")
-    grid = np.asarray(grid, dtype=np.float64)
+    grid = np.asarray(DEFAULT_PROFILE_GRID, dtype=np.float64)
     root2n = sqrt(2.0 * n)
     pos_map = np.floor(grid * sqrt(n / 2.0)).astype(np.int64)
     pos_lt = np.floor(grid * root2n / 2.0).astype(np.int64)

@@ -592,12 +592,12 @@ def is_entangled(pairing: PermutationPairing, order: str = "pairing-first") -> b
     return seen == size
 
 
-def entangled_pairings(g: int, cap: int = SG_CAP) -> list[PermutationPairing]:
+def entangled_pairings(g: int) -> list[PermutationPairing]:
     """All pairings of [4g] whose gluing leaves a single face (one boundary cycle)."""
     if g < 1:
         raise ValueError(f"genus must be >= 1 (got g={g})")
-    if g > cap:
-        raise EnumerationCapExceeded(f"g={g} exceeds pairing cap {cap}")
+    if g > SG_CAP:
+        raise EnumerationCapExceeded(f"g={g} exceeds pairing cap {SG_CAP}")
     out = []
     for pairing in all_pairings(4 * g):
         p = PermutationPairing(pairing)

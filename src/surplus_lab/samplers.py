@@ -495,10 +495,8 @@ def sample_unicellular_decoration(f: LatticeExcursion, g: int, rng, terms=None):
 
 def _sample_tuple_genus_one(f: LatticeExcursion, terms: GenusOneTerms, gen: np.random.Generator):
     """Uniform gluable quadruple for the genus-one pairing (1,3)(2,4)."""
-    per_r3 = terms.per_r3.astype(np.float64)
-    r3 = int(np.searchsorted(np.cumsum(per_r3), gen.random() * per_r3.sum(), side="right"))
-    w = terms.per_r2(r3).astype(np.float64)
-    r2 = 1 + int(np.searchsorted(np.cumsum(w), gen.random() * w.sum(), side="right"))
+    r3 = _weighted_index(np.cumsum(terms.per_r3, dtype=np.float64), gen)
+    r2 = 1 + _weighted_index(np.cumsum(terms.per_r2(r3), dtype=np.float64), gen)
     h3, h2 = int(f.values[r3]), int(f.values[r2])
     index = corner_index(f.values)
     below = index.window((h3, h3 + 1), 1, r2)
@@ -512,43 +510,42 @@ def _sample_tuple_genus_one(f: LatticeExcursion, terms: GenusOneTerms, gen: np.r
 
 def _terms(f: LatticeExcursion | CornerIndex, s: int, mode: str):
     """The pair count ``P``, the pair ends at each corner of the index (a loop has two)
-    and the count of decorations with ``s <= 2`` surplus edges as a sum: ``[1]``, ``[P]``,
-    or ``[C(P, 2), 2P, sum_c C(ends_c, 2)]`` for two distinct pairs, a doubled pair and
-    two ends at one corner.  A breadth-first corner's ends are the index positions from
-    its partners one level down, ``down[k]``, to the corners a level up before it, plus its
-    loop's second end; since ``down`` is nondecreasing, the first corner a level up after
-    position ``k`` is at ``#{k' : down[k'] <= k}``.  A depth-first ``j`` is first end of a
-    pair with each ``j' >= j`` with ``q(j') < j`` and second end with each of ``(q(j), j]``:
-    ``#{j' : q(j') < j} + 1 - q(j)`` ends in all."""
+    and, at ``s = 2``, their sum of squares ``e·e``.  A breadth-first corner's ends are the
+    index positions from its partners one level down, ``down[k]``, to the corners a level up
+    before it, plus its loop's second end; since ``down`` is nondecreasing, the first corner
+    a level up after position ``k`` is at ``#{k' : down[k'] <= k}``.  A depth-first ``j`` is
+    first end of a pair with each ``j' >= j`` with ``q(j') < j`` and second end with each of
+    ``(q(j), j]``: ``#{j' : q(j') < j} + 1 - q(j)`` ends in all."""
     if not 0 <= s <= 2:
         raise ValueError("decoration counts are implemented for s <= 2; "
                          "use enumerate_admissible for more")
     if s == 0:
-        return 0, None, [1]
+        return 0, None, 0
     index = f if isinstance(f, CornerIndex) else corner_index(f.values)
     m = len(index.times)
     if mode == "bf":
         ends = np.add.accumulate(np.bincount(index.down, minlength=m)) + 1 - index.down
     else:
         ends = np.add.accumulate(np.bincount(index.q, minlength=m))[index.times - 1] + 1 - index.q
-    pairs = int(ends.sum()) // 2
-    if s == 1:
-        return pairs, ends, [pairs]
-    if int(ends.max()) ** 2 * len(ends) >= 2 ** 63:
+    if s == 2 and int(ends.max()) ** 2 * len(ends) >= 2 ** 63:
         raise ValueError(f"decoration count at n={len(index.pos) // 2} overflows 64-bit integers")
-    return pairs, ends, [pairs * (pairs - 1) // 2, 2 * pairs, (int(ends @ ends) - 2 * pairs) // 2]
+    return int(ends.sum()) // 2, ends, int(ends @ ends) if s == 2 else 0
 
 
 def decoration_count(f: LatticeExcursion | CornerIndex, s: int, mode: str) -> int:
     """Exact number of canonical decorations with ``s`` surplus edges (s <= 2) of an
-    excursion or its corner index, summed from the terms of :func:`_terms`."""
-    return sum(_terms(f, s, mode)[2])
+    excursion or its corner index, from :func:`_terms`: 1, ``P``, or ``(P^2 + P + e·e)/2``,
+    the sum of ``C(P, 2)`` (two distinct pairs), ``2P`` (a doubled pair) and ``C(e_c, 2)``
+    over the corners ``c`` (two ends at one corner)."""
+    pairs, _, sq = _terms(f, s, mode)
+    return (1, pairs, (pairs * pairs + pairs + sq) // 2)[s]
 
 
 def decoration_count_gap(f: LatticeExcursion, s: int, mode: str) -> int:
-    """Exact value of ``s! * (decoration count) - (pair count)^s`` for s <= 2."""
-    pairs, _, terms = _terms(f, s, mode)
-    return factorial(s) * sum(terms) - pairs ** s
+    """Exact value of ``s! * (decoration count) - (pair count)^s`` for s <= 2: 0 unless
+    ``s = 2``, where it is ``P + e·e``."""
+    pairs, _, sq = _terms(f, s, mode)
+    return pairs + sq if s == 2 else 0
 
 
 # -- weighted ensembles -----------------------------------------------------------

@@ -19,7 +19,7 @@ def report(number: int, ok: bool, detail: str) -> None:
 
 
 def test_01_bijection_suite():
-    res = checks.bijection_suite(n_max=5, s_max=2)
+    res = checks.bijection_suite(n=5, s=2)
     counts = [c for c in res.checks if c[0].startswith("same-map-set")]
     report(1, res.passed,
            f"exploration/insertion round trips and count equality, n<=5 s<=2 "
@@ -27,12 +27,12 @@ def test_01_bijection_suite():
 
 
 def test_02_count_suite():
-    res = checks.count_suite(n_max=10)
+    res = checks.count_suite(n=10)
     report(2, res.passed, "excursion counts n<=10; #maps(1,1)=1, #maps(2,1)=5")
 
 
 def test_03_w1_identity():
-    res = checks.w1_suite(2, 6)
+    res = checks.w1_suite(n=6)
     report(3, res.passed, "surplus-weight sum equals unit-surplus graph count, n=2..6")
 
 
@@ -57,7 +57,7 @@ def test_07_vervaat():
 
 
 def test_08_radius_invariance():
-    res = checks.radius_invariance_suite(n_sample=1000, reps=10_000, seed=20_240_501)
+    res = checks.radius_invariance_suite(n=1000, reps=10_000, seed=20_240_501)
     report(8, res.passed,
            "map radius = exploration height, ball volumes = level counts "
            "(enumerated families and 10^4 maps at n=1000)")

@@ -130,7 +130,7 @@ DIGESTS = {
     },
     'verify-lemma3': {
         'verify_lemma3.csv':
-            'bcfb22076aaec7500beb4efb42353d9a5ad624c77b8743b66ebd31f6ccaae7ed',
+            '5cfb0fc5c007dfa3d5a7a17772fa43214e74f5246784920fa7b5df44cf87717b',
     },
     'verify-sg': {
         'verify_sg.csv':

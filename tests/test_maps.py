@@ -522,8 +522,8 @@ class TestMetric:
         # 300 sampled maps run in up to three ranges; one wrong search among them, in the
         # last replicate, fails the sampled check
         def sampled_ok():
-            res = checks.radius_invariance_suite(n_sample=30, reps=300, seed=5)
-            return dict((label, ok) for label, ok, _ in res.checks)["sampled-n30-x300"]
+            res = checks.radius_invariance_suite(n=30, reps=300, seed=5)
+            return dict((label, ok) for label, ok, *_ in res.checks)["sampled-n30-x300"]
 
         assert sampled_ok()
         last = sample_uniform_excursion(30, RngStream(5).substream(299).generator())

@@ -1,5 +1,6 @@
 """Persistence round trips, manifests, and the command-line surface."""
 
+import functools
 import json
 import time
 
@@ -168,54 +169,76 @@ class TestCli:
         assert not (tmp_path / "v").exists()
 
     def test_verify_manifest_records_the_options_its_suite_read(self, tmp_path):
-        for argv, parameters in [
-                (["--suite", "sg"], {"suite": "sg"}),
-                (["--suite", "counts", "--n", "8"], {"suite": "counts", "n": 8}),
-                (["--suite", "lemma3", "--reps", "20", "--seed", "3"],
+        # the manifest records the seed and the options each suite ran with, defaults resolved
+        for argv, seed, parameters in [
+                (["--suite", "sg"], 0, {"suite": "sg"}),
+                (["--suite", "counts", "--n", "8"], 0, {"suite": "counts", "n": 8}),
+                (["--suite", "lemma3", "--reps", "20"], 7,
+                 {"suite": "lemma3", "s": 1, "reps": 20}),
+                (["--suite", "lemma3", "--s", "0", "--reps", "20", "--seed", "3"], 3,
                  {"suite": "lemma3", "s": 0, "reps": 20})]:
-            out = tmp_path / argv[1]
+            out = tmp_path / "-".join(argv[1::2])
             assert main(["verify", *argv, "--out", str(out)]) == EXIT_OK
             manifest = persistence.load_manifest(out / "manifest.json")
             assert manifest.parameters == parameters
-            assert manifest.seed == (3 if "--seed" in argv else 0)
+            assert manifest.seed == seed
 
-    def test_verify_and_selftest_share_the_suite_table(self, tmp_path, monkeypatch, capsys):
+    def test_verify_and_selftest_share_the_suite_table(self, tmp_path, monkeypatch):
         calls = []
 
-        def recorder(name):
-            def suite(*args, **kwargs):
-                calls.append((name, args, kwargs))
-                return checks.SuiteResult(name)
+        def recorder(run):
+            @functools.wraps(run)  # keeps the signature, which names the options a suite reads
+            def suite(**kwargs):
+                calls.append((run.__name__, kwargs))
+                return checks.SuiteResult(run.__name__)
             return suite
 
-        names = ["bijection_suite", "count_suite", "w1_suite", "psi_suite", "vervaat_suite",
-                 "sg_suite", "gluing_dichotomy_suite", "decoration_count_suite",
-                 "radius_invariance_suite"]
-        for name in names:
-            monkeypatch.setattr(checks, name, recorder(name))
+        for name, (run, kwargs) in list(cli.SUITES.items()):
+            monkeypatch.setitem(cli.SUITES, name, (recorder(run), kwargs))
         assert main(["selftest", "--out", str(tmp_path / "st")]) == EXIT_OK
-        assert calls == [("bijection_suite", (4, 2), {}), ("count_suite", (8,), {}),
-                         ("w1_suite", (2, 5), {}), ("psi_suite", (4,), {}),
-                         ("vervaat_suite", (5,), {}), ("sg_suite", (), {}),
-                         ("gluing_dichotomy_suite", (4,), {}),
-                         ("decoration_count_suite", (4,), {})]
+        assert calls == [("bijection_suite", {"n": 4}), ("count_suite", {"n": 8}),
+                         ("w1_suite", {"n": 5}), ("psi_suite", {"n": 4}),
+                         ("vervaat_suite", {"n": 5}), ("sg_suite", {}),
+                         ("gluing_dichotomy_suite", {"n": 4}),
+                         ("decoration_count_suite", {"n": 4})]
         calls.clear()
-        for suite in cli.EXACT_SUITES:
+        for suite in cli.SUITES:
             assert main(["verify", "--suite", suite, "--out", str(tmp_path / suite)]) == EXIT_OK
-        assert calls == [("bijection_suite", (5, 2), {}), ("count_suite", (10,), {}),
-                         ("w1_suite", (2, 6), {}), ("psi_suite", (5,), {}),
-                         ("vervaat_suite", (6,), {}), ("sg_suite", (), {}),
-                         ("gluing_dichotomy_suite", (5,), {}),
-                         ("decoration_count_suite", (5,), {}),
-                         ("radius_invariance_suite", (),
-                          {"n_sample": 1000, "reps": 10_000, "seed": 20_240_501})]
+        assert calls == [("bijection_suite", {"n": 5, "s": 2}), ("count_suite", {"n": 10}),
+                         ("w1_suite", {"n": 6}), ("psi_suite", {"n": 5}),
+                         ("vervaat_suite", {"n": 6}), ("sg_suite", {}),
+                         ("gluing_dichotomy_suite", {"n": 5}),
+                         ("decoration_count_suite", {"n": 5}),
+                         ("radius_invariance_suite", {"n": 1000, "reps": 10_000,
+                                                      "seed": 20_240_501}),
+                         ("jeulin_suite", {"n": 2000, "reps": 10_000, "seed": 7,
+                                           "threshold": None}),
+                         ("lemma3_suite", {"s": 1, "reps": 400, "seed": 7})]
         calls.clear()
         assert main(["verify", "--suite", "bijection", "--n", "3", "--s", "1",
                      "--out", str(tmp_path / "b")]) == EXIT_OK
         assert main(["verify", "--suite", "radius", "--n", "7", "--reps", "9", "--seed", "3",
                      "--out", str(tmp_path / "r")]) == EXIT_OK
-        assert calls == [("bijection_suite", (3, 1), {}),
-                         ("radius_invariance_suite", (), {"n_sample": 7, "reps": 9, "seed": 3})]
+        assert calls == [("bijection_suite", {"n": 3, "s": 1}),
+                         ("radius_invariance_suite", {"n": 7, "reps": 9, "seed": 3})]
+
+    def test_verify_threshold_zero_is_explicit(self, tmp_path):
+        # an explicit zero is not replaced by the default (0.5 at 100 replicates)
+        out = tmp_path / "j"
+        assert main(["verify", "--suite", "jeulin", "--n", "64", "--reps", "100",
+                     "--threshold", "0", "--out", str(out)]) == EXIT_VERIFY
+        _, rows = read_csv(out / "verify_jeulin.csv")
+        assert rows[0][0] == "jeulin-ks" and rows[0][2:] == ["0", "0"]
+        assert persistence.load_manifest(out / "manifest.json").parameters["threshold"] == 0
+
+    @pytest.mark.parametrize("argv", [["--suite", "bijection", "--n", "0"],
+                                      ["--suite", "radius", "--reps", "0"],
+                                      ["--suite", "bijection", "--s", "0"]])
+    def test_verify_size_zero_is_usage_error(self, argv, tmp_path, capsys):
+        # a suite at size 0, or the bijections with no surplus edge, would pass vacuously
+        assert main(["verify", *argv, "--out", str(tmp_path / "v")]) == EXIT_USAGE
+        assert "must be >= 1" in capsys.readouterr().err
+        assert not list((tmp_path / "v").glob("*.csv"))
 
     def test_verify_jeulin_small_and_deterministic(self, tmp_path):
         # at this tiny size the identity gap exceeds the threshold, which is
@@ -246,6 +269,16 @@ class TestCli:
         assert main(["verify", "--suite", "lemma3", "--reps", "60", "--seed", "3",
                      "--out", str(tmp_path / "v")]) == EXIT_OK
         assert "lemma3" in capsys.readouterr().out
+
+    def test_verify_lemma3_step_verdicts_under_ok(self, tmp_path, capsys):
+        # each step's verdict sits on the row of its larger n, and prints one line
+        assert main(["verify", "--suite", "lemma3", "--s", "2", "--reps", "20", "--seed", "33",
+                     "--out", str(tmp_path / "v")]) == EXIT_OK
+        _, rows = read_csv(tmp_path / "v" / "verify_lemma3.csv")
+        ok = {row[0]: row[3] for row in rows}
+        assert [ok.pop(f"{mode}-gap-n50") for mode in ("bf", "df")] == ["", ""]
+        assert len(ok) == 6 and set(ok.values()) <= {"0", "1"}
+        assert len(capsys.readouterr().out.splitlines()) == 6
 
     def test_estimate_radius_deterministic(self, tmp_path):
         out1 = tmp_path / "e1"
