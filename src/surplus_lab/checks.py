@@ -257,7 +257,7 @@ def radius_invariance_suite(n: int = 1000, reps: int = 10_000,
                     ok = False
             res.add(f"enumerated-n{k}-s{s}", ok)
     # sampled maps: decorate uniform trees with one surplus edge, one 0/1 verdict each
-    def verdicts(gens):
+    def verdicts(gens, _):
         out = []
         for gen in gens:
             exc = sample_uniform_excursion(n, gen)
@@ -299,10 +299,12 @@ def jeulin_suite(n: int = 2000, reps: int = 10_000, seed: int = 7,
     return res
 
 
-def lemma3_suite(s: int = 1, reps: int = 400, seed: int = 7) -> SuiteResult:
+def lemma3_suite(s: int = 2, reps: int = 400, seed: int = 7) -> SuiteResult:
     """Lemma 3: the scaled decoration-count gap is nonincreasing in n, for both exploration
     orders.  A row per size holds the mean gap and its standard error, and the verdict of
     the step to that size (:func:`gap_trend_steps`)."""
+    if s < 2:  # below two surplus edges the gap is identically 0 and the suite checks nothing
+        raise ValueError(f"s must be >= 2, got {s}")
     res = SuiteResult("lemma3")
     for stream, mode in enumerate(("bf", "df")):
         ests = decoration_gap_estimates((50, 100, 200, 400), s, reps,

@@ -15,10 +15,13 @@ from pathlib import Path
 
 from . import __version__, checks, estimators, persistence
 from .lattice_paths import LatticeExcursion
-from .maps import AdmissibleCorners, bf_explore, df_explore, insert_edges, unicellular_glue
+from .maps import (AdmissibleCorners, bf_explore, df_explore, entangled_pairings,
+                   insert_edges, unicellular_glue)
 from .samplers import (
+    MIN_SAMPLE_RANGE,
     DegenerateEnsembleError,
     RngStream,
+    replicate_rows,
     sample_surplus_graph,
     sample_uniform_excursion,
     sample_uniform_map,
@@ -182,15 +185,18 @@ def cmd_sample(args) -> int:
         path.write_text("\n".join(lines) + "\n")
         files.append(path)
     elif args.kind == "map":
-        rows = []
-        for r, gen in enumerate(rng.generators(args.reps)):
-            m, weight = sample_uniform_map(args.n, args.s, gen)
-            path = outdir / f"map_{r}.json"
-            persistence.save_map(m, path)
-            files.append(path)
-            rows.append([r, weight])
+        def draw(gens, start):  # each replicate range writes its own maps
+            weights = []
+            for r, gen in enumerate(gens, start):
+                m, weight = sample_uniform_map(args.n, args.s, gen)
+                persistence.save_map(m, outdir / f"map_{r}.json")
+                weights.append(weight)
+            return [weights]
+
+        weights, = replicate_rows(args.reps, rng, draw, MIN_SAMPLE_RANGE)
+        files += [outdir / f"map_{r}.json" for r in range(args.reps)]
         wpath = outdir / "map_weights.csv"
-        persistence.write_csv(wpath, ["replicate", "weight"], rows)
+        persistence.write_csv(wpath, ["replicate", "weight"], enumerate(weights.tolist()))
         files.append(wpath)
     elif args.kind == "graph":
         rows = []
@@ -202,22 +208,35 @@ def cmd_sample(args) -> int:
         persistence.write_csv(path, ["replicate", "root", "edges", "weight"], rows)
         files.append(path)
     else:  # crum
+        pairings = entangled_pairings(args.g)
+        size = 4 * args.g  # a row: the pairing's index (-1: degenerate), 4g corners, 2g heights
+
+        def draw(gens, start):  # each replicate range writes its own maps
+            rows = []
+            for r, gen in enumerate(gens, start):
+                exc = sample_uniform_excursion(args.n, gen)
+                try:
+                    pairing, heights, corners = sample_unicellular_decoration(exc, args.g, gen)
+                except DegenerateEnsembleError:
+                    rows.append([-1] * (1 + size + 2 * args.g))
+                    continue
+                m, unicellular = unicellular_glue(exc, pairing, corners)
+                if not unicellular:
+                    raise RuntimeError(f"replicate {r} glued a map with more than one face "
+                                       f"at n={args.n}, g={args.g}")
+                persistence.save_map(m, outdir / f"crum_{r}.json")
+                rows.append([pairings.index(pairing), *corners, *heights])
+            return [rows]
+
+        decorations, = replicate_rows(args.reps, rng, draw, MIN_SAMPLE_RANGE)
         rows = []
-        for r, gen in enumerate(rng.generators(args.reps)):
-            exc = sample_uniform_excursion(args.n, gen)
-            try:
-                pairing, heights, corners = sample_unicellular_decoration(exc, args.g, gen)
-            except DegenerateEnsembleError:
+        for r, (k, *numbers) in enumerate(decorations.astype(int).tolist()):
+            if k < 0:  # no gluable corner tuple
                 rows.append([r, "degenerate", "", ""])
                 continue
-            m, unicellular = unicellular_glue(exc, pairing, corners)
-            if not unicellular:
-                raise AssertionError("glued sample is not unicellular")
-            path = outdir / f"crum_{r}.json"
-            persistence.save_map(m, path)
-            files.append(path)
-            rows.append([r, str(pairing), ";".join(map(str, corners)),
-                         ";".join(map(str, heights))])
+            files.append(outdir / f"crum_{r}.json")
+            rows.append([r, str(pairings[k]), ";".join(map(str, numbers[:size])),
+                         ";".join(map(str, numbers[size:]))])
         cpath = outdir / "crum_decorations.csv"
         persistence.write_csv(cpath, ["replicate", "pairing", "corners", "heights"], rows)
         files.append(cpath)

@@ -240,7 +240,7 @@ def profile_laws(n: int, s: int, reps: int, rng: RngStream) -> Estimate:
         {"profile": map_profile, "lt_profile": localtime_profile},
     )
     # weighted labeled-tree route (its own proposal; replicate r uses substream (1, r))
-    def tree_profiles(gens):
+    def tree_profiles(gens, _):
         weights, profiles = [], []
         for gen in gens:
             prof = sample_tree_profile(n, gen)
@@ -320,7 +320,7 @@ def decoration_gap_estimates(n_list, s: int, reps: int, rng: RngStream,
     out = []
     for k, n in enumerate(n_list):
         scale = (2.0 * n) ** (-1.5 * s)
-        vals, = replicate_rows(reps, rng.substream(k), lambda gens: [
+        vals, = replicate_rows(reps, rng.substream(k), lambda gens, _: [
             [decoration_count_gap(sample_uniform_excursion(n, gen), s, mode) * scale
              for gen in gens]])
         out.append(GapEstimate(n, float(vals.mean()), float(vals.std(ddof=1) / sqrt(reps))

@@ -160,31 +160,35 @@ def as_generator(rng) -> np.random.Generator:
 
 # -- replicate ranges on every CPU ----------------------------------------------------
 
-# The fewest replicates a range is given.  Forking the interpreter with numpy loaded,
-# its pipe and its reaping cost about 3.5 ms on a 2-CPU x86-64 host, the time of about
-# 90 replicates of a tilted ensemble at small n (about 40 us each), so a shorter range
-# gains nothing from a worker of its own.
+# The fewest replicates a range is given, by default.  Forking the interpreter with numpy
+# loaded, its pipe and its reaping cost about 3.5 ms on a 2-CPU x86-64 host, the time of
+# about 90 replicates of a tilted ensemble at small n (about 40 us each), so a shorter range
+# gains nothing from a worker of its own.  A caller whose replicates cost more passes its
+# own minimum: the draw-and-write loops of ``sample map`` and ``sample crum`` spend at least
+# about 0.5 ms on each replicate, file included (3 ms on a map at n = 1000), and pass
+# ``MIN_SAMPLE_RANGE``.
 MIN_FORKED_RANGE = 100
+MIN_SAMPLE_RANGE = 8
 
 
 def replicate_rows(reps: int, rng: RngStream,
-                   rows: Callable[[Iterator[np.random.Generator]], list[np.ndarray]]
-                   ) -> list[np.ndarray]:
+                   rows: Callable[[Iterator[np.random.Generator], int], list[np.ndarray]],
+                   min_range: int = MIN_FORKED_RANGE) -> list[np.ndarray]:
     """``rows`` over the generators of replicates ``0..reps-1``, each array of its list
     concatenated in replicate order.
 
     ``rows`` is handed the generators ``rng.substream(r).generator()`` of one contiguous
-    range of replicates and returns a list of arrays, read as float64, whose first axis
-    follows them; an array may leave out rows, and one with no rows may have any shape.
-    The ranges are one per CPU the process may use, each at least ``MIN_FORKED_RANGE``
-    long; on Linux the parent forks a worker for each range after the first, runs the
-    first itself and reads the workers' arrays over pipes.  Replicate ``r`` draws only
-    from substream ``r``, so the result does not depend on how many CPUs there are, and
-    ``taskset -c 0`` runs one process.  A worker's exception is raised again here with
-    its type, and every worker is reaped before the call returns.
+    range of replicates and the first replicate ``r`` of the range, and returns a list of
+    arrays, read as float64, whose first axis follows them; an array may leave out rows,
+    and one with no rows may have any shape.  The ranges are one per CPU the process may
+    use, each at least ``min_range`` long; on Linux the parent forks a worker for each
+    range after the first, runs the first itself and reads the workers' arrays over pipes.
+    Replicate ``r`` draws only from substream ``r``, so the result does not depend on how
+    many CPUs there are, and ``taskset -c 0`` runs one process.  A worker's exception is
+    raised again here with its type, and every worker is reaped before the call returns.
     """
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    ranges = min(cpus, reps // MIN_FORKED_RANGE) if hasattr(os, "fork") else 1
+    ranges = min(cpus, reps // min_range) if hasattr(os, "fork") else 1
     if ranges <= 1:
         return _range_rows(rows, rng, 0, reps)
     bounds = [reps * k // ranges for k in range(ranges + 1)]
@@ -209,7 +213,7 @@ def replicate_rows(reps: int, rng: RngStream,
 
 
 def _range_rows(rows, rng: RngStream, start: int, stop: int) -> list[np.ndarray]:
-    return [np.asarray(a, dtype=np.float64) for a in rows(rng.generators(stop, start))]
+    return [np.asarray(a, dtype=np.float64) for a in rows(rng.generators(stop, start), start)]
 
 
 def _fork_range(rows, rng: RngStream, start: int, stop: int) -> tuple[int, int] | None:
@@ -703,7 +707,7 @@ def tilted_ensemble(n: int, tilt: int, mode: str, reps: int, rng: RngStream,
         raise ValueError(f"unknown tilt mode {mode!r}")
     pairings = entangled_pairings(tilt) if mode == "um" else None
 
-    def rows(gens):
+    def rows(gens, _):
         weights, values = [], {name: [] for name in functionals}
         for gen in gens:
             sample = TiltSample(sample_uniform_excursion(n, gen), gen, mode, tilt, pairings)

@@ -2,6 +2,7 @@
 
 import functools
 import json
+import os
 import time
 
 import pytest
@@ -174,9 +175,9 @@ class TestCli:
                 (["--suite", "sg"], 0, {"suite": "sg"}),
                 (["--suite", "counts", "--n", "8"], 0, {"suite": "counts", "n": 8}),
                 (["--suite", "lemma3", "--reps", "20"], 7,
-                 {"suite": "lemma3", "s": 1, "reps": 20}),
-                (["--suite", "lemma3", "--s", "0", "--reps", "20", "--seed", "3"], 3,
-                 {"suite": "lemma3", "s": 0, "reps": 20})]:
+                 {"suite": "lemma3", "s": 2, "reps": 20}),
+                (["--suite", "lemma3", "--s", "2", "--reps", "30", "--seed", "3"], 3,
+                 {"suite": "lemma3", "s": 2, "reps": 30})]:
             out = tmp_path / "-".join(argv[1::2])
             assert main(["verify", *argv, "--out", str(out)]) == EXIT_OK
             manifest = persistence.load_manifest(out / "manifest.json")
@@ -213,7 +214,7 @@ class TestCli:
                                                       "seed": 20_240_501}),
                          ("jeulin_suite", {"n": 2000, "reps": 10_000, "seed": 7,
                                            "threshold": None}),
-                         ("lemma3_suite", {"s": 1, "reps": 400, "seed": 7})]
+                         ("lemma3_suite", {"s": 2, "reps": 400, "seed": 7})]
         calls.clear()
         assert main(["verify", "--suite", "bijection", "--n", "3", "--s", "1",
                      "--out", str(tmp_path / "b")]) == EXIT_OK
@@ -269,6 +270,13 @@ class TestCli:
         assert main(["verify", "--suite", "lemma3", "--reps", "60", "--seed", "3",
                      "--out", str(tmp_path / "v")]) == EXIT_OK
         assert "lemma3" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("s", ["0", "1"])
+    def test_verify_lemma3_refuses_a_gap_that_vanishes(self, s, tmp_path, capsys):
+        # below s = 2 the gap is identically 0, so every step would pass vacuously
+        assert main(["verify", "--suite", "lemma3", "--s", s, "--reps", "20",
+                     "--out", str(tmp_path / "v")]) == EXIT_USAGE
+        assert f"s must be >= 2, got {s}" in capsys.readouterr().err
 
     def test_verify_lemma3_step_verdicts_under_ok(self, tmp_path, capsys):
         # each step's verdict sits on the row of its larger n, and prints one line
@@ -420,6 +428,86 @@ class TestCli:
         out2 = tmp_path / "g"
         assert main(["sample", "graph", "--n", "6", "--s", "1", "--reps", "2",
                      "--seed", "32", "--out", str(out2)]) == EXIT_OK
+
+
+class TestSampleOnEveryCpu:
+    """``sample map`` and ``sample crum`` draw and write in replicate ranges: the same files
+    on 1, 2 and 3 CPUs, and no process left behind."""
+
+    REPS = 3 * samplers.MIN_SAMPLE_RANGE + 1  # three ranges at three CPUs: 0, 8, 16 .. 24
+
+    @pytest.fixture(autouse=True)
+    def no_child_left(self):
+        yield
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @staticmethod
+    def on_cpus(monkeypatch, cpus: int) -> None:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+
+    CASES = {
+        "map": ["map", "--n", "40", "--s", "2"],
+        "crum-g1": ["crum", "--n", "40", "--g", "1"],
+        "crum-g2": ["crum", "--n", "6", "--g", "2"],  # some replicates have no gluable tuple
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_same_files_on_any_cpu_count(self, case, tmp_path, monkeypatch):
+        parent = os.getpid()
+        saved = []  # the maps this process wrote itself
+        save_map = persistence.save_map
+        monkeypatch.setattr(persistence, "save_map",
+                            lambda m, path: saved.append(path.name) or save_map(m, path))
+        runs = []
+        for cpus in (1, 2, 3):
+            self.on_cpus(monkeypatch, cpus)
+            saved.clear()
+            out = tmp_path / str(cpus)
+            assert main(["sample", *self.CASES[case], "--reps", str(self.REPS), "--seed", "4",
+                         "--out", str(out)]) == EXIT_OK
+            assert os.getpid() == parent
+            assert all(int(name.split("_")[1].split(".")[0]) < self.REPS // cpus
+                       for name in saved)  # the later ranges are written by the workers
+            files = {p.name: p.read_bytes() for p in out.iterdir() if p.name != "manifest.json"}
+            outputs = persistence.load_manifest(out / "manifest.json").outputs
+            assert set(outputs) == set(files)
+            runs.append((files, outputs))
+        for files, outputs in runs[1:]:
+            assert files == runs[0][0]
+            assert outputs == runs[0][1]
+        if case == "crum-g2":
+            _, rows = read_csv(tmp_path / "1" / "crum_decorations.csv")
+            degenerate = [int(row[0]) for row in rows if row[1] == "degenerate"]
+            assert degenerate and max(degenerate) >= self.REPS // 3
+            assert not any(f"crum_{r}.json" in runs[0][0] for r in degenerate)
+
+    def test_weight_overflow_in_a_worker_is_usage_error(self, tmp_path, monkeypatch, capsys):
+        # only the workers' replicates overflow: B(f)^200 / 200! at n=200 does not fit a float
+        self.on_cpus(monkeypatch, 3)
+        parent = os.getpid()
+        draw = cli.sample_uniform_map
+        monkeypatch.setattr(cli, "sample_uniform_map", lambda n, s, gen: draw(
+            n, 1 if os.getpid() == parent else s, gen))
+        assert main(["sample", "map", "--n", "200", "--s", "200", "--reps", str(self.REPS),
+                     "--out", str(tmp_path / "o")]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and "n=200" in err and "s=200" in err
+
+    def test_a_failed_gluing_names_its_replicate(self, tmp_path, monkeypatch):
+        self.on_cpus(monkeypatch, 3)
+        parent = os.getpid()
+        glue = cli.unicellular_glue
+
+        def glue_in_parent_only(exc, pairing, corners):
+            m, unicellular = glue(exc, pairing, corners)
+            return m, unicellular and os.getpid() == parent
+
+        monkeypatch.setattr(cli, "unicellular_glue", glue_in_parent_only)
+        with pytest.raises(RuntimeError, match="replicate 8 .* at n=40, g=1") as info:
+            main(["sample", "crum", "--n", "40", "--g", "1", "--reps", str(self.REPS),
+                  "--out", str(tmp_path / "o")])
+        assert "Traceback" in str(info.value.__cause__)  # raised in the first worker
 
 
 class TestReplay:

@@ -537,7 +537,7 @@ class TestReplicateRanges:
         self.on_cpus(monkeypatch, 3)
         parent = os.getpid()
 
-        def rows(gens):
+        def rows(gens, _):
             draws = [gen.random() for gen in gens]
             return [draws, [[u, 1.0] for u in draws if os.getpid() == parent]]
 
@@ -545,6 +545,29 @@ class TestReplicateRanges:
         expected = [gen.random() for gen in RngStream(8).generators(self.REPS)]
         assert draws.tolist() == expected
         assert pairs.tolist() == [[u, 1.0] for u in expected[:self.REPS // 3]]
+
+    def test_rows_learn_the_first_replicate_of_their_range(self, monkeypatch):
+        self.on_cpus(monkeypatch, 3)
+        parent = os.getpid()
+        numbers, starts = samplers.replicate_rows(
+            self.REPS, RngStream(8),
+            lambda gens, start: [[start + k for k, _ in enumerate(gens)],
+                                 [start] if os.getpid() != parent else []])
+        assert numbers.tolist() == list(range(self.REPS))
+        assert starts.tolist() == [self.REPS // 3, 2 * self.REPS // 3]  # the workers' ranges
+
+    def test_the_fewest_replicates_worth_a_fork_is_per_call(self, monkeypatch):
+        self.on_cpus(monkeypatch, 2)
+        parent = os.getpid()
+
+        def in_workers(reps, **kw):  # how many replicates ran in a forked worker
+            pids, = samplers.replicate_rows(reps, RngStream(8),
+                                            lambda gens, _: [[os.getpid() for _ in gens]], **kw)
+            return (pids != parent).sum()
+
+        assert in_workers(10) == 0
+        assert in_workers(10, min_range=5) == 5
+        assert in_workers(9, min_range=5) == 0
 
     def in_this_process(self, reps: int) -> bool:
         calls = []  # a worker's calls stay in the worker
