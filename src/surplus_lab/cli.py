@@ -26,6 +26,7 @@ from .samplers import (
     sample_uniform_excursion,
     sample_uniform_map,
     sample_unicellular_decoration,
+    unicellular_terms,
     enumerate_maps,
     enumerate_surplus_graphs,
 )
@@ -216,7 +217,8 @@ def cmd_sample(args) -> int:
             for r, gen in enumerate(gens, start):
                 exc = sample_uniform_excursion(args.n, gen)
                 try:
-                    pairing, heights, corners = sample_unicellular_decoration(exc, args.g, gen)
+                    pairing, heights, corners = sample_unicellular_decoration(
+                        exc, args.g, gen, unicellular_terms(exc, args.g, pairings))
                 except DegenerateEnsembleError:
                     rows.append([-1] * (1 + size + 2 * args.g))
                     continue

@@ -15,8 +15,7 @@ Totals ``B(f)`` and ``D(f)`` sum the per-corner weights over all of
 
 Every corner set is read off one sorted corner index, the interior corners
 ordered by (level, time) (:func:`corner_index`).  A level is one block of the
-index, and the corners of a level in a time window ``[lo, hi)`` are a run of
-that block, found by two binary searches (:meth:`CornerIndex.window`).  For an
+index, and the corners of a level from a time on are a run of that block.  For an
 interior corner ``j`` let ``q(j)`` be the last time before ``j`` at level
 ``f(j) - 1`` (``q(j) = 0`` when ``f(j) = 1``).  Then:
 
@@ -69,13 +68,6 @@ class CornerIndex(NamedTuple):
     q: np.ndarray
     down: np.ndarray
     pos: np.ndarray
-
-    def window(self, levels, lo: int, hi: int) -> np.ndarray:
-        """Corners in ``[lo, hi)`` at each of ``levels`` in turn, ascending within a level."""
-        width = len(self.pos)
-        keys = self.levels * width + self.times  # ascending: the index order
-        cut = np.searchsorted(keys, [y * width + t for y in levels for t in (lo, hi)]).tolist()
-        return np.concatenate([self.times[a:b] for a, b in zip(cut[::2], cut[1::2])])
 
 
 def corner_index(values) -> CornerIndex:

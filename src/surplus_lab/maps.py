@@ -638,23 +638,13 @@ def glue_decoration(pairing: PermutationPairing, corners) -> AdmissibleCorners:
         "bf", [(corners[a - 1], 1, corners[b - 1], 1) for a, b in pairing.transpositions])
 
 
-def glue_heights_ok(f: LatticeExcursion, pairing: PermutationPairing, corners) -> bool:
-    """Whether every glued pair drops by at most one level (first corner higher)."""
-    corners = tuple(corners)
-    vals = f.values
-    for a, b in pairing.transpositions:
-        if not 0 <= vals[corners[a - 1]] - vals[corners[b - 1]] <= 1:
-            return False
-    return True
-
-
 def unicellular_glue(f: LatticeExcursion, pairing: PermutationPairing,
                      corners) -> tuple[RootedMap, bool]:
     """Glue ``4g`` corners of the tree coded by ``f`` in pairs; report unicellularity.
 
-    When :func:`glue_heights_ok` holds, the glued map's breadth-first
-    exploration returns ``f`` with this decoration.  The corners must lie in
-    ``[1, 2n-1]``: the root corner is never an insertion site.
+    When every glued pair drops by zero or one level, first corner higher, the
+    glued map's breadth-first exploration returns ``f`` with this decoration.  The
+    corners must lie in ``[1, 2n-1]``: the root corner is never an insertion site.
     """
     corners = tuple(corners)
     xi = glue_decoration(pairing, corners)  # checks the count and the strict increase
@@ -672,10 +662,10 @@ def pairing_tuple_count(f: LatticeExcursion, pairing: PermutationPairing) -> int
 
     Counts tuples ``r_1 < ... < r_4g`` in ``[1, 2n-1]`` such that each glued
     pair of corners drops by zero or one level.  Genus one sums
-    :func:`genus_one_terms`; higher genus walks the tuples without keeping them.
+    :func:`genus_one_counts`; higher genus walks the tuples without keeping them.
     """
     if pairing.g == 1:
-        return genus_one_terms(f).total
+        return sum(genus_one_counts(f).tolist())
     return sum(1 for _ in enumerate_pairing_tuples(f, pairing))
 
 
@@ -684,47 +674,29 @@ def pairing_tuple(f: LatticeExcursion, pairing: PermutationPairing, k: int) -> t
     return next(islice(enumerate_pairing_tuples(f, pairing), k, None))
 
 
-@dataclass(frozen=True)
-class GenusOneTerms:
-    """Gluable quadruples of the pairing (1,3)(2,4), grouped by their third corner.
+def genus_one_counts(f: LatticeExcursion) -> np.ndarray:
+    """Gluable quadruples ``r1 < r2 < r3 < r4`` of the pairing (1,3)(2,4), by third corner.
 
-    ``per_r3[r3]`` counts the quadruples with third corner ``r3``;
-    :meth:`per_r2` splits that count by the second corner.
+    Entry ``t`` counts the quadruples with ``r3 = t``: ``f(r1) - f(t)`` and ``f(r2) - f(r4)``
+    lie in {0, 1}.  One sweep over contour time keeps the corners passed and still ahead at
+    each level, and ``pairs[y, x]``, the pairs ``r1 < r2`` passed with ``f(r2) = x`` and
+    ``f(r1)`` in {y, y+1}; a corner at level ``h`` closes the pairs of row ``h`` with the
+    corners ahead at ``x`` or ``x - 1``, then opens its pairs as a second corner.  This is
+    O(n·max f) time and O(max f ** 2) memory.
     """
-
-    values: np.ndarray
-    prefix: np.ndarray  # prefix[y, t]: corners at level y with time <= t
-    suffix: np.ndarray  # suffix[y, t]: corners at level y with time >= t
-    per_r3: np.ndarray
-
-    @property
-    def total(self) -> int:
-        return sum(self.per_r3.tolist())
-
-    def per_r2(self, r3: int) -> np.ndarray:
-        """Entry ``r2 - 1`` counts the quadruples with second corner ``r2`` and third ``r3``.
-
-        ``r1 < r2`` must sit at level ``f(r3)`` or ``f(r3)+1``, and ``r4 > r3``
-        at level ``f(r2)`` or ``f(r2)-1``.
-        """
-        h, pc, sc = self.values, self.prefix, self.suffix
-        a = pc[h[r3], 0:r3 - 1] + pc[h[r3] + 1, 0:r3 - 1]
-        r2_levels = h[1:r3]
-        return a * (sc[r2_levels, r3 + 1] + sc[r2_levels - 1, r3 + 1])
-
-
-def genus_one_terms(f: LatticeExcursion) -> GenusOneTerms:
-    """The O(n^2) pass behind both the genus-one count and its uniform draw."""
-    vals = f.values
     two_n = 2 * f.n
-    ind = np.zeros((int(vals.max()) + 2, two_n + 1), dtype=np.int64)
-    ind[vals[1:two_n], np.arange(1, two_n)] = 1
-    pc = np.cumsum(ind, axis=1)
-    sc = np.cumsum(ind[:, ::-1], axis=1)[:, ::-1]
-    terms = GenusOneTerms(vals, pc, sc, np.zeros(two_n, dtype=np.int64))
-    for r3 in range(3, two_n - 1):
-        terms.per_r3[r3] = terms.per_r2(r3).sum()
-    return terms
+    interior = f.values[1:two_n]
+    top = int(f.values.max())
+    before = np.zeros(top + 2, dtype=np.int64)  # a spare zero above the top level
+    after = np.bincount(interior, minlength=top + 1)
+    pairs = np.zeros((top + 1, top + 1), dtype=np.int64)
+    per_r3 = np.zeros(two_n, dtype=np.int64)
+    for t, h in enumerate(interior.tolist(), start=1):
+        after[h] -= 1
+        per_r3[t] = pairs[h, 1:] @ (after[1:] + after[:-1])
+        pairs[:, h] += before[:-1] + before[1:]
+        before[h] += 1
+    return per_r3
 
 
 def enumerate_pairing_tuples(f: LatticeExcursion, pairing: PermutationPairing):

@@ -46,12 +46,11 @@ from .local_time import (CornerIndex, bf_per_index, corner_index, corner_total, 
                          vertex_times)
 from .maps import (
     AdmissibleCorners,
-    GenusOneTerms,
     RootedMap,
     bfs_distances,
     enumerate_admissible,
     entangled_pairings,
-    genus_one_terms,
+    genus_one_counts,
     insert_edges,
     pairing_tuple,
     pairing_tuple_count,
@@ -460,11 +459,11 @@ def sample_corners_df(f: LatticeExcursion, s: int, rng,
 
 def unicellular_terms(f: LatticeExcursion, g: int, pairings=None):
     """The genus-``g`` pairings, their gluable-tuple counts and, at genus one,
-    the :class:`GenusOneTerms` behind the single count (``None`` above it)."""
+    the :func:`genus_one_counts` behind the single count (``None`` above it)."""
     pairings = entangled_pairings(g) if pairings is None else pairings
     if g == 1:
-        terms = genus_one_terms(f)
-        return pairings, [terms.total], terms
+        per_r3 = genus_one_counts(f)
+        return pairings, [sum(per_r3.tolist())], per_r3
     return pairings, [pairing_tuple_count(f, p) for p in pairings], None
 
 
@@ -497,16 +496,35 @@ def sample_unicellular_decoration(f: LatticeExcursion, g: int, rng, terms=None):
     return pairing, heights, corners
 
 
-def _sample_tuple_genus_one(f: LatticeExcursion, terms: GenusOneTerms, gen: np.random.Generator):
-    """Uniform gluable quadruple for the genus-one pairing (1,3)(2,4)."""
-    r3 = _weighted_index(np.cumsum(terms.per_r3, dtype=np.float64), gen)
-    r2 = 1 + _weighted_index(np.cumsum(terms.per_r2(r3), dtype=np.float64), gen)
-    h3, h2 = int(f.values[r3]), int(f.values[r2])
-    index = corner_index(f.values)
-    below = index.window((h3, h3 + 1), 1, r2)
-    above = index.window((h2, h2 - 1), r3 + 1, 2 * f.n)
+def _sample_tuple_genus_one(f: LatticeExcursion, per_r3: np.ndarray, gen: np.random.Generator):
+    """Uniform gluable quadruple for the genus-one pairing (1,3)(2,4), drawn by third corner,
+    then second, from level counts: ``r1 < r2`` sits at level ``f(r3)`` or ``f(r3)+1``, and
+    ``r4 > r3`` at level ``f(r2)`` or ``f(r2)-1``."""
+    vals = f.values
+    r3 = _weighted_index(np.cumsum(per_r3, dtype=np.float64), gen)
+    r2 = 1 + _weighted_index(np.cumsum(_genus_one_per_r2(f, r3), dtype=np.float64), gen)
+    h3, h2 = int(vals[r3]), int(vals[r2])
+    below = _times_at(vals, (h3, h3 + 1), 1, r2)
+    above = _times_at(vals, (h2, h2 - 1), r3 + 1, 2 * f.n)
     r1 = int(below[gen.integers(len(below))])
     return (r1, r2, r3, int(above[gen.integers(len(above))]))
+
+
+def _genus_one_per_r2(f: LatticeExcursion, r3: int) -> np.ndarray:
+    """Entry ``r2 - 1`` counts the gluable quadruples with second corner ``r2`` and third
+    ``r3``: the first corners in ``[1, r2)`` times the fourth corners after ``r3``."""
+    vals = f.values
+    h3 = vals[r3]
+    first = (vals[1:r3 - 1] == h3) | (vals[1:r3 - 1] == h3 + 1)
+    firsts = np.concatenate(([0], np.cumsum(first)))
+    ahead = np.bincount(vals[r3 + 1:2 * f.n], minlength=len(vals))
+    seconds = vals[1:r3]
+    return firsts * (ahead[seconds] + ahead[seconds - 1])
+
+
+def _times_at(vals: np.ndarray, levels, lo: int, hi: int) -> np.ndarray:
+    """The times in ``[lo, hi)`` at each of ``levels`` in turn, ascending within a level."""
+    return np.concatenate([np.flatnonzero(vals[lo:hi] == y) + lo for y in levels])
 
 
 # -- exact decoration counts ---------------------------------------------------

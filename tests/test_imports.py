@@ -52,7 +52,7 @@ def defined_names(path: Path) -> set[str]:
 
 
 @pytest.mark.parametrize("reference", ["tree_reference.py", "path_reference.py",
-                                       "csv_reference.py"])
+                                       "csv_reference.py", "glue_reference.py"])
 def test_reference_definitions_live_only_in_tests(reference):
     # one copy of each concept: what the tests keep as a reference, the package does not define
     package = {p.name: defined_names(p) for p in sorted(SRC.glob("*.py"))}

@@ -1,8 +1,10 @@
 """Half-edge maps: insertion, exploration, faces, pairings, gluings."""
 
 import hashlib
+from collections import Counter
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from surplus_lab.lattice_paths import (
@@ -28,7 +30,7 @@ from surplus_lab.maps import (
     entangled_pairings,
     enumerate_admissible,
     enumerate_pairing_tuples,
-    glue_heights_ok,
+    genus_one_counts,
     insert_edges,
     is_entangled,
     metric_from_root,
@@ -37,6 +39,7 @@ from surplus_lab.maps import (
     unicellular_glue,
 )
 
+from surplus_lab import samplers
 from surplus_lab.samplers import (
     RngStream,
     enumerate_maps,
@@ -46,6 +49,7 @@ from surplus_lab.samplers import (
     sample_uniform_excursion,
 )
 
+from glue_reference import glue_heights_ok
 from test_local_time import oracle_bf_set, oracle_df_set
 from tree_reference import plane_tree_profile, tree_adjacency
 
@@ -486,6 +490,40 @@ class TestTupleCounts:
         with pytest.raises(EnumerationCapExceeded):
             pairing_tuple_count(f, entangled_pairings(2)[0])
         assert pairing_tuple_count(f, G1) > 0  # genus one has no cap
+
+
+class TestGenusOneSweep:
+    @staticmethod
+    def by_third_corner(f):
+        want = np.zeros(2 * f.n, dtype=np.int64)
+        for r in enumerate_pairing_tuples(f, G1):
+            want[r[2]] += 1
+        return want
+
+    def test_per_r3_matches_enumeration_exhaustive(self):
+        for n in range(1, 8):
+            for f in enumerate_excursions(n):
+                assert genus_one_counts(f).tolist() == self.by_third_corner(f).tolist()
+
+    def test_per_r3_matches_enumeration_n40(self):
+        f = sample_uniform_excursion(40, RngStream(17))
+        per_r3 = genus_one_counts(f)
+        assert per_r3.tolist() == self.by_third_corner(f).tolist()
+        assert per_r3.sum() > 0
+
+    def test_r2_split_sums_to_per_r3(self):
+        fs = [f for n in range(2, 7) for f in enumerate_excursions(n)]
+        for f in fs + [sample_uniform_excursion(40, RngStream(17))]:
+            per_r3 = genus_one_counts(f)
+            for r3 in np.flatnonzero(per_r3).tolist():
+                assert int(samplers._genus_one_per_r2(f, r3).sum()) == per_r3[r3]
+
+    def test_r2_split_matches_enumeration(self):
+        f = sample_uniform_excursion(40, RngStream(17))
+        split = Counter((r[2], r[1]) for r in enumerate_pairing_tuples(f, G1))
+        for r3 in np.flatnonzero(genus_one_counts(f)).tolist():
+            per_r2 = samplers._genus_one_per_r2(f, r3).tolist()
+            assert per_r2 == [split[r3, r2] for r2 in range(1, r3)]
 
 
 class TestMetric:

@@ -9,7 +9,7 @@ import pytest
 
 from surplus_lab import checks, cli, estimators, lattice_paths, maps, persistence, samplers
 from surplus_lab.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
-from surplus_lab.maps import TUPLE_ENUMERATION_CAP, genus_one_terms
+from surplus_lab.maps import TUPLE_ENUMERATION_CAP, entangled_pairings, genus_one_counts
 from surplus_lab.samplers import enumerate_maps
 
 from csv_reference import read_csv
@@ -357,14 +357,27 @@ class TestCli:
 
         def counted(f):
             calls.append(f)
-            return genus_one_terms(f)
+            return genus_one_counts(f)
 
         for module in (maps, samplers):
-            monkeypatch.setattr(module, "genus_one_terms", counted)
+            monkeypatch.setattr(module, "genus_one_counts", counted)
         assert main(argv + ["--seed", "5", "--out", str(tmp_path / "o")]) == EXIT_OK
         # sample draws one excursion per replicate, estimate two (map and contour routes)
         replicates = 4 if argv[0] == "sample" else 8
         assert len(calls) == replicates
+
+    def test_one_pairing_list_per_crum_run(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counted(g):
+            calls.append(g)
+            return entangled_pairings(g)
+
+        for module in (maps, samplers, cli):
+            monkeypatch.setattr(module, "entangled_pairings", counted)
+        assert main(["sample", "crum", "--n", "8", "--g", "2", "--reps", "4", "--seed", "5",
+                     "--out", str(tmp_path / "o")]) == EXIT_OK
+        assert calls == [2]
 
     @pytest.mark.parametrize("argv", [
         ["sample", "map", "--n", "12", "--s", "2", "--reps", "2", "--seed", "5"],

@@ -22,7 +22,6 @@ from surplus_lab.maps import (
     adjacency,
     bfs_distances,
     entangled_pairings,
-    glue_heights_ok,
     insert_edges,
     metric_from_root,
     unicellular_glue,
@@ -53,6 +52,7 @@ from surplus_lab.samplers import (
     ws_weight,
 )
 
+from glue_reference import glue_heights_ok
 from path_reference import bridge_excursion, sample_uniform_bridge
 from tree_reference import (
     count_degenerate_tuples,
