@@ -14,7 +14,6 @@ __version__ = "0.1.0"
 from .lattice_paths import (
     HeightProfile,
     LabeledTree,
-    LatticeBridge,
     LatticeExcursion,
     PlaneTree,
     contour_of_tree,
@@ -22,7 +21,7 @@ from .lattice_paths import (
     excursion_count,
     height_profile,
     tree_of_contour,
-    vervaat,
+    vervaat_excursion,
 )
 from .local_time import (
     area_functional,
@@ -59,6 +58,7 @@ from .samplers import (
     sample_uniform_map,
     spanning_tree_count,
     tilted_ensemble,
+    tree_profile_of_labels,
     w1_weight,
     ws_weight,
 )

@@ -8,8 +8,8 @@ declares the ``verify`` options it reads and their defaults.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import combinations, product
 from math import sqrt
 
@@ -17,13 +17,11 @@ import numpy as np
 
 from .estimators import decoration_gap_estimates, gap_trend_steps, jeulin_check, um_count_identity
 from .lattice_paths import (
-    LabeledTree,
+    EnumerationCapExceeded,
     catalan,
-    enumerate_bridges,
     enumerate_excursions,
     excursion_count,
-    height_profile,
-    vervaat,
+    vervaat_excursion,
 )
 from .local_time import contour_tree, corner_index, vertex_times
 from .maps import (
@@ -44,10 +42,10 @@ from .samplers import (
     decoration_count,
     enumerate_maps,
     enumerate_surplus_graphs,
-    prufer_decode,
     replicate_rows,
     sample_uniform_excursion,
     sample_corners_bf,
+    tree_profile_of_labels,
     w1_weight,
 )
 
@@ -122,28 +120,21 @@ def count_suite(n: int = 10) -> SuiteResult:
     return res
 
 
-def _all_rooted_labeled_trees(n: int):
-    """Every rooted labeled tree on [n] via code enumeration."""
-    if n == 1:
-        yield LabeledTree(1, 1, [0, 0])
-        return
-    for root in range(1, n + 1):
-        for seq in product(range(1, n + 1), repeat=n - 2):
-            yield prufer_decode(seq, n, root)
-
-
 def w1_suite(n: int = 6) -> SuiteResult:
     """Symmetrized-tree weights summed over all rooted labeled trees equal
-    the rooted unit-surplus graph count."""
+    the rooted unit-surplus graph count.
+
+    The trees on [k] are read as their ``k^(k-1)`` label sequences, whose level
+    counts :func:`tree_profile_of_labels` walks off as :func:`sample_tree_profile`
+    draws them: each tree shape arises from as many sequences as labeled trees."""
     res = SuiteResult("w1")
     for k in range(2, n + 1):
-        total = Fraction(0)
-        trees = 0
-        for tree in _all_rooted_labeled_trees(k):
-            trees += 1
-            total += w1_weight(height_profile(tree))
+        rhs = len(enumerate_surplus_graphs(k, 1))  # first, as it refuses a k above its cap
+        profiles = Counter(tree_profile_of_labels(labels, k)
+                           for labels in product(range(1, k + 1), repeat=k - 1))
+        trees = sum(profiles.values())
+        total = sum(count * w1_weight(profile) for profile, count in profiles.items())
         res.add(f"tree-count-n{k}", trees == k ** (k - 1), f"{trees}")
-        rhs = len(enumerate_surplus_graphs(k, 1))
         res.add(f"w1-sum-n{k}", total == rhs, f"{total} vs {rhs}")
         if k == 3:
             res.add("w1-n3-value", total == 3, f"{total}")
@@ -164,19 +155,25 @@ def psi_suite(n: int = 5) -> SuiteResult:
 
 
 def vervaat_suite(n: int = 6) -> SuiteResult:
-    """Uniform bridges push forward uniformly onto excursion shapes with
-    fibers of size 2n+1."""
+    """Every step vector with k up-steps and k + 1 down-steps, rotated by
+    :func:`vervaat_excursion` as :func:`sample_uniform_excursion` rotates its draws,
+    lands on an excursion, each of the Catalan(k) excursions with 2k + 1 preimages:
+    a uniform bridge gives a uniform excursion.  Capped at n = 8."""
+    if n > 8:
+        raise EnumerationCapExceeded(f"n={n} exceeds enumeration cap 8")
     res = SuiteResult("vervaat")
     for k in range(1, n + 1):
-        fibers: dict[tuple, int] = {}
+        fibers: Counter = Counter()
         total = 0
-        for b in enumerate_bridges(k):
+        for ups in combinations(range(2 * k + 1), k):
+            steps = np.full(2 * k + 1, -1, dtype=np.int64)
+            steps[list(ups)] = 1
             total += 1
-            v = vervaat(b)
-            if not v.is_excursion_shape():
-                res.add(f"shape-n{k}", False, f"non-shape image {v.as_tuple()}")
+            f = vervaat_excursion(steps)
+            if f.values[1:-1].min() <= 0:
+                res.add(f"shape-n{k}", False, f"non-shape image {f.as_tuple()}")
                 break
-            fibers[v.as_tuple()] = fibers.get(v.as_tuple(), 0) + 1
+            fibers[f.values.tobytes()] += 1
         else:
             res.add(f"fiber-size-n{k}", set(fibers.values()) == {2 * k + 1},
                     f"{len(fibers)} shapes x {2 * k + 1}")

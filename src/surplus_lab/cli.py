@@ -80,6 +80,14 @@ SUITES = {
 }
 # verify's suite parameters; a suite that does not read one refuses it
 VERIFY_OPTIONS = ("n", "s", "reps", "seed", "threshold")
+# per command, the argument that picks the kind, and per kind the --s and --g it reads with
+# their defaults; a kind refuses the one it does not read
+KIND_OPTIONS = {
+    "sample": ("kind", {"tree": {}, "excursion": {}, "map": {"s": 0}, "graph": {"s": 0},
+                        "crum": {"g": 1}}),
+    "enumerate": ("family", {"f": {}, "m": {"s": 0}, "h": {"s": 0}, "um": {"g": 1}}),
+    "estimate": ("model", {"h": {"s": 1}, "um": {"g": 1}}),
+}
 
 SUITE_HEADER = ["check", "value", "detail", "ok"]
 
@@ -92,8 +100,8 @@ def build_parser() -> _Parser:
     sp = sub.add_parser("sample", help="draw objects and write them to --out")
     sp.add_argument("kind", choices=["tree", "excursion", "map", "graph", "crum"])
     sp.add_argument("--n", type=nonnegative_int, required=True)
-    sp.add_argument("--s", type=nonnegative_int, default=0)
-    sp.add_argument("--g", type=nonnegative_int, default=1)
+    sp.add_argument("--s", type=nonnegative_int, help="surplus of map and graph (default 0)")
+    sp.add_argument("--g", type=nonnegative_int, help="genus of crum (default 1)")
     sp.add_argument("--reps", type=nonnegative_int, default=1)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out", type=Path, default=Path("out"))
@@ -101,8 +109,8 @@ def build_parser() -> _Parser:
     ep = sub.add_parser("enumerate", help="exhaustively list a small family")
     ep.add_argument("--family", choices=["f", "m", "h", "um"], required=True)
     ep.add_argument("--n", type=nonnegative_int, required=True)
-    ep.add_argument("--s", type=nonnegative_int, default=0)
-    ep.add_argument("--g", type=nonnegative_int, default=1)
+    ep.add_argument("--s", type=nonnegative_int, help="surplus of m and h (default 0)")
+    ep.add_argument("--g", type=nonnegative_int, help="genus of um (default 1)")
     ep.add_argument("--out", type=Path, default=Path("out"))
 
     xp = sub.add_parser("explore", help="spanning-tree exploration of a stored map")
@@ -131,8 +139,8 @@ def build_parser() -> _Parser:
     tp.add_argument("--target", choices=["radius", "two-point", "profile"], required=True)
     tp.add_argument("--model", choices=["h", "um"], default="h")
     tp.add_argument("--n", type=nonnegative_int, required=True)
-    tp.add_argument("--s", type=nonnegative_int, default=1)
-    tp.add_argument("--g", type=nonnegative_int, default=1)
+    tp.add_argument("--s", type=nonnegative_int, help="surplus of model h (default 1)")
+    tp.add_argument("--g", type=nonnegative_int, help="genus of model um (default 1)")
     tp.add_argument("--reps", type=nonnegative_int, default=1000)
     tp.add_argument("--seed", type=int, default=0)
     tp.add_argument("--out", type=Path, default=Path("out"))
@@ -155,6 +163,23 @@ def _outdir(args) -> Path:
     return out
 
 
+def _kind_options(args) -> dict:
+    """The ``--s`` and ``--g`` that the kind of ``args.command`` reads (:data:`KIND_OPTIONS`),
+    set on ``args`` with their defaults filled in; a :class:`UsageError` names a given option
+    that the kind does not read."""
+    key, table = KIND_OPTIONS[args.command]
+    reads = table[getattr(args, key)]
+    unread = [f"--{opt}" for opt in ("s", "g")
+              if opt not in reads and getattr(args, opt) is not None]
+    if unread:
+        kind = getattr(args, key) if key == "kind" else f"--{key} {getattr(args, key)}"
+        raise UsageError(f"{args.command} {kind} does not read {', '.join(unread)}")
+    for opt, default in reads.items():
+        if getattr(args, opt) is None:
+            setattr(args, opt, default)
+    return {opt: getattr(args, opt) for opt in reads}
+
+
 def _finish(manifest: persistence.RunManifest, outdir: Path, *files: Path) -> None:
     for f in files:
         manifest.record_output(f)
@@ -166,11 +191,11 @@ def _finish(manifest: persistence.RunManifest, outdir: Path, *files: Path) -> No
 
 
 def cmd_sample(args) -> int:
+    reads = _kind_options(args)
     outdir = _outdir(args)
     manifest = persistence.new_manifest(
         args.seed, "sample", argv=args.argv,
-        parameters={"kind": args.kind, "n": args.n, "s": args.s,
-                    "g": args.g, "reps": args.reps})
+        parameters={"kind": args.kind, "n": args.n, **reads, "reps": args.reps})
     rng = RngStream(args.seed)
     files = []
     if args.kind == "excursion":
@@ -210,35 +235,29 @@ def cmd_sample(args) -> int:
         files.append(path)
     else:  # crum
         pairings = entangled_pairings(args.g)
-        size = 4 * args.g  # a row: the pairing's index (-1: degenerate), 4g corners, 2g heights
 
         def draw(gens, start):  # each replicate range writes its own maps
-            rows = []
+            rows = []  # the pairing, the corners and the heights, or "degenerate"
             for r, gen in enumerate(gens, start):
                 exc = sample_uniform_excursion(args.n, gen)
                 try:
                     pairing, heights, corners = sample_unicellular_decoration(
                         exc, args.g, gen, unicellular_terms(exc, args.g, pairings))
-                except DegenerateEnsembleError:
-                    rows.append([-1] * (1 + size + 2 * args.g))
+                except DegenerateEnsembleError:  # no gluable corner tuple
+                    rows.append(["degenerate", "", ""])
                     continue
                 m, unicellular = unicellular_glue(exc, pairing, corners)
                 if not unicellular:
                     raise RuntimeError(f"replicate {r} glued a map with more than one face "
                                        f"at n={args.n}, g={args.g}")
                 persistence.save_map(m, outdir / f"crum_{r}.json")
-                rows.append([pairings.index(pairing), *corners, *heights])
+                rows.append([str(pairing), ";".join(map(str, corners)),
+                             ";".join(map(str, heights))])
             return [rows]
 
         decorations, = replicate_rows(args.reps, rng, draw, MIN_SAMPLE_RANGE)
-        rows = []
-        for r, (k, *numbers) in enumerate(decorations.astype(int).tolist()):
-            if k < 0:  # no gluable corner tuple
-                rows.append([r, "degenerate", "", ""])
-                continue
-            files.append(outdir / f"crum_{r}.json")
-            rows.append([r, str(pairings[k]), ";".join(map(str, numbers[:size])),
-                         ";".join(map(str, numbers[size:]))])
+        rows = [[r, *row] for r, row in enumerate(decorations.tolist())]
+        files += [outdir / f"crum_{r}.json" for r, pairing, *_ in rows if pairing != "degenerate"]
         cpath = outdir / "crum_decorations.csv"
         persistence.write_csv(cpath, ["replicate", "pairing", "corners", "heights"], rows)
         files.append(cpath)
@@ -253,10 +272,10 @@ def cmd_sample(args) -> int:
 def cmd_enumerate(args) -> int:
     from .lattice_paths import enumerate_excursions
 
+    reads = _kind_options(args)
     outdir = _outdir(args)
     manifest = persistence.new_manifest(
-        0, "enumerate", argv=args.argv,
-        parameters={"family": args.family, "n": args.n, "s": args.s, "g": args.g})
+        0, "enumerate", argv=args.argv, parameters={"family": args.family, "n": args.n, **reads})
     if args.family == "f":
         items = [f.steps_string() for f in enumerate_excursions(args.n)]
     elif args.family == "m":
@@ -364,11 +383,12 @@ def cmd_verify(args) -> int:
 
 
 def cmd_estimate(args) -> int:
+    reads = _kind_options(args)
     outdir = _outdir(args)
     manifest = persistence.new_manifest(
         args.seed, "estimate", argv=args.argv,
-        parameters={"target": args.target, "model": args.model, "n": args.n,
-                    "s": args.s, "g": args.g, "reps": args.reps})
+        parameters={"target": args.target, "model": args.model, "n": args.n, **reads,
+                    "reps": args.reps})
     rng = RngStream(args.seed)
     if args.model == "um":
         est = estimators.unicellular_laws(args.target, args.n, args.g, args.reps, rng)

@@ -125,9 +125,10 @@ def _route_scale(n: int, mode: str):
 def radius_laws(n: int, s: int, reps: int, rng: RngStream) -> Estimate:
     """Three routes to the same radius law.
 
-    Map route: radius of the ``B(f)^s``-tilted independent-pair map draw of
-    :class:`TiltSample` (the uniform-map law exactly only at ``s = 1``) scaled
-    by ``sqrt(2/n)``.  Contour route: twice the maximum of the tilted
+    Map route: radius of the breadth-first map, scaled by ``sqrt(2/n)``.  Its root
+    distances are the contour heights of its exploration tree
+    (:meth:`TiltSample.distances_from_root`), so no corner pair is drawn and only the
+    ``B(f)^s`` tilt applies, the uniform-map law exactly only at ``s = 1``.  Contour route: twice the maximum of the tilted
     excursion over ``sqrt(2n)``.  Inverse-height route: the reciprocal-height
     sum under the depth-first tilt over ``sqrt(2n)``.
     """
@@ -209,9 +210,10 @@ def profile_laws(n: int, s: int, reps: int, rng: RngStream) -> Estimate:
     """Mean rescaled distance profiles via maps, weighted labeled trees, and
     the local time of the tilted contour.
 
-    Map route: BFS level counts, of the ``B(f)^s``-tilted independent-pair map
-    draw of :class:`TiltSample` (the uniform-map law exactly only at ``s = 1``),
-    at level ``floor(r sqrt(n/2))`` scaled by ``1/sqrt(2n)``.  Tree route: the
+    Map route: the breadth-first map's level counts from the root, read off the
+    contour heights of its exploration tree with no corner pair drawn, under the
+    ``B(f)^s`` tilt (the uniform-map law exactly only at ``s = 1``), at level
+    ``floor(r sqrt(n/2))`` scaled by ``1/sqrt(2n)``.  Tree route: the
     level counts of uniform rooted labeled trees, each drawn from one
     conditioned Poisson walk with no tree built (:func:`sample_tree_profile`),
     weighted by the symmetrized-tree weight, read at ``floor(r sqrt(n))`` and
@@ -361,7 +363,10 @@ def exact_map_count(n: int, s: int) -> int:
 
 
 def surplus_one_ratios(n_max: int = 12) -> dict[int, float]:
-    """Exact ratios ``2 * #maps(n, 1) / 4^n`` that approach the first growth constant."""
+    """Exact ratios ``2 * #maps(n, 1) / 4^n`` that approach the first growth constant.
+
+    Summed over the excursions of half-length ``n``, ``B(f) = 2^(2n-1) - C(2n-1, n)``, so
+    the ratio is ``1 - C(2n, n) / 4^n`` and its limit is exactly 1."""
     return {n: 2.0 * exact_map_count(n, 1) / 4.0 ** n for n in range(1, n_max + 1)}
 
 

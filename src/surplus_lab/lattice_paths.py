@@ -6,10 +6,10 @@ Conventions used throughout the package:
   ``f(0) = f(2n) = 0`` and strictly positive interior values.  These are
   exactly the contour functions of plane trees on ``n + 1`` vertices whose
   root has degree one.
-* A *bridge* of half-length ``n`` is a +-1 path ``b(0..2n+1)`` with
-  ``b(0) = 0`` and ``b(2n+1) = -1``.  The Vervaat transform rotates a bridge
-  at its first global minimum into a path that is nonnegative on
-  ``[0, 2n]`` (an "excursion shape").
+* A *bridge* is a +-1 path from 0 to -1, given by its steps.  The Vervaat
+  transform rotates a bridge at its first global minimum into a path that
+  stays nonnegative until its last step; with a root step attached that is
+  an excursion (:func:`vervaat_excursion`).
 * Corners of a plane tree are indexed by contour time: corner ``i`` (for
   ``1 <= i <= 2n - 1``) is the corner passed at time ``i``, at the vertex
   visited at time ``i``, so its height is ``f(i)``.  The root corner
@@ -101,46 +101,6 @@ class LatticeExcursion:
     @classmethod
     def from_parens(cls, text: str) -> "LatticeExcursion":
         return cls.from_steps(text.strip().replace("(", "U").replace(")", "D"))
-
-
-class LatticeBridge:
-    """A +-1 path from 0 to -1; nonnegative-before-the-end bridges encode excursion shapes."""
-
-    __slots__ = ("values", "n")
-
-    def __init__(self, values: Sequence[int], validate: bool = True):
-        arr = _as_int_array(values)
-        if len(arr) % 2 != 0 or len(arr) < 2:
-            raise ValueError("bridge must have even length 2n+2 with n >= 0")
-        self.values = arr
-        self.n = (len(arr) - 2) // 2
-        if validate:
-            if arr[0] != 0 or arr[-1] != -1:
-                raise ValueError("bridge must run from 0 to -1")
-            if np.count_nonzero(np.abs(arr[1:] - arr[:-1]) != 1):
-                raise ValueError("bridge steps must be +-1")
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, LatticeBridge) and _same_path(self.values, other.values)
-
-    def __hash__(self) -> int:
-        return hash(self.as_tuple())
-
-    def __repr__(self) -> str:
-        return f"LatticeBridge({list(self.values)})"
-
-    def as_tuple(self) -> tuple:
-        return tuple(int(v) for v in self.values)
-
-    def is_excursion_shape(self) -> bool:
-        """True when the path stays nonnegative before its final down-step."""
-        return bool(self.values[:-1].min() >= 0)
-
-    def steps_string(self) -> str:
-        return "".join("U" if d > 0 else "D" for d in np.diff(self.values))
 
 
 class PlaneTree:
@@ -296,21 +256,26 @@ def height_profile(t: LabeledTree) -> HeightProfile:
     return HeightProfile(tuple(np.bincount(depths).tolist()))
 
 
-def vervaat(b: LatticeBridge) -> LatticeBridge:
-    """Cyclic shift of a bridge at its first global minimum.
+def vervaat_excursion(steps) -> LatticeExcursion:
+    """The excursion of half-length ``n`` that the cycle lemma gives a bridge.
 
-    The result is nonnegative on all but its final point; applied to a uniform
-    bridge the pushforward is uniform over such excursion shapes, each with
-    fiber of size ``len(b) - 1`` (the cycle lemma).
+    ``steps`` are the ``2n - 1`` +-1 steps of a bridge from 0 to -1, ``n - 1``
+    of them up; they are not checked.  Read cyclically from just after the
+    first minimum ``m`` of their partial sums ``c`` (Vervaat's transform), they
+    stay nonnegative until the last step; with the root step attached that is
+    ``0, c[k:] - m + 1, c[:k+1] - m``, where ``k`` is the position of the
+    minimum.  All ``2n - 1`` cyclic shifts of a bridge give the same excursion,
+    so a uniform bridge gives a uniform excursion.
     """
-    vals = b.values
-    tau = int(np.argmin(vals))
-    if tau == len(vals) - 1:
-        return b
-    # the steps after tau, then the steps before it, summed from 0
-    wrap = vals[-1] - vals[tau] - vals[0]
-    out = np.concatenate([vals[tau:] - vals[tau], vals[1:tau + 1] + wrap])
-    return LatticeBridge(out, validate=False)
+    c = np.add.accumulate(steps)
+    k = int(c.argmin())
+    low = int(c[k])
+    two_n = len(c) + 1
+    values = np.empty(two_n + 1, dtype=np.int64)
+    values[0] = 0
+    np.add(c[k:], 1 - low, out=values[1:two_n - k])
+    np.subtract(c[:k + 1], low, out=values[two_n - k:])
+    return LatticeExcursion(values, validate=False)
 
 
 def enumerate_excursions(n: int) -> list[LatticeExcursion]:
@@ -342,21 +307,6 @@ def enumerate_excursions(n: int) -> list[LatticeExcursion]:
     if n == 1:
         return [LatticeExcursion([0, 1, 0], validate=False)]
     extend(2)
-    return out
-
-
-def enumerate_bridges(n: int) -> list[LatticeBridge]:
-    """All +-1 bridges from 0 to -1 with ``2n + 1`` steps."""
-    if n > 8:
-        raise EnumerationCapExceeded(f"n={n} exceeds enumeration cap 8")
-    from itertools import combinations
-
-    length = 2 * n + 1
-    out = []
-    for ups in combinations(range(length), n):
-        steps = np.full(length, -1, dtype=np.int64)
-        steps[list(ups)] = 1
-        out.append(LatticeBridge(np.concatenate([[0], np.cumsum(steps)]), validate=False))
     return out
 
 

@@ -193,13 +193,20 @@ class RootedMap:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "RootedMap":
+        """The map of :meth:`to_json_dict`; a ``ValueError`` for any other data."""
+        if not isinstance(data, dict):
+            raise ValueError(f"map JSON is a {type(data).__name__}, not an object")
         try:
-            alpha = list(data["involution"])
-            cycles = data["rotation"]
-            root = data["root"]
-        except (KeyError, TypeError) as exc:
+            alpha, cycles, root = data["involution"], data["rotation"], data["root"]
+        except KeyError as exc:
             raise ValueError(f"map JSON missing field: {exc}") from exc
+        if not (_ints([root]) and _ints(alpha) and isinstance(cycles, list)
+                and all(map(_ints, cycles))):
+            raise ValueError("map JSON needs an int root, an int list involution and "
+                             "int list rotation cycles")
         n_half = len(alpha)
+        if sorted(alpha) != list(range(n_half)):
+            raise ValueError("involution is not a permutation of the half-edges")
         flat = [h for cyc in cycles for h in cyc]
         if sorted(flat) != list(range(n_half)):
             raise ValueError("rotation cycles are not a permutation of the half-edges")
@@ -213,6 +220,11 @@ class RootedMap:
         if "s" in data and data["s"] != m.surplus:
             raise ValueError("half-edge data inconsistent with declared s")
         return m
+
+
+def _ints(value) -> bool:
+    """Whether a JSON value is a list of integers (``true`` and ``false`` are not)."""
+    return isinstance(value, list) and all(type(v) is int for v in value)
 
 
 # -- decorations ------------------------------------------------------------

@@ -153,10 +153,12 @@ def _indented(value, pad: str) -> str:
 
 
 def load_map(path: Path) -> RootedMap:
+    """The map that :func:`save_map` wrote; a :class:`PersistenceError` for a file that
+    holds no such map."""
     data = json.loads(path.read_text())
-    if data.get("schema") != SCHEMA_VERSION:
-        raise PersistenceError(f"unsupported map schema in {path}")
+    if not isinstance(data, dict) or data.get("schema") != SCHEMA_VERSION:
+        raise PersistenceError(f"no map of schema {SCHEMA_VERSION} in {path}")
     try:
         return RootedMap.from_json_dict(data)
     except ValueError as exc:
-        raise PersistenceError(str(exc)) from exc
+        raise PersistenceError(f"{path}: {exc}") from exc

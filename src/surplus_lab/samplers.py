@@ -41,6 +41,7 @@ from .lattice_paths import (
     HeightProfile,
     LabeledTree,
     LatticeExcursion,
+    vervaat_excursion,
 )
 from .local_time import (CornerIndex, bf_per_index, corner_index, corner_total, df_per_index,
                          vertex_times)
@@ -178,10 +179,11 @@ def replicate_rows(reps: int, rng: RngStream,
 
     ``rows`` is handed the generators ``rng.substream(r).generator()`` of one contiguous
     range of replicates and the first replicate ``r`` of the range, and returns a list of
-    arrays, read as float64, whose first axis follows them; an array may leave out rows,
-    and one with no rows may have any shape.  The ranges are one per CPU the process may
-    use, each at least ``min_range`` long; on Linux the parent forks a worker for each
-    range after the first, runs the first itself and reads the workers' arrays over pipes.
+    arrays, each read with its own dtype (numbers, booleans or text, never objects), whose
+    first axis follows them; an array may leave out rows, and one with no rows may have
+    any shape.  The ranges are one per CPU the process may use, each at least
+    ``min_range`` long; on Linux the parent forks a worker for each range after the
+    first, runs the first itself and reads the workers' arrays over pipes.
     Replicate ``r`` draws only from substream ``r``, so the result does not depend on how
     many CPUs there are, and ``taskset -c 0`` runs one process.  A worker's exception is
     raised again here with its type, and every worker is reaped before the call returns.
@@ -212,7 +214,7 @@ def replicate_rows(reps: int, rng: RngStream,
 
 
 def _range_rows(rows, rng: RngStream, start: int, stop: int) -> list[np.ndarray]:
-    return [np.asarray(a, dtype=np.float64) for a in rows(rng.generators(stop, start), start)]
+    return [np.asarray(a) for a in rows(rng.generators(stop, start), start)]
 
 
 def _fork_range(rows, rng: RngStream, start: int, stop: int) -> tuple[int, int] | None:
@@ -278,31 +280,16 @@ def _read_range(pid: int, fd: int) -> list[np.ndarray]:
 
 
 def sample_uniform_excursion(n: int, rng) -> LatticeExcursion:
-    """Uniform contour excursion of half-length ``n``.
-
-    One shuffle of ``n - 1`` up-steps and ``n`` down-steps gives a uniform
-    bridge from 0 to -1; its Vervaat rotation at the first minimum ``m`` of its
-    partial sums ``c`` (the cycle lemma makes it uniform over excursion shapes),
-    with the root step attached, is ``0, c[k:] - m + 1, c[:k+1] - m``, where
-    ``k`` is the position of that minimum.
-    """
+    """Uniform contour excursion of half-length ``n``: one shuffle of ``n - 1`` up-steps
+    and ``n`` down-steps gives a uniform bridge from 0 to -1, which
+    :func:`vervaat_excursion` rotates at its first minimum (the cycle lemma)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n == 1:
-        return LatticeExcursion([0, 1, 0], validate=False)
-    gen = as_generator(rng)
     steps = np.empty(2 * n - 1, dtype=np.int64)
     steps[:n - 1] = 1
     steps[n - 1:] = -1
-    gen.shuffle(steps)
-    c = np.add.accumulate(steps)
-    k = int(c.argmin())
-    low = int(c[k])
-    values = np.empty(2 * n + 1, dtype=np.int64)
-    values[0] = 0
-    np.add(c[k:], 1 - low, out=values[1:2 * n - k])
-    np.subtract(c[:k + 1], low, out=values[2 * n - k:])
-    return LatticeExcursion(values, validate=False)
+    as_generator(rng).shuffle(steps)
+    return vervaat_excursion(steps)
 
 
 def prufer_decode(code, n: int, root: int) -> LabeledTree:
@@ -359,14 +346,14 @@ def sample_tree_profile(n: int, rng) -> HeightProfile:
     Without its labels such a tree is a Poisson(1) Galton–Watson tree
     conditioned on ``n`` vertices.  The child counts of ``n - 1`` uniform
     labels in [n] are Poisson(1) counts conditioned on summing to ``n - 1``;
-    see :func:`_profile_of_labels` for the walk that turns them into levels.
+    see :func:`tree_profile_of_labels` for the walk that turns them into levels.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    return _profile_of_labels(as_generator(rng).integers(1, n + 1, size=n - 1), n)
+    return tree_profile_of_labels(as_generator(rng).integers(1, n + 1, size=n - 1), n)
 
 
-def _profile_of_labels(labels, n: int) -> HeightProfile:
+def tree_profile_of_labels(labels, n: int) -> HeightProfile:
     """Level counts of the tree that ``n - 1`` labels in [n] encode.
 
     Label ``v`` occurring ``c_v`` times gives vertex ``v`` that many children.

@@ -1,6 +1,7 @@
 """Estimators: KS machinery, identity checks, count asymptotics."""
 
-from math import factorial, pi, sqrt
+from fractions import Fraction
+from math import comb, factorial, pi, sqrt
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from surplus_lab.estimators import (
     omega1_anchor,
     profile_laws,
     radius_laws,
+    surplus_one_ratios,
     two_point_law,
     um_count_identity,
     unicellular_star_count,
@@ -239,6 +241,16 @@ class TestWrightAndCounts:
         assert abs(anchor - 1.0) < 0.1
         gaps = [abs(anchor - v) for v in values]
         assert all(b < a for a, b in zip(gaps, gaps[1:]))
+
+    def test_surplus_one_counts_in_closed_form(self):
+        # summed over the excursions of half-length n, B(f) = 2^(2n-1) - C(2n-1, n): the
+        # ratio 2 #maps(n, 1) / 4^n is 1 - C(2n, n) / 4^n, whose limit omega_1 is exactly 1
+        ratios = surplus_one_ratios(10)
+        for n in range(1, 11):
+            assert exact_map_count(n, 1) == 2 ** (2 * n - 1) - comb(2 * n - 1, n)
+            gap = 1 - Fraction(ratios[n])
+            assert gap == Fraction(comb(2 * n, n), 4 ** n)
+            assert 0 < gap < 1 / sqrt(pi * n)  # so the ratios tend to 1
 
     def test_mean_area_moment(self):
         # the s = 1 moment of the excursion area is sqrt(pi/8)

@@ -1,6 +1,7 @@
-"""Paths, trees, profiles, and the bridge-to-excursion machinery."""
+"""Paths, trees, profiles, and the Vervaat rotation of bridges into excursions."""
 
-from itertools import product
+from collections import Counter
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -10,21 +11,19 @@ from hypothesis import strategies as st
 from surplus_lab.lattice_paths import (
     EnumerationCapExceeded,
     LabeledTree,
-    LatticeBridge,
     LatticeExcursion,
     PlaneTree,
     catalan,
     contour_of_tree,
-    enumerate_bridges,
     enumerate_excursions,
     excursion_count,
     height_profile,
     tree_of_contour,
-    vervaat,
+    vervaat_excursion,
 )
 from surplus_lab.samplers import sample_uniform_excursion
 
-from path_reference import excursion_from_shape
+from path_reference import excursion_from_shape, rotate_at_minimum
 from tree_reference import lukasiewicz_of_tree, plane_tree_profile, preorder_index
 
 
@@ -45,8 +44,7 @@ class TestExcursionType:
         assert f.n == 2
         assert f.max_height() == 2
 
-    @pytest.mark.parametrize("cls, vals", [(LatticeExcursion, [0, 1, 2, 1, 0]),
-                                           (LatticeBridge, [0, 1, 0, -1])])
+    @pytest.mark.parametrize("cls, vals", [(LatticeExcursion, [0, 1, 2, 1, 0])])
     def test_caller_array_stays_writeable(self, cls, vals):
         # an int64 array once became the path's own storage and was made read-only
         arr = np.array(vals)
@@ -168,52 +166,54 @@ class TestHeightProfile:
                 assert plane_tree_profile(t).total == t.n + 1
 
 
+def bridge_steps(k: int):
+    """Every step vector with ``k`` up-steps and ``k + 1`` down-steps."""
+    for ups in combinations(range(2 * k + 1), k):
+        steps = np.full(2 * k + 1, -1, dtype=np.int64)
+        steps[list(ups)] = 1
+        yield steps
+
+
 class TestVervaat:
     def test_identity_case(self):
-        b = LatticeBridge([0, 1, 0, 1, 0, -1])
-        assert vervaat(b) == b
+        # a bridge that stays nonnegative until its last step is not rotated
+        assert vervaat_excursion([1, -1, 1, -1, -1]).as_tuple() == (0, 1, 2, 1, 2, 1, 0)
 
     def test_rotation_by_one(self):
-        b = LatticeBridge([0, -1, 0, 1, 0, -1])
-        assert vervaat(b).as_tuple() == (0, 1, 2, 1, 0, -1)
+        # the first minimum is after the first step: the rest comes first
+        assert vervaat_excursion([-1, 1, 1, -1, -1]).as_tuple() == (0, 1, 2, 3, 2, 1, 0)
 
     def test_cycle_lemma_n2(self):
-        # ten bridges over two shapes, five preimages each
-        bridges = enumerate_bridges(2)
-        assert len(bridges) == 10
-        fibers = {}
-        for b in bridges:
-            v = vervaat(b)
-            assert v.is_excursion_shape()
-            fibers[v.as_tuple()] = fibers.get(v.as_tuple(), 0) + 1
-        assert len(fibers) == 2
+        # ten bridges over two excursions, five preimages each
+        fibers = Counter(vervaat_excursion(steps) for steps in bridge_steps(2))
+        assert sum(fibers.values()) == 10
+        assert set(fibers) == set(enumerate_excursions(3))
         assert set(fibers.values()) == {5}
 
     def test_fiber_counts(self):
-        for n in range(1, 6):
-            fibers = {}
-            for b in enumerate_bridges(n):
-                v = vervaat(b)
-                fibers[v.as_tuple()] = fibers.get(v.as_tuple(), 0) + 1
-            assert len(fibers) == catalan(n)
-            assert set(fibers.values()) == {2 * n + 1}
+        for k in range(1, 6):
+            fibers = Counter(vervaat_excursion(steps) for steps in bridge_steps(k))
+            assert set(fibers) == set(enumerate_excursions(k + 1))
+            assert len(fibers) == catalan(k)
+            assert set(fibers.values()) == {2 * k + 1}
 
     def test_shape_conversion_roundtrip(self):
-        for n in range(2, 6):
+        # an excursion's steps after its root step are a bridge that needs no rotation
+        for n in range(1, 6):
             for f in enumerate_excursions(n):
-                shape = LatticeBridge(f.values[1:] - 1)  # drop the root step
-                assert shape.is_excursion_shape()
-                assert excursion_from_shape(shape) == f
+                assert vervaat_excursion(np.diff(f.values[1:])) == f
+                assert excursion_from_shape(f.values[1:] - 1) == f  # drop the root step
 
     @given(st.integers(1, 6), st.randoms(use_true_random=False))
     @settings(max_examples=60, deadline=None)
     def test_vervaat_property(self, n, rnd):
         steps = [1] * n + [-1] * (n + 1)
         rnd.shuffle(steps)
-        b = LatticeBridge(np.concatenate([[0], np.cumsum(steps)]))
-        v = vervaat(b)
-        assert v.is_excursion_shape()
-        assert sorted(np.diff(v.values)) == sorted(np.diff(b.values))
+        f = vervaat_excursion(steps)
+        assert LatticeExcursion(f.values) == f  # a valid excursion
+        assert sorted(np.diff(f.values[1:])) == sorted(steps)
+        # the reference rotation of the same bridge, as partial sums
+        assert excursion_from_shape(rotate_at_minimum(np.cumsum([0, *steps]))) == f
 
 
 class TestEnumeration:

@@ -102,6 +102,53 @@ class TestCli:
         assert main(["explore", "--mode", "bf", "--in", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path)]) == EXIT_IO
 
+    @pytest.mark.parametrize("change", [
+        None,  # the file holds [1, 2]
+        {"rotation": 5}, {"root": "a"}, {"rotation": [[0, "x"]]}, {"involution": [5, 0]}])
+    def test_malformed_map_file_is_io_error(self, change, tmp_path, capsys):
+        # valid JSON of the wrong shape: an i/o error, not a traceback
+        data = [1, 2] if change is None else {
+            "schema": 1, "root": 0, "involution": [1, 0], "rotation": [[0], [1]], **change}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        assert main(["explore", "--mode", "bf", "--in", str(path),
+                     "--out", str(tmp_path / "o")]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith("i/o error:") and "Traceback" not in err
+        with pytest.raises(persistence.PersistenceError):
+            persistence.load_map(path)
+
+    @pytest.mark.parametrize("argv, option", [
+        (["estimate", "--target", "radius", "--model", "um", "--n", "8", "--s", "3"], "--s"),
+        (["estimate", "--target", "radius", "--n", "8", "--g", "2"], "--g"),
+        (["sample", "crum", "--n", "8", "--s", "2"], "--s"),
+        (["sample", "map", "--n", "8", "--g", "3"], "--g"),
+        (["sample", "tree", "--n", "8", "--s", "0"], "--s"),
+        (["enumerate", "--family", "f", "--n", "3", "--s", "1"], "--s"),
+        (["enumerate", "--family", "um", "--n", "3", "--s", "1"], "--s"),
+        (["enumerate", "--family", "m", "--n", "3", "--g", "1"], "--g")])
+    def test_options_a_kind_does_not_read_are_usage_errors(self, argv, option, tmp_path,
+                                                           capsys):
+        assert main([*argv, "--out", str(tmp_path / "o")]) == EXIT_USAGE
+        assert f"does not read {option}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("argv, parameters", [
+        (["sample", "crum", "--n", "8", "--reps", "2"],
+         {"kind": "crum", "n": 8, "g": 1, "reps": 2}),
+        (["sample", "map", "--n", "8", "--s", "2"], {"kind": "map", "n": 8, "s": 2, "reps": 1}),
+        (["sample", "tree", "--n", "8"], {"kind": "tree", "n": 8, "reps": 1}),
+        (["enumerate", "--family", "m", "--n", "2"], {"family": "m", "n": 2, "s": 0}),
+        (["enumerate", "--family", "f", "--n", "3"], {"family": "f", "n": 3}),
+        (["estimate", "--target", "radius", "--model", "um", "--n", "8", "--reps", "20"],
+         {"target": "radius", "model": "um", "n": 8, "g": 1, "reps": 20}),
+        (["estimate", "--target", "radius", "--n", "8", "--reps", "20"],
+         {"target": "radius", "model": "h", "n": 8, "s": 1, "reps": 20})])
+    def test_manifest_records_the_options_a_kind_read(self, argv, parameters, tmp_path):
+        assert main([*argv, "--out", str(tmp_path / "o")]) == EXIT_OK
+        assert persistence.load_manifest(tmp_path / "o" / "manifest.json").parameters == \
+            parameters
+
     def test_sample_excursion(self, tmp_path, capsys):
         out = tmp_path / "o"
         assert main(["sample", "excursion", "--n", "5", "--reps", "3", "--seed", "9",

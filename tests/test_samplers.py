@@ -48,6 +48,7 @@ from surplus_lab.samplers import (
     sample_uniform_excursion,
     spanning_tree_count,
     tilted_ensemble,
+    tree_profile_of_labels,
     w1_weight,
     ws_weight,
 )
@@ -113,7 +114,8 @@ class TestUniformExcursion:
 
     def test_bridge_sampler(self):
         b = sample_uniform_bridge(4, RngStream(5).generator())
-        assert b.values[0] == 0 and b.values[-1] == -1
+        assert len(b) == 10 and b[0] == 0 and b[-1] == -1
+        assert set(np.diff(b).tolist()) == {-1, 1}
 
 
 class TestStreams:
@@ -249,7 +251,7 @@ class TestTreeProfile:
         # every label sequence against every (root, code) tree: the same profiles,
         # each as often, since both families have n^(n-1) members
         for n in range(1, 7):
-            walks = Counter(samplers._profile_of_labels(np.array(labels, dtype=np.int64), n)
+            walks = Counter(tree_profile_of_labels(np.array(labels, dtype=np.int64), n)
                             for labels in product(range(1, n + 1), repeat=n - 1))
             trees = Counter(height_profile(prufer_decode(code, n, root))
                             for root in range(1, n + 1)
@@ -545,6 +547,23 @@ class TestReplicateRanges:
         expected = [gen.random() for gen in RngStream(8).generators(self.REPS)]
         assert draws.tolist() == expected
         assert pairs.tolist() == [[u, 1.0] for u in expected[:self.REPS // 3]]
+
+    def test_each_array_keeps_its_dtype(self, monkeypatch):
+        # integers, verdicts and text come back from the workers as they were made
+        self.on_cpus(monkeypatch, 3)
+
+        def rows(gens, start):
+            reps = [start + k for k, _ in enumerate(gens)]
+            return [reps, [r % 3 == 0 for r in reps], [[f"r{r}", "x" * (r % 4)] for r in reps],
+                    [r / 2 for r in reps]]
+
+        ints, flags, text, halves = samplers.replicate_rows(self.REPS, RngStream(8), rows)
+        reps = range(self.REPS)
+        assert ints.dtype == np.int64 and ints.tolist() == list(reps)
+        assert flags.dtype == np.bool_ and flags.tolist() == [r % 3 == 0 for r in reps]
+        assert text.dtype.kind == "U"
+        assert text.tolist() == [[f"r{r}", "x" * (r % 4)] for r in reps]
+        assert halves.dtype == np.float64 and halves.tolist() == [r / 2 for r in reps]
 
     def test_rows_learn_the_first_replicate_of_their_range(self, monkeypatch):
         self.on_cpus(monkeypatch, 3)
