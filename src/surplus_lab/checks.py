@@ -163,7 +163,7 @@ def vervaat_suite(n: int = 6) -> SuiteResult:
         raise EnumerationCapExceeded(f"n={n} exceeds enumeration cap 8")
     res = SuiteResult("vervaat")
     for k in range(1, n + 1):
-        fibers: Counter = Counter()
+        fibers = Counter()
         total = 0
         for ups in combinations(range(2 * k + 1), k):
             steps = np.full(2 * k + 1, -1, dtype=np.int64)

@@ -127,10 +127,11 @@ def radius_laws(n: int, s: int, reps: int, rng: RngStream) -> Estimate:
 
     Map route: radius of the breadth-first map, scaled by ``sqrt(2/n)``.  Its root
     distances are the contour heights of its exploration tree
-    (:meth:`TiltSample.distances_from_root`), so no corner pair is drawn and only the
-    ``B(f)^s`` tilt applies, the uniform-map law exactly only at ``s = 1``.  Contour route: twice the maximum of the tilted
-    excursion over ``sqrt(2n)``.  Inverse-height route: the reciprocal-height
-    sum under the depth-first tilt over ``sqrt(2n)``.
+    (:meth:`TiltSample.distances_from_root`), so no corner pair is drawn and only
+    the ``B(f)^s`` tilt applies, the uniform-map law exactly only at ``s = 1``.
+    Contour route: twice the maximum of the tilted excursion over ``sqrt(2n)``.
+    Inverse-height route: the reciprocal-height sum under the depth-first tilt
+    over ``sqrt(2n)``.
     """
     scaled = _route_scale(n, "bf")
     map_ens = tilted_ensemble(
