@@ -42,6 +42,7 @@ from .samplers import (
     decoration_count,
     enumerate_maps,
     enumerate_surplus_graphs,
+    range_rows,
     replicate_rows,
     sample_uniform_excursion,
     sample_corners_bf,
@@ -79,31 +80,63 @@ class SuiteResult:
                 for label, ok, detail, _, line in self.checks if ok is not None]
 
 
+# The fewest (excursion, exploration) items a range of a bijection cell is given.  An item
+# costs about 0.9 ms at k = 4, j = 1 and 40 ms at k = 5, j = 2, against about 3.5 ms for a
+# fork, so the cells with k <= 3 (at most four items) run in this process and the ten
+# items at k = 4 split in two.
+MIN_BIJECTION_RANGE = 5
+# The fewest excursions a range of the gluing dichotomy is given: an excursion costs about
+# 9 ms at k = 5, so the 14 there fork and the 5 at k = 4 (about 2 ms each) do not.
+MIN_DICHOTOMY_RANGE = 7
+
+
 def bijection_suite(n: int = 5, s: int = 2) -> SuiteResult:
-    """Exploration/insertion round trips and the three-way count equality."""
+    """Exploration/insertion round trips and the three-way count equality.
+
+    Each (k, j) cell runs its items in ranges on every CPU (:func:`range_rows`).  An item
+    is an excursion with k up-steps and one exploration, breadth-first and depth-first in
+    turn.  A range sends back each item's round-trip verdict and, for each map it built,
+    the exploration that built it and the map's canonical key as one ``uint8`` row.  The
+    key's entries are half-edges, fewer than 2(k + j) <= 24 under the caps of
+    :func:`enumerate_admissible`, which this suite refuses before it starts."""
     if s < 1:  # with no surplus edge the suite would check nothing
         raise ValueError(f"s must be >= 1, got {s}")
+    if n > 8 or s > 4:  # refused here, not after the smaller cells have run
+        raise EnumerationCapExceeded(f"n={n}, s={s} too large for decoration enumeration")
     res = SuiteResult("bijection")
+    modes = (("bf", bf_explore), ("df", df_explore))
     for k in range(1, n + 1):
         excursions = enumerate_excursions(k)
         for j in range(1, s + 1):
-            keys = {}
-            for mode, explore in (("bf", bf_explore), ("df", df_explore)):
-                built = keys[mode] = set()
-                ok_round = True
-                for f in excursions:
+            width = 4 * (k + j)  # the half-edges of an alpha key and then of a sigma key
+
+            def cell(start, stop):
+                verdicts, flags, keys = [], [], []
+                for item in range(start, stop):
+                    f, (mode, explore) = excursions[item // 2], modes[item % 2]
+                    ok = True
                     for xi in enumerate_admissible(f, j, mode):
                         m = insert_edges(f, xi)
-                        key = m.canonical_key()
-                        if key in built:
-                            ok_round = False
-                        built.add(key)
+                        alpha_key, sigma_key = m.canonical_key()
+                        keys.append(bytes(alpha_key + sigma_key))
+                        flags.append(item % 2)
                         f2, xi2 = explore(m)
-                        if f2 != f or xi2 != xi:
-                            ok_round = False
-                res.add(f"{mode}-roundtrip-n{k}-s{j}", ok_round, f"{len(built)} maps")
-            res.add(f"same-map-set-n{k}-s{j}", keys["bf"] == keys["df"],
-                    f"bf={len(keys['bf'])} df={len(keys['df'])}")
+                        ok = ok and f2 == f and xi2 == xi
+                    verdicts.append(ok)
+                return [verdicts, np.array(flags, dtype=np.uint8),
+                        np.frombuffer(b"".join(keys), dtype=np.uint8).reshape(-1, width)]
+
+            verdicts, flags, keys = range_rows(2 * len(excursions), cell, MIN_BIJECTION_RANGE)
+            keys = keys.view(f"V{width}").ravel()  # one bytes scalar a row: np.unique sorts it fast
+            built = []
+            for side, (mode, _) in enumerate(modes):
+                ours = keys[flags == side]
+                built.append(np.unique(ours))  # a key built twice shows as a shortfall
+                res.add(f"{mode}-roundtrip-n{k}-s{j}",
+                        verdicts[side::2].all() and len(built[side]) == len(ours),
+                        f"{len(built[side])} maps")
+            res.add(f"same-map-set-n{k}-s{j}", np.array_equal(*built),
+                    f"bf={len(built[0])} df={len(built[1])}")
     return res
 
 
@@ -122,11 +155,13 @@ def count_suite(n: int = 10) -> SuiteResult:
 
 def w1_suite(n: int = 6) -> SuiteResult:
     """Symmetrized-tree weights summed over all rooted labeled trees equal
-    the rooted unit-surplus graph count.
+    the rooted unit-surplus graph count, for 2 <= k <= n.
 
     The trees on [k] are read as their ``k^(k-1)`` label sequences, whose level
     counts :func:`tree_profile_of_labels` walks off as :func:`sample_tree_profile`
     draws them: each tree shape arises from as many sequences as labeled trees."""
+    if n < 2:  # the first size checked is 2
+        raise ValueError(f"n must be >= 2, got {n}")
     res = SuiteResult("w1")
     for k in range(2, n + 1):
         rhs = len(enumerate_surplus_graphs(k, 1))  # first, as it refuses a k above its cap
@@ -142,7 +177,10 @@ def w1_suite(n: int = 6) -> SuiteResult:
 
 
 def psi_suite(n: int = 5) -> SuiteResult:
-    """Corner-tuple totals match the brute count of distinct-corner unicellular maps."""
+    """Corner-tuple totals match the brute count of distinct-corner unicellular maps, for
+    2 <= k <= n."""
+    if n < 2:  # the first size checked is 2
+        raise ValueError(f"n must be >= 2, got {n}")
     res = SuiteResult("psi")
     for k in range(2, n + 1):
         lhs, rhs = um_count_identity(k, 1)
@@ -201,27 +239,41 @@ def sg_suite() -> SuiteResult:
 
 
 def gluing_dichotomy_suite(n: int = 5) -> SuiteResult:
-    """Gluing dichotomy: one face exactly when the pairing is entangled."""
+    """Gluing dichotomy: one face exactly when the pairing is entangled, for every genus-one
+    gluing of every excursion with 3 <= k <= n up-steps.  The excursions of each size run
+    in ranges on every CPU (:func:`range_rows`).  Capped at n = 8, about 2.1 million
+    gluings; n = 9 would glue about 12.3 million times."""
+    if n < 3:  # the first size with four corners to glue is 3
+        raise ValueError(f"n must be >= 3, got {n}")
+    if n > 8:
+        raise EnumerationCapExceeded(f"n={n} exceeds enumeration cap 8")
     res = SuiteResult("dichotomy")
     g = 1
     pairings = [PermutationPairing(p) for p in all_pairings(4 * g)]
     entangled = {p.transpositions for p in entangled_pairings(g)}
     for k in range(3, n + 1):
-        ok = True
-        tested = 0
-        for f in enumerate_excursions(k):
-            for corners in combinations(range(1, 2 * k), 4 * g):
-                for pairing in pairings:
-                    m, unicellular = unicellular_glue(f, pairing, corners)
-                    tested += 1
-                    if unicellular != (pairing.transpositions in entangled):
-                        ok = False
-                    genus = m.genus()
-                    if genus not in (0, 1):
-                        ok = False
-                    if unicellular and genus != 1:
-                        ok = False
-        res.add(f"dichotomy-n{k}", ok, f"{tested} gluings")
+        excursions = enumerate_excursions(k)
+
+        def glue(start, stop):
+            verdicts, tested = [], 0
+            for f in excursions[start:stop]:
+                ok = True
+                for corners in combinations(range(1, 2 * k), 4 * g):
+                    for pairing in pairings:
+                        m, unicellular = unicellular_glue(f, pairing, corners)
+                        tested += 1
+                        if unicellular != (pairing.transpositions in entangled):
+                            ok = False
+                        genus = m.genus()
+                        if genus not in (0, 1):
+                            ok = False
+                        if unicellular and genus != 1:
+                            ok = False
+                verdicts.append(ok)
+            return [verdicts, [tested]]
+
+        verdicts, tested = range_rows(len(excursions), glue, MIN_DICHOTOMY_RANGE)
+        res.add(f"dichotomy-n{k}", verdicts.all(), f"{tested.sum()} gluings")
     return res
 
 

@@ -11,11 +11,15 @@ last word, ``r``, is mixed in for all replicates at once in 32-bit integer
 arithmetic.  Each stream is the one ``SeedSequence`` itself gives, which
 :meth:`RngStream.generator` still builds and the tests compare against.
 
-Replicate loops run their replicates in contiguous ranges on every CPU the
-process may use (:func:`replicate_rows`): on Linux each range after the
-first goes to a forked worker that seeds only its own substreams.  Outputs
-do not depend on how many CPUs there are, and ``taskset -c 0`` runs one
-process.
+Loops run their items in contiguous ranges on every CPU the process may use
+(:func:`range_rows`): on Linux each range after the first goes to a forked
+worker.  The runner draws nothing; :func:`replicate_rows` is the seeded loop
+over it, whose workers seed only their own substreams.  Six loops use it:
+the estimators' ensembles, the sampled maps of the radius suite and the
+draw-and-write loops of ``sample map`` and ``sample crum`` through
+:func:`replicate_rows`, and, with no random stream, the (size, surplus) cells
+of the bijection suite and the gluings of the dichotomy suite.  Outputs do
+not depend on how many CPUs there are, and ``taskset -c 0`` runs one process.
 
 Tilted laws are realized by self-normalized importance sampling from the
 uniform proposal: excursions are drawn uniformly and carry weights
@@ -158,9 +162,9 @@ def as_generator(rng) -> np.random.Generator:
     raise TypeError(f"cannot interpret {rng!r} as a random generator")
 
 
-# -- replicate ranges on every CPU ----------------------------------------------------
+# -- item ranges on every CPU ---------------------------------------------------------
 
-# The fewest replicates a range is given, by default.  Forking the interpreter with numpy
+# The fewest items a range is given, by default.  Forking the interpreter with numpy
 # loaded, its pipe and its reaping cost about 3.5 ms on a 2-CPU x86-64 host, the time of
 # about 90 replicates of a tilted ensemble at small n (about 40 us each), so a shorter range
 # gains nothing from a worker of its own.  A caller whose replicates cost more passes its
@@ -171,35 +175,33 @@ MIN_FORKED_RANGE = 100
 MIN_SAMPLE_RANGE = 8
 
 
-def replicate_rows(reps: int, rng: RngStream,
-                   rows: Callable[[Iterator[np.random.Generator], int], list[np.ndarray]],
-                   min_range: int = MIN_FORKED_RANGE) -> list[np.ndarray]:
-    """``rows`` over the generators of replicates ``0..reps-1``, each array of its list
-    concatenated in replicate order.
+def range_rows(count: int, rows: Callable[[int, int], list[np.ndarray]],
+               min_range: int = MIN_FORKED_RANGE) -> list[np.ndarray]:
+    """``rows`` over items ``0..count-1``, each array of its list concatenated in item order.
 
-    ``rows`` is handed the generators ``rng.substream(r).generator()`` of one contiguous
-    range of replicates and the first replicate ``r`` of the range, and returns a list of
+    ``rows(start, stop)`` runs the items of one contiguous range and returns a list of
     arrays, each read with its own dtype (numbers, booleans or text, never objects), whose
     first axis follows them; an array may leave out rows, and one with no rows may have
     any shape.  The ranges are one per CPU the process may use, each at least
     ``min_range`` long; on Linux the parent forks a worker for each range after the
-    first, runs the first itself and reads the workers' arrays over pipes.
-    Replicate ``r`` draws only from substream ``r``, so the result does not depend on how
-    many CPUs there are, and ``taskset -c 0`` runs one process.  A worker's exception is
-    raised again here with its type, and every worker is reaped before the call returns.
+    first, runs the first itself and reads the workers' arrays over pipes.  When item
+    ``r``'s rows depend on ``r`` alone, the result does not depend on how many CPUs there
+    are, and ``taskset -c 0`` runs one process.  A worker's exception is raised again here
+    with its type, and every worker is reaped before the call returns.  Nothing here draws
+    at random: :func:`replicate_rows` seeds the ranges of a replicate loop.
     """
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    ranges = min(cpus, reps // min_range) if hasattr(os, "fork") else 1
+    ranges = min(cpus, count // min_range) if hasattr(os, "fork") else 1
     if ranges <= 1:
-        return _range_rows(rows, rng, 0, reps)
-    bounds = [reps * k // ranges for k in range(ranges + 1)]
+        return _range_rows(rows, 0, count)
+    bounds = [count * k // ranges for k in range(ranges + 1)]
     workers = []  # (pid, read end of its pipe), or None for a range this process runs
     try:
         for start, stop in zip(bounds[1:-1], bounds[2:]):
-            workers.append(_fork_range(rows, rng, start, stop))
-        parts = [_range_rows(rows, rng, 0, bounds[1])]
+            workers.append(_fork_range(rows, start, stop))
+        parts = [_range_rows(rows, 0, bounds[1])]
         for start, stop, worker in zip(bounds[1:-1], bounds[2:], workers):
-            parts.append(_read_range(*worker) if worker else _range_rows(rows, rng, start, stop))
+            parts.append(_read_range(*worker) if worker else _range_rows(rows, start, stop))
     except BaseException:
         import signal
 
@@ -213,12 +215,27 @@ def replicate_rows(reps: int, rng: RngStream,
     return [np.concatenate([a for a in arrays if len(a)] or arrays[:1]) for arrays in zip(*parts)]
 
 
-def _range_rows(rows, rng: RngStream, start: int, stop: int) -> list[np.ndarray]:
-    return [np.asarray(a) for a in rows(rng.generators(stop, start), start)]
+def replicate_rows(reps: int, rng: RngStream,
+                   rows: Callable[[Iterator[np.random.Generator], int], list[np.ndarray]],
+                   min_range: int = MIN_FORKED_RANGE) -> list[np.ndarray]:
+    """``rows`` over the generators of replicates ``0..reps-1``, in the ranges of
+    :func:`range_rows`.
+
+    ``rows`` is handed the generators ``rng.substream(r).generator()`` of one contiguous
+    range of replicates, seeded in that range's process, and the first replicate ``r`` of
+    the range.  Replicate ``r`` draws only from substream ``r``, so the result does not
+    depend on how many CPUs there are.
+    """
+    return range_rows(reps, lambda start, stop: rows(rng.generators(stop, start), start),
+                      min_range)
 
 
-def _fork_range(rows, rng: RngStream, start: int, stop: int) -> tuple[int, int] | None:
-    """A forked worker that writes ``rows`` of replicates ``start..stop-1`` to a pipe: a
+def _range_rows(rows, start: int, stop: int) -> list[np.ndarray]:
+    return [np.asarray(a) for a in rows(start, stop)]
+
+
+def _fork_range(rows, start: int, stop: int) -> tuple[int, int] | None:
+    """A forked worker that writes ``rows`` of items ``start..stop-1`` to a pipe: a
     status byte, then either each array in ``.npy`` format or the pickled exception and
     its traceback.  ``None`` when the process cannot fork."""
     read_fd, write_fd = os.pipe()
@@ -235,7 +252,7 @@ def _fork_range(rows, rng: RngStream, start: int, stop: int) -> tuple[int, int] 
         os.close(read_fd)
         with open(write_fd, "wb") as out:
             try:
-                arrays = _range_rows(rows, rng, start, stop)
+                arrays = _range_rows(rows, start, stop)
             except BaseException as exc:  # the parent raises it
                 import pickle
                 import traceback
@@ -272,8 +289,8 @@ def _read_range(pid: int, fd: int) -> list[np.ndarray]:
         import pickle
 
         exc, trace = pickle.loads(data[1:])  # bytes that this program's own worker wrote
-        raise exc from RuntimeError(f"in the worker for this replicate range:\n{trace}")
-    raise ChildProcessError(f"replicate worker {pid} ended with no result")
+        raise exc from RuntimeError(f"in the worker for this range:\n{trace}")
+    raise ChildProcessError(f"range worker {pid} ended with no result")
 
 
 # -- uniform samplers -----------------------------------------------------------

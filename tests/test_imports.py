@@ -81,3 +81,18 @@ def test_cli_and_selftest_leave_numpy_random_unloaded(tmp_path):
     proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]
+
+
+def test_range_rows_leaves_numpy_random_unloaded():
+    # the exact suites run their cells through the range runner, on two CPUs here; neither
+    # the parent nor a worker may load numpy.random for it
+    code = ("import os, sys, surplus_lab.samplers as s; "
+            "os.sched_getaffinity = lambda pid: {0, 1}; "
+            "items, pids, loaded = s.range_rows(8, lambda a, b: [list(range(a, b)), "
+            "[os.getpid()] * (b - a), ['numpy.random' in sys.modules] * (b - a)], 4); "
+            "assert items.tolist() == list(range(8)) and len(set(pids.tolist())) == 2; "
+            "assert not loaded.any() and 'numpy.random' not in sys.modules, loaded")
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]

@@ -288,6 +288,32 @@ class TestCli:
         assert "must be >= 1" in capsys.readouterr().err
         assert not list((tmp_path / "v").glob("*.csv"))
 
+    @pytest.mark.parametrize("suite, n, first", [("dichotomy", 2, 3), ("psi", 1, 2),
+                                                 ("w1", 1, 2)])
+    def test_verify_below_the_first_size_checked_is_usage_error(self, suite, n, first,
+                                                                tmp_path, capsys):
+        # these suites start at n = first, so a smaller n would check nothing and pass
+        assert main(["verify", "--suite", suite, "--n", str(n),
+                     "--out", str(tmp_path / "v")]) == EXIT_USAGE
+        assert f"n must be >= {first}, got {n}" in capsys.readouterr().err
+        assert not list((tmp_path / "v").glob("*.csv"))
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--suite", "dichotomy", "--n", "9"], "n=9 exceeds enumeration cap 8"),
+        (["--suite", "bijection", "--n", "9", "--s", "1"], "n=9, s=1 too large"),
+        (["--suite", "bijection", "--n", "2", "--s", "5"], "n=2, s=5 too large")])
+    def test_verify_refuses_a_size_above_its_cap(self, argv, message, tmp_path, capsys,
+                                                 monkeypatch):
+        # refused before any cell runs: dichotomy at n = 9 would glue about 12.3 million
+        # times, and the bijections at n = 9 would first run every cell up to n = 8
+        def no_cell(*args):
+            raise AssertionError("a cell ran before the size was checked")
+
+        monkeypatch.setattr(checks, "range_rows", no_cell)
+        assert main(["verify", *argv, "--out", str(tmp_path / "v")]) == EXIT_USAGE
+        assert message in capsys.readouterr().err
+        assert not list((tmp_path / "v").glob("*.csv"))
+
     def test_verify_jeulin_small_and_deterministic(self, tmp_path):
         # at this tiny size the identity gap exceeds the threshold, which is
         # fine here: the point is byte-identical reruns and a clean exit code

@@ -26,7 +26,7 @@ from surplus_lab.maps import (
     metric_from_root,
     unicellular_glue,
 )
-from surplus_lab import local_time, maps, samplers
+from surplus_lab import checks, local_time, maps, samplers
 from surplus_lab.samplers import (
     DegenerateEnsembleError,
     WeightedEnsemble,
@@ -495,11 +495,9 @@ def _levels(smp: TiltSample) -> np.ndarray:
     return np.bincount(smp.distances_from_root(), minlength=9)[:9] / 3.0
 
 
-class TestReplicateRanges:
-    """Replicate ranges on 1, 2 and 3 CPUs give bitwise-equal ensembles, and leave no
-    process behind."""
-
-    REPS = 3 * samplers.MIN_FORKED_RANGE + 1  # odd, and three ranges at three CPUs
+class ForkedRanges:
+    """Runs each test on as many CPUs as it asks for, and checks that it leaves no process
+    behind."""
 
     @pytest.fixture(autouse=True)
     def no_child_left(self):
@@ -510,6 +508,13 @@ class TestReplicateRanges:
     @staticmethod
     def on_cpus(monkeypatch, cpus: int) -> None:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+
+
+class TestReplicateRanges(ForkedRanges):
+    """Replicate ranges on 1, 2 and 3 CPUs give bitwise-equal ensembles, and leave no
+    process behind."""
+
+    REPS = 3 * samplers.MIN_FORKED_RANGE + 1  # odd, and three ranges at three CPUs
 
     CASES = {
         "bf-s3": (12, 3, "bf", lambda smp: smp.exc.max_height() / 7.0),
@@ -628,6 +633,96 @@ class TestReplicateRanges:
             tilted_ensemble(6, 1, "bf", self.REPS, RngStream(3), {"x": fail})
         if where == "worker":
             assert "Traceback" in str(info.value.__cause__)
+
+
+class TestRangeRows(ForkedRanges):
+    """The range runner under :func:`replicate_rows`, which draws nothing itself."""
+
+    @staticmethod
+    def items_and_pids(start, stop):
+        return [list(range(start, stop)), [os.getpid()] * (stop - start)]
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    @pytest.mark.parametrize("count", [1, 5, 13, 14])
+    def test_every_item_once_in_order(self, cpus, count, monkeypatch):
+        self.on_cpus(monkeypatch, cpus)
+        items, pids = samplers.range_rows(count, self.items_and_pids, min_range=4)
+        assert items.tolist() == list(range(count))
+        assert len(set(pids.tolist())) == max(1, min(cpus, count // 4))
+
+    @pytest.mark.parametrize("where", ["worker", "parent"])
+    def test_an_exception_keeps_its_type(self, where, monkeypatch):
+        self.on_cpus(monkeypatch, 3)
+        parent = os.getpid()
+
+        def rows(start, stop):
+            if (os.getpid() == parent) == (where == "parent"):
+                raise LookupError(f"items {start}..{stop - 1} in the {where}")
+            return self.items_and_pids(start, stop)
+
+        with pytest.raises(LookupError, match=f"in the {where}") as info:
+            samplers.range_rows(12, rows, min_range=4)
+        if where == "worker":
+            assert "Traceback" in str(info.value.__cause__)
+
+
+class TestExactSuiteRanges(ForkedRanges):
+    """The cells of the bijection suite and the gluings of the dichotomy suite run in
+    ranges on every CPU with the same verdicts."""
+
+    @staticmethod
+    def count_forks(monkeypatch) -> list[int]:
+        forks, fork = [], os.fork
+
+        def counted():
+            pid = fork()
+            if pid:
+                forks.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", counted)
+        return forks
+
+    def test_same_rows_and_lines_on_any_cpu_count(self, monkeypatch):
+        forks = self.count_forks(monkeypatch)
+        runs = []
+        for cpus in (1, 2, 3):
+            self.on_cpus(monkeypatch, cpus)
+            forks.clear()
+            res = checks.bijection_suite(4, 2)
+            assert res.passed and bool(forks) == (cpus > 1)  # the k = 4 cells fork
+            runs.append((res.rows(), res.lines()))
+        assert runs[1] == runs[0] and runs[2] == runs[0]
+
+    def test_dichotomy_same_rows_on_any_cpu_count(self, monkeypatch):
+        forks = self.count_forks(monkeypatch)
+        runs = []
+        for cpus in (1, 2):
+            self.on_cpus(monkeypatch, cpus)
+            forks.clear()
+            res = checks.gluing_dichotomy_suite(5)
+            assert res.passed and bool(forks) == (cpus > 1)  # the 14 excursions at k = 5 fork
+            runs.append((res.rows(), res.lines()))
+        assert runs[1] == runs[0]
+
+    def test_a_failure_in_a_worker_reads_as_fail(self, monkeypatch):
+        self.on_cpus(monkeypatch, 2)
+        clean = checks.bijection_suite(4, 2).rows()
+        forks = self.count_forks(monkeypatch)
+        parent, last = os.getpid(), enumerate_excursions(4)[-1]
+
+        def corrupt(m):  # every depth-first round trip of the last tree at k = 4, in a worker
+            f, xi = maps.df_explore(m)
+            if f == last and os.getpid() != parent:
+                f = enumerate_excursions(1)[0]
+            return f, xi
+
+        monkeypatch.setattr(checks, "df_explore", corrupt)
+        rows = checks.bijection_suite(4, 2).rows()
+        assert forks
+        failed = {f"df-roundtrip-n4-s{j}" for j in (1, 2)}
+        assert rows == [[label, value, detail, int(label not in failed)]
+                        for label, value, detail, _ in clean]
 
 
 def _oracle_adjacency(smp: TiltSample):
