@@ -88,6 +88,10 @@ MIN_BIJECTION_RANGE = 5
 # The fewest excursions a range of the gluing dichotomy is given: an excursion costs about
 # 9 ms at k = 5, so the 14 there fork and the 5 at k = 4 (about 2 ms each) do not.
 MIN_DICHOTOMY_RANGE = 7
+# The largest n the bijection suite runs at each surplus s.  A map costs about 64 us in one
+# process, so each cap keeps a run to about a minute on one CPU: the suite builds 565k maps
+# at n = 7, s = 2 (2.8 million at n = 8), 405k at n = 5, s = 3 and 85k at n = 3, s = 4.
+BIJECTION_CAPS = {1: 8, 2: 7, 3: 5, 4: 3}
 
 
 def bijection_suite(n: int = 5, s: int = 2) -> SuiteResult:
@@ -97,12 +101,13 @@ def bijection_suite(n: int = 5, s: int = 2) -> SuiteResult:
     is an excursion with k up-steps and one exploration, breadth-first and depth-first in
     turn.  A range sends back each item's round-trip verdict and, for each map it built,
     the exploration that built it and the map's canonical key as one ``uint8`` row.  The
-    key's entries are half-edges, fewer than 2(k + j) <= 24 under the caps of
-    :func:`enumerate_admissible`, which this suite refuses before it starts."""
+    key's entries are half-edges, fewer than 2(k + j) <= 18 under :data:`BIJECTION_CAPS`,
+    which this suite checks before it starts."""
     if s < 1:  # with no surplus edge the suite would check nothing
         raise ValueError(f"s must be >= 1, got {s}")
-    if n > 8 or s > 4:  # refused here, not after the smaller cells have run
-        raise EnumerationCapExceeded(f"n={n}, s={s} too large for decoration enumeration")
+    if n > BIJECTION_CAPS.get(s, 0):  # refused here, not after the smaller cells have run
+        raise EnumerationCapExceeded(f"n={n}, s={s} too large for the bijection suite; its "
+                                     f"caps are n <= 8, 7, 5, 3 at s = 1, 2, 3, 4")
     res = SuiteResult("bijection")
     modes = (("bf", bf_explore), ("df", df_explore))
     for k in range(1, n + 1):
@@ -183,7 +188,7 @@ def psi_suite(n: int = 5) -> SuiteResult:
         raise ValueError(f"n must be >= 2, got {n}")
     res = SuiteResult("psi")
     for k in range(2, n + 1):
-        lhs, rhs = um_count_identity(k, 1)
+        lhs, rhs = um_count_identity(k)
         res.add(f"identity-n{k}", lhs == rhs, f"{lhs} vs {rhs}")
         if k == 2:
             res.add("n2-zero", lhs == 0)
@@ -311,7 +316,7 @@ def radius_invariance_suite(n: int = 1000, reps: int = 10_000,
         for gen in gens:
             exc = sample_uniform_excursion(n, gen)
             index = corner_index(exc.values)
-            xi = sample_corners_bf(exc, 1, gen, index)
+            xi = sample_corners_bf(index, 1, gen)
             dist = _root_distances(*contour_tree(exc.values, index), xi.indices)
             depths = np.bincount(exc.values[vertex_times(exc.values)]).tolist()
             out.append(max(dist) == exc.max_height() and np.bincount(dist).tolist() == depths)

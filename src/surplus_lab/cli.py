@@ -26,7 +26,6 @@ from .samplers import (
     sample_uniform_excursion,
     sample_uniform_map,
     sample_unicellular_decoration,
-    unicellular_terms,
     enumerate_maps,
     enumerate_surplus_graphs,
 )
@@ -62,21 +61,21 @@ def _positive_int(text: str) -> int:
     return value
 
 
-# name -> (the suite, selftest's keyword arguments or None when selftest leaves it out);
-# selftest runs its suites in this order.  A suite's signature names the verify options
-# it reads, with their defaults.
+# name -> (the suite's function in ``checks``, looked up when it runs, and selftest's keyword
+# arguments or None when selftest leaves it out); selftest runs its suites in this order.  A
+# suite's signature names the verify options it reads, with their defaults.
 SUITES = {
-    "bijection": (checks.bijection_suite, {"n": 4}),
-    "counts": (checks.count_suite, {"n": 8}),
-    "w1": (checks.w1_suite, {"n": 5}),
-    "psi": (checks.psi_suite, {"n": 4}),
-    "vervaat": (checks.vervaat_suite, {"n": 5}),
-    "sg": (checks.sg_suite, {}),
-    "dichotomy": (checks.gluing_dichotomy_suite, {"n": 4}),
-    "decoration": (checks.decoration_count_suite, {"n": 4}),
-    "radius": (checks.radius_invariance_suite, None),
-    "jeulin": (checks.jeulin_suite, None),
-    "lemma3": (checks.lemma3_suite, None),
+    "bijection": ("bijection_suite", {"n": 4}),
+    "counts": ("count_suite", {"n": 8}),
+    "w1": ("w1_suite", {"n": 5}),
+    "psi": ("psi_suite", {"n": 4}),
+    "vervaat": ("vervaat_suite", {"n": 5}),
+    "sg": ("sg_suite", {}),
+    "dichotomy": ("gluing_dichotomy_suite", {"n": 4}),
+    "decoration": ("decoration_count_suite", {"n": 4}),
+    "radius": ("radius_invariance_suite", None),
+    "jeulin": ("jeulin_suite", None),
+    "lemma3": ("lemma3_suite", None),
 }
 # verify's suite parameters; a suite that does not read one refuses it
 VERIFY_OPTIONS = ("n", "s", "reps", "seed", "threshold")
@@ -234,15 +233,14 @@ def cmd_sample(args) -> int:
         persistence.write_csv(path, ["replicate", "root", "edges", "weight"], rows)
         files.append(path)
     else:  # crum
-        pairings = entangled_pairings(args.g)
+        entangled_pairings(args.g)  # refuses a genus it cannot glue, even at --reps 0
 
         def draw(gens, start):  # each replicate range writes its own maps
             rows = []  # the pairing, the corners and the heights, or "degenerate"
             for r, gen in enumerate(gens, start):
                 exc = sample_uniform_excursion(args.n, gen)
                 try:
-                    pairing, heights, corners = sample_unicellular_decoration(
-                        exc, args.g, gen, unicellular_terms(exc, args.g, pairings))
+                    pairing, heights, corners = sample_unicellular_decoration(exc, args.g, gen)
                 except DegenerateEnsembleError:  # no gluable corner tuple
                     rows.append(["degenerate", "", ""])
                     continue
@@ -361,7 +359,7 @@ def _report(results, path: Path) -> bool:
 
 
 def cmd_verify(args) -> int:
-    run = SUITES[args.suite][0]
+    run = getattr(checks, SUITES[args.suite][0])
     reads = inspect.signature(run).parameters
     unread = [f"--{opt}" for opt in VERIFY_OPTIONS
               if opt not in reads and getattr(args, opt) is not None]
@@ -454,8 +452,8 @@ def cmd_selftest(args) -> int:
     outdir = _outdir(args)
     manifest = persistence.new_manifest(0, "selftest", argv=args.argv, parameters={})
     path = outdir / "selftest.csv"
-    ok = _report((run(**kwargs) for run, kwargs in SUITES.values() if kwargs is not None),
-                 path)
+    ok = _report((getattr(checks, name)(**kwargs) for name, kwargs in SUITES.values()
+                  if kwargs is not None), path)
     _finish(manifest, outdir, path)
     print("selftest:", "PASS" if ok else "FAIL")
     return EXIT_OK if ok else EXIT_VERIFY

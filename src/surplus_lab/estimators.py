@@ -10,7 +10,7 @@ excursions, and through weighted labeled trees then target the same limits.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gamma, pi, sqrt
+from math import comb, gamma, pi, sqrt
 
 import numpy as np
 
@@ -61,9 +61,9 @@ def ks_distance(a: tuple[WeightedEnsemble, str], b: tuple[WeightedEnsemble, str]
     return float(np.max(np.abs(_cdf_at(va, wa, grid) - _cdf_at(vb, wb, grid))))
 
 
-def ks_two_sample_critical(m: float, n: float, alpha: float = 0.01) -> float:
-    """Asymptotic two-sample KS critical value at level alpha."""
-    c = sqrt(-np.log(alpha / 2.0) / 2.0)
+def ks_two_sample_critical(m: float, n: float) -> float:
+    """Asymptotic two-sample KS critical value at the 1 % level."""
+    c = sqrt(-np.log(0.01 / 2.0) / 2.0)
     return c * sqrt((m + n) / (m * n))
 
 
@@ -341,15 +341,15 @@ def gap_trend_steps(ests: list[GapEstimate]) -> list[tuple]:
 # -- growth-constant recursion and count asymptotics -----------------------------------
 
 
-def wright_sequence(s_max: int, omega1: float = 1.0) -> list[float]:
+def wright_sequence(s_max: int) -> list[float]:
     """Growth coefficients by the quadratic convolution recursion.
 
     ``w[s] = sum_{k=1}^{s-1} w[k] w[s-k] + 2 (3s - 4) w[s-1]`` anchored at
-    ``w[1] = omega1``.
+    ``w[1] = 1``, the limit of :func:`surplus_one_ratios`.
     """
     if not 1 <= s_max <= WRIGHT_CAP:
         raise ValueError(f"s_max must be within 1..{WRIGHT_CAP}")
-    w = [0.0, float(omega1)]
+    w = [0.0, 1.0]
     for s in range(2, s_max + 1):
         w.append(sum(w[k] * w[s - k] for k in range(1, s)) + 2 * (3 * s - 4) * w[s - 1])
     return w[1:]
@@ -363,29 +363,31 @@ def exact_map_count(n: int, s: int) -> int:
     return total
 
 
-def surplus_one_ratios(n_max: int = 12) -> dict[int, float]:
-    """Exact ratios ``2 * #maps(n, 1) / 4^n`` that approach the first growth constant.
+def surplus_one_ratios() -> dict[int, float]:
+    """Exact ratios ``2 * #maps(n, 1) / 4^n``, ``n <= 12``, that approach the first growth
+    constant.
 
-    Summed over the excursions of half-length ``n``, ``B(f) = 2^(2n-1) - C(2n-1, n)``, so
-    the ratio is ``1 - C(2n, n) / 4^n`` and its limit is exactly 1."""
-    return {n: 2.0 * exact_map_count(n, 1) / 4.0 ** n for n in range(1, n_max + 1)}
+    Summed over the excursions of half-length ``n``, ``B(f) = 2^(2n-1) - C(2n-1, n)``, which
+    is ``#maps(n, 1)``, so the ratio is ``1 - C(2n, n) / 4^n`` and its limit is exactly 1."""
+    return {n: 2.0 * (2 ** (2 * n - 1) - comb(2 * n - 1, n)) / 4.0 ** n for n in range(1, 13)}
 
 
-def omega1_anchor(n_max: int = 12, fit_from: int = 8) -> tuple[dict[int, float], float]:
-    """Extrapolate the surplus-one ratio to its limit via a linear fit in n^{-1/2}."""
-    ratios = surplus_one_ratios(n_max)
-    ns = [n for n in ratios if n >= fit_from]
+def omega1_anchor() -> tuple[dict[int, float], float]:
+    """Extrapolate the surplus-one ratio to its limit via a linear fit in n^{-1/2} over
+    ``8 <= n <= 12``."""
+    ratios = surplus_one_ratios()
+    ns = [n for n in ratios if n >= 8]
     x = np.array([n ** -0.5 for n in ns])
     y = np.array([ratios[n] for n in ns])
     slope, intercept = np.polyfit(x, y, 1)
     return ratios, float(intercept)
 
 
-def excursion_mean_area_power(s: int, omega1: float = 1.0) -> float:
+def excursion_mean_area_power(s: int) -> float:
     """Moments of the excursion area implied by the growth coefficients."""
     if s == 0:
         return 1.0
-    w = wright_sequence(s, omega1)[-1]
+    w = wright_sequence(s)[-1]
     from math import factorial
 
     return w * factorial(s) * sqrt(pi) / (gamma((3 * s - 1) / 2.0) * 2.0 ** (3.5 * s - 2))
@@ -400,7 +402,7 @@ class CountTable:
     prediction: float
 
 
-def count_asymptotics(family: str, n: int, s_or_g: int, omega1: float = 1.0) -> CountTable:
+def count_asymptotics(family: str, n: int, s_or_g: int) -> CountTable:
     """Exact count (where enumerable) next to its asymptotic prediction."""
     s = s_or_g
     if family == "f":
@@ -411,11 +413,11 @@ def count_asymptotics(family: str, n: int, s_or_g: int, omega1: float = 1.0) -> 
             pred = 4.0 ** (n - 1) / (sqrt(pi) * max(n - 1, 1) ** 1.5) if n >= 2 else 1.0
             exact = excursion_count(n)
         else:
-            w = wright_sequence(s, omega1)[-1]
+            w = wright_sequence(s)[-1]
             pred = w * n ** (1.5 * (s - 1)) * 4.0 ** n / (2.0 ** s * gamma((3 * s - 1) / 2.0))
             exact = exact_map_count(n, s) if n <= 12 and s <= 2 else None
     elif family == "h":
-        mom = excursion_mean_area_power(s, omega1)
+        mom = excursion_mean_area_power(s)
         from math import factorial
 
         pred = float(n) ** (n - 1 + 1.5 * s) * mom / factorial(s)
@@ -452,15 +454,15 @@ def unicellular_star_count(n: int, g: int) -> int:
     return count
 
 
-def um_count_identity(n: int, g: int = 1) -> tuple[int, int]:
-    """Corner-tuple total over all excursions against the brute unicellular count."""
+def um_count_identity(n: int) -> tuple[int, int]:
+    """Genus-one corner-tuple total over all excursions against the brute unicellular count."""
     from .maps import entangled_pairings, pairing_tuple_count
 
-    if n > 5 or g != 1:
+    if n > 5:
         raise ValueError("identity check capped at n <= 5, g = 1")
-    pairings = entangled_pairings(g)
+    pairings = entangled_pairings(1)
     lhs = 0
     for f in enumerate_excursions(n):
         lhs += sum(pairing_tuple_count(f, p) for p in pairings)
-    rhs = unicellular_star_count(n, g)
+    rhs = unicellular_star_count(n, 1)
     return lhs, rhs

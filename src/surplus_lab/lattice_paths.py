@@ -204,14 +204,9 @@ class LabeledTree:
 
     __slots__ = ("n", "root", "parent")
 
-    def __init__(self, n: int, root: int, parent: dict[int, int] | list[int]):
+    def __init__(self, n: int, root: int, parent: list[int]):
         self.n = n
         self.root = root
-        if isinstance(parent, dict):
-            par = [0] * (n + 1)
-            for v, p in parent.items():
-                par[v] = p
-            parent = par
         self.parent = parent
         if parent[root] != 0:
             raise ValueError("root must have parent 0")

@@ -45,10 +45,9 @@ import numpy as np
 from .lattice_paths import LatticeExcursion
 
 
-def level_occupancy(f) -> np.ndarray:
+def level_occupancy(f: LatticeExcursion) -> np.ndarray:
     """Visit counts per level at the terminal time (no field construction)."""
-    values = f.values if hasattr(f, "values") else np.asarray(f, dtype=np.int64)
-    return np.bincount(values)
+    return np.bincount(f.values)
 
 
 class CornerIndex(NamedTuple):
@@ -114,32 +113,25 @@ def contour_tree(values, index: CornerIndex) -> tuple[np.ndarray, np.ndarray]:
     return at, parent
 
 
-def _index_of(f) -> CornerIndex:
-    return f if isinstance(f, CornerIndex) else corner_index(f)
-
-
-def bf_per_index(f) -> np.ndarray:
-    """All breadth-first corner weights ``B(f; i)``, ``i = 0..2n``, of a path or its index:
-    the corners from ``i`` on at its level plus those one level down."""
-    index = _index_of(f)
+def bf_per_index(index: CornerIndex) -> np.ndarray:
+    """All breadth-first corner weights ``B(f; i)``, ``i = 0..2n``, off the corner index of
+    ``f``: the corners from ``i`` on at its level plus those one level down."""
     out = np.zeros(len(index.pos), dtype=np.int64)
     same = index.start[index.levels + 1] - np.arange(len(index.times))
     out[index.times] = same + index.start[index.levels] - index.down
     return out
 
 
-def corner_total(f, mode: str) -> int:
-    """The total ``B(f)`` (``mode="bf"``) or ``D(f)`` (``"df"``) of a path or its index in
-    closed form, ``m(m+1)/2`` less the sum of ``down`` or of ``q`` over the ``m`` corners."""
-    index = _index_of(f)
+def corner_total(index: CornerIndex, mode: str) -> int:
+    """The total ``B(f)`` (``mode="bf"``) or ``D(f)`` (``"df"``) off the corner index of ``f``
+    in closed form, ``m(m+1)/2`` less the sum of ``down`` or of ``q`` over the ``m`` corners."""
     m = len(index.times)
     return m * (m + 1) // 2 - int((index.down if mode == "bf" else index.q).sum())
 
 
-def df_per_index(f) -> np.ndarray:
-    """All depth-first corner weights ``D(f; i)``, ``i = 0..2n``, of a path or its index:
-    ``#{j : q(j) < i} - #{j : j < i}``, one difference array."""
-    index = _index_of(f)
+def df_per_index(index: CornerIndex) -> np.ndarray:
+    """All depth-first corner weights ``D(f; i)``, ``i = 0..2n``, off the corner index of
+    ``f``: ``#{j : q(j) < i} - #{j : j < i}``, one difference array."""
     span = len(index.pos)
     return np.cumsum(np.bincount(index.q + 1, minlength=span)
                      - np.bincount(index.times + 1, minlength=span))

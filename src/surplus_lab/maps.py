@@ -21,6 +21,7 @@ walk choose the tree as it goes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import chain, combinations, combinations_with_replacement, islice, permutations, product
 from operator import eq, itemgetter
 
@@ -604,18 +605,15 @@ def is_entangled(pairing: PermutationPairing, order: str = "pairing-first") -> b
     return seen == size
 
 
-def entangled_pairings(g: int) -> list[PermutationPairing]:
-    """All pairings of [4g] whose gluing leaves a single face (one boundary cycle)."""
+@cache
+def entangled_pairings(g: int) -> tuple[PermutationPairing, ...]:
+    """All pairings of [4g] whose gluing leaves a single face (one boundary cycle), built
+    once per process."""
     if g < 1:
         raise ValueError(f"genus must be >= 1 (got g={g})")
     if g > SG_CAP:
         raise EnumerationCapExceeded(f"g={g} exceeds pairing cap {SG_CAP}")
-    out = []
-    for pairing in all_pairings(4 * g):
-        p = PermutationPairing(pairing)
-        if is_entangled(p):
-            out.append(p)
-    return out
+    return tuple(p for p in map(PermutationPairing, all_pairings(4 * g)) if is_entangled(p))
 
 
 def all_pairings(size: int):

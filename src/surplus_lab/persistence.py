@@ -74,12 +74,11 @@ class RunManifest:
                                    indent=2, sort_keys=True) + "\n")
 
 
-def new_manifest(seed: int, command: str, parameters: dict,
-                 argv: list | None = None) -> RunManifest:
+def new_manifest(seed: int, command: str, parameters: dict, argv: list) -> RunManifest:
     from . import __version__
 
     return RunManifest(seed=seed, command=command, parameters=parameters,
-                       version=__version__, started=_now(), argv=list(argv or []))
+                       version=__version__, started=_now(), argv=list(argv))
 
 
 def _now() -> str:

@@ -3,8 +3,9 @@
 Sampling is driven by :class:`RngStream`: a master seed plus a tuple of
 stream indices, expanded through ``numpy``'s ``SeedSequence`` spawning so
 that (seed, stream) fully determines every draw and distinct streams are
-statistically independent.  Ensemble replicate ``r`` always uses substream
-``r``, so results do not depend on evaluation order.  An ensemble seeds its
+statistically independent.  Each sampler takes the ``np.random.Generator`` of
+one stream.  Ensemble replicate ``r`` always uses substream ``r``, so results
+do not depend on evaluation order.  An ensemble seeds its
 replicates' streams in one pass (:meth:`RngStream.generators`): the
 ``SeedSequence`` hash of the shared (seed, path) prefix is run once and its
 last word, ``r``, is mixed in for all replicates at once in 32-bit integer
@@ -30,8 +31,8 @@ expectations under the corresponding tilted law.
 
 from __future__ import annotations
 
-import io
 import os
+import pickle
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
@@ -152,16 +153,6 @@ def _pcg64_seeds(seed: int, path: tuple[int, ...], count: int, start: int = 0) -
     return np.stack([state[k] | state[k + 1] << 32 for k in range(0, 8, 2)], axis=1)
 
 
-def as_generator(rng) -> np.random.Generator:
-    if isinstance(rng, np.random.Generator):
-        return rng
-    if isinstance(rng, RngStream):
-        return rng.generator()
-    if isinstance(rng, (int, np.integer)):
-        return RngStream(int(rng)).generator()
-    raise TypeError(f"cannot interpret {rng!r} as a random generator")
-
-
 # -- item ranges on every CPU ---------------------------------------------------------
 
 # The fewest items a range is given, by default.  Forking the interpreter with numpy
@@ -235,9 +226,9 @@ def _range_rows(rows, start: int, stop: int) -> list[np.ndarray]:
 
 
 def _fork_range(rows, start: int, stop: int) -> tuple[int, int] | None:
-    """A forked worker that writes ``rows`` of items ``start..stop-1`` to a pipe: a
-    status byte, then either each array in ``.npy`` format or the pickled exception and
-    its traceback.  ``None`` when the process cannot fork."""
+    """A forked worker that writes ``rows`` of items ``start..stop-1`` to a pipe, pickled
+    as ``(arrays, None)`` or ``(None, (exception, traceback))``, dumped whole before the one
+    write.  ``None`` when the process cannot fork."""
     read_fd, write_fd = os.pipe()
     try:
         pid = os.fork()
@@ -252,23 +243,17 @@ def _fork_range(rows, start: int, stop: int) -> tuple[int, int] | None:
         os.close(read_fd)
         with open(write_fd, "wb") as out:
             try:
-                arrays = _range_rows(rows, start, stop)
+                result = pickle.dumps((_range_rows(rows, start, stop), None))
             except BaseException as exc:  # the parent raises it
-                import pickle
                 import traceback
 
                 trace = traceback.format_exc()
                 try:
-                    error = pickle.dumps((exc, trace))
+                    result = pickle.dumps((None, (exc, trace)))
                 except Exception:  # an exception that does not pickle is sent as its text
-                    error = pickle.dumps((RuntimeError(f"{type(exc).__name__}: {exc}"), trace))
-                out.write(b"\1" + error)
-            else:
-                buf = io.BytesIO(b"\0")
-                buf.seek(1)
-                for a in arrays:
-                    np.lib.format.write_array(buf, a, allow_pickle=False)
-                out.write(buf.getvalue())
+                    text = RuntimeError(f"{type(exc).__name__}: {exc}")
+                    result = pickle.dumps((None, (text, trace)))
+            out.write(result)
     finally:
         os._exit(0)  # never back into the caller's code, and no exit handlers or flushes
 
@@ -278,25 +263,19 @@ def _read_range(pid: int, fd: int) -> list[np.ndarray]:
     chunks = []
     while chunk := os.read(fd, 1 << 20):
         chunks.append(chunk)
-    data = b"".join(chunks)
-    if data[:1] == b"\0":
-        buf = io.BytesIO(data[1:])
-        arrays = []
-        while buf.tell() < len(data) - 1:
-            arrays.append(np.lib.format.read_array(buf, allow_pickle=False))
-        return arrays
-    if data[:1] == b"\1":
-        import pickle
-
-        exc, trace = pickle.loads(data[1:])  # bytes that this program's own worker wrote
+    if not chunks:
+        raise ChildProcessError(f"range worker {pid} ended with no result")
+    arrays, error = pickle.loads(b"".join(chunks))  # bytes that this program's own worker wrote
+    if error:
+        exc, trace = error
         raise exc from RuntimeError(f"in the worker for this range:\n{trace}")
-    raise ChildProcessError(f"range worker {pid} ended with no result")
+    return arrays
 
 
 # -- uniform samplers -----------------------------------------------------------
 
 
-def sample_uniform_excursion(n: int, rng) -> LatticeExcursion:
+def sample_uniform_excursion(n: int, gen: np.random.Generator) -> LatticeExcursion:
     """Uniform contour excursion of half-length ``n``: one shuffle of ``n - 1`` up-steps
     and ``n`` down-steps gives a uniform bridge from 0 to -1, which
     :func:`vervaat_excursion` rotates at its first minimum (the cycle lemma)."""
@@ -305,7 +284,7 @@ def sample_uniform_excursion(n: int, rng) -> LatticeExcursion:
     steps = np.empty(2 * n - 1, dtype=np.int64)
     steps[:n - 1] = 1
     steps[n - 1:] = -1
-    as_generator(rng).shuffle(steps)
+    gen.shuffle(steps)
     return vervaat_excursion(steps)
 
 
@@ -343,13 +322,12 @@ def prufer_decode(code, n: int, root: int) -> LabeledTree:
     return LabeledTree(n, root, parent)
 
 
-def sample_labeled_tree(n: int, rng) -> LabeledTree:
+def sample_labeled_tree(n: int, gen: np.random.Generator) -> LabeledTree:
     """Uniform over the ``n^(n-1)`` rooted labeled trees on [n].
 
     :func:`sample_surplus_graph` draws its spanning tree here; a height
     profile alone comes from :func:`sample_tree_profile`, with no tree.
     """
-    gen = as_generator(rng)
     if n == 1:
         return LabeledTree(1, 1, [0, 0])
     root = int(gen.integers(1, n + 1))
@@ -357,7 +335,7 @@ def sample_labeled_tree(n: int, rng) -> LabeledTree:
     return prufer_decode(code, n, root)
 
 
-def sample_tree_profile(n: int, rng) -> HeightProfile:
+def sample_tree_profile(n: int, gen: np.random.Generator) -> HeightProfile:
     """Height profile of a uniform rooted labeled tree on [n], drawn without the tree.
 
     Without its labels such a tree is a Poisson(1) Galton–Watson tree
@@ -367,7 +345,7 @@ def sample_tree_profile(n: int, rng) -> HeightProfile:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    return tree_profile_of_labels(as_generator(rng).integers(1, n + 1, size=n - 1), n)
+    return tree_profile_of_labels(gen.integers(1, n + 1, size=n - 1), n)
 
 
 def tree_profile_of_labels(labels, n: int) -> HeightProfile:
@@ -412,14 +390,11 @@ def _pairs_to_decoration(mode: str, pairs: list[tuple[int, int]]) -> AdmissibleC
     return AdmissibleCorners.from_tagged(mode, tagged)
 
 
-def sample_corners_bf(f: LatticeExcursion, s: int, rng,
-                      index: CornerIndex | None = None) -> AdmissibleCorners:
-    """Independent corner pairs: first index by weight, partner uniform at the
-    same height or one below.  The partners of ``i`` are its level's block of
-    the corner index from ``i`` on, then the block one level down from ``i`` on.
-    ``index`` is :func:`corner_index` of ``f``, for a caller that holds it."""
-    gen = as_generator(rng)
-    index = corner_index(f.values) if index is None else index
+def sample_corners_bf(index: CornerIndex, s: int, gen: np.random.Generator) -> AdmissibleCorners:
+    """Independent corner pairs of the excursion with corner ``index``: first index by
+    weight, partner uniform at the same height or one below.  The partners of ``i`` are its
+    level's block of the corner index from ``i`` on, then the block one level down from
+    ``i`` on."""
     per_index = bf_per_index(index)
     if int(per_index.sum()) == 0:
         raise DegenerateEnsembleError("breadth-first corner weight vanished")
@@ -438,14 +413,10 @@ def _bf_partner(index: CornerIndex, i: int, u: int) -> int:
     return int(index.times[k + u if u < same else int(index.down[k]) + u - same])
 
 
-def sample_corners_df(f: LatticeExcursion, s: int, rng,
-                      index: CornerIndex | None = None) -> AdmissibleCorners:
-    """Independent corner pairs: first index by weight, then an ancestor level
-    by its revisit count, then a uniform revisit time.  The partners of ``i``
-    are the corners ``j >= i`` with ``q(j) < i``, by (level, time); ``index``
-    is as in :func:`sample_corners_bf`."""
-    gen = as_generator(rng)
-    index = corner_index(f.values) if index is None else index
+def sample_corners_df(index: CornerIndex, s: int, gen: np.random.Generator) -> AdmissibleCorners:
+    """Independent corner pairs of the excursion with corner ``index``: first index by
+    weight, then an ancestor level by its revisit count, then a uniform revisit time.  The
+    partners of ``i`` are the corners ``j >= i`` with ``q(j) < i``, by (level, time)."""
     per_index = df_per_index(index)
     if int(per_index.sum()) == 0:
         raise DegenerateEnsembleError("depth-first corner weight vanished")
@@ -461,17 +432,18 @@ def sample_corners_df(f: LatticeExcursion, s: int, rng,
     return _pairs_to_decoration("df", pairs)
 
 
-def unicellular_terms(f: LatticeExcursion, g: int, pairings=None):
+def unicellular_terms(f: LatticeExcursion, g: int):
     """The genus-``g`` pairings, their gluable-tuple counts and, at genus one,
     the :func:`genus_one_counts` behind the single count (``None`` above it)."""
-    pairings = entangled_pairings(g) if pairings is None else pairings
+    pairings = entangled_pairings(g)
     if g == 1:
         per_r3 = genus_one_counts(f)
         return pairings, [sum(per_r3.tolist())], per_r3
     return pairings, [pairing_tuple_count(f, p) for p in pairings], None
 
 
-def sample_unicellular_decoration(f: LatticeExcursion, g: int, rng, terms=None):
+def sample_unicellular_decoration(f: LatticeExcursion, g: int, gen: np.random.Generator,
+                                  terms=None):
     """A pairing, its heights, and a gluable increasing corner tuple.
 
     The pairing is drawn with probability proportional to its tuple count and
@@ -480,7 +452,6 @@ def sample_unicellular_decoration(f: LatticeExcursion, g: int, rng, terms=None):
     ``terms`` is :func:`unicellular_terms` of ``f``, for a caller that holds
     it already.
     """
-    gen = as_generator(rng)
     pairings, totals, counted = unicellular_terms(f, g) if terms is None else terms
     grand = sum(totals)
     if grand == 0:
@@ -534,8 +505,8 @@ def _times_at(vals: np.ndarray, levels, lo: int, hi: int) -> np.ndarray:
 # -- exact decoration counts ---------------------------------------------------
 
 
-def _terms(f: LatticeExcursion | CornerIndex, s: int, mode: str):
-    """The pair count ``P``, the pair ends at each corner of the index (a loop has two)
+def _terms(f: LatticeExcursion, s: int, mode: str):
+    """The pair count ``P``, the pair ends at each corner of ``f``'s index (a loop has two)
     and, at ``s = 2``, their sum of squares ``e·e``.  A breadth-first corner's ends are the
     index positions from its partners one level down, ``down[k]``, to the corners a level up
     before it, plus its loop's second end; since ``down`` is nondecreasing, the first corner
@@ -547,7 +518,7 @@ def _terms(f: LatticeExcursion | CornerIndex, s: int, mode: str):
                          "use enumerate_admissible for more")
     if s == 0:
         return 0, None, 0
-    index = f if isinstance(f, CornerIndex) else corner_index(f.values)
+    index = corner_index(f.values)
     m = len(index.times)
     if mode == "bf":
         ends = np.add.accumulate(np.bincount(index.down, minlength=m)) + 1 - index.down
@@ -558,9 +529,9 @@ def _terms(f: LatticeExcursion | CornerIndex, s: int, mode: str):
     return int(ends.sum()) // 2, ends, int(ends @ ends) if s == 2 else 0
 
 
-def decoration_count(f: LatticeExcursion | CornerIndex, s: int, mode: str) -> int:
+def decoration_count(f: LatticeExcursion, s: int, mode: str) -> int:
     """Exact number of canonical decorations with ``s`` surplus edges (s <= 2) of an
-    excursion or its corner index, from :func:`_terms`: 1, ``P``, or ``(P^2 + P + e·e)/2``,
+    excursion, from :func:`_terms`: 1, ``P``, or ``(P^2 + P + e·e)/2``,
     the sum of ``C(P, 2)`` (two distinct pairs), ``2P`` (a doubled pair) and ``C(e_c, 2)``
     over the corners ``c`` (two ends at one corner)."""
     pairs, _, sq = _terms(f, s, mode)
@@ -634,14 +605,12 @@ class TiltSample:
     one, so the surplus edges never shorten a distance to the root.
     """
 
-    def __init__(self, exc: LatticeExcursion, gen: np.random.Generator, mode: str, tilt: int,
-                 pairings=None):
+    def __init__(self, exc: LatticeExcursion, gen: np.random.Generator, mode: str, tilt: int):
         self.exc = exc
         self.gen = gen
         self.mode = mode
         self.tilt = tilt
-        self._pairings = pairings
-        self._index = None  # the corner index behind a bf or df weight; the chords reuse it
+        self._index = None  # the corner index behind a bf or df weight and its chords
         self._times = None
         self._chords = None
         self._weight = None
@@ -650,17 +619,21 @@ class TiltSample:
     def weight(self) -> float:
         if self._weight is None:
             if self.mode == "um":
-                self._um_terms = unicellular_terms(self.exc, self.tilt, self._pairings)
+                self._um_terms = unicellular_terms(self.exc, self.tilt)
                 self._weight = float(sum(self._um_terms[1]))
             elif self.mode not in ("bf", "df"):
                 raise ValueError(f"unknown tilt mode {self.mode!r}")
             elif self.tilt == 0:
                 self._weight = 1.0  # B^0 = D^0 = 1
             else:
-                self._index = corner_index(self.exc.values)
-                self._weight = tilt_weight(corner_total(self._index, self.mode), self.tilt,
+                self._weight = tilt_weight(corner_total(self._corners(), self.mode), self.tilt,
                                            self.mode, self.exc.n)
         return self._weight
+
+    def _corners(self) -> CornerIndex:
+        if self._index is None:
+            self._index = corner_index(self.exc.values)
+        return self._index
 
     def chords(self) -> list[tuple[int, int]]:
         """Sampled surplus edges as contour-time pairs (corner decoration applied once)."""
@@ -673,7 +646,7 @@ class TiltSample:
                 self._chords = [(corners[a - 1], corners[b - 1]) for a, b in pairing.transpositions]
             else:
                 sample = sample_corners_bf if self.mode == "bf" else sample_corners_df
-                xi = sample(self.exc, self.tilt, self.gen, self._index)
+                xi = sample(self._corners(), self.tilt, self.gen)
                 self._chords = [(xi.indices[2 * j], xi.indices[2 * j + 1]) for j in range(xi.s)]
         return self._chords
 
@@ -727,12 +700,11 @@ def tilted_ensemble(n: int, tilt: int, mode: str, reps: int, rng: RngStream,
         raise ValueError("reps must be >= 1")
     if mode not in ("bf", "df", "um"):
         raise ValueError(f"unknown tilt mode {mode!r}")
-    pairings = entangled_pairings(tilt) if mode == "um" else None
 
     def rows(gens, _):
         weights, values = [], {name: [] for name in functionals}
         for gen in gens:
-            sample = TiltSample(sample_uniform_excursion(n, gen), gen, mode, tilt, pairings)
+            sample = TiltSample(sample_uniform_excursion(n, gen), gen, mode, tilt)
             weights.append(weight := sample.weight())
             # zero-weight samples cannot always be decorated; their values never matter
             if weight > 0:
@@ -753,8 +725,9 @@ def tilted_ensemble(n: int, tilt: int, mode: str, reps: int, rng: RngStream,
 # -- maps: enumeration and uniform sampling ---------------------------------------
 
 
-def enumerate_maps(n: int, s: int, mode: str = "bf") -> list[RootedMap]:
-    """All rooted maps with n+1 vertices, surplus s, and a degree-one root."""
+def enumerate_maps(n: int, s: int) -> list[RootedMap]:
+    """All rooted maps with n+1 vertices, surplus s, and a degree-one root, by breadth-first
+    decoration."""
     from .lattice_paths import enumerate_excursions
 
     if n > 5 or s > 2:
@@ -762,7 +735,7 @@ def enumerate_maps(n: int, s: int, mode: str = "bf") -> list[RootedMap]:
     out = []
     seen = set()
     for f in enumerate_excursions(n):
-        for xi in enumerate_admissible(f, s, mode):
+        for xi in enumerate_admissible(f, s, "bf"):
             m = insert_edges(f, xi)
             key = m.canonical_key()
             if key in seen:
@@ -772,7 +745,8 @@ def enumerate_maps(n: int, s: int, mode: str = "bf") -> list[RootedMap]:
     return out
 
 
-def sample_map_decoration(n: int, s: int, rng) -> tuple[LatticeExcursion, AdmissibleCorners, float]:
+def sample_map_decoration(n: int, s: int, gen: np.random.Generator
+                          ) -> tuple[LatticeExcursion, AdmissibleCorners, float]:
     """One weighted draw of (excursion, decoration) whose weighted law over glued maps
     is exactly uniform, at every ``s``.
 
@@ -784,12 +758,11 @@ def sample_map_decoration(n: int, s: int, rng) -> tuple[LatticeExcursion, Admiss
     weight ``B(f)^s prod_c n_c! / (s! 2^L)`` gives it mass 1: the collision-weight identity
     ``#dec(f, s) = (1/s!) sum over ordered s-tuples of pairs of prod_c n_c! / 2^L``.
     """
-    gen = as_generator(rng)
     exc = sample_uniform_excursion(n, gen)
     if s == 0:
         return exc, AdmissibleCorners("bf", (), ()), 1.0
     index = corner_index(exc.values)
-    xi = sample_corners_bf(exc, s, gen, index)
+    xi = sample_corners_bf(index, s, gen)
     ends, tags = xi.indices, list(xi.tags)  # end 2j + side is a side of pair j
     at_corner: dict[int, list[int]] = {}
     for e, i in enumerate(ends):
@@ -811,9 +784,9 @@ def sample_map_decoration(n: int, s: int, rng) -> tuple[LatticeExcursion, Admiss
     return exc, AdmissibleCorners.from_tagged("bf", tagged), weight
 
 
-def sample_uniform_map(n: int, s: int, rng) -> tuple[RootedMap, float]:
+def sample_uniform_map(n: int, s: int, gen: np.random.Generator) -> tuple[RootedMap, float]:
     """One weighted map draw; see :func:`sample_map_decoration` for the law."""
-    exc, xi, weight = sample_map_decoration(n, s, rng)
+    exc, xi, weight = sample_map_decoration(n, s, gen)
     return insert_edges(exc, xi, validate=False), weight
 
 
@@ -935,7 +908,7 @@ def _pair_rank(n: int, u, v):
     return (u - 1) * (2 * n - u) // 2 + v - u - 1
 
 
-def sample_surplus_graph(n: int, s: int, rng) -> tuple[RootedGraph, float]:
+def sample_surplus_graph(n: int, s: int, gen: np.random.Generator) -> tuple[RootedGraph, float]:
     """Weighted draw targeting the uniform rooted surplus-s graph law.
 
     Proposal: uniform rooted labeled tree plus ``s`` uniform distinct
@@ -945,7 +918,6 @@ def sample_surplus_graph(n: int, s: int, rng) -> tuple[RootedGraph, float]:
     free rank skips past the sorted ranks of the tree edges and is unranked
     to its pair, so no list of the O(n²) free pairs is built.
     """
-    gen = as_generator(rng)
     tree = sample_labeled_tree(n, gen)
     tree_edges = {_edge(v, tree.parent[v]) for v in range(1, n + 1) if v != tree.root}
     free = n * (n - 1) // 2 - (n - 1)

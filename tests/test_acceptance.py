@@ -108,9 +108,9 @@ def test_12_decoration_gap_trend():
 
 
 def test_13_growth_constant_trend():
-    w = estimators.wright_sequence(4, 1.0)
+    w = estimators.wright_sequence(4)
     recursion_ok = w == [1.0, 5.0, 60.0, 1105.0]
-    ratios, anchor = estimators.omega1_anchor(n_max=12, fit_from=8)
+    ratios, anchor = estimators.omega1_anchor()
     values = [ratios[n] for n in sorted(ratios)]
     increasing = all(b > a for a, b in zip(values, values[1:]))
     gaps = [abs(anchor - v) for v in values]

@@ -63,6 +63,7 @@ CASES = {
     "enumerate-um": ["enumerate", "--family", "um", "--n", "4", "--g", "1"],
     "invert": ["invert", "--tree", "((()()))", "--corners", "3,5"],
     "selftest": ["selftest"],
+    "counts-asymptotics": ["counts", "--asymptotics"],
 }
 
 DIGESTS = {
@@ -237,6 +238,10 @@ DIGESTS = {
     'selftest': {
         'selftest.csv':
             '2bbb5a3978c8cb441e64b94ca3c58e409ff550d471cd25c972064ec6edcbf815',
+    },
+    'counts-asymptotics': {
+        'counts.csv':
+            '788ebc9eea65490b4fe5b61b10e066418c156d814fa9d9504470787eaf871afa',
     },
 }
 

@@ -156,7 +156,7 @@ class TestHeightProfile:
         assert plane_tree_profile(tree_of_contour(f)).z == (1, 1, 3)
 
     def test_labeled_path_center_root(self):
-        t = LabeledTree(3, 2, {1: 2, 2: 0, 3: 2})
+        t = LabeledTree(3, 2, [0, 2, 0, 2])
         assert height_profile(t).z == (1, 2)
 
     def test_mass(self):
@@ -240,16 +240,16 @@ class TestEnumeration:
 
 class TestLabeledTree:
     def test_heights(self):
-        t = LabeledTree(4, 3, {1: 3, 2: 1, 3: 0, 4: 1})
+        t = LabeledTree(4, 3, [0, 3, 1, 0, 1])
         assert t.heights()[1:] == [1, 2, 0, 2]
 
     def test_bad_parent_array(self):
         with pytest.raises(ValueError):
-            LabeledTree(3, 1, {1: 0, 2: 3, 3: 2}).heights()
+            LabeledTree(3, 1, [0, 0, 3, 2]).heights()
 
     def test_forest_parent_array(self):
         with pytest.raises(ValueError):
-            LabeledTree(3, 1, {1: 0, 2: 1, 3: 0}).heights()
+            LabeledTree(3, 1, [0, 0, 1, 0]).heights()
 
     def test_heights_against_root_search(self):
         # every parent array on n <= 5 labels (entries 0..n): heights() equals a

@@ -50,7 +50,7 @@ def oracle_df_set(vals, i):
 
 def random_excursions(count, n, seed):
     rng = RngStream(seed)
-    return [sample_uniform_excursion(n, rng.substream(r)) for r in range(count)]
+    return [sample_uniform_excursion(n, rng.substream(r).generator()) for r in range(count)]
 
 
 def sweep_bf(values):
@@ -129,13 +129,13 @@ def tent(height):
 
 def assert_tables_match_sweeps(f):
     vals = f.values.tolist()
-    assert bf_per_index(f.values).tolist() == sweep_bf(vals)
-    assert df_per_index(f.values).tolist() == sweep_df(vals)
+    index = corner_index(f.values)
+    assert bf_per_index(index).tolist() == sweep_bf(vals)
+    assert df_per_index(index).tolist() == sweep_df(vals)
     for mode, first, second in (("bf", sweep_bf, sweep_second_bf),
                                 ("df", sweep_df, sweep_second_df)):
-        index = corner_index(f.values)
         ends = [a + b for a, b in zip(first(vals), second(vals))]
-        assert _terms(index, 1, mode)[1].tolist() == [ends[t] for t in index.times]
+        assert _terms(f, 1, mode)[1].tolist() == [ends[t] for t in index.times]
 
 
 def assert_same_tree(f):
@@ -210,27 +210,28 @@ class TestLocalTime:
 
 class TestCornerWeights:
     def test_bf_example(self):
-        per = bf_per_index([0, 1, 2, 1, 0])
+        per = bf_per_index(corner_index([0, 1, 2, 1, 0]))
         assert per.tolist() == [0, 2, 2, 1, 0]
         assert sum(per) == 5
 
     def test_bf_single_edge(self):
-        assert bf_per_index([0, 1, 0]).tolist() == [0, 1, 0]
+        assert bf_per_index(corner_index([0, 1, 0])).tolist() == [0, 1, 0]
 
     def test_df_example(self):
-        per = df_per_index([0, 1, 2, 1, 0])
+        per = df_per_index(corner_index([0, 1, 2, 1, 0]))
         assert per.tolist() == [0, 2, 2, 1, 0]
         assert sum(per) == 5
 
     def test_df_single_edge(self):
-        assert sum(df_per_index([0, 1, 0])) == 1
+        assert sum(df_per_index(corner_index([0, 1, 0]))) == 1
 
     def test_sets_against_oracle_exhaustive(self):
         for n in range(1, 7):
             for f in enumerate_excursions(n):
                 vals = f.values.tolist()
-                bw = bf_per_index(vals)
-                dw = df_per_index(vals)
+                index = corner_index(vals)
+                bw = bf_per_index(index)
+                dw = df_per_index(index)
                 for i in range(2 * n + 1):
                     assert bw[i] == len(oracle_bf_set(vals, i))
                     assert dw[i] == len(oracle_df_set(vals, i))
@@ -238,16 +239,17 @@ class TestCornerWeights:
     def test_sets_against_oracle_sampled(self):
         for f in random_excursions(5, 60, seed=5):
             vals = f.values.tolist()
-            bw = bf_per_index(vals)
-            dw = df_per_index(vals)
+            index = corner_index(vals)
+            bw = bf_per_index(index)
+            dw = df_per_index(index)
             for i in range(0, 2 * f.n + 1, 7):
                 assert bw[i] == len(oracle_bf_set(vals, i))
                 assert dw[i] == len(oracle_df_set(vals, i))
 
     def test_boundary_zero(self):
         for f in enumerate_excursions(5):
-            vals = f.values.tolist()
-            for per in (bf_per_index(vals), df_per_index(vals)):
+            index = corner_index(f.values)
+            for per in (bf_per_index(index), df_per_index(index)):
                 assert per[0] == 0 and per[-1] == 0
 
     def test_df_level_sets_partition(self):
@@ -275,13 +277,12 @@ class TestCornerWeights:
             assert_tables_match_sweeps(f)
 
     def test_closed_form_totals_exhaustive(self):
-        # B(f) = m(m+1)/2 - sum down and D(f) = m(m+1)/2 - sum q, on a path or its index
+        # B(f) = m(m+1)/2 - sum down and D(f) = m(m+1)/2 - sum q
         for n in range(1, 9):
             for f in enumerate_excursions(n):
                 index = corner_index(f.values)
-                for path in (f.values, index):
-                    assert corner_total(path, "bf") == int(bf_per_index(f.values).sum())
-                    assert corner_total(path, "df") == int(df_per_index(f.values).sum())
+                assert corner_total(index, "bf") == int(bf_per_index(index).sum())
+                assert corner_total(index, "df") == int(df_per_index(index).sum())
 
     def test_closed_form_totals_sampled(self):
         for f in random_excursions(200, 1000, 17):
@@ -300,7 +301,7 @@ class TestCornerWeights:
         for n in range(1, 7):
             for f in enumerate_excursions(n):
                 cap = 2 * int(level_occupancy(f).max())
-                assert max(bf_per_index(f.values.tolist())) <= cap
+                assert max(bf_per_index(corner_index(f.values))) <= cap
 
 
 class TestLukasiewiczSandwich:
@@ -312,7 +313,7 @@ class TestLukasiewiczSandwich:
         s = lukasiewicz_of_tree(tree)
         pos = preorder_index(tree)
         vals = f.values.tolist()
-        dw = df_per_index(vals)
+        dw = df_per_index(corner_index(vals))
         for i in range(1, 2 * f.n):
             v = tree.vertex_at_time[i]
             li = pos[v] + 1

@@ -197,7 +197,7 @@ class TestInsertExplore:
                 f, xi, _ = sample_map_decoration(1000, s, gen)
             else:
                 f = sample_uniform_excursion(1000, gen)
-                xi = sample_corners_df(f, s, gen)
+                xi = sample_corners_df(corner_index(f.values), s, gen)
             explore = bf_explore if xi.mode == "bf" else df_explore
             assert explore(insert_edges(f, xi)) == (f, xi)
 
@@ -209,7 +209,7 @@ class TestInsertExplore:
             gen = rng.substream(r).generator()
             f = sample_uniform_excursion(200, gen)
             draw = sample_corners_bf if r % 2 else sample_corners_df
-            maps.append(insert_edges(f, draw(f, 1 + r % 3, gen)))
+            maps.append(insert_edges(f, draw(corner_index(f.values), 1 + r % 3, gen)))
         gen = rng.generator()
         for m in maps:
             moved = relabel(m, gen.permutation(m.num_half_edges).tolist())
@@ -320,7 +320,7 @@ class TestContourBuilder:
             gen = rng.substream(r).generator()
             f = sample_uniform_excursion(1000, gen)
             draw = sample_corners_bf if r % 2 else sample_corners_df
-            xi = draw(f, 1 + r % 3, gen)
+            xi = draw(corner_index(f.values), 1 + r % 3, gen)
             m = insert_edges(f, xi)
             assert (m.sigma, m.alpha) == oracle_rotation_system(tree_of_contour(f), xi)
 
@@ -347,9 +347,10 @@ class TestFacesGenus:
 
         for mode in ("bf", "df"):
             for n in range(1, 5):
-                for s in range(3):
-                    for m in enumerate_maps(n, s, mode):
-                        assert_degrees(m)
+                for f in enumerate_excursions(n):
+                    for s in range(3):
+                        for xi in enumerate_admissible(f, s, mode):
+                            assert_degrees(insert_edges(f, xi))
         for f in enumerate_excursions(4):
             for corners in combinations(range(1, 8), 4):
                 assert_degrees(unicellular_glue(f, G1, corners)[0])
@@ -461,7 +462,7 @@ class TestTupleCounts:
                 assert pairing_tuple_count(f, G1) == brute_tuple_count(f, G1)
 
     def test_dp_vs_brute_n40(self):
-        f = sample_uniform_excursion(40, RngStream(17))
+        f = sample_uniform_excursion(40, RngStream(17).generator())
         assert pairing_tuple_count(f, G1) == brute_tuple_count(f, G1)
 
     def test_dp_vs_general_recursion(self):
@@ -506,20 +507,20 @@ class TestGenusOneSweep:
                 assert genus_one_counts(f).tolist() == self.by_third_corner(f).tolist()
 
     def test_per_r3_matches_enumeration_n40(self):
-        f = sample_uniform_excursion(40, RngStream(17))
+        f = sample_uniform_excursion(40, RngStream(17).generator())
         per_r3 = genus_one_counts(f)
         assert per_r3.tolist() == self.by_third_corner(f).tolist()
         assert per_r3.sum() > 0
 
     def test_r2_split_sums_to_per_r3(self):
         fs = [f for n in range(2, 7) for f in enumerate_excursions(n)]
-        for f in fs + [sample_uniform_excursion(40, RngStream(17))]:
+        for f in fs + [sample_uniform_excursion(40, RngStream(17).generator())]:
             per_r3 = genus_one_counts(f)
             for r3 in np.flatnonzero(per_r3).tolist():
                 assert int(samplers._genus_one_per_r2(f, r3).sum()) == per_r3[r3]
 
     def test_r2_split_matches_enumeration(self):
-        f = sample_uniform_excursion(40, RngStream(17))
+        f = sample_uniform_excursion(40, RngStream(17).generator())
         split = Counter((r[2], r[1]) for r in enumerate_pairing_tuples(f, G1))
         for r3 in np.flatnonzero(genus_one_counts(f)).tolist():
             per_r2 = samplers._genus_one_per_r2(f, r3).tolist()
@@ -550,7 +551,7 @@ class TestMetric:
         for gen in rng.generators(200):
             f = sample_uniform_excursion(1000, gen)
             index = corner_index(f.values)
-            xi = sample_corners_bf(f, 1, gen, index)
+            xi = sample_corners_bf(index, 1, gen)
             tree = tree_of_contour(f)
             chord = [tuple(tree.vertex_at_time[i] for i in xi.indices)]
             expected = bfs_distances(tree_adjacency(tree, chord), 0)
@@ -617,9 +618,9 @@ class TestAdmissiblePairs:
 
     def test_matches_weight_totals(self):
         for f in enumerate_excursions(5):
-            vals = f.values.tolist()
-            assert len(admissible_pairs(f, "bf")) == sum(bf_per_index(vals))
-            assert len(admissible_pairs(f, "df")) == sum(df_per_index(vals))
+            index = corner_index(f.values)
+            assert len(admissible_pairs(f, "bf")) == sum(bf_per_index(index))
+            assert len(admissible_pairs(f, "df")) == sum(df_per_index(index))
 
 
 class TestDistancePreservation:

@@ -44,7 +44,7 @@ class TestPersistence:
     def test_save_map_bytes_sampled(self, tmp_path):
         rng = samplers.RngStream(71)
         for r in range(20):
-            m, _ = samplers.sample_uniform_map(1000, 2, rng.substream(r))
+            m, _ = samplers.sample_uniform_map(1000, 2, rng.substream(r).generator())
             self.assert_saved_as_json(m, tmp_path / "m.json")
 
     @pytest.mark.parametrize("n,g", [(60, 1), (8, 2)])
@@ -79,7 +79,7 @@ class TestPersistence:
             persistence.load_map(path)
 
     def test_manifest_digests(self, tmp_path):
-        man = persistence.new_manifest(5, "demo", {"x": 1})
+        man = persistence.new_manifest(5, "demo", {"x": 1}, [])
         target = tmp_path / "data.csv"
         persistence.write_csv(target, ["a"], [[1.5], [2]])
         man.record_output(target)
@@ -241,8 +241,8 @@ class TestCli:
                 return checks.SuiteResult(run.__name__)
             return suite
 
-        for name, (run, kwargs) in list(cli.SUITES.items()):
-            monkeypatch.setitem(cli.SUITES, name, (recorder(run), kwargs))
+        for name, _ in cli.SUITES.values():  # each suite is looked up on checks as it runs
+            monkeypatch.setattr(checks, name, recorder(getattr(checks, name)))
         assert main(["selftest", "--out", str(tmp_path / "st")]) == EXIT_OK
         assert calls == [("bijection_suite", {"n": 4}), ("count_suite", {"n": 8}),
                          ("w1_suite", {"n": 5}), ("psi_suite", {"n": 4}),
@@ -301,11 +301,14 @@ class TestCli:
     @pytest.mark.parametrize("argv, message", [
         (["--suite", "dichotomy", "--n", "9"], "n=9 exceeds enumeration cap 8"),
         (["--suite", "bijection", "--n", "9", "--s", "1"], "n=9, s=1 too large"),
-        (["--suite", "bijection", "--n", "2", "--s", "5"], "n=2, s=5 too large")])
+        (["--suite", "bijection", "--n", "2", "--s", "5"], "n=2, s=5 too large"),
+        (["--suite", "bijection", "--n", "8", "--s", "2"], "n=8, s=2 too large"),
+        (["--suite", "bijection", "--n", "6", "--s", "3"], "n=6, s=3 too large"),
+        (["--suite", "bijection", "--n", "4", "--s", "4"], "n=4, s=4 too large")])
     def test_verify_refuses_a_size_above_its_cap(self, argv, message, tmp_path, capsys,
                                                  monkeypatch):
         # refused before any cell runs: dichotomy at n = 9 would glue about 12.3 million
-        # times, and the bijections at n = 9 would first run every cell up to n = 8
+        # times, and the bijections above their caps would first run every smaller cell
         def no_cell(*args):
             raise AssertionError("a cell ran before the size was checked")
 
@@ -406,6 +409,7 @@ class TestCli:
         ["estimate", "--target", "radius", "--n", "20", "--reps", "-5"],
         ["enumerate", "--family", "um", "--n", "3", "--g", "-1"],
         ["verify", "--suite", "counts", "--n", "-2"],
+        ["sample", "crum", "--n", "10", "--g", "0", "--reps", "0"],  # refused with no draw
     ])
     def test_bad_sizes_are_usage_errors(self, argv, tmp_path, capsys):
         assert main(argv + ["--out", str(tmp_path / "o")]) == EXIT_USAGE
@@ -440,17 +444,21 @@ class TestCli:
         assert len(calls) == replicates
 
     def test_one_pairing_list_per_crum_run(self, tmp_path, monkeypatch):
-        calls = []
+        # the pairings of [4g] are matched once per process, however many draws read them
+        calls, all_pairings = [], maps.all_pairings
 
-        def counted(g):
-            calls.append(g)
-            return entangled_pairings(g)
+        def counted(size):
+            calls.append(size)
+            return all_pairings(size)
 
-        for module in (maps, samplers, cli):
-            monkeypatch.setattr(module, "entangled_pairings", counted)
-        assert main(["sample", "crum", "--n", "8", "--g", "2", "--reps", "4", "--seed", "5",
-                     "--out", str(tmp_path / "o")]) == EXIT_OK
-        assert calls == [2]
+        monkeypatch.setattr(maps, "all_pairings", counted)
+        entangled_pairings.cache_clear()
+        try:
+            assert main(["sample", "crum", "--n", "8", "--g", "2", "--reps", "4", "--seed", "5",
+                         "--out", str(tmp_path / "o")]) == EXIT_OK
+        finally:
+            entangled_pairings.cache_clear()
+        assert calls == [8]
 
     @pytest.mark.parametrize("argv", [
         ["sample", "map", "--n", "12", "--s", "2", "--reps", "2", "--seed", "5"],

@@ -21,7 +21,6 @@ from surplus_lab.local_time import bf_per_index, corner_index, df_per_index
 from surplus_lab.maps import (
     adjacency,
     bfs_distances,
-    entangled_pairings,
     insert_edges,
     metric_from_root,
     unicellular_glue,
@@ -67,11 +66,11 @@ CHI2_CRIT = {8: 20.090, 13: 27.688}  # 1% upper tail, by degrees of freedom
 
 
 def bf_total(f) -> int:
-    return int(bf_per_index(f.values).sum())
+    return int(bf_per_index(corner_index(f.values)).sum())
 
 
 def df_total(f) -> int:
-    return int(df_per_index(f.values).sum())
+    return int(df_per_index(corner_index(f.values)).sum())
 
 
 def three_sigma(p: float, n: int) -> float:
@@ -82,12 +81,12 @@ class TestUniformExcursion:
     def test_n1_point_mass(self):
         rng = RngStream(0)
         for r in range(5):
-            assert sample_uniform_excursion(1, rng.substream(r)).as_tuple() == (0, 1, 0)
+            assert sample_uniform_excursion(1, rng.substream(r).generator()).as_tuple() == (0, 1, 0)
 
     def test_n3_binomial(self):
         rng = RngStream(101)
         reps = 30_000
-        c = Counter(sample_uniform_excursion(3, rng.substream(r)).as_tuple()
+        c = Counter(sample_uniform_excursion(3, rng.substream(r).generator()).as_tuple()
                     for r in range(reps))
         assert set(c) == {f.as_tuple() for f in enumerate_excursions(3)}
         for v in c.values():
@@ -96,7 +95,7 @@ class TestUniformExcursion:
     def test_chi2_uniform_f5(self):
         rng = RngStream(202)
         reps = 50_000
-        c = Counter(sample_uniform_excursion(5, rng.substream(r)).as_tuple()
+        c = Counter(sample_uniform_excursion(5, rng.substream(r).generator()).as_tuple()
                     for r in range(reps))
         assert len(c) == 14
         expected = reps / 14.0
@@ -194,20 +193,20 @@ def orient_from_root(n: int, edges, root: int) -> tuple[list[int], list[int]]:
 
 class TestLabeledTree:
     def test_n1(self):
-        t = sample_labeled_tree(1, RngStream(1))
+        t = sample_labeled_tree(1, RngStream(1).generator())
         assert t.n == 1 and t.root == 1
 
     def test_n2_half_half(self):
         rng = RngStream(7)
         reps = 10_000
-        c = Counter(sample_labeled_tree(2, rng.substream(r)).root for r in range(reps))
+        c = Counter(sample_labeled_tree(2, rng.substream(r).generator()).root for r in range(reps))
         assert abs(c[1] / reps - 0.5) < three_sigma(0.5, reps)
 
     def test_n3_chi2_over_nine(self):
         rng = RngStream(8)
         reps = 45_000
-        c = Counter((t.root, tuple(t.parent))
-                    for t in (sample_labeled_tree(3, rng.substream(r)) for r in range(reps)))
+        c = Counter((t.root, tuple(t.parent)) for t in (
+            sample_labeled_tree(3, rng.substream(r).generator()) for r in range(reps)))
         assert len(c) == 9
         expected = reps / 9.0
         chi2 = sum((v - expected) ** 2 / expected for v in c.values())
@@ -242,10 +241,10 @@ class TestLabeledTree:
 
 class TestTreeProfile:
     def test_edge_cases(self):
-        assert sample_tree_profile(1, RngStream(1)) == HeightProfile((1,))
-        assert sample_tree_profile(2, RngStream(1)) == HeightProfile((1, 1))
+        assert sample_tree_profile(1, RngStream(1).generator()) == HeightProfile((1,))
+        assert sample_tree_profile(2, RngStream(1).generator()) == HeightProfile((1, 1))
         with pytest.raises(ValueError):
-            sample_tree_profile(0, RngStream(1))
+            sample_tree_profile(0, RngStream(1).generator())
 
     def test_exact_law(self):
         # every label sequence against every (root, code) tree: the same profiles,
@@ -276,12 +275,12 @@ class TestTreeProfile:
 class TestCornerSamplers:
     def test_bf_singleton(self):
         f = LatticeExcursion([0, 1, 0])
-        xi = sample_corners_bf(f, 1, RngStream(3))
+        xi = sample_corners_bf(corner_index(f.values), 1, RngStream(3).generator())
         assert xi.indices == (1, 1)
 
     def test_df_singleton(self):
         f = LatticeExcursion([0, 1, 0])
-        xi = sample_corners_df(f, 1, RngStream(3))
+        xi = sample_corners_df(corner_index(f.values), 1, RngStream(3).generator())
         assert xi.indices == (1, 1)
 
     def test_bf_marginals(self):
@@ -291,7 +290,7 @@ class TestCornerSamplers:
         first = Counter()
         second_given_2 = Counter()
         for r in range(reps):
-            xi = sample_corners_bf(f, 1, rng.substream(r))
+            xi = sample_corners_bf(corner_index(f.values), 1, rng.substream(r).generator())
             first[xi.indices[0]] += 1
             if xi.indices[0] == 2:
                 second_given_2[xi.indices[1]] += 1
@@ -307,9 +306,9 @@ class TestCornerSamplers:
             reps = 20_000
             c = Counter()
             for r in range(reps):
-                xi = sample_corners_df(f, 1, rng.substream(f.n, r))
+                xi = sample_corners_df(corner_index(f.values), 1, rng.substream(f.n, r).generator())
                 c[xi.indices] += 1
-            dw = df_per_index(f.values)
+            dw = df_per_index(corner_index(f.values))
             for (i1, i2), cnt in c.items():
                 p = (dw[i1] / sum(dw)) / len(oracle_df_set(f.values.tolist(), i1))
                 assert abs(cnt / reps - p) < max(three_sigma(p, reps), 5e-3)
@@ -318,7 +317,7 @@ class TestCornerSamplers:
         # the draw before the corner index: partners bucketed by level, one
         # integer for the bucket position and one for the time within it
         def bucket_draw(f, s, gen):
-            cum = np.cumsum(df_per_index(f.values), dtype=np.float64)
+            cum = np.cumsum(df_per_index(corner_index(f.values)), dtype=np.float64)
             pairs = []
             for _ in range(s):
                 i1 = samplers._weighted_index(cum, gen)
@@ -333,22 +332,24 @@ class TestCornerSamplers:
 
         rng = RngStream(29)
         for r in range(200):
-            f = sample_uniform_excursion(40, rng.substream(0, r))
+            f = sample_uniform_excursion(40, rng.substream(0, r).generator())
             want = bucket_draw(f, 3, rng.substream(1, r).generator())
-            assert sample_corners_df(f, 3, rng.substream(1, r)) == want
+            index = corner_index(f.values)
+            assert sample_corners_df(index, 3, rng.substream(1, r).generator()) == want
 
     def test_sampled_decorations_validate(self):
         rng = RngStream(21)
         for r in range(50):
-            f = sample_uniform_excursion(20, rng.substream(0, r))
-            sample_corners_bf(f, 2, rng.substream(1, r)).validate(f)
-            sample_corners_df(f, 2, rng.substream(2, r)).validate(f)
+            f = sample_uniform_excursion(20, rng.substream(0, r).generator())
+            index = corner_index(f.values)
+            sample_corners_bf(index, 2, rng.substream(1, r).generator()).validate(f)
+            sample_corners_df(index, 2, rng.substream(2, r).generator()).validate(f)
 
 
 class TestUnicellularDecoration:
     def test_forced_pairing(self):
         f = LatticeExcursion([0, 1, 2, 1, 2, 1, 0])
-        pairing, heights, corners = sample_unicellular_decoration(f, 1, RngStream(2))
+        pairing, heights, corners = sample_unicellular_decoration(f, 1, RngStream(2).generator())
         assert str(pairing) == "(1,3)(2,4)"
         assert len(corners) == 4
 
@@ -356,7 +357,7 @@ class TestUnicellularDecoration:
         f = LatticeExcursion([0, 1, 2, 1, 2, 1, 0])
         rng = RngStream(31)
         reps = 30_000
-        c = Counter(sample_unicellular_decoration(f, 1, rng.substream(r))[2]
+        c = Counter(sample_unicellular_decoration(f, 1, rng.substream(r).generator())[2]
                     for r in range(reps))
         assert set(c) == {(1, 2, 3, 4), (1, 2, 3, 5), (2, 3, 4, 5)}
         for v in c.values():
@@ -365,10 +366,10 @@ class TestUnicellularDecoration:
     def test_heights_follow_corners(self):
         rng = RngStream(41)
         for r in range(100):
-            f = sample_uniform_excursion(12, rng.substream(0, r))
+            f = sample_uniform_excursion(12, rng.substream(0, r).generator())
             try:
                 pairing, heights, corners = sample_unicellular_decoration(
-                    f, 1, rng.substream(1, r))
+                    f, 1, rng.substream(1, r).generator())
             except DegenerateEnsembleError:
                 continue
             for (a, b), h in zip(pairing.transpositions, heights):
@@ -380,9 +381,10 @@ class TestUnicellularDecoration:
 
         rng = RngStream(43)
         for r in range(30):
-            f = sample_uniform_excursion(10, rng.substream(0, r))
+            f = sample_uniform_excursion(10, rng.substream(0, r).generator())
             try:
-                pairing, _, corners = sample_unicellular_decoration(f, 1, rng.substream(1, r))
+                pairing, _, corners = sample_unicellular_decoration(
+                    f, 1, rng.substream(1, r).generator())
             except DegenerateEnsembleError:
                 continue
             assert glue_heights_ok(f, pairing, corners)
@@ -391,7 +393,8 @@ class TestUnicellularDecoration:
 
     def test_degenerate(self):
         with pytest.raises(DegenerateEnsembleError):
-            sample_unicellular_decoration(LatticeExcursion([0, 1, 2, 1, 0]), 1, RngStream(1))
+            sample_unicellular_decoration(LatticeExcursion([0, 1, 2, 1, 0]), 1,
+                                          RngStream(1).generator())
 
 
 class TestTiltedEnsemble:
@@ -406,7 +409,7 @@ class TestTiltedEnsemble:
         ens_d = tilted_ensemble(6, 2, "df", 50, RngStream(6), {})
         rng = RngStream(6)
         for r in range(50):
-            f = sample_uniform_excursion(6, rng.substream(r))
+            f = sample_uniform_excursion(6, rng.substream(r).generator())
             assert ens_b.weights[r] == bf_total(f) ** 2
             assert ens_d.weights[r] == df_total(f) ** 2
 
@@ -419,7 +422,7 @@ class TestTiltedEnsemble:
         weights = {}
         rng = RngStream(77)
         for r in range(reps):
-            f = sample_uniform_excursion(4, rng.substream(r))
+            f = sample_uniform_excursion(4, rng.substream(r).generator())
             k = f.as_tuple()
             weights[k] = weights.get(k, 0.0) + bf_total(f)
         total = sum(weights.values())
@@ -665,6 +668,33 @@ class TestRangeRows(ForkedRanges):
         if where == "worker":
             assert "Traceback" in str(info.value.__cause__)
 
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_an_exception_that_does_not_pickle_arrives_as_its_text(self, cpus, monkeypatch):
+        self.on_cpus(monkeypatch, cpus)
+        parent = os.getpid()
+
+        def rows(start, stop):
+            if os.getpid() != parent:
+                raise LookupError(lambda: start)  # a lambda does not pickle
+            return self.items_and_pids(start, stop)
+
+        with pytest.raises(RuntimeError, match="^LookupError: <function ") as info:
+            samplers.range_rows(12, rows, min_range=4)
+        assert "Traceback" in str(info.value.__cause__)
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_a_worker_that_sends_nothing_is_an_error(self, cpus, monkeypatch):
+        self.on_cpus(monkeypatch, cpus)
+        parent = os.getpid()
+
+        def rows(start, stop):
+            if os.getpid() != parent:
+                os._exit(0)
+            return self.items_and_pids(start, stop)
+
+        with pytest.raises(ChildProcessError, match="ended with no result"):
+            samplers.range_rows(12, rows, min_range=4)
+
 
 class TestExactSuiteRanges(ForkedRanges):
     """The cells of the bijection suite and the gluings of the dichotomy suite run in
@@ -734,9 +764,7 @@ def _oracle_adjacency(smp: TiltSample):
 
 def _draw(n: int, mode: str, tilt: int, stream: RngStream) -> TiltSample:
     gen = stream.generator()
-    exc = sample_uniform_excursion(n, gen)
-    pairings = entangled_pairings(tilt) if mode == "um" else None
-    return TiltSample(exc, gen, mode, tilt, pairings)
+    return TiltSample(sample_uniform_excursion(n, gen), gen, mode, tilt)
 
 
 class TestContourDistances:
@@ -778,7 +806,7 @@ class TestContourDistances:
                 m, unicellular = unicellular_glue(exc, pairing, corners)
                 assert unicellular
             else:
-                m = insert_edges(exc, sample_corners_bf(exc, tilt, gen))
+                m = insert_edges(exc, sample_corners_bf(corner_index(exc.values), tilt, gen))
             # tree vertex v >= 1 owns the up-half 2(v-1)+1 of its parent edge
             label = [m.origin[m.root]] + [m.origin[2 * v - 1] for v in range(1, n + 1)]
             metric = metric_from_root(m)
@@ -812,7 +840,7 @@ class TestMapSampling:
             monkeypatch.setattr(module, "corner_index", counted)
         reps = 5
         for r in range(reps):
-            _, xi, weight = sample_map_decoration(n, s, RngStream(9).substream(r))
+            _, xi, weight = sample_map_decoration(n, s, RngStream(9).substream(r).generator())
             assert xi.s == s and weight > 0
         assert len(calls) == reps
 
@@ -821,13 +849,6 @@ class TestMapSampling:
         assert len(enumerate_maps(2, 1)) == 5
         for n in range(1, 5):
             assert len(enumerate_maps(n, 0)) == len(enumerate_excursions(n))
-
-    def test_bf_df_same_sets(self):
-        for n in range(1, 5):
-            for s in range(1, 3):
-                bf = {m.canonical_key() for m in enumerate_maps(n, s, "bf")}
-                df = {m.canonical_key() for m in enumerate_maps(n, s, "df")}
-                assert bf == df
 
     def test_uniform_map_law_small(self):
         assert_uniform_map_law(3, 1, RngStream(55))
@@ -848,7 +869,7 @@ class TestMapSampling:
             monkeypatch.setattr(samplers, "sample_uniform_excursion", lambda n, gen: f)
             mass = Counter()
             for prob, (_, xi, weight) in outcomes(lambda gen: sample_map_decoration(n, s, gen),
-                                                  bf_per_index(f.values)):
+                                                  bf_per_index(corner_index(f.values))):
                 xi.validate(f)
                 mass[xi] += prob * weight
             assert set(mass) == set(maps.enumerate_admissible(f, s, "bf"))
@@ -857,10 +878,10 @@ class TestMapSampling:
     @pytest.mark.parametrize("s", [2, 3])
     def test_draw_is_fast_at_n40(self, s):
         # the exact draw needs no enumeration: well under 10 ms at n = 40
-        sample_map_decoration(40, s, RngStream(1))
+        sample_map_decoration(40, s, RngStream(1).generator())
         start = time.perf_counter()
         for r in range(20):
-            sample_map_decoration(40, s, RngStream(2).substream(r))
+            sample_map_decoration(40, s, RngStream(2).substream(r).generator())
         assert (time.perf_counter() - start) / 20 < 0.01
 
 
@@ -1040,14 +1061,14 @@ class TestSurplusGraphs:
 
     def test_no_simple_graph_error(self):
         with pytest.raises(DegenerateEnsembleError):
-            sample_surplus_graph(2, 1, RngStream(3))
+            sample_surplus_graph(2, 1, RngStream(3).generator())
 
     def test_weighted_uniformity_n4_s1(self):
         reps = 30_000
         rng = RngStream(99)
         acc = Counter()
         for r in range(reps):
-            g, w = sample_surplus_graph(4, 1, rng.substream(r))
+            g, w = sample_surplus_graph(4, 1, rng.substream(r).generator())
             acc[g] += w
         universe = {g for g in enumerate_surplus_graphs(4, 1)}
         assert set(acc) == universe
@@ -1061,13 +1082,13 @@ class TestSymmetrize:
     def test_surplus_zero_identity(self):
         tree_edges = frozenset({(1, 2), (2, 3)})
         g = RootedGraph(3, 1, tree_edges)
-        res = symmetrize(g, RngStream(1))
+        res = symmetrize(g, RngStream(1).generator())
         assert res.sbf.edges() == {frozenset(e) for e in tree_edges}
         assert res.sbar == res.sbf
 
     def test_triangle(self):
         g = RootedGraph(3, 1, frozenset({(1, 2), (1, 3), (2, 3)}))
-        res = symmetrize(g, RngStream(1))
+        res = symmetrize(g, RngStream(1).generator())
         assert res.sbf.parent[2] == 1 and res.sbf.parent[3] == 1
         assert res.surplus_pairs == ((2, 3),)
         assert res.sbar == res.sbf  # equal heights: no swap possible
@@ -1077,7 +1098,7 @@ class TestSymmetrize:
         g = RootedGraph(4, 1, frozenset({(1, 2), (1, 3), (2, 4), (3, 4)}))
         seen = set()
         for seed in range(20):
-            res = symmetrize(g, RngStream(seed))
+            res = symmetrize(g, RngStream(seed).generator())
             assert res.surplus_pairs == ((4, 3),)
             assert res.sbar is not None
             assert height_profile(res.sbar).z == height_profile(res.sbf).z
@@ -1088,14 +1109,14 @@ class TestSymmetrize:
         # two surplus edges whose deeper endpoints share a level
         edges = {(1, 2), (1, 3), (2, 3), (2, 4), (3, 4)}
         g = RootedGraph(4, 1, frozenset(edges))
-        res = symmetrize(g, RngStream(5))
+        res = symmetrize(g, RngStream(5).generator())
         assert res.sbar is None
 
     def test_sbf_distance_preserving(self):
         rng = RngStream(17)
         for r in range(100):
-            g, _ = sample_surplus_graph(7, 2, rng.substream(r))
-            res = symmetrize(g, rng.substream(1000 + r))
+            g, _ = sample_surplus_graph(7, 2, rng.substream(r).generator())
+            res = symmetrize(g, rng.substream(1000 + r).generator())
             heights = res.sbf.heights()
             dist = _graph_distances(g)
             assert all(heights[v] == dist[v] for v in range(1, g.n + 1))
@@ -1152,7 +1173,7 @@ class TestProfileWeights:
         # 0 <= W1^s - s! Ws <= c W1^{s-1} max(z)^2 with c = 3 s^2 2^s
         rng = RngStream(23)
         for r in range(200):
-            t = sample_labeled_tree(9, rng.substream(r))
+            t = sample_labeled_tree(9, rng.substream(r).generator())
             prof = height_profile(t)
             for s in (2, 3):
                 w1 = w1_weight(prof)
@@ -1167,7 +1188,7 @@ class TestProfileWeights:
     def test_gamma_bound(self):
         rng = RngStream(29)
         for r in range(25):
-            t = sample_labeled_tree(6, rng.substream(r))
+            t = sample_labeled_tree(6, rng.substream(r).generator())
             prof = height_profile(t)
             s = 2
             assert count_degenerate_tuples(t, s) <= degenerate_tuple_bound(prof, 6, s)
@@ -1180,8 +1201,8 @@ class TestProfileWeights:
             reps = 400
             empties = 0
             for r in range(reps):
-                g, _ = sample_surplus_graph(n, 2, rng.substream(r))
-                if symmetrize(g, rng.substream(10_000 + r)).sbar is None:
+                g, _ = sample_surplus_graph(n, 2, rng.substream(r).generator())
+                if symmetrize(g, rng.substream(10_000 + r).generator()).sbar is None:
                     empties += 1
             rates[n] = empties / reps
         assert rates[30] * sqrt(30) < 6.0
@@ -1199,13 +1220,11 @@ class TestDecorationCounts:
                     for s in (0, 1, 2):
                         assert decoration_count(f, s, mode) == \
                             len(enumerate_admissible(f, s, mode))
-                        assert decoration_count(corner_index(f.values), s, mode) == \
-                            decoration_count(f, s, mode)
                     gap = 2 * decoration_count(f, 2, mode) - decoration_count(f, 1, mode) ** 2
                     assert decoration_count_gap(f, 2, mode) == gap
 
     def test_surplus_above_two_rejected(self):
-        f = sample_uniform_excursion(6, RngStream(1))
+        f = sample_uniform_excursion(6, RngStream(1).generator())
         for fn in (decoration_count, decoration_count_gap):
             with pytest.raises(ValueError):
                 fn(f, 3, "bf")
@@ -1258,7 +1277,7 @@ class TestSurplusGraphUniformityN5:
         rng = RngStream(71)
         acc = Counter()
         for r in range(reps):
-            g, w = sample_surplus_graph(5, 1, rng.substream(r))
+            g, w = sample_surplus_graph(5, 1, rng.substream(r).generator())
             acc[g] += w
         universe = {g for g in enumerate_surplus_graphs(5, 1)}
         assert set(acc) <= universe

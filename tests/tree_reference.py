@@ -15,8 +15,8 @@ from typing import Iterator
 import numpy as np
 
 from surplus_lab.lattice_paths import HeightProfile, LabeledTree, LatticeExcursion, PlaneTree
-from surplus_lab.local_time import bf_per_index
-from surplus_lab.samplers import RootedGraph, as_generator
+from surplus_lab.local_time import bf_per_index, corner_index
+from surplus_lab.samplers import RootedGraph
 
 # -- plane trees ------------------------------------------------------------------
 
@@ -119,7 +119,7 @@ def corner_weight_telescope(f: LatticeExcursion) -> tuple[int, int, int]:
         tele += field.lattice(two_n, h) - field.lattice(i - 1, h)
         tele += field.lattice(two_n, h - 1) - field.lattice(i - 1, h - 1)
     boundary = sum(1 for i in range(1, two_n) if vals[i] == 1)
-    return tele, int(bf_per_index(f.values).sum()), boundary
+    return tele, int(bf_per_index(corner_index(f.values)).sum()), boundary
 
 
 # -- breadth-first symmetrization of labeled graphs ---------------------------------
@@ -154,7 +154,7 @@ def bfs_spanning_tree(graph: RootedGraph) -> LabeledTree:
     return LabeledTree(graph.n, graph.root, parent)
 
 
-def symmetrize(graph: RootedGraph, rng=None) -> SymmetrizeResult:
+def symmetrize(graph: RootedGraph, gen: np.random.Generator | None = None) -> SymmetrizeResult:
     """Label-order BFS tree plus the randomized height-balancing swap.
 
     Each surplus edge joins vertices whose heights differ by at most one; an
@@ -185,7 +185,6 @@ def symmetrize(graph: RootedGraph, rng=None) -> SymmetrizeResult:
         for b in range(a + 1, len(pairs)):
             if abs(heights[pairs[a][0]] - heights[pairs[b][0]]) <= 1:
                 return SymmetrizeResult(sbf, None, tuple(pairs), ())
-    gen = as_generator(rng) if rng is not None else None
     parent = list(sbf.parent)
     swapped = []
     for i, j in pairs:
