@@ -106,8 +106,8 @@ def bijection_suite(n: int = 5, s: int = 2) -> SuiteResult:
     if s < 1:  # with no surplus edge the suite would check nothing
         raise ValueError(f"s must be >= 1, got {s}")
     if n > BIJECTION_CAPS.get(s, 0):  # refused here, not after the smaller cells have run
-        raise EnumerationCapExceeded(f"n={n}, s={s} too large for the bijection suite; its "
-                                     f"caps are n <= 8, 7, 5, 3 at s = 1, 2, 3, 4")
+        raise EnumerationCapExceeded(f"n={n}, s={s} too large for the bijection suite, whose "
+                                     f"largest n per s is {BIJECTION_CAPS}")
     res = SuiteResult("bijection")
     modes = (("bf", bf_explore), ("df", df_explore))
     for k in range(1, n + 1):
