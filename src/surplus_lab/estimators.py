@@ -430,7 +430,7 @@ def count_asymptotics(family: str, n: int, s_or_g: int) -> CountTable:
     elif family == "umstar":
         g = s_or_g
         pred = (4.0 ** (g - 1) / (3.0 ** g * gamma(g + 1) * sqrt(pi))) * n ** (3 * g - 1.5) * 4.0 ** n
-        exact = unicellular_star_count(n, g) if n <= 5 and g == 1 else None
+        exact = unicellular_star_count(n) if n <= 5 and g == 1 else None
     else:
         raise ValueError(f"unknown family {family!r}")
     return CountTable(family, n, s_or_g, exact, pred)
@@ -439,13 +439,14 @@ def count_asymptotics(family: str, n: int, s_or_g: int) -> CountTable:
 # -- unicellular count identity ---------------------------------------------------------
 
 
-def unicellular_star_count(n: int, g: int) -> int:
-    """Brute count of unicellular surplus-2g maps whose exploration corners are distinct."""
+def unicellular_star_count(n: int) -> int:
+    """Brute count of unicellular surplus-2 maps, genus one, whose exploration corners are
+    distinct."""
     from .maps import bf_explore
     from .samplers import enumerate_maps
 
     count = 0
-    for m in enumerate_maps(n, 2 * g):
+    for m in enumerate_maps(n, 2):
         if not m.is_unicellular():
             continue
         _, xi = bf_explore(m)
@@ -464,5 +465,5 @@ def um_count_identity(n: int) -> tuple[int, int]:
     lhs = 0
     for f in enumerate_excursions(n):
         lhs += sum(pairing_tuple_count(f, p) for p in pairings)
-    rhs = unicellular_star_count(n, 1)
+    rhs = unicellular_star_count(n)
     return lhs, rhs

@@ -1,9 +1,11 @@
 """Rooted combinatorial maps, their explorations, and unicellular gluings.
 
-A map is stored as a rotation system on dense half-edge ids: ``sigma[h]`` is
-the next half-edge clockwise around the origin vertex of ``h``, ``alpha[h]``
-is the opposite half-edge, and a distinguished root half-edge marks the root
-vertex (required to have degree one).  Faces are the orbits of
+A map is stored as its rotation cycles on dense half-edge ids, one list of
+half-edges in clockwise order per vertex, with ``alpha[h]`` the opposite
+half-edge and a distinguished root half-edge marking the root vertex
+(required to have degree one).  The rotation system ``sigma[h]``, the next
+half-edge clockwise around the origin vertex of ``h``, and ``origin[h]`` are
+derived from the cycles together on first read.  Faces are the orbits of
 ``h -> sigma[alpha[h]]``, matching a contour walk that always turns to the
 next edge after the one it arrived by; a plane tree then has exactly one
 face.  Genus comes from Euler's formula.
@@ -54,7 +56,11 @@ def _orbits(perm) -> tuple[list[list[int]], list[int]]:
 
 
 class RootedMap:
-    """Rooted map on half-edges 0..2E-1 with clockwise rotations."""
+    """Rooted map on half-edges 0..2E-1 with clockwise rotations.
+
+    The map keeps its rotation cycles; ``sigma`` and ``origin`` are derived from
+    them together on first read.
+    """
 
     __slots__ = ("sigma", "alpha", "root", "origin", "_cycles")
 
@@ -65,6 +71,39 @@ class RootedMap:
         self._cycles, self.origin = _orbits(self.sigma)
         if check:
             self._check()
+
+    @classmethod
+    def _of_cycles(cls, cycles: list[list[int]], alpha: list[int], root: int,
+                   check: bool) -> "RootedMap":
+        """The map whose vertex rotations are ``cycles``, kept as given: each walked
+        from its smallest half, in increasing order of that half.  ``sigma`` and
+        ``origin`` stay unset until first read."""
+        m = cls.__new__(cls)
+        m._cycles, m.alpha, m.root = cycles, alpha, root
+        if check:  # the check reads both
+            m._derive()
+            m._check()
+        return m
+
+    def __getattr__(self, name: str):
+        # reached only when a slot is unset: on a map built from its cycles, the first
+        # read of sigma or origin derives both, and later reads are plain slot reads
+        if name not in ("sigma", "origin"):
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        self._derive()
+        return getattr(self, name)
+
+    def _derive(self) -> None:
+        """``sigma`` and ``origin`` in one pass over the rotation cycles."""
+        sigma = [0] * len(self.alpha)
+        origin = [0] * len(self.alpha)
+        for v, cyc in enumerate(self._cycles):
+            prev = cyc[-1]
+            for h in cyc:
+                sigma[prev] = h
+                origin[h] = v
+                prev = h
+        self.sigma, self.origin = sigma, origin
 
     # -- structure -------------------------------------------------------
 
@@ -104,7 +143,7 @@ class RootedMap:
 
     @property
     def num_half_edges(self) -> int:
-        return len(self.sigma)
+        return len(self.alpha)
 
     @property
     def num_edges(self) -> int:
@@ -124,14 +163,16 @@ class RootedMap:
         return len(self._cycles[v])
 
     def rotation_cycles(self) -> list[list[int]]:
-        """The vertex rotations, as computed once at construction; do not mutate."""
+        """The vertex rotations, each walked from its smallest half, in increasing order of
+        that half; do not mutate."""
         return self._cycles
 
     # -- faces and genus ---------------------------------------------------
 
     def faces(self) -> list[list[int]]:
         """Orbits of the face permutation (rotation after the involution)."""
-        return _orbits([self.sigma[a] for a in self.alpha])[0]
+        sigma = self.sigma
+        return _orbits([sigma[a] for a in self.alpha])[0]
 
     def genus(self) -> int:
         chi = self.num_vertices - self.num_edges + len(self.faces())
@@ -317,40 +358,46 @@ def insert_edges(f: LatticeExcursion, corners: AdmissibleCorners, validate: bool
     One pass over the contour: the ``k``-th up-step creates vertex ``k``,
     whose edge to its parent has down-half ``2k-2`` and up-half ``2k-1``, and
     corner ``i`` sits just before the half leaving the walk at time ``i``.  A
-    vertex's rotation lists its departures in contour order, closed at its
-    up-half, and each corner's inserted halves enter it just before that
-    corner's departure, by increasing tag.  Inverse of the matching
-    exploration.
+    vertex's rotation starts at its up-half, its smallest half, and lists its
+    departures in contour order; each corner's inserted halves enter it just
+    before that corner's departure, by increasing tag.  The walk appends each
+    half to the rotation of the vertex on top of its path, so the rotations come
+    out as :meth:`RootedMap.rotation_cycles` orders them and are kept as built.
+    Inverse of the matching exploration.
     """
     if validate and (corners.indices or corners.tags):
         corners.validate(f)
     vals = f.values.tolist()
     two_n = len(vals) - 1
-    # inserted halves (corner, tag, half) in rotation order, then a sentinel past the last corner
-    ends = sorted(zip(corners.indices, corners.tags, range(two_n, two_n + len(corners.indices))))
-    ends.append((two_n, 0, 0))
-    e = 0
-    sigma = [0] * (two_n + 2 * corners.s)
-    # for each vertex on the current path: the first half of its rotation (its up-half)
-    # and the last so far; the root's both are half 0, so the first step closes its rotation
-    heads, tails = [0], [0]
+    n_half = two_n + len(corners.indices)
+    # inserted halves (corner, tag, half) in rotation order, then a sentinel at the last time
+    ends = sorted(zip(corners.indices, corners.tags, range(two_n, n_half)))
+    ends.append((two_n, 0, None))
+    # the rotations in vertex-creation order, each started at its vertex's up-half, and the
+    # path of rotations from the root's; the first step puts half 0 into the root's
+    top: list[int] = []
+    cycles, path = [top], [top]
     h = 0  # down-half of the next new vertex
-    for t in range(two_n):
-        while ends[e][0] == t:
-            g = ends[e][2]
-            sigma[tails[-1]] = g
-            tails[-1] = g
-            e += 1
-        if vals[t + 1] > vals[t]:
-            sigma[tails[-1]] = h
-            tails[-1] = h
-            heads.append(h + 1)
-            tails.append(h + 1)
-            h += 2
-        else:
-            sigma[tails.pop()] = heads.pop()
-    alpha = [h ^ 1 for h in range(len(sigma))]
-    return RootedMap(sigma, alpha, root=0, check=validate)
+    t = 0
+    steps = zip(vals, vals[1:])
+    for corner, _, g in ends:
+        for y0, y1 in islice(steps, corner - t):
+            if y1 > y0:
+                top.append(h)
+                top = [h + 1]
+                cycles.append(top)
+                path.append(top)
+                h += 2
+            else:
+                path.pop()
+                top = path[-1]
+        top.append(g)
+        t = corner
+    top.pop()  # the sentinel
+    alpha = [0] * n_half
+    alpha[::2] = range(1, n_half, 2)
+    alpha[1::2] = range(0, n_half, 2)
+    return RootedMap._of_cycles(cycles, alpha, 0, validate)
 
 
 # -- explorations -------------------------------------------------------------
@@ -486,9 +533,10 @@ def enumerate_admissible(f: LatticeExcursion, s: int, mode: str) -> list[Admissi
 
 
 def adjacency(m: RootedMap) -> list[list[int]]:
+    origin, alpha = m.origin, m.alpha
     adj: list[list[int]] = [[] for _ in range(m.num_vertices)]
     for h in range(m.num_half_edges):
-        adj[m.origin[h]].append(m.origin[m.alpha[h]])
+        adj[origin[h]].append(origin[alpha[h]])
     return adj
 
 

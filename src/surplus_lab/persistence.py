@@ -122,33 +122,32 @@ def replay(manifest_path: Path, scratch: Path) -> RunManifest:
 # -- maps ---------------------------------------------------------------------
 
 
+_HALF_IDS: list[str] = []  # str(h) for every half-id written so far, grown on demand
+
+
 def save_map(m: RootedMap, path: Path) -> None:
     """Write ``json.dumps(m.to_json_dict(), indent=2, sort_keys=True) + "\\n"``.
 
-    The map schema holds only ints, int lists and lists of int lists, so the
-    same bytes are joined directly instead of going through the pure-Python
-    indenting encoder.
+    A map is stored as its involution and its vertex rotation cycles, from which
+    ``sigma`` and ``origin`` are derived on first read; writing reads neither.
+    The schema holds only ints, an int list and a list of non-empty int lists, so
+    each field is written as one join over a table of the half-id strings instead
+    of going through the pure-Python indenting encoder.
     """
-    items = sorted(m.to_json_dict().items())
-    path.write_text("{\n" + ",\n".join(f'  "{k}": {_indented(v, "  ")}' for k, v in items)
-                    + "\n}\n")
-
-
-def _indented(value, pad: str) -> str:
-    """``json.dumps(value, indent=2)`` nested at ``pad``, for an int, an int list or
-    a list of non-empty int lists (rotation cycles are never empty)."""
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if not value:
-        return "[]"
-    inner = pad + "  "
-    if isinstance(value[0], int):
-        items = map(int.__repr__, value)
-    else:
-        deep = inner + "  "
-        sep = f",\n{deep}"
-        items = [f"[\n{deep}{sep.join(map(int.__repr__, v))}\n{inner}]" for v in value]
-    return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}]"
+    if len(_HALF_IDS) < m.num_half_edges:
+        _HALF_IDS.extend(map(str, range(len(_HALF_IDS), m.num_half_edges)))
+    name = _HALF_IDS.__getitem__
+    fields = []
+    for key, value in sorted(m.to_json_dict().items()):
+        if isinstance(value, int):
+            text = str(value)
+        elif isinstance(value[0], int):
+            text = "[\n    " + ",\n    ".join(map(name, value)) + "\n  ]"
+        else:
+            text = "[\n    [\n      " + "\n    ],\n    [\n      ".join(
+                [",\n      ".join(map(name, v)) for v in value]) + "\n    ]\n  ]"
+        fields.append(f'  "{key}": {text}')
+    path.write_text("{\n" + ",\n".join(fields) + "\n}\n")
 
 
 def load_map(path: Path) -> RootedMap:

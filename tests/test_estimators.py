@@ -299,7 +299,7 @@ class TestUnicellularIdentity:
         assert um_count_identity(3) == (3, 3)
         lhs, rhs = um_count_identity(4)
         assert lhs == rhs
-        star = unicellular_star_count(3, 1)
+        star = unicellular_star_count(3)
         assert star == 3
 
     def test_cap(self):

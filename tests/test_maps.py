@@ -22,6 +22,7 @@ from surplus_lab.maps import (
     PermutationPairing,
     RootedMap,
     TUPLE_ENUMERATION_CAP,
+    _orbits,
     admissible_pairs,
     all_pairings,
     bf_explore,
@@ -323,6 +324,59 @@ class TestContourBuilder:
             xi = draw(corner_index(f.values), 1 + r % 3, gen)
             m = insert_edges(f, xi)
             assert (m.sigma, m.alpha) == oracle_rotation_system(tree_of_contour(f), xi)
+
+
+class TestRotationCyclesPath:
+    """Insertion keeps the rotation cycles its walk lays down and derives ``sigma`` and
+    ``origin`` from them on first read; the public constructor walks ``sigma`` instead.
+    The two must build the same map."""
+
+    @staticmethod
+    def assert_same_as_public(m: RootedMap) -> None:
+        cycles = m.rotation_cycles()
+        assert cycles == _orbits(m.sigma)[0]
+        public = RootedMap(m.sigma, m.alpha, m.root)
+        assert public.rotation_cycles() == cycles
+        assert (public.sigma, public.origin) == (m.sigma, m.origin)
+        assert public.canonical_key() == m.canonical_key()
+        assert public.faces() == m.faces()
+        assert public.to_json_dict() == m.to_json_dict()
+
+    @pytest.mark.parametrize("mode", ["bf", "df"])
+    def test_every_small_decoration(self, mode):
+        built = 0
+        for n in range(1, 6):
+            for f in enumerate_excursions(n):
+                for s in range(3):
+                    for xi in enumerate_admissible(f, s, mode):
+                        self.assert_same_as_public(insert_edges(f, xi, validate=False))
+                        built += 1
+        assert built == 10_427  # bf and df each decorate the same number of ways
+
+    @pytest.mark.parametrize("s", [2, 3])
+    def test_sampled_maps_n1000(self, s):
+        rng = RngStream(917 + s)
+        for r in range(10):
+            m, _ = samplers.sample_uniform_map(1000, s, rng.substream(r).generator())
+            self.assert_same_as_public(m)
+
+    def test_genus_one_glues_n300(self):
+        rng = RngStream(919)
+        glued = 0
+        for r in range(12):
+            gen = rng.substream(r).generator()
+            f = sample_uniform_excursion(300, gen)
+            try:
+                pairing, _, corners = samplers.sample_unicellular_decoration(f, 1, gen)
+            except samplers.DegenerateEnsembleError:
+                continue
+            m, unicellular = unicellular_glue(f, pairing, corners)
+            assert unicellular
+            self.assert_same_as_public(m)
+            glued += 1
+            if glued == 6:
+                break
+        assert glued == 6
 
 
 class TestFacesGenus:

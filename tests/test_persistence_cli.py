@@ -576,6 +576,19 @@ class TestSampleOnEveryCpu:
             assert degenerate and max(degenerate) >= self.REPS // 3
             assert not any(f"crum_{r}.json" in runs[0][0] for r in degenerate)
 
+    def test_sample_map_never_derives_sigma(self, tmp_path, monkeypatch):
+        # sample map writes the involution and the rotation cycles insertion built, so no
+        # map it draws should pay for deriving sigma and origin
+        self.on_cpus(monkeypatch, 1)
+        derived = []
+        derive = maps.RootedMap._derive
+        monkeypatch.setattr(maps.RootedMap, "_derive",
+                            lambda m: derived.append(m) or derive(m))
+        assert main(["sample", "map", "--n", "200", "--s", "2", "--reps", "5",
+                     "--out", str(tmp_path / "o")]) == EXIT_OK
+        assert len(list((tmp_path / "o").glob("map_*.json"))) == 5
+        assert derived == []
+
     def test_weight_overflow_in_a_worker_is_usage_error(self, tmp_path, monkeypatch, capsys):
         # only the workers' replicates overflow: B(f)^200 / 200! at n=200 does not fit a float
         self.on_cpus(monkeypatch, 3)
