@@ -80,12 +80,12 @@ class SuiteResult:
                 for label, ok, detail, _, line in self.checks if ok is not None]
 
 
-# The fewest (excursion, exploration) items a range of a bijection cell is given.  An item
+# The fewest (excursion, exploration) items per process a bijection cell starts.  An item
 # costs about 0.9 ms at k = 4, j = 1 and 40 ms at k = 5, j = 2, against about 3.5 ms for a
 # fork, so the cells with k <= 3 (at most four items) run in this process and the ten
 # items at k = 4 split in two.
 MIN_BIJECTION_RANGE = 5
-# The fewest excursions a range of the gluing dichotomy is given: an excursion costs about
+# The fewest excursions per process the gluing dichotomy starts: an excursion costs about
 # 9 ms at k = 5, so the 14 there fork and the 5 at k = 4 (about 2 ms each) do not.
 MIN_DICHOTOMY_RANGE = 7
 # The largest n the bijection suite runs at each surplus s.  A map costs about 64 us in one
@@ -97,9 +97,9 @@ BIJECTION_CAPS = {1: 8, 2: 7, 3: 5, 4: 3}
 def bijection_suite(n: int = 5, s: int = 2) -> SuiteResult:
     """Exploration/insertion round trips and the three-way count equality.
 
-    Each (k, j) cell runs its items in ranges on every CPU (:func:`range_rows`).  An item
+    Each (k, j) cell runs its items in chunks on every CPU (:func:`range_rows`).  An item
     is an excursion with k up-steps and one exploration, breadth-first and depth-first in
-    turn.  A range sends back each item's round-trip verdict and, for each map it built,
+    turn.  A chunk sends back each item's round-trip verdict and, for each map it built,
     the exploration that built it and the map's canonical key as one ``uint8`` row.  The
     key's entries are half-edges, fewer than 2(k + j) <= 18 under :data:`BIJECTION_CAPS`,
     which this suite checks before it starts."""
@@ -246,7 +246,7 @@ def sg_suite() -> SuiteResult:
 def gluing_dichotomy_suite(n: int = 5) -> SuiteResult:
     """Gluing dichotomy: one face exactly when the pairing is entangled, for every genus-one
     gluing of every excursion with 3 <= k <= n up-steps.  The excursions of each size run
-    in ranges on every CPU (:func:`range_rows`).  Capped at n = 8, about 2.1 million
+    in chunks on every CPU (:func:`range_rows`).  Capped at n = 8, about 2.1 million
     gluings; n = 9 would glue about 12.3 million times."""
     if n < 3:  # the first size with four corners to glue is 3
         raise ValueError(f"n must be >= 3, got {n}")
@@ -298,7 +298,7 @@ def radius_invariance_suite(n: int = 1000, reps: int = 10_000,
     """Map radius equals exploration-tree height; ball volumes match level counts
     (every map with n <= 4, then sampled maps), a breadth-first search against the
     contour, where vertex ``k`` sits at the height of the ``k``-th up-step.  The sampled
-    maps run in replicate ranges on every CPU (:func:`replicate_rows`)."""
+    maps run in replicate chunks on every CPU (:func:`replicate_rows`)."""
     res = SuiteResult("radius")
     for k in range(1, 5):
         for s in range(0, 3):

@@ -13,6 +13,8 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__, checks, estimators, persistence
 from .lattice_paths import LatticeExcursion
 from .maps import (AdmissibleCorners, bf_explore, df_explore, entangled_pairings,
@@ -21,6 +23,7 @@ from .samplers import (
     MIN_SAMPLE_RANGE,
     DegenerateEnsembleError,
     RngStream,
+    range_rows,
     replicate_rows,
     sample_surplus_graph,
     sample_uniform_excursion,
@@ -210,7 +213,7 @@ def cmd_sample(args) -> int:
         path.write_text("\n".join(lines) + "\n")
         files.append(path)
     elif args.kind == "map":
-        def draw(gens, start):  # each replicate range writes its own maps
+        def draw(gens, start):  # each replicate chunk writes its own maps
             weights = []
             for r, gen in enumerate(gens, start):
                 m, weight = sample_uniform_map(args.n, args.s, gen)
@@ -235,7 +238,7 @@ def cmd_sample(args) -> int:
     else:  # crum
         entangled_pairings(args.g)  # refuses a genus it cannot glue, even at --reps 0
 
-        def draw(gens, start):  # each replicate range writes its own maps
+        def draw(gens, start):  # each replicate chunk writes its own maps
             rows = []  # the pairing, the corners and the heights, or "degenerate"
             for r, gen in enumerate(gens, start):
                 exc = sample_uniform_excursion(args.n, gen)
@@ -345,17 +348,22 @@ def cmd_invert(args) -> int:
 # -- verify -----------------------------------------------------------------------
 
 
-def _report(results, path: Path) -> bool:
-    """Print each suite's verdict lines as it finishes, write all their rows to ``path``,
-    and tell whether every suite passed."""
-    rows, ok = [], True
-    for res in results:
-        for line in res.lines():
-            print(line)
-        rows += res.rows()
-        ok = ok and res.passed
+def _suite_text(results) -> list[np.ndarray]:
+    """The suites' CSV rows put through ``persistence.fmt``, their printed lines and their
+    verdicts, as the text and boolean arrays that :func:`range_rows` sends back."""
+    return [np.array([[persistence.fmt(v) for v in row] for res in results for row in res.rows()],
+                     dtype=str).reshape(-1, len(SUITE_HEADER)),
+            np.array([line for res in results for line in res.lines()], dtype=str),
+            np.array([res.passed for res in results], dtype=bool)]
+
+
+def _report(rows, lines, verdicts, path: Path) -> bool:
+    """Print the suites' verdict lines once every suite is back, write their rows to
+    ``path``, and tell whether every suite passed."""
+    for line in lines:
+        print(line)
     persistence.write_csv(path, SUITE_HEADER, rows)
-    return ok
+    return bool(verdicts.all())
 
 
 def cmd_verify(args) -> int:
@@ -372,7 +380,7 @@ def cmd_verify(args) -> int:
         options.get("seed", 0), "verify", argv=args.argv,
         parameters={"suite": args.suite, **{k: v for k, v in options.items() if k != "seed"}})
     path = outdir / f"verify_{args.suite}.csv"
-    ok = _report([run(**options)], path)
+    ok = _report(*_suite_text([run(**options)]), path)
     _finish(manifest, outdir, path)
     return EXIT_OK if ok else EXIT_VERIFY
 
@@ -452,8 +460,13 @@ def cmd_selftest(args) -> int:
     outdir = _outdir(args)
     manifest = persistence.new_manifest(0, "selftest", argv=args.argv, parameters={})
     path = outdir / "selftest.csv"
-    ok = _report((getattr(checks, name)(**kwargs) for name, kwargs in SUITES.values()
-                  if kwargs is not None), path)
+    suites = [(name, kwargs) for name, kwargs in SUITES.values() if kwargs is not None]
+
+    def run(start, stop):  # one item per suite: the processes pull the costly ones apart
+        return _suite_text([getattr(checks, name)(**kwargs)
+                            for name, kwargs in suites[start:stop]])
+
+    ok = _report(*range_rows(len(suites), run, min_range=1), path)
     _finish(manifest, outdir, path)
     print("selftest:", "PASS" if ok else "FAIL")
     return EXIT_OK if ok else EXIT_VERIFY

@@ -501,7 +501,9 @@ def admissible_pairs(f: LatticeExcursion, mode: str) -> list[tuple[int, int]]:
 
 
 def enumerate_admissible(f: LatticeExcursion, s: int, mode: str) -> list[AdmissibleCorners]:
-    """All decorations of the tree coded by ``f`` with ``s`` surplus edges, in canonical form."""
+    """All decorations of the tree coded by ``f`` with ``s`` surplus edges, in canonical form.
+
+    They are not validated here: :func:`insert_edges` is the one check a decoration passes."""
     if f.n > 8 or s > 4:
         raise EnumerationCapExceeded(f"n={f.n}, s={s} too large for decoration enumeration")
     if s == 0:
@@ -523,10 +525,7 @@ def enumerate_admissible(f: LatticeExcursion, s: int, mode: str) -> list[Admissi
             tagged = [(ends[e], tags[e], ends[e + 1], tags[e + 1]) for e in range(0, len(ends), 2)]
             if all(i1 != i2 or k1 < k2 for i1, k1, i2, k2 in tagged):  # loops in tag order
                 out.add(tuple(sorted(tagged, key=_CANONICAL_ORDER)))
-    result = [AdmissibleCorners(mode, *_split_ends(tagged)) for tagged in sorted(out)]
-    for xi in result:
-        xi.validate(f)
-    return result
+    return [AdmissibleCorners(mode, *_split_ends(tagged)) for tagged in sorted(out)]
 
 
 # -- metric observables --------------------------------------------------------

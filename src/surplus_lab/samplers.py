@@ -12,15 +12,15 @@ last word, ``r``, is mixed in for all replicates at once in 32-bit integer
 arithmetic.  Each stream is the one ``SeedSequence`` itself gives, which
 :meth:`RngStream.generator` still builds and the tests compare against.
 
-Loops run their items in contiguous ranges on every CPU the process may use
-(:func:`range_rows`): on Linux each range after the first goes to a forked
-worker.  The runner draws nothing; :func:`replicate_rows` is the seeded loop
-over it, whose workers seed only their own substreams.  Six loops use it:
-the estimators' ensembles, the sampled maps of the radius suite and the
-draw-and-write loops of ``sample map`` and ``sample crum`` through
-:func:`replicate_rows`, and, with no random stream, the (size, surplus) cells
-of the bijection suite and the gluings of the dichotomy suite.  Outputs do
-not depend on how many CPUs there are, and ``taskset -c 0`` runs one process.
+Loops run their items on every CPU the process may use (:func:`range_rows`): on
+Linux the items are cut into contiguous chunks, and the parent and its forked workers each
+pull the next chunk from one pipe as they finish one.  The runner draws nothing;
+:func:`replicate_rows` is the seeded loop over it, whose processes seed only the substreams
+of their own chunks.  Seven loops use it: the estimators' ensembles, the sampled maps of the
+radius suite and the draw-and-write loops of ``sample map`` and ``sample crum`` through
+:func:`replicate_rows`, and, with no random stream, the (size, surplus) cells of the
+bijection suite, the gluings of the dichotomy suite and the suites of ``selftest``.
+Outputs do not depend on how many CPUs there are, and ``taskset -c 0`` runs one process.
 
 Tilted laws are realized by self-normalized importance sampling from the
 uniform proposal: excursions are drawn uniformly and carry weights
@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import os
 import pickle
+import select
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
@@ -155,66 +156,90 @@ def _pcg64_seeds(seed: int, path: tuple[int, ...], count: int, start: int = 0) -
 
 # -- item ranges on every CPU ---------------------------------------------------------
 
-# The fewest items a range is given, by default.  Forking the interpreter with numpy
+# The fewest items per process started, by default.  Forking the interpreter with numpy
 # loaded, its pipe and its reaping cost about 3.5 ms on a 2-CPU x86-64 host, the time of
-# about 90 replicates of a tilted ensemble at small n (about 40 us each), so a shorter range
-# gains nothing from a worker of its own.  A caller whose replicates cost more passes its
-# own minimum: the draw-and-write loops of ``sample map`` and ``sample crum`` spend at least
-# about 0.5 ms on each replicate, file included (3 ms on a map at n = 1000), and pass
-# ``MIN_SAMPLE_RANGE``.
+# about 90 replicates of a tilted ensemble at small n (about 40 us each), so a process with
+# fewer items gains nothing.  A caller whose replicates cost more passes its own minimum: the
+# draw-and-write loops of ``sample map`` and ``sample crum`` spend at least about 0.5 ms on
+# each replicate, file included (3 ms on a map at n = 1000), and pass ``MIN_SAMPLE_RANGE``.
 MIN_FORKED_RANGE = 100
 MIN_SAMPLE_RANGE = 8
+# The contiguous chunks cut per process: each process pulls the next chunk when it finishes
+# one, so a slow chunk holds up one process while the others run the rest.
+CHUNKS_PER_PROCESS = 8
 
 
 def range_rows(count: int, rows: Callable[[int, int], list[np.ndarray]],
                min_range: int = MIN_FORKED_RANGE) -> list[np.ndarray]:
     """``rows`` over items ``0..count-1``, each array of its list concatenated in item order.
 
-    ``rows(start, stop)`` runs the items of one contiguous range and returns a list of
+    ``rows(start, stop)`` runs the items of one contiguous chunk and returns a list of
     arrays, each read with its own dtype (numbers, booleans or text, never objects), whose
     first axis follows them; an array may leave out rows, and one with no rows may have
-    any shape.  The ranges are one per CPU the process may use, each at least
-    ``min_range`` long; on Linux the parent forks a worker for each range after the
-    first, runs the first itself and reads the workers' arrays over pipes.  When item
-    ``r``'s rows depend on ``r`` alone, the result does not depend on how many CPUs there
-    are, and ``taskset -c 0`` runs one process.  A worker's exception is raised again here
-    with its type, and every worker is reaped before the call returns.  Nothing here draws
-    at random: :func:`replicate_rows` seeds the ranges of a replicate loop.
+    any shape.  The processes are one per CPU the process may use, with at least
+    ``min_range`` items each.  On Linux the items are cut into :data:`CHUNKS_PER_PROCESS`
+    contiguous chunks per process, whose numbers go into one pipe; the parent forks a worker
+    for each process after the first, and every process pulls one chunk number at a time
+    until the pipe is empty.  The parent reads the workers' chunks over pipes of their own.
+    When item ``r``'s rows depend on ``r`` alone, the result does not depend on how many
+    CPUs there are, and ``taskset -c 0`` runs one process.
+
+    A process whose chunk raises pulls no more and empties the pipe, so the others stop
+    after their current chunk.  Once every worker is reaped, the exception of the
+    lowest-numbered failed chunk is raised, with its type: that is the first failing item,
+    on any number of CPUs.  Nothing here draws at random: :func:`replicate_rows` seeds the
+    chunks of a replicate loop.
     """
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    ranges = min(cpus, count // min_range) if hasattr(os, "fork") else 1
-    if ranges <= 1:
+    processes = min(cpus, count // min_range) if hasattr(os, "fork") else 1
+    if processes <= 1:
         return _range_rows(rows, 0, count)
-    bounds = [count * k // ranges for k in range(ranges + 1)]
-    workers = []  # (pid, read end of its pipe), or None for a range this process runs
+    chunks = min(count, CHUNKS_PER_PROCESS * processes, select.PIPE_BUF // 4)
+    bounds = [count * k // chunks for k in range(chunks + 1)]
+    queue, feed = os.pipe()
+    os.write(feed, b"".join(k.to_bytes(4, "little") for k in range(chunks)))  # one atomic write
+    os.close(feed)  # an empty queue then reads as its end
+    workers = []  # (pid, read end of its pipe)
     try:
-        for start, stop in zip(bounds[1:-1], bounds[2:]):
-            workers.append(_fork_range(rows, start, stop))
-        parts = [_range_rows(rows, 0, bounds[1])]
-        for start, stop, worker in zip(bounds[1:-1], bounds[2:], workers):
-            parts.append(_read_range(*worker) if worker else _range_rows(rows, start, stop))
+        for _ in range(processes - 1):
+            if (worker := _fork_range(rows, bounds, queue)) is None:
+                break
+            workers.append(worker)
+        done, failed = _pull_chunks(rows, bounds, queue, Exception)
+        failures = [(*failed, None)] if failed else []
+        for worker in workers:
+            theirs, failed = _read_range(*worker)
+            done.update(theirs)
+            failures += [failed] if failed else []
     except BaseException:
         import signal
 
-        for pid, _ in filter(None, workers):
+        for pid, _ in workers:
             os.kill(pid, signal.SIGKILL)
         raise
     finally:
-        for pid, fd in filter(None, workers):
+        os.close(queue)
+        for pid, fd in workers:
             os.close(fd)
             os.waitpid(pid, 0)
-    return [np.concatenate([a for a in arrays if len(a)] or arrays[:1]) for arrays in zip(*parts)]
+    if failures:
+        _, exc, trace = min(failures, key=lambda failure: failure[0])
+        if trace is None:  # raised in this process
+            raise exc
+        raise exc from RuntimeError(f"in the worker for this chunk:\n{trace}")
+    return [np.concatenate([a for a in arrays if len(a)] or arrays[:1])
+            for arrays in zip(*(done[k] for k in range(chunks)))]
 
 
 def replicate_rows(reps: int, rng: RngStream,
                    rows: Callable[[Iterator[np.random.Generator], int], list[np.ndarray]],
                    min_range: int = MIN_FORKED_RANGE) -> list[np.ndarray]:
-    """``rows`` over the generators of replicates ``0..reps-1``, in the ranges of
+    """``rows`` over the generators of replicates ``0..reps-1``, in the chunks of
     :func:`range_rows`.
 
     ``rows`` is handed the generators ``rng.substream(r).generator()`` of one contiguous
-    range of replicates, seeded in that range's process, and the first replicate ``r`` of
-    the range.  Replicate ``r`` draws only from substream ``r``, so the result does not
+    chunk of replicates, seeded in that chunk's process, and the first replicate ``r`` of
+    the chunk.  Replicate ``r`` draws only from substream ``r``, so the result does not
     depend on how many CPUs there are.
     """
     return range_rows(reps, lambda start, stop: rows(rng.generators(stop, start), start),
@@ -225,14 +250,31 @@ def _range_rows(rows, start: int, stop: int) -> list[np.ndarray]:
     return [np.asarray(a) for a in rows(start, stop)]
 
 
-def _fork_range(rows, start: int, stop: int) -> tuple[int, int] | None:
-    """A forked worker that writes ``rows`` of items ``start..stop-1`` to a pipe, pickled
-    as ``(arrays, None)`` or ``(None, (exception, traceback))``, dumped whole before the one
-    write.  ``None`` when the process cannot fork."""
+def _pull_chunks(rows, bounds: list[int], queue: int, catch: type[BaseException]):
+    """The arrays of each chunk this process pulls off ``queue`` and runs, by chunk number,
+    and ``(chunk, exception)`` for the chunk that raised ``catch``, or ``None``.  After a
+    failure the queue is emptied, so no process starts another chunk."""
+    done = {}
+    while record := os.read(queue, 4):  # 4 bytes or none: every read takes whole records
+        chunk = int.from_bytes(record, "little")
+        try:
+            done[chunk] = _range_rows(rows, bounds[chunk], bounds[chunk + 1])
+        except catch as exc:
+            while os.read(queue, select.PIPE_BUF):
+                pass
+            return done, (chunk, exc)
+    return done, None
+
+
+def _fork_range(rows, bounds: list[int], queue: int) -> tuple[int, int] | None:
+    """A forked worker that pulls chunks off ``queue`` and then writes to a pipe of its own
+    ``(arrays by chunk, None)`` or, after a failure, ``(arrays by chunk, (chunk, exception,
+    traceback))``, pickled whole before the one write.  ``None`` when the process cannot
+    fork."""
     read_fd, write_fd = os.pipe()
     try:
         pid = os.fork()
-    except OSError:  # at a process limit the range runs in the parent
+    except OSError:  # at a process limit the other processes pull this one's chunks
         os.close(read_fd)
         os.close(write_fd)
         return None
@@ -242,34 +284,32 @@ def _fork_range(rows, start: int, stop: int) -> tuple[int, int] | None:
     try:
         os.close(read_fd)
         with open(write_fd, "wb") as out:
-            try:
-                result = pickle.dumps((_range_rows(rows, start, stop), None))
-            except BaseException as exc:  # the parent raises it
+            done, failed = _pull_chunks(rows, bounds, queue, BaseException)  # the parent raises it
+            if failed:
                 import traceback
 
-                trace = traceback.format_exc()
+                chunk, exc = failed
+                trace = "".join(traceback.format_exception(exc))
                 try:
-                    result = pickle.dumps((None, (exc, trace)))
+                    result = pickle.dumps((done, (chunk, exc, trace)))
                 except Exception:  # an exception that does not pickle is sent as its text
                     text = RuntimeError(f"{type(exc).__name__}: {exc}")
-                    result = pickle.dumps((None, (text, trace)))
+                    result = pickle.dumps((done, (chunk, text, trace)))
+            else:
+                result = pickle.dumps((done, None))
             out.write(result)
     finally:
         os._exit(0)  # never back into the caller's code, and no exit handlers or flushes
 
 
-def _read_range(pid: int, fd: int) -> list[np.ndarray]:
-    """The arrays a forked worker wrote, once it has closed its pipe."""
+def _read_range(pid: int, fd: int) -> tuple[dict, tuple | None]:
+    """The chunks a forked worker wrote, and its failure, once it has closed its pipe."""
     chunks = []
     while chunk := os.read(fd, 1 << 20):
         chunks.append(chunk)
     if not chunks:
         raise ChildProcessError(f"range worker {pid} ended with no result")
-    arrays, error = pickle.loads(b"".join(chunks))  # bytes that this program's own worker wrote
-    if error:
-        exc, trace = error
-        raise exc from RuntimeError(f"in the worker for this range:\n{trace}")
-    return arrays
+    return pickle.loads(b"".join(chunks))  # bytes that this program's own worker wrote
 
 
 # -- uniform samplers -----------------------------------------------------------

@@ -73,8 +73,10 @@ def test_detector_sees_definitions(tmp_path):
 
 def test_cli_and_selftest_leave_numpy_random_unloaded(tmp_path):
     # loading numpy.random adds several MiB to the resident set; the exact suites draw
-    # nothing, so the stream seeding must not load it when the package is imported
-    code = ("import sys, surplus_lab.cli as cli; "
+    # nothing, so the stream seeding must not load it when the package is imported; on one
+    # CPU every suite runs in the process that is checked
+    code = ("import os, sys, surplus_lab.cli as cli; "
+            "os.sched_getaffinity = lambda pid: {0}; "
             "assert cli.main(['selftest', '--out', sys.argv[1]]) == 0; "
             "assert 'numpy.random' not in sys.modules, 'numpy.random is loaded'")
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
@@ -85,11 +87,13 @@ def test_cli_and_selftest_leave_numpy_random_unloaded(tmp_path):
 
 def test_range_rows_leaves_numpy_random_unloaded():
     # the exact suites run their cells through the range runner, on two CPUs here; neither
-    # the parent nor a worker may load numpy.random for it
-    code = ("import os, sys, surplus_lab.samplers as s; "
+    # the parent nor a worker may load numpy.random for it.  Item 0 is slow, so the process
+    # that does not run it runs the others
+    code = ("import os, sys, time, surplus_lab.samplers as s; "
             "os.sched_getaffinity = lambda pid: {0, 1}; "
-            "items, pids, loaded = s.range_rows(8, lambda a, b: [list(range(a, b)), "
-            "[os.getpid()] * (b - a), ['numpy.random' in sys.modules] * (b - a)], 4); "
+            "items, pids, loaded = s.range_rows(8, lambda a, b: time.sleep(0.3 * (a == 0)) or "
+            "[list(range(a, b)), [os.getpid()] * (b - a), "
+            "['numpy.random' in sys.modules] * (b - a)], 4); "
             "assert items.tolist() == list(range(8)) and len(set(pids.tolist())) == 2; "
             "assert not loaded.any() and 'numpy.random' not in sys.modules, loaded")
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))

@@ -298,6 +298,15 @@ class TestEnumerationDigest:
         assert digest.hexdigest() == \
             "c7a9d7ab137efd584d6398d9ce34430fb5f0bf5ea21279d76169357486f1e5a5"
 
+    @pytest.mark.parametrize("mode", ["bf", "df"])
+    def test_every_decoration_validates(self, mode):
+        # enumeration leaves the check to insertion, so the counting suite, which inserts
+        # nothing, relies on this
+        for n, s in [(n, s) for n in range(1, 6) for s in (1, 2)] + [(n, 3) for n in range(1, 5)]:
+            for f in enumerate_excursions(n):
+                for xi in enumerate_admissible(f, s, mode):
+                    xi.validate(f)
+
 
 class TestContourBuilder:
     """The one-pass contour builder against the plane-tree builder it replaced."""

@@ -1,6 +1,7 @@
 """Persistence round trips, manifests, and the command-line surface."""
 
 import functools
+import itertools
 import json
 import os
 import time
@@ -13,6 +14,7 @@ from surplus_lab.maps import TUPLE_ENUMERATION_CAP, entangled_pairings, genus_on
 from surplus_lab.samplers import enumerate_maps
 
 from csv_reference import read_csv
+from test_samplers import hold_back
 
 
 class TestPersistence:
@@ -243,6 +245,7 @@ class TestCli:
 
         for name, _ in cli.SUITES.values():  # each suite is looked up on checks as it runs
             monkeypatch.setattr(checks, name, recorder(getattr(checks, name)))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})  # calls sees every suite
         assert main(["selftest", "--out", str(tmp_path / "st")]) == EXIT_OK
         assert calls == [("bijection_suite", {"n": 4}), ("count_suite", {"n": 8}),
                          ("w1_suite", {"n": 5}), ("psi_suite", {"n": 4}),
@@ -553,6 +556,7 @@ class TestSampleOnEveryCpu:
         save_map = persistence.save_map
         monkeypatch.setattr(persistence, "save_map",
                             lambda m, path: saved.append(path.name) or save_map(m, path))
+        hold_back(monkeypatch, samplers)  # the workers pull the chunks this process holds back
         runs = []
         for cpus in (1, 2, 3):
             self.on_cpus(monkeypatch, cpus)
@@ -561,8 +565,8 @@ class TestSampleOnEveryCpu:
             assert main(["sample", *self.CASES[case], "--reps", str(self.REPS), "--seed", "4",
                          "--out", str(out)]) == EXIT_OK
             assert os.getpid() == parent
-            assert all(int(name.split("_")[1].split(".")[0]) < self.REPS // cpus
-                       for name in saved)  # the later ranges are written by the workers
+            written = len(list(out.glob("*_*.json")))
+            assert (len(saved) < written) == (cpus > 1)  # the workers write some of the maps
             files = {p.name: p.read_bytes() for p in out.iterdir() if p.name != "manifest.json"}
             outputs = persistence.load_manifest(out / "manifest.json").outputs
             assert set(outputs) == set(files)
@@ -602,19 +606,25 @@ class TestSampleOnEveryCpu:
         assert err.startswith("usage error:") and "n=200" in err and "s=200" in err
 
     def test_a_failed_gluing_names_its_replicate(self, tmp_path, monkeypatch):
-        self.on_cpus(monkeypatch, 3)
-        parent = os.getpid()
+        # replicates 20 and 23 glue two faces; 20 is named on any CPU count, and on more
+        # than one it is glued in a worker while this process holds back its first chunk
+        hold_back(monkeypatch, samplers)
         glue = cli.unicellular_glue
+        streams = samplers.RngStream(0).generators(24, 20)
+        bad = {samplers.sample_uniform_excursion(40, gen).steps_string()
+               for r, gen in enumerate(streams, 20) if r in (20, 23)}
 
-        def glue_in_parent_only(exc, pairing, corners):
+        def glue_two_faces(exc, pairing, corners):
             m, unicellular = glue(exc, pairing, corners)
-            return m, unicellular and os.getpid() == parent
+            return m, unicellular and exc.steps_string() not in bad
 
-        monkeypatch.setattr(cli, "unicellular_glue", glue_in_parent_only)
-        with pytest.raises(RuntimeError, match="replicate 8 .* at n=40, g=1") as info:
-            main(["sample", "crum", "--n", "40", "--g", "1", "--reps", str(self.REPS),
-                  "--out", str(tmp_path / "o")])
-        assert "Traceback" in str(info.value.__cause__)  # raised in the first worker
+        monkeypatch.setattr(cli, "unicellular_glue", glue_two_faces)
+        for cpus in (1, 2, 3):
+            self.on_cpus(monkeypatch, cpus)
+            with pytest.raises(RuntimeError, match="replicate 20 .* at n=40, g=1") as info:
+                main(["sample", "crum", "--n", "40", "--g", "1", "--reps", str(self.REPS),
+                      "--out", str(tmp_path / str(cpus))])
+            assert ("Traceback" in str(info.value.__cause__)) == (cpus > 1)
 
 
 class TestReplay:
@@ -638,6 +648,24 @@ class TestReplay:
 
 
 class TestSelftest:
+    SUITE_NAMES = ["bijection", "counts", "w1", "psi", "vervaat", "sg", "dichotomy",
+                   "decoration-count"]
+
+    def test_same_bytes_on_any_cpu_count(self, tmp_path, capsys, monkeypatch):
+        runs = []
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+            out = tmp_path / str(cpus)
+            assert main(["selftest", "--out", str(out)]) == EXIT_OK
+            runs.append((capsys.readouterr().out, (out / "selftest.csv").read_bytes()))
+        assert runs[1] == runs[0] and runs[2] == runs[0]
+        *lines, verdict = runs[0][0].splitlines()
+        assert verdict == "selftest: PASS"
+        suites = [line.split()[1].split(":")[0] for line in lines]
+        assert [name for name, _ in itertools.groupby(suites)] == self.SUITE_NAMES
+        with pytest.raises(ChildProcessError):  # and no process is left behind
+            os.waitpid(-1, os.WNOHANG)
+
     def test_selftest_under_a_minute(self, tmp_path, capsys):
         import time
 

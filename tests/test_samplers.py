@@ -498,6 +498,30 @@ def _levels(smp: TiltSample) -> np.ndarray:
     return np.bincount(smp.distances_from_root(), minlength=9)[:9] / 3.0
 
 
+HOLD_S = 0.3  # long enough for the other processes to pull every other chunk of a test
+
+
+def held_back(rows, where: str = "parent"):
+    """``rows``, with the first chunk that the parent, or else each worker, runs held back
+    for :data:`HOLD_S`, so that the other processes pull the rest of the chunks."""
+    parent, held = os.getpid(), []
+
+    def run(*args):
+        if (os.getpid() == parent) == (where == "parent") and not held:
+            held.append(True)
+            time.sleep(HOLD_S)
+        return rows(*args)
+
+    return run
+
+
+def hold_back(monkeypatch, module, where: str = "parent") -> None:
+    """Run the range loops that ``module`` starts with :func:`held_back` rows."""
+    run = samplers.range_rows
+    monkeypatch.setattr(module, "range_rows",
+                        lambda count, rows, *args: run(count, held_back(rows, where), *args))
+
+
 class ForkedRanges:
     """Runs each test on as many CPUs as it asks for, and checks that it leaves no process
     behind."""
@@ -512,12 +536,26 @@ class ForkedRanges:
     def on_cpus(monkeypatch, cpus: int) -> None:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
 
+    @staticmethod
+    def count_forks(monkeypatch) -> list[int]:
+        """The pids of the workers forked from here on."""
+        forks, fork = [], os.fork
+
+        def counted():
+            pid = fork()
+            if pid:
+                forks.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", counted)
+        return forks
+
 
 class TestReplicateRanges(ForkedRanges):
-    """Replicate ranges on 1, 2 and 3 CPUs give bitwise-equal ensembles, and leave no
+    """Replicate chunks on 1, 2 and 3 CPUs give bitwise-equal ensembles, and leave no
     process behind."""
 
-    REPS = 3 * samplers.MIN_FORKED_RANGE + 1  # odd, and three ranges at three CPUs
+    REPS = 3 * samplers.MIN_FORKED_RANGE + 1  # odd, and three processes at three CPUs
 
     CASES = {
         "bf-s3": (12, 3, "bf", lambda smp: smp.exc.max_height() / 7.0),
@@ -544,14 +582,14 @@ class TestReplicateRanges(ForkedRanges):
                 assert other.columns[name].tobytes() == one.columns[name].tobytes()
 
     def test_a_range_may_leave_out_every_row(self, monkeypatch):
+        # every chunk past the first third leaves out every row, and the workers run them
         self.on_cpus(monkeypatch, 3)
-        parent = os.getpid()
 
-        def rows(gens, _):
+        def rows(gens, start):
             draws = [gen.random() for gen in gens]
-            return [draws, [[u, 1.0] for u in draws if os.getpid() == parent]]
+            return [draws, [[u, 1.0] for r, u in enumerate(draws, start) if r < self.REPS // 3]]
 
-        draws, pairs = samplers.replicate_rows(self.REPS, RngStream(8), rows)
+        draws, pairs = samplers.replicate_rows(self.REPS, RngStream(8), held_back(rows))
         expected = [gen.random() for gen in RngStream(8).generators(self.REPS)]
         assert draws.tolist() == expected
         assert pairs.tolist() == [[u, 1.0] for u in expected[:self.REPS // 3]]
@@ -565,7 +603,8 @@ class TestReplicateRanges(ForkedRanges):
             return [reps, [r % 3 == 0 for r in reps], [[f"r{r}", "x" * (r % 4)] for r in reps],
                     [r / 2 for r in reps]]
 
-        ints, flags, text, halves = samplers.replicate_rows(self.REPS, RngStream(8), rows)
+        ints, flags, text, halves = samplers.replicate_rows(self.REPS, RngStream(8),
+                                                            held_back(rows))
         reps = range(self.REPS)
         assert ints.dtype == np.int64 and ints.tolist() == list(reps)
         assert flags.dtype == np.bool_ and flags.tolist() == [r % 3 == 0 for r in reps]
@@ -574,27 +613,33 @@ class TestReplicateRanges(ForkedRanges):
         assert halves.dtype == np.float64 and halves.tolist() == [r / 2 for r in reps]
 
     def test_rows_learn_the_first_replicate_of_their_range(self, monkeypatch):
+        # each chunk is handed its first replicate and the generators from there on
         self.on_cpus(monkeypatch, 3)
-        parent = os.getpid()
-        numbers, starts = samplers.replicate_rows(
-            self.REPS, RngStream(8),
-            lambda gens, start: [[start + k for k, _ in enumerate(gens)],
-                                 [start] if os.getpid() != parent else []])
+
+        def rows(gens, start):
+            draws = [gen.random() for gen in gens]
+            return [list(range(start, start + len(draws))), [start], [[start, draws[0]]]]
+
+        numbers, starts, firsts = samplers.replicate_rows(self.REPS, RngStream(8),
+                                                          held_back(rows))
+        chunks = 3 * samplers.CHUNKS_PER_PROCESS
         assert numbers.tolist() == list(range(self.REPS))
-        assert starts.tolist() == [self.REPS // 3, 2 * self.REPS // 3]  # the workers' ranges
+        assert starts.tolist() == [self.REPS * k // chunks for k in range(chunks)]
+        assert firsts.tolist() == [[r, RngStream(8).substream(r).generator().random()]
+                                   for r in starts.tolist()]
 
     def test_the_fewest_replicates_worth_a_fork_is_per_call(self, monkeypatch):
         self.on_cpus(monkeypatch, 2)
-        parent = os.getpid()
+        forks = self.count_forks(monkeypatch)
 
-        def in_workers(reps, **kw):  # how many replicates ran in a forked worker
-            pids, = samplers.replicate_rows(reps, RngStream(8),
-                                            lambda gens, _: [[os.getpid() for _ in gens]], **kw)
-            return (pids != parent).sum()
+        def workers(reps, **kw):  # how many workers a loop of reps replicates forks
+            forks.clear()
+            samplers.replicate_rows(reps, RngStream(8), lambda gens, _: [[0 for _ in gens]], **kw)
+            return len(forks)
 
-        assert in_workers(10) == 0
-        assert in_workers(10, min_range=5) == 5
-        assert in_workers(9, min_range=5) == 0
+        assert workers(10) == 0
+        assert workers(10, min_range=5) == 1
+        assert workers(9, min_range=5) == 0
 
     def in_this_process(self, reps: int) -> bool:
         calls = []  # a worker's calls stay in the worker
@@ -602,14 +647,18 @@ class TestReplicateRanges(ForkedRanges):
         return len(calls) == reps
 
     def test_one_process_when_forking_gains_nothing(self, monkeypatch):
+        forks = self.count_forks(monkeypatch)
         self.on_cpus(monkeypatch, 2)
-        assert not self.in_this_process(self.REPS)
-        assert self.in_this_process(2 * samplers.MIN_FORKED_RANGE - 1)  # ranges too short
+        self.in_this_process(self.REPS)
+        assert len(forks) == 1
+        forks.clear()
+        assert self.in_this_process(2 * samplers.MIN_FORKED_RANGE - 1)  # too few to share
         self.on_cpus(monkeypatch, 1)
         assert self.in_this_process(self.REPS)
         self.on_cpus(monkeypatch, 3)
         monkeypatch.delattr(os, "fork")
         assert self.in_this_process(self.REPS)
+        assert not forks
 
     def test_a_range_that_cannot_fork_runs_here(self, monkeypatch):
         self.on_cpus(monkeypatch, 3)
@@ -624,7 +673,9 @@ class TestReplicateRanges(ForkedRanges):
 
     @pytest.mark.parametrize("where", ["worker", "parent"])
     def test_an_exception_keeps_its_type(self, where, monkeypatch):
+        # the processes that do not raise hold back their first chunk, so the others run some
         self.on_cpus(monkeypatch, 3)
+        hold_back(monkeypatch, samplers, "worker" if where == "parent" else "parent")
         parent = os.getpid()
 
         def fail(smp):
@@ -642,16 +693,69 @@ class TestRangeRows(ForkedRanges):
     """The range runner under :func:`replicate_rows`, which draws nothing itself."""
 
     @staticmethod
-    def items_and_pids(start, stop):
-        return [list(range(start, stop)), [os.getpid()] * (stop - start)]
+    def items(start, stop):
+        time.sleep(0.002 * (stop - start))  # no process runs every chunk before another starts
+        return [list(range(start, stop))]
 
     @pytest.mark.parametrize("cpus", [1, 2, 3])
     @pytest.mark.parametrize("count", [1, 5, 13, 14])
     def test_every_item_once_in_order(self, cpus, count, monkeypatch):
         self.on_cpus(monkeypatch, cpus)
-        items, pids = samplers.range_rows(count, self.items_and_pids, min_range=4)
+        forks = self.count_forks(monkeypatch)
+        items, = samplers.range_rows(count, self.items, min_range=4)
         assert items.tolist() == list(range(count))
-        assert len(set(pids.tolist())) == max(1, min(cpus, count // 4))
+        assert len(forks) == max(1, min(cpus, count // 4)) - 1  # processes with 4 items each
+
+    def test_uneven_items_give_the_same_bytes_on_any_cpu_count(self, monkeypatch):
+        # every seventh item costs 100 times the others, so the processes pull unequal shares
+        def rows(start, stop):
+            for r in range(start, stop):
+                time.sleep(0.01 if r % 7 == 0 else 0.0001)
+            return [list(range(start, stop)), [f"item {r}" for r in range(start, stop)],
+                    [[r / 7, r % 2 == 0] for r in range(start, stop)]]
+
+        runs = []
+        for cpus in (1, 2, 3):
+            self.on_cpus(monkeypatch, cpus)
+            arrays = samplers.range_rows(50, rows, min_range=4)
+            runs.append([(a.dtype.str, a.shape, a.tobytes()) for a in arrays])
+        assert runs[0][0][2] == np.arange(50).tobytes()
+        assert runs[1] == runs[0] and runs[2] == runs[0]
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_the_first_failing_item_is_named_on_any_cpu_count(self, cpus, monkeypatch):
+        # item 40 fails at once, item 17 only after the slow items before it; the first
+        # failing item in item order is the one raised
+        self.on_cpus(monkeypatch, cpus)
+
+        def rows(start, stop):
+            for r in range(start, stop):
+                if r in (17, 40):
+                    raise LookupError(f"item {r}")
+                time.sleep(0.005 if r < 17 else 0.0001)
+            return [list(range(start, stop))]
+
+        with pytest.raises(LookupError, match="^item 17$"):
+            samplers.range_rows(48, rows, min_range=4)
+
+    @pytest.mark.parametrize("forked", [0, 1])
+    def test_a_process_that_cannot_fork_leaves_its_chunks_to_the_others(self, forked,
+                                                                       monkeypatch):
+        self.on_cpus(monkeypatch, 3)
+        forks, fork = self.count_forks(monkeypatch), os.fork
+
+        def refuse_after():  # the first ``forked`` forks succeed
+            if len(forks) == forked:
+                raise BlockingIOError("fork: resource temporarily unavailable")
+            return fork()
+
+        monkeypatch.setattr(os, "fork", refuse_after)
+        items, pids = samplers.range_rows(
+            24, lambda start, stop: [*self.items(start, stop), [os.getpid()] * (stop - start)],
+            min_range=4)
+        assert items.tolist() == list(range(24))
+        if not forked:
+            assert set(pids.tolist()) == {os.getpid()}  # every chunk ran here
 
     @pytest.mark.parametrize("where", ["worker", "parent"])
     def test_an_exception_keeps_its_type(self, where, monkeypatch):
@@ -661,25 +765,26 @@ class TestRangeRows(ForkedRanges):
         def rows(start, stop):
             if (os.getpid() == parent) == (where == "parent"):
                 raise LookupError(f"items {start}..{stop - 1} in the {where}")
-            return self.items_and_pids(start, stop)
+            return self.items(start, stop)
 
+        other = "worker" if where == "parent" else "parent"
         with pytest.raises(LookupError, match=f"in the {where}") as info:
-            samplers.range_rows(12, rows, min_range=4)
+            samplers.range_rows(12, held_back(rows, other), min_range=4)
         if where == "worker":
             assert "Traceback" in str(info.value.__cause__)
 
     @pytest.mark.parametrize("cpus", [2, 3])
     def test_an_exception_that_does_not_pickle_arrives_as_its_text(self, cpus, monkeypatch):
+        # the last item fails, in a worker while the parent's first chunk is held back
         self.on_cpus(monkeypatch, cpus)
-        parent = os.getpid()
 
         def rows(start, stop):
-            if os.getpid() != parent:
+            if stop == 12:
                 raise LookupError(lambda: start)  # a lambda does not pickle
-            return self.items_and_pids(start, stop)
+            return self.items(start, stop)
 
         with pytest.raises(RuntimeError, match="^LookupError: <function ") as info:
-            samplers.range_rows(12, rows, min_range=4)
+            samplers.range_rows(12, held_back(rows), min_range=4)
         assert "Traceback" in str(info.value.__cause__)
 
     @pytest.mark.parametrize("cpus", [2, 3])
@@ -688,30 +793,31 @@ class TestRangeRows(ForkedRanges):
         parent = os.getpid()
 
         def rows(start, stop):
-            if os.getpid() != parent:
+            if os.getpid() != parent:  # the workers run the chunks the parent holds back from
                 os._exit(0)
-            return self.items_and_pids(start, stop)
+            return self.items(start, stop)
 
         with pytest.raises(ChildProcessError, match="ended with no result"):
-            samplers.range_rows(12, rows, min_range=4)
+            samplers.range_rows(12, held_back(rows), min_range=4)
+
+    def test_an_interrupt_here_kills_the_workers(self, monkeypatch):
+        self.on_cpus(monkeypatch, 3)
+        parent, start = os.getpid(), time.monotonic()
+
+        def rows(start, stop):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            time.sleep(60)
+            return self.items(start, stop)
+
+        with pytest.raises(KeyboardInterrupt):
+            samplers.range_rows(12, held_back(rows, "worker"), min_range=4)
+        assert time.monotonic() - start < 30
 
 
 class TestExactSuiteRanges(ForkedRanges):
     """The cells of the bijection suite and the gluings of the dichotomy suite run in
-    ranges on every CPU with the same verdicts."""
-
-    @staticmethod
-    def count_forks(monkeypatch) -> list[int]:
-        forks, fork = [], os.fork
-
-        def counted():
-            pid = fork()
-            if pid:
-                forks.append(pid)
-            return pid
-
-        monkeypatch.setattr(os, "fork", counted)
-        return forks
+    chunks on every CPU with the same verdicts."""
 
     def test_same_rows_and_lines_on_any_cpu_count(self, monkeypatch):
         forks = self.count_forks(monkeypatch)
@@ -739,11 +845,12 @@ class TestExactSuiteRanges(ForkedRanges):
         self.on_cpus(monkeypatch, 2)
         clean = checks.bijection_suite(4, 2).rows()
         forks = self.count_forks(monkeypatch)
-        parent, last = os.getpid(), enumerate_excursions(4)[-1]
+        hold_back(monkeypatch, checks)  # the last tree's items then run in the worker
+        last = enumerate_excursions(4)[-1]
 
-        def corrupt(m):  # every depth-first round trip of the last tree at k = 4, in a worker
+        def corrupt(m):  # every depth-first round trip of the last tree at k = 4
             f, xi = maps.df_explore(m)
-            if f == last and os.getpid() != parent:
+            if f == last:
                 f = enumerate_excursions(1)[0]
             return f, xi
 
