@@ -3,7 +3,7 @@ and unicellular gluings.
 
 The package is organized around five layers: lattice paths and trees
 (`lattice_paths`), occupation counts, corner weights and the coded tree off one
-corner index (`local_time`), half-edge maps built from the contour with their
+level sort of the contour (`local_time`), half-edge maps built from the contour with their
 explorations (`maps`), exact and weighted samplers (`samplers`), and estimators
 plus identity checks (`estimators`, `checks`).  `persistence` and `cli` provide
 reproducible runs on top.  No code path decodes a tree.

@@ -201,10 +201,10 @@ DEFAULT_PROFILE_GRID = tuple(round(0.1 * k, 1) for k in range(31))
 
 
 def _profile_from_levels(levels, positions: np.ndarray, value_scale: float) -> np.ndarray:
-    arr = np.zeros(len(positions))
-    ok = positions < len(levels)
-    arr[ok] = np.asarray(levels, dtype=np.float64)[positions[ok]] * value_scale
-    return arr
+    """The level counts at ``positions``, 0 past the last level, times ``value_scale``."""
+    padded = np.zeros(len(levels) + 1)
+    padded[:-1] = levels
+    return padded[np.minimum(positions, len(levels))] * value_scale
 
 
 def profile_laws(n: int, s: int, reps: int, rng: RngStream) -> Estimate:

@@ -61,6 +61,14 @@ class LatticeExcursion:
             if np.count_nonzero(arr[1:-1] <= 0):
                 raise ValueError("excursion interior must be strictly positive")
 
+    @classmethod
+    def _of_own(cls, values: np.ndarray) -> "LatticeExcursion":
+        """The excursion of a valid int64 path that no caller holds, kept uncopied."""
+        exc = object.__new__(cls)
+        values.setflags(write=False)
+        exc.values, exc.n = values, (len(values) - 1) // 2
+        return exc
+
     def __len__(self) -> int:
         return len(self.values)
 
@@ -270,7 +278,7 @@ def vervaat_excursion(steps) -> LatticeExcursion:
     values[0] = 0
     np.add(c[k:], 1 - low, out=values[1:two_n - k])
     np.subtract(c[:k + 1], low, out=values[two_n - k:])
-    return LatticeExcursion(values, validate=False)
+    return LatticeExcursion._of_own(values)
 
 
 def enumerate_excursions(n: int) -> list[LatticeExcursion]:

@@ -33,7 +33,15 @@ bounds sum to ``m^2`` and the positions to ``m(m-1)/2``, so the breadth-first
 total is ``B(f) = m(m+1)/2 - sum_k down(k)``; likewise ``D(f) = m(m+1)/2 -
 sum_j q(j)``.
 
-The same index names the vertices of the coded tree (:func:`contour_tree`).
+The totals need neither ``q`` nor ``down`` corner by corner, only the level order
+(:func:`corner_total`).  In that order the corners entered by an up-step open one
+run per non-root vertex: the vertex's visits, on which ``q`` and ``down`` are
+constant.  A run of length ``len_r`` whose first time is ``t_r`` has ``q = t_r - 1``,
+so ``D(f) = m(m+1)/2 - sum_r len_r (t_r - 1)``.  The vertices below level 1 leave
+their parents, in the same order, at the corners left by an up-step; with ``l`` the
+sorted index positions of those corners, ``B(f) = m(m+1)/2 - sum_{r >= 1} len_r
+(l_{r-1} + 1)``, the one level-1 run having ``down = 0``.  The full index serves the
+pair draws, the pair lists and the coded tree (:func:`contour_tree`).
 """
 
 from __future__ import annotations
@@ -69,15 +77,21 @@ class CornerIndex(NamedTuple):
     pos: np.ndarray
 
 
+def _level_order(interior: np.ndarray) -> np.ndarray:
+    """The times before the interior corners sorted by (level, time): one stable sort by
+    level, on a one-byte key when every height is below 256."""
+    height = int(interior.max())
+    key = np.uint8 if height < 2 ** 8 else np.int16 if height < 2 ** 15 else np.int32
+    return interior.astype(key).argsort(kind="stable")
+
+
 def corner_index(values) -> CornerIndex:
     """One stable sort by level, then ``q`` by a forward fill: ``q(j) = j - 1``
     after an up-step, and after a down-step the path stayed above ``f(j)`` since
     the previous corner at that level, which has the same ``q``."""
     values = np.asarray(values, dtype=np.int64)
     interior = values[1:-1]
-    span = len(values)  # heights stay below span / 2, so below 2^15 when span < 2^16
-    # the time before each corner, in index order
-    before = interior.astype(np.int16 if span < 2 ** 16 else np.int32).argsort(kind="stable")
+    before = _level_order(interior)  # the time before each corner, in index order
     times = before + 1
     counts = np.bincount(interior)
     start = np.zeros(len(counts) + 1, dtype=np.int64)
@@ -85,7 +99,7 @@ def corner_index(values) -> CornerIndex:
     rank = np.arange(len(times))
     up = interior > values[:-2]  # the step into each interior time, in time order
     q = before[np.maximum.accumulate(rank * up[before])]  # from the block's last up-step
-    pos = np.empty(span, dtype=np.int64)
+    pos = np.empty(len(values), dtype=np.int64)
     pos[times] = rank
     pos[0] = pos[-1] = -1  # pos[0] = -1: q = 0 has no corner below
     return CornerIndex(times, interior[before], start, q, pos[q] + 1, pos)
@@ -122,11 +136,23 @@ def bf_per_index(index: CornerIndex) -> np.ndarray:
     return out
 
 
-def corner_total(index: CornerIndex, mode: str) -> int:
-    """The total ``B(f)`` (``mode="bf"``) or ``D(f)`` (``"df"``) off the corner index of ``f``
-    in closed form, ``m(m+1)/2`` less the sum of ``down`` or of ``q`` over the ``m`` corners."""
-    m = len(index.times)
-    return m * (m + 1) // 2 - int((index.down if mode == "bf" else index.q).sum())
+def corner_total(values, mode: str) -> int:
+    """The total ``B(f)`` (``mode="bf"``) or ``D(f)`` (``"df"``) of the contour ``values``,
+    read off the runs of its level order: ``m(m+1)/2`` less ``sum_r len_r (t_r - 1)``, or
+    less ``sum_{r >= 1} len_r (l_{r-1} + 1)`` (the module docstring)."""
+    values = np.asarray(values, dtype=np.int64)
+    interior = values[1:-1]
+    m = len(interior)
+    before = _level_order(interior)
+    up = values[1:] > values[:-1]  # up[t]: the step from time t is up
+    bounds = np.empty(len(values) // 2 + 1, dtype=np.int64)  # the n runs, then m
+    bounds[:-1] = np.flatnonzero(up[before])  # opened by the corners entered by an up-step
+    bounds[-1] = m
+    lens = bounds[1:] - bounds[:-1]
+    if mode == "bf":
+        leaves = np.flatnonzero(up[1:][before])  # l: the corners left by an up-step
+        return m * (m + 1) // 2 - int(lens[1:] @ leaves) - (m - int(lens[0]))
+    return m * (m + 1) // 2 - int(lens @ before[bounds[:-1]])
 
 
 def df_per_index(index: CornerIndex) -> np.ndarray:

@@ -15,11 +15,12 @@ arithmetic.  Each stream is the one ``SeedSequence`` itself gives, which
 Loops run their items on every CPU the process may use (:func:`range_rows`): on
 Linux the items are cut into contiguous chunks, and the parent and its forked workers each
 pull the next chunk from one pipe as they finish one.  The runner draws nothing;
-:func:`replicate_rows` is the seeded loop over it, whose processes seed only the substreams
-of their own chunks.  Seven loops use it: the estimators' ensembles, the sampled maps of the
-radius suite and the draw-and-write loops of ``sample map`` and ``sample crum`` through
-:func:`replicate_rows`, and, with no random stream, the (size, surplus) cells of the
-bijection suite, the gluings of the dichotomy suite and the suites of ``selftest``.
+:func:`replicate_rows` is the seeded loop over it: it mixes every replicate's state words
+once, before forking, and each process builds the generators of its own chunks.  Seven
+loops use it: the estimators' ensembles, the sampled maps of the radius suite and the
+draw-and-write loops of ``sample map`` and ``sample crum`` through :func:`replicate_rows`,
+and, with no random stream, the (size, surplus) cells of the bijection suite, the gluings
+of the dichotomy suite and the suites of ``selftest``.
 Outputs do not depend on how many CPUs there are, and ``taskset -c 0`` runs one process.
 
 Tilted laws are realized by self-normalized importance sampling from the
@@ -87,12 +88,17 @@ class RngStream:
 
     def generators(self, count: int, start: int = 0) -> Iterator[np.random.Generator]:
         """``substream(r).generator()`` for ``r = start..count-1``, seeded in one pass."""
-        from numpy.random.bit_generator import ISeedSequence
+        yield from _generators(_pcg64_seeds(self.seed, self.path, count, start))
 
-        ISeedSequence.register(_FixedSeed)  # here, so that importing leaves numpy.random out
-        generator, pcg64 = np.random.Generator, np.random.PCG64
-        for state in _pcg64_seeds(self.seed, self.path, count, start):
-            yield generator(pcg64(_FixedSeed(state)))
+
+def _generators(states: np.ndarray) -> Iterator[np.random.Generator]:
+    """A ``PCG64`` generator for each row of state words that :func:`_pcg64_seeds` gave."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    ISeedSequence.register(_FixedSeed)  # here, so that importing leaves numpy.random out
+    generator, pcg64 = np.random.Generator, np.random.PCG64
+    for state in states:
+        yield generator(pcg64(_FixedSeed(state)))
 
 
 class _FixedSeed:
@@ -238,11 +244,14 @@ def replicate_rows(reps: int, rng: RngStream,
     :func:`range_rows`.
 
     ``rows`` is handed the generators ``rng.substream(r).generator()`` of one contiguous
-    chunk of replicates, seeded in that chunk's process, and the first replicate ``r`` of
-    the chunk.  Replicate ``r`` draws only from substream ``r``, so the result does not
-    depend on how many CPUs there are.
+    chunk of replicates, built in that chunk's process, and the first replicate ``r`` of
+    the chunk.  The state words of all of them are mixed once, before any fork, since a
+    call of :func:`_pcg64_seeds` costs about as much for one replicate as for a thousand.
+    Replicate ``r`` draws only from substream ``r``, so the result does not depend on how
+    many CPUs there are.
     """
-    return range_rows(reps, lambda start, stop: rows(rng.generators(stop, start), start),
+    states = _pcg64_seeds(rng.seed, rng.path, reps)
+    return range_rows(reps, lambda start, stop: rows(_generators(states[start:stop]), start),
                       min_range)
 
 
@@ -435,15 +444,22 @@ def sample_corners_bf(index: CornerIndex, s: int, gen: np.random.Generator) -> A
     weight, partner uniform at the same height or one below.  The partners of ``i`` are its
     level's block of the corner index from ``i`` on, then the block one level down from
     ``i`` on."""
+    return _pairs_to_decoration("bf", _bf_pairs(index, s, gen)[0])
+
+
+def _bf_pairs(index: CornerIndex, s: int, gen: np.random.Generator
+              ) -> tuple[list[tuple[int, int]], int]:
+    """The pairs :func:`sample_corners_bf` draws, and ``B(f)``, the sum of the corner
+    weights it draws them by."""
     per_index = bf_per_index(index)
-    if int(per_index.sum()) == 0:
+    if (total := int(per_index.sum())) == 0:
         raise DegenerateEnsembleError("breadth-first corner weight vanished")
     cum = np.cumsum(per_index, dtype=np.float64)
     pairs = []
     for _ in range(s):
         i1 = _weighted_index(cum, gen)
         pairs.append((i1, _bf_partner(index, i1, int(gen.integers(int(per_index[i1]))))))
-    return _pairs_to_decoration("bf", pairs)
+    return pairs, total
 
 
 def _bf_partner(index: CornerIndex, i: int, u: int) -> int:
@@ -650,7 +666,7 @@ class TiltSample:
         self.gen = gen
         self.mode = mode
         self.tilt = tilt
-        self._index = None  # the corner index behind a bf or df weight and its chords
+        self._index = None  # the corner index behind bf or df chords
         self._times = None
         self._chords = None
         self._weight = None
@@ -666,7 +682,7 @@ class TiltSample:
             elif self.tilt == 0:
                 self._weight = 1.0  # B^0 = D^0 = 1
             else:
-                self._weight = tilt_weight(corner_total(self._corners(), self.mode), self.tilt,
+                self._weight = tilt_weight(corner_total(self.exc.values, self.mode), self.tilt,
                                            self.mode, self.exc.n)
         return self._weight
 
@@ -801,8 +817,8 @@ def sample_map_decoration(n: int, s: int, gen: np.random.Generator
     exc = sample_uniform_excursion(n, gen)
     if s == 0:
         return exc, AdmissibleCorners("bf", (), ()), 1.0
-    index = corner_index(exc.values)
-    xi = sample_corners_bf(index, s, gen)
+    pairs, total = _bf_pairs(corner_index(exc.values), s, gen)
+    xi = _pairs_to_decoration("bf", pairs)
     ends, tags = xi.indices, list(xi.tags)  # end 2j + side is a side of pair j
     at_corner: dict[int, list[int]] = {}
     for e, i in enumerate(ends):
@@ -818,8 +834,7 @@ def sample_map_decoration(n: int, s: int, gen: np.random.Generator
         if ends[j] == ends[j + 1]:  # a loop keeps its ends in tag order
             loops += 1
             tags[j:j + 2] = sorted(tags[j:j + 2])
-    weight = tilt_weight(corner_total(index, "bf"), s, "bf", n,
-                         Fraction(collisions, factorial(s) << loops))
+    weight = tilt_weight(total, s, "bf", n, Fraction(collisions, factorial(s) << loops))
     tagged = zip(ends[::2], tags[::2], ends[1::2], tags[1::2])
     return exc, AdmissibleCorners.from_tagged("bf", tagged), weight
 

@@ -1,12 +1,13 @@
 """Estimators: KS machinery, identity checks, count asymptotics."""
 
+import os
 from fractions import Fraction
 from math import comb, factorial, pi, sqrt
 
 import numpy as np
 import pytest
 
-from surplus_lab import estimators
+from surplus_lab import estimators, local_time, maps, samplers
 from surplus_lab.estimators import (
     CountTable,
     Estimate,
@@ -34,7 +35,7 @@ from surplus_lab.samplers import (
     sample_uniform_excursion,
     tilted_ensemble,
 )
-from surplus_lab.local_time import area_functional
+from surplus_lab.local_time import area_functional, corner_index
 
 from tree_reference import tree_adjacency
 
@@ -155,6 +156,24 @@ class TestRadiusTwoPointSmall:
     def test_two_point_n1_degenerates_to_zero(self):
         tp = two_point_law(1, 1, 10, RngStream(1))
         assert tp.ensembles["map"].estimate("val")[0] == 0.0
+
+    def test_only_pair_draws_build_a_corner_index(self, monkeypatch):
+        # the tilt weights come off the level order alone: the radius routes draw no pair
+        # and build no index, and the two-point map side builds one per replicate it
+        # decorates, its excursion side none
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})  # calls seen here
+        calls = []
+
+        def counted(values):
+            calls.append(values)
+            return corner_index(values)
+
+        for module in (local_time, maps, samplers):
+            monkeypatch.setattr(module, "corner_index", counted)
+        radius_laws(40, 3, 150, RngStream(4))
+        assert calls == []
+        tp = two_point_law(40, 3, 150, RngStream(4))
+        assert len(calls) == np.count_nonzero(tp.ensembles["map"].weights > 0) > 0
 
 
 class TestProfiles:

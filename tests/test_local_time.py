@@ -127,6 +127,12 @@ def tent(height):
     return LatticeExcursion(list(range(height)) + list(range(height, -1, -1)))
 
 
+def assert_totals_match_tables(f):
+    index = corner_index(f.values)
+    assert corner_total(f.values, "bf") == int(bf_per_index(index).sum())
+    assert corner_total(f.values, "df") == int(df_per_index(index).sum())
+
+
 def assert_tables_match_sweeps(f):
     vals = f.values.tolist()
     index = corner_index(f.values)
@@ -277,18 +283,20 @@ class TestCornerWeights:
             assert_tables_match_sweeps(f)
 
     def test_closed_form_totals_exhaustive(self):
-        # B(f) = m(m+1)/2 - sum down and D(f) = m(m+1)/2 - sum q
+        # B(f) and D(f) read off the runs of the level order are the sums of the tables
         for n in range(1, 9):
             for f in enumerate_excursions(n):
-                index = corner_index(f.values)
-                assert corner_total(index, "bf") == int(bf_per_index(index).sum())
-                assert corner_total(index, "df") == int(df_per_index(index).sum())
+                assert_totals_match_tables(f)
 
     def test_closed_form_totals_sampled(self):
         for f in random_excursions(200, 1000, 17):
-            index = corner_index(f.values)
-            assert corner_total(index, "bf") == int(bf_per_index(index).sum())
-            assert corner_total(index, "df") == int(df_per_index(index).sum())
+            assert_totals_match_tables(f)
+
+    @pytest.mark.parametrize("height", [1, 255, 256, 2 ** 15 + 3])
+    def test_closed_form_totals_of_tents(self, height):
+        # n = 1 has one corner; heights 255, 256 and 2^15 + 3 sort on one-, two- and
+        # four-byte keys
+        assert_totals_match_tables(tent(height))
 
     def test_telescope_identity(self):
         # the local-time telescoping sum overcounts by the number of height-one corners

@@ -465,13 +465,14 @@ class TestTiltedEnsemble:
 
         monkeypatch.setattr(samplers, "bf_per_index", fail)
         monkeypatch.setattr(samplers, "df_per_index", fail)
+        monkeypatch.setattr(samplers, "corner_total", lambda values, mode: fail(values))
         for mode in ("bf", "df"):
             ens = tilted_ensemble(1, 0, mode, 5, RngStream(10), {})
             assert np.all(ens.weights == 1.0)
 
     @pytest.mark.parametrize("mode,tilt", [("bf", 0), ("bf", 2), ("df", 0), ("df", 2)])
     def test_one_corner_index_per_replicate(self, mode, tilt, monkeypatch):
-        # the weight and the chords of a replicate read one index
+        # the chords of a replicate read one index, and its weight none
         calls = []
 
         def counted(values):
@@ -936,8 +937,8 @@ class TestContourDistances:
 class TestMapSampling:
     @pytest.mark.parametrize("n,s", [(30, 1), (12, 2), (60, 2), (30, 3)])
     def test_one_corner_index_per_draw(self, n, s, monkeypatch):
-        # the corner draw and the weight of a map draw read one index
-        calls = []
+        # the corner draw and the weight of a map draw read one index, off one level sort
+        calls, sorts = [], []
 
         def counted(values):
             calls.append(values)
@@ -945,11 +946,14 @@ class TestMapSampling:
 
         for module in (local_time, maps, samplers):
             monkeypatch.setattr(module, "corner_index", counted)
+        level_order = local_time._level_order
+        monkeypatch.setattr(local_time, "_level_order",
+                            lambda interior: sorts.append(interior) or level_order(interior))
         reps = 5
         for r in range(reps):
             _, xi, weight = sample_map_decoration(n, s, RngStream(9).substream(r).generator())
             assert xi.s == s and weight > 0
-        assert len(calls) == reps
+        assert len(calls) == len(sorts) == reps
 
     def test_enumeration_counts(self):
         assert len(enumerate_maps(1, 1)) == 1
