@@ -6,7 +6,7 @@ The package is organized around five layers: lattice paths and trees
 level sort of the contour (`local_time`), half-edge maps built from the contour with their
 explorations (`maps`), exact and weighted samplers (`samplers`), and estimators
 plus identity checks (`estimators`, `checks`).  `persistence` and `cli` provide
-reproducible runs on top.  No code path decodes a tree.
+reproducible runs on top.  No estimator decodes a tree.
 """
 
 __version__ = "0.1.0"

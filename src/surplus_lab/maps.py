@@ -1,14 +1,15 @@
 """Rooted combinatorial maps, their explorations, and unicellular gluings.
 
-A map is stored as its rotation cycles on dense half-edge ids, one list of
-half-edges in clockwise order per vertex, with ``alpha[h]`` the opposite
-half-edge and a distinguished root half-edge marking the root vertex
-(required to have degree one).  The rotation system ``sigma[h]``, the next
-half-edge clockwise around the origin vertex of ``h``, and ``origin[h]`` are
-derived from the cycles together on first read.  Faces are the orbits of
-``h -> sigma[alpha[h]]``, matching a contour walk that always turns to the
-next edge after the one it arrived by; a plane tree then has exactly one
-face.  Genus comes from Euler's formula.
+A map is built from, and stored as, its rotation cycles on dense half-edge
+ids, one list of half-edges in clockwise order per vertex, with ``alpha[h]``
+the opposite half-edge and a distinguished root half-edge marking the root
+vertex (required to have degree one): ``RootedMap(cycles, alpha, root)`` is
+the one constructor, which insertion and loading both call.  The rotation
+system ``sigma[h]``, the next half-edge clockwise around the origin vertex of
+``h``, and ``origin[h]`` are derived from the cycles together on first read.
+Faces are the orbits of ``h -> sigma[alpha[h]]``, matching a contour walk
+that always turns to the next edge after the one it arrived by; a plane tree
+then has exactly one face.  Genus comes from Euler's formula.
 
 Surplus edges are recorded against the contour excursion of a spanning plane
 tree as a decoration: a list of corner indices (contour times) plus small
@@ -58,36 +59,21 @@ def _orbits(perm) -> tuple[list[list[int]], list[int]]:
 class RootedMap:
     """Rooted map on half-edges 0..2E-1 with clockwise rotations.
 
-    The map keeps its rotation cycles; ``sigma`` and ``origin`` are derived from
-    them together on first read.
+    ``cycles[v]`` lists the half-edges leaving vertex ``v`` in clockwise order, and
+    ``alpha[h]`` is the twin of ``h``.  The map keeps the cycles as given and derives
+    ``sigma`` and ``origin`` from them together on first read; ``check`` validates it.
     """
 
     __slots__ = ("sigma", "alpha", "root", "origin", "_cycles")
 
-    def __init__(self, sigma, alpha, root: int, check: bool = True):
-        self.sigma = list(sigma)
-        self.alpha = list(alpha)
-        self.root = root
-        self._cycles, self.origin = _orbits(self.sigma)
+    def __init__(self, cycles: list[list[int]], alpha: list[int], root: int, check: bool = True):
+        self._cycles, self.alpha, self.root = cycles, alpha, root
         if check:
             self._check()
 
-    @classmethod
-    def _of_cycles(cls, cycles: list[list[int]], alpha: list[int], root: int,
-                   check: bool) -> "RootedMap":
-        """The map whose vertex rotations are ``cycles``, kept as given: each walked
-        from its smallest half, in increasing order of that half.  ``sigma`` and
-        ``origin`` stay unset until first read."""
-        m = cls.__new__(cls)
-        m._cycles, m.alpha, m.root = cycles, alpha, root
-        if check:  # the check reads both
-            m._derive()
-            m._check()
-        return m
-
     def __getattr__(self, name: str):
-        # reached only when a slot is unset: on a map built from its cycles, the first
-        # read of sigma or origin derives both, and later reads are plain slot reads
+        # reached only when a slot is unset: the first read of sigma or origin derives
+        # both, and later reads are plain slot reads
         if name not in ("sigma", "origin"):
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         self._derive()
@@ -108,21 +94,33 @@ class RootedMap:
     # -- structure -------------------------------------------------------
 
     def _check(self):
-        sigma, alpha, origin, cycles = self.sigma, self.alpha, self.origin, self._cycles
-        n_half = len(sigma)
+        """Raise ``ValueError`` unless this is a connected map with a degree-one root.  The
+        cycles are checked first, so ``sigma`` and ``origin`` are derived only from a partition."""
+        cycles, alpha, root = self._cycles, self.alpha, self.root
+        if not (type(cycles) is list and set(map(type, cycles)) <= {list} and all(cycles)):
+            raise ValueError("rotation must be a list of non-empty lists, one cycle per vertex")
+        halves = [*chain.from_iterable(cycles)]
+        if not (type(alpha) is list and type(root) is int and set(map(type, halves + alpha)) <= {int}):
+            raise ValueError("rotation cycles and involution must be int lists, and root an int")
+        n_half = len(halves)
+        identity = list(range(n_half))
+        if sorted(halves) != identity:
+            raise ValueError("rotation cycles are not a permutation of the half-edges")
         if n_half % 2:
             raise ValueError("odd number of half-edges")
-        if sorted(sigma) != list(range(n_half)):
-            raise ValueError("rotation is not a permutation")
         if len(alpha) != n_half:
             raise ValueError("involution length mismatch")
-        if any(map(eq, alpha, range(n_half))) or [alpha[a] for a in alpha] != list(range(n_half)):
+        if sorted(alpha) != identity:
+            raise ValueError("involution is not a permutation of the half-edges")
+        if any(map(eq, alpha, identity)) or [alpha[a] for a in alpha] != identity:
             raise ValueError("involution is not fixed-point-free")
-        if not 0 <= self.root < n_half:
+        if not 0 <= root < n_half:
             raise ValueError("root half-edge out of range")
+        self._derive()
+        origin = self.origin
         # connectivity: vertices reachable from the root's across edges
         seen = [False] * len(cycles)
-        stack = [origin[self.root]]
+        stack = [origin[root]]
         seen[stack[0]] = True
         count = 0
         while stack:
@@ -134,7 +132,7 @@ class RootedMap:
                     stack.append(w)
         if count != len(cycles):
             raise ValueError("map is not connected")
-        if self.degree(origin[self.root]) != 1:
+        if self.degree(origin[root]) != 1:
             raise ValueError("root vertex must have degree one")
 
     @property
@@ -163,8 +161,8 @@ class RootedMap:
         return len(self._cycles[v])
 
     def rotation_cycles(self) -> list[list[int]]:
-        """The vertex rotations, each walked from its smallest half, in increasing order of
-        that half; do not mutate."""
+        """The vertex rotations as built; do not mutate.  Insertion and loading walk each
+        from its smallest half, in increasing order of that half."""
         return self._cycles
 
     # -- faces and genus ---------------------------------------------------
@@ -235,38 +233,23 @@ class RootedMap:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "RootedMap":
-        """The map of :meth:`to_json_dict`; a ``ValueError`` for any other data."""
+        """The map of :meth:`to_json_dict`; a ``ValueError`` for any other data.
+
+        The rotation cycles may come in any order, each from any of its halves; the map
+        keeps them each walked from its smallest half, in increasing order of that half."""
         if not isinstance(data, dict):
             raise ValueError(f"map JSON is a {type(data).__name__}, not an object")
         try:
             alpha, cycles, root = data["involution"], data["rotation"], data["root"]
         except KeyError as exc:
             raise ValueError(f"map JSON missing field: {exc}") from exc
-        if not (_ints([root]) and _ints(alpha) and isinstance(cycles, list)
-                and all(map(_ints, cycles))):
-            raise ValueError("map JSON needs an int root, an int list involution and "
-                             "int list rotation cycles")
-        n_half = len(alpha)
-        if sorted(alpha) != list(range(n_half)):
-            raise ValueError("involution is not a permutation of the half-edges")
-        flat = [h for cyc in cycles for h in cyc]
-        if sorted(flat) != list(range(n_half)):
-            raise ValueError("rotation cycles are not a permutation of the half-edges")
-        sigma = [0] * n_half
-        for cyc in cycles:
-            for a, b in zip(cyc, cyc[1:] + cyc[:1]):
-                sigma[a] = b
-        m = cls(sigma, alpha, root)
+        m = cls(cycles, alpha, root)
         if "n" in data and data["n"] != m.n:
             raise ValueError("half-edge data inconsistent with declared n")
         if "s" in data and data["s"] != m.surplus:
             raise ValueError("half-edge data inconsistent with declared s")
-        return m
-
-
-def _ints(value) -> bool:
-    """Whether a JSON value is a list of integers (``true`` and ``false`` are not)."""
-    return isinstance(value, list) and all(type(v) is int for v in value)
+        turned = [cyc[i:] + cyc[:i] for cyc in cycles for i in [cyc.index(min(cyc))]]
+        return cls(sorted(turned), alpha, root, check=False)
 
 
 # -- decorations ------------------------------------------------------------
@@ -361,9 +344,9 @@ def insert_edges(f: LatticeExcursion, corners: AdmissibleCorners, validate: bool
     vertex's rotation starts at its up-half, its smallest half, and lists its
     departures in contour order; each corner's inserted halves enter it just
     before that corner's departure, by increasing tag.  The walk appends each
-    half to the rotation of the vertex on top of its path, so the rotations come
-    out as :meth:`RootedMap.rotation_cycles` orders them and are kept as built.
-    Inverse of the matching exploration.
+    half to the rotation of the vertex on top of its path, so each rotation comes
+    out walked from its smallest half, in increasing order of that half, and the
+    map keeps them as built.  Inverse of the matching exploration.
     """
     if validate and (corners.indices or corners.tags):
         corners.validate(f)
@@ -397,7 +380,7 @@ def insert_edges(f: LatticeExcursion, corners: AdmissibleCorners, validate: bool
     alpha = [0] * n_half
     alpha[::2] = range(1, n_half, 2)
     alpha[1::2] = range(0, n_half, 2)
-    return RootedMap._of_cycles(cycles, alpha, 0, validate)
+    return RootedMap(cycles, alpha, 0, check=validate)
 
 
 # -- explorations -------------------------------------------------------------
@@ -532,11 +515,9 @@ def enumerate_admissible(f: LatticeExcursion, s: int, mode: str) -> list[Admissi
 
 
 def adjacency(m: RootedMap) -> list[list[int]]:
+    """Each vertex's neighbours, one per half-edge leaving it, in rotation order."""
     origin, alpha = m.origin, m.alpha
-    adj: list[list[int]] = [[] for _ in range(m.num_vertices)]
-    for h in range(m.num_half_edges):
-        adj[origin[h]].append(origin[alpha[h]])
-    return adj
+    return [[origin[alpha[h]] for h in cyc] for cyc in m.rotation_cycles()]
 
 
 def bfs_distances(adj: list[list[int]], start: int) -> list[int]:

@@ -86,9 +86,9 @@ class RngStream:
     def substream(self, *indices: int) -> "RngStream":
         return RngStream(self.seed, self.path + tuple(indices))
 
-    def generators(self, count: int, start: int = 0) -> Iterator[np.random.Generator]:
-        """``substream(r).generator()`` for ``r = start..count-1``, seeded in one pass."""
-        yield from _generators(_pcg64_seeds(self.seed, self.path, count, start))
+    def generators(self, count: int) -> Iterator[np.random.Generator]:
+        """``substream(r).generator()`` for ``r = 0..count-1``, seeded in one pass."""
+        yield from _generators(_pcg64_seeds(self.seed, self.path, count))
 
 
 def _generators(states: np.ndarray) -> Iterator[np.random.Generator]:
@@ -127,16 +127,16 @@ def _hasher(const: int, mult: int):
     return hashmix
 
 
-def _pcg64_seeds(seed: int, path: tuple[int, ...], count: int, start: int = 0) -> np.ndarray:
+def _pcg64_seeds(seed: int, path: tuple[int, ...], count: int) -> np.ndarray:
     """The four ``uint64`` words that ``SeedSequence(seed, spawn_key=path + (r,))`` hands
-    ``PCG64``, one row per ``start <= r < count``.  The entropy is the seed's 32-bit words
+    ``PCG64``, one row per ``0 <= r < count``.  The entropy is the seed's 32-bit words
     (low word first, padded to four), then each path entry's, then ``r``.  The pool is
     mixed from all words but the last once; ``r`` is mixed into every row at once in uint64
     arithmetic, masked to 32 bits, and ``generate_state`` draws eight 32-bit words per row."""
     entries = [int(seed), *map(int, path)]
-    if min(entries) < 0 or not 0 <= start <= count <= 2 ** 32:
-        raise ValueError(f"seed {seed}, path {path}, start {start} and count {count} must be "
-                         "nonnegative, the start at most the count and the count at most 2^32")
+    if min(entries) < 0 or not 0 <= count <= 2 ** 32:
+        raise ValueError(f"seed {seed}, path {path} and count {count} must be nonnegative, "
+                         "and the count at most 2^32")
     words = [[v >> b & _MASK32 for b in range(0, max(v.bit_length(), 1), 32)] for v in entries]
     entropy = words[0] + [0] * (4 - len(words[0])) + [w for ws in words[1:] for w in ws]
 
@@ -153,7 +153,7 @@ def _pcg64_seeds(seed: int, path: tuple[int, ...], count: int, start: int = 0) -
     for w in entropy[4:]:
         for dst in range(4):
             pool[dst] = mix(pool[dst], hashmix(w))
-    r = np.arange(start, count, dtype=np.uint64)
+    r = np.arange(count, dtype=np.uint64)
     pool = [mix(np.uint64(p), hashmix(r)) for p in pool]
     draw = _hasher(0x8B51F9DD, 0x58F38DED)
     state = [draw(pool[k % 4]) for k in range(8)]

@@ -72,7 +72,7 @@ def relabel(m: RootedMap, perm) -> RootedMap:
     for h, p in enumerate(perm):
         sigma[p] = perm[m.sigma[h]]
         alpha[p] = perm[m.alpha[h]]
-    return RootedMap(sigma, alpha, perm[m.root])
+    return RootedMap(_orbits(sigma)[0], alpha, perm[m.root])
 
 
 def oracle_rotation_system(tree: PlaneTree, corners: AdmissibleCorners):
@@ -227,7 +227,7 @@ class TestInsertExplore:
         sigma = [1, 0, 3, 2]
         alpha = [2, 3, 0, 1]
         with pytest.raises(ValueError):
-            RootedMap(sigma, alpha, 0)
+            RootedMap(_orbits(sigma)[0], alpha, 0)
 
     @pytest.mark.parametrize("mode, indices, tags, message", [
         ("bf", (1, 3), (1,), "even equal length"),
@@ -255,7 +255,7 @@ class TestInsertExplore:
 
     @pytest.mark.parametrize("sigma, alpha, root, message", [
         ([0], [0], 0, "odd number of half-edges"),
-        ([0, 0], [1, 0], 0, "rotation is not a permutation"),
+        ([0, 1], [5, 0], 0, "involution is not a permutation of the half-edges"),
         ([1, 0], [1], 0, "involution length mismatch"),
         ([0, 1], [0, 1], 0, "involution is not fixed-point-free"),
         ([0, 1, 2, 3], [1, 2, 3, 0], 0, "involution is not fixed-point-free"),
@@ -265,7 +265,26 @@ class TestInsertExplore:
     ])
     def test_map_rejection_messages(self, sigma, alpha, root, message):
         with pytest.raises(ValueError, match=message):
-            RootedMap(sigma, alpha, root)
+            RootedMap(_orbits(sigma)[0], alpha, root)
+
+    @pytest.mark.parametrize("cycles, alpha, root, message", [
+        # a flat rotation system sigma is refused by a message that names the cycles form
+        ([1, 0], [1, 0], 0, "list of non-empty lists, one cycle per vertex"),
+        ([[0], [1], []], [1, 0], 0, "list of non-empty lists, one cycle per vertex"),
+        ([[0], [True]], [1, 0], 0, "must be int lists"),
+        ([[0], [0]], [1, 0], 0, "rotation cycles are not a permutation"),
+        ([[0], [2]], [1, 0], 0, "rotation cycles are not a permutation"),
+        ([[0], [-1]], [1, 0], 0, "rotation cycles are not a permutation"),
+        ([[0, 0]], [1, 0], 0, "rotation cycles are not a permutation"),
+        ([[0, 1]], [-1, 0], 0, "involution is not a permutation"),
+        ([[0], [1]], (1, 0), 0, "must be int lists"),
+        ([[0], [1]], [1, 0], "0", "root an int"),
+        ([[0], [1]], [True, 0], 0, "must be int lists"),
+    ])
+    def test_malformed_cycles_rejected_before_sigma(self, cycles, alpha, root, message):
+        # out-of-range, repeated or missing halves raise ValueError, never IndexError
+        with pytest.raises(ValueError, match=message):
+            RootedMap(cycles, alpha, root)
 
     def test_invalid_decoration_rejected(self):
         with pytest.raises(ValueError):
@@ -336,20 +355,16 @@ class TestContourBuilder:
 
 
 class TestRotationCyclesPath:
-    """Insertion keeps the rotation cycles its walk lays down and derives ``sigma`` and
-    ``origin`` from them on first read; the public constructor walks ``sigma`` instead.
-    The two must build the same map."""
+    """A map keeps the rotation cycles it is built with and derives ``sigma`` and ``origin``
+    from them on first read; ``_orbits`` walks the derived ``sigma`` back into the cycles
+    and their vertex numbers.  Maps built unchecked must also pass the check."""
 
     @staticmethod
-    def assert_same_as_public(m: RootedMap) -> None:
-        cycles = m.rotation_cycles()
-        assert cycles == _orbits(m.sigma)[0]
-        public = RootedMap(m.sigma, m.alpha, m.root)
-        assert public.rotation_cycles() == cycles
-        assert (public.sigma, public.origin) == (m.sigma, m.origin)
-        assert public.canonical_key() == m.canonical_key()
-        assert public.faces() == m.faces()
-        assert public.to_json_dict() == m.to_json_dict()
+    def assert_derived_from_cycles(m: RootedMap) -> None:
+        cycles, origin = _orbits(m.sigma)
+        assert m.rotation_cycles() == cycles
+        assert m.origin == origin
+        RootedMap(cycles, m.alpha, m.root)
 
     @pytest.mark.parametrize("mode", ["bf", "df"])
     def test_every_small_decoration(self, mode):
@@ -358,7 +373,7 @@ class TestRotationCyclesPath:
             for f in enumerate_excursions(n):
                 for s in range(3):
                     for xi in enumerate_admissible(f, s, mode):
-                        self.assert_same_as_public(insert_edges(f, xi, validate=False))
+                        self.assert_derived_from_cycles(insert_edges(f, xi, validate=False))
                         built += 1
         assert built == 10_427  # bf and df each decorate the same number of ways
 
@@ -367,7 +382,7 @@ class TestRotationCyclesPath:
         rng = RngStream(917 + s)
         for r in range(10):
             m, _ = samplers.sample_uniform_map(1000, s, rng.substream(r).generator())
-            self.assert_same_as_public(m)
+            self.assert_derived_from_cycles(m)
 
     def test_genus_one_glues_n300(self):
         rng = RngStream(919)
@@ -381,7 +396,7 @@ class TestRotationCyclesPath:
                 continue
             m, unicellular = unicellular_glue(f, pairing, corners)
             assert unicellular
-            self.assert_same_as_public(m)
+            self.assert_derived_from_cycles(m)
             glued += 1
             if glued == 6:
                 break

@@ -80,6 +80,25 @@ class TestPersistence:
         with pytest.raises(persistence.PersistenceError):
             persistence.load_map(path)
 
+    def test_load_canonicalizes_rotation_cycles(self, tmp_path):
+        # the cycles may be listed in any order, each from any half: the map loads as the
+        # same one, with its cycles as insertion lays them down, and saves the same bytes
+        rng = samplers.RngStream(73)
+        maps_ = [*enumerate_maps(3, 2)] + [
+            samplers.sample_uniform_map(200, 2, rng.substream(r).generator())[0] for r in range(3)]
+        for m in maps_:
+            path, moved = tmp_path / "m.json", tmp_path / "moved.json"
+            persistence.save_map(m, path)
+            data = m.to_json_dict()
+            data["rotation"] = [c[len(c) // 2:] + c[:len(c) // 2] for c in data["rotation"]][::-1]
+            assert data["rotation"] != m.rotation_cycles()
+            moved.write_text(json.dumps(data))
+            m2 = persistence.load_map(moved)
+            assert m2.rotation_cycles() == m.rotation_cycles()
+            assert m2.canonical_key() == m.canonical_key()
+            persistence.save_map(m2, moved)
+            assert moved.read_bytes() == path.read_bytes()
+
     def test_manifest_digests(self, tmp_path):
         man = persistence.new_manifest(5, "demo", {"x": 1}, [])
         target = tmp_path / "data.csv"
@@ -106,7 +125,10 @@ class TestCli:
 
     @pytest.mark.parametrize("change", [
         None,  # the file holds [1, 2]
-        {"rotation": 5}, {"root": "a"}, {"rotation": [[0, "x"]]}, {"involution": [5, 0]}])
+        {"rotation": 5}, {"root": "a"}, {"rotation": [[0, "x"]]}, {"involution": [5, 0]},
+        {"rotation": [[0], [1], []]},  # an empty vertex, which loading once dropped
+        {"rotation": [1, 0]},  # the rotation system sigma, not its cycles
+        {"rotation": [[0], [2]]}, {"rotation": [[0, 0]]}, {"involution": [-1, 0]}])
     def test_malformed_map_file_is_io_error(self, change, tmp_path, capsys):
         # valid JSON of the wrong shape: an i/o error, not a traceback
         data = [1, 2] if change is None else {
@@ -610,7 +632,7 @@ class TestSampleOnEveryCpu:
         # than one it is glued in a worker while this process holds back its first chunk
         hold_back(monkeypatch, samplers)
         glue = cli.unicellular_glue
-        streams = samplers.RngStream(0).generators(24, 20)
+        streams = itertools.islice(samplers.RngStream(0).generators(24), 20, None)
         bad = {samplers.sample_uniform_excursion(40, gen).steps_string()
                for r, gen in enumerate(streams, 20) if r in (20, 23)}
 

@@ -137,16 +137,6 @@ class TestStreams:
             assert gen.integers(10 ** 9, size=5).tolist() == \
                 rng.substream(r).generator().integers(10 ** 9, size=5).tolist()
 
-    @pytest.mark.parametrize("start, count", [(0, 4), (3, 7), (5, 5), (130, 133)])
-    def test_generators_from_start(self, start, count):
-        rng = RngStream(2 ** 40 + 3, (1, 6))
-        got = list(rng.generators(count, start))
-        assert len(got) == count - start
-        for r, gen in zip(range(start, count), got):
-            assert gen.bit_generator.state == rng.substream(r).generator().bit_generator.state
-        with pytest.raises(ValueError):
-            next(rng.generators(start, start + 1))
-
     def test_generators_edge_counts(self):
         assert list(RngStream(5).generators(0)) == []
         with pytest.raises(ValueError):
