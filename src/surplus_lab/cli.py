@@ -1,8 +1,12 @@
 """Command-line surface: sampling, enumeration, exploration, verification.
 
 Exit codes: 0 success, 1 usage error, 2 verification failure, 3 I/O error.
-Every run writes ``manifest.json`` into the output directory; rerunning with
-the same seed reproduces byte-identical CSV/JSON outputs.
+Every command runs the same way: the options it reads are resolved, with
+their defaults filled in and any it does not read refused; then the output
+directory is created, the command does its work, ``manifest.json`` records
+the seed, the resolved options, the argv and each output's SHA-256, and the
+command's lines are printed.  Rerunning with the same seed reproduces
+byte-identical CSV/JSON outputs.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, checks, estimators, persistence
-from .lattice_paths import LatticeExcursion
+from .lattice_paths import LatticeExcursion, enumerate_excursions
 from .maps import (AdmissibleCorners, bf_explore, df_explore, entangled_pairings,
                    insert_edges, unicellular_glue)
 from .samplers import (
@@ -80,15 +84,16 @@ SUITES = {
     "jeulin": ("jeulin_suite", None),
     "lemma3": ("lemma3_suite", None),
 }
-# verify's suite parameters; a suite that does not read one refuses it
-VERIFY_OPTIONS = ("n", "s", "reps", "seed", "threshold")
-# per command, the argument that picks the kind, and per kind the --s and --g it reads with
-# their defaults; a kind refuses the one it does not read
+# per command, the argument that picks its kind, how a refusal names the kind, the options
+# whose use depends on the kind, and per kind the ones it reads with their defaults (for a
+# suite, its signature); a kind refuses a given option that it does not read
 KIND_OPTIONS = {
-    "sample": ("kind", {"tree": {}, "excursion": {}, "map": {"s": 0}, "graph": {"s": 0},
-                        "crum": {"g": 1}}),
-    "enumerate": ("family", {"f": {}, "m": {"s": 0}, "h": {"s": 0}, "um": {"g": 1}}),
-    "estimate": ("model", {"h": {"s": 1}, "um": {"g": 1}}),
+    "sample": ("kind", "sample {}", ("s", "g"),
+               {"tree": {}, "excursion": {}, "map": {"s": 0}, "graph": {"s": 0}, "crum": {"g": 1}}),
+    "enumerate": ("family", "enumerate --family {}", ("s", "g"),
+                  {"f": {}, "m": {"s": 0}, "h": {"s": 0}, "um": {"g": 1}}),
+    "estimate": ("model", "estimate --model {}", ("s", "g"), {"h": {"s": 1}, "um": {"g": 1}}),
+    "verify": ("suite", "suite {}", ("n", "s", "reps", "seed", "threshold"), None),
 }
 
 SUITE_HEADER = ["check", "value", "detail", "ok"]
@@ -117,7 +122,7 @@ def build_parser() -> _Parser:
 
     xp = sub.add_parser("explore", help="spanning-tree exploration of a stored map")
     xp.add_argument("--mode", choices=["bf", "df"], required=True)
-    xp.add_argument("--in", dest="infile", type=Path, required=True)
+    xp.add_argument("--in", dest="in", metavar="INFILE", required=True)
     xp.add_argument("--out", type=Path, default=Path("out"))
 
     ip = sub.add_parser("invert", help="rebuild a map from a tree and corner decoration")
@@ -156,62 +161,47 @@ def build_parser() -> _Parser:
     return p
 
 
-def _outdir(args) -> Path:
-    out = args.out
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise IOError(f"cannot create output directory {out}: {exc}") from exc
-    return out
-
-
-def _kind_options(args) -> dict:
-    """The ``--s`` and ``--g`` that the kind of ``args.command`` reads (:data:`KIND_OPTIONS`),
-    set on ``args`` with their defaults filled in; a :class:`UsageError` names a given option
-    that the kind does not read."""
-    key, table = KIND_OPTIONS[args.command]
-    reads = table[getattr(args, key)]
-    unread = [f"--{opt}" for opt in ("s", "g")
-              if opt not in reads and getattr(args, opt) is not None]
+def _options(args) -> dict:
+    """The options that ``args.command`` reads, by name, with the defaults of its kind
+    (:data:`KIND_OPTIONS`) filled in; a :class:`UsageError` names a given option that the kind
+    does not read."""
+    options = {k: v for k, v in vars(args).items() if k not in ("command", "out")}
+    if args.command not in KIND_OPTIONS:
+        return options
+    key, name, optional, table = KIND_OPTIONS[args.command]
+    kind = options[key]
+    if table is None:  # a suite's signature names the options it reads
+        params = inspect.signature(getattr(checks, SUITES[kind][0])).parameters
+        reads = {opt: p.default for opt, p in params.items()}
+    else:
+        reads = table[kind]
+    unread = [f"--{opt}" for opt in optional if opt not in reads and options[opt] is not None]
     if unread:
-        kind = getattr(args, key) if key == "kind" else f"--{key} {getattr(args, key)}"
-        raise UsageError(f"{args.command} {kind} does not read {', '.join(unread)}")
-    for opt, default in reads.items():
-        if getattr(args, opt) is None:
-            setattr(args, opt, default)
-    return {opt: getattr(args, opt) for opt in reads}
+        raise UsageError(f"{name.format(kind)} does not read {', '.join(unread)}")
+    for opt in optional:
+        value = options.pop(opt)
+        if opt in reads:
+            options[opt] = reads[opt] if value is None else value
+    return options
 
 
-def _finish(manifest: persistence.RunManifest, outdir: Path, *files: Path) -> None:
-    for f in files:
-        manifest.record_output(f)
-    manifest.finished = persistence._now()
-    manifest.save(outdir / "manifest.json")
+# Each command takes its resolved options and the output directory and returns this: the files
+# it wrote, the lines to print and the exit code.
+Outcome = tuple[list[Path], list[str], int]
 
 
 # -- sample -----------------------------------------------------------------
 
 
-def cmd_sample(args) -> int:
-    reads = _kind_options(args)
-    outdir = _outdir(args)
-    manifest = persistence.new_manifest(
-        args.seed, "sample", argv=args.argv,
-        parameters={"kind": args.kind, "n": args.n, **reads, "reps": args.reps})
+def cmd_sample(args, outdir: Path) -> Outcome:
     rng = RngStream(args.seed)
-    files = []
-    if args.kind == "excursion":
-        lines = [sample_uniform_excursion(args.n, gen).steps_string()
-                 for gen in rng.generators(args.reps)]
-        path = outdir / "excursions.txt"
-        path.write_text("\n".join(lines) + "\n")
-        files.append(path)
-    elif args.kind == "tree":
-        lines = [sample_uniform_excursion(args.n, gen).to_parens()
-                 for gen in rng.generators(args.reps)]
-        path = outdir / "trees.txt"
-        path.write_text("\n".join(lines) + "\n")
-        files.append(path)
+    if args.kind in ("excursion", "tree"):
+        text = (LatticeExcursion.steps_string if args.kind == "excursion"
+                else LatticeExcursion.to_parens)
+        path = outdir / f"{args.kind}s.txt"
+        path.write_text("\n".join(text(sample_uniform_excursion(args.n, gen))
+                                  for gen in rng.generators(args.reps)) + "\n")
+        files = [path]
     elif args.kind == "map":
         def draw(gens, start):  # each replicate chunk writes its own maps
             weights = []
@@ -222,19 +212,17 @@ def cmd_sample(args) -> int:
             return [weights]
 
         weights, = replicate_rows(args.reps, rng, draw, MIN_SAMPLE_RANGE)
-        files += [outdir / f"map_{r}.json" for r in range(args.reps)]
-        wpath = outdir / "map_weights.csv"
-        persistence.write_csv(wpath, ["replicate", "weight"], enumerate(weights.tolist()))
-        files.append(wpath)
+        files = [outdir / f"map_{r}.json" for r in range(args.reps)]
+        files.append(outdir / "map_weights.csv")
+        persistence.write_csv(files[-1], ["replicate", "weight"], enumerate(weights.tolist()))
     elif args.kind == "graph":
         rows = []
         for r, gen in enumerate(rng.generators(args.reps)):
             graph, weight = sample_surplus_graph(args.n, args.s, gen)
             rows.append([r, graph.root, json.dumps(sorted(graph.edges)).replace(",", ";"),
                          weight])
-        path = outdir / "graphs.csv"
-        persistence.write_csv(path, ["replicate", "root", "edges", "weight"], rows)
-        files.append(path)
+        files = [outdir / "graphs.csv"]
+        persistence.write_csv(files[0], ["replicate", "root", "edges", "weight"], rows)
     else:  # crum
         entangled_pairings(args.g)  # refuses a genus it cannot glue, even at --reps 0
 
@@ -258,25 +246,16 @@ def cmd_sample(args) -> int:
 
         decorations, = replicate_rows(args.reps, rng, draw, MIN_SAMPLE_RANGE)
         rows = [[r, *row] for r, row in enumerate(decorations.tolist())]
-        files += [outdir / f"crum_{r}.json" for r, pairing, *_ in rows if pairing != "degenerate"]
-        cpath = outdir / "crum_decorations.csv"
-        persistence.write_csv(cpath, ["replicate", "pairing", "corners", "heights"], rows)
-        files.append(cpath)
-    _finish(manifest, outdir, *files)
-    print(f"wrote {len(files)} file(s) to {outdir}")
-    return EXIT_OK
+        files = [outdir / f"crum_{r}.json" for r, pairing, *_ in rows if pairing != "degenerate"]
+        files.append(outdir / "crum_decorations.csv")
+        persistence.write_csv(files[-1], ["replicate", "pairing", "corners", "heights"], rows)
+    return files, [f"wrote {len(files)} file(s) to {outdir}"], EXIT_OK
 
 
 # -- enumerate ---------------------------------------------------------------
 
 
-def cmd_enumerate(args) -> int:
-    from .lattice_paths import enumerate_excursions
-
-    reads = _kind_options(args)
-    outdir = _outdir(args)
-    manifest = persistence.new_manifest(
-        0, "enumerate", argv=args.argv, parameters={"family": args.family, "n": args.n, **reads})
+def cmd_enumerate(args, outdir: Path) -> Outcome:
     if args.family == "f":
         items = [f.steps_string() for f in enumerate_excursions(args.n)]
     elif args.family == "m":
@@ -286,30 +265,21 @@ def cmd_enumerate(args) -> int:
         items = [f"root={g.root} edges={sorted(g.edges)}"
                  for g in enumerate_surplus_graphs(args.n, args.s)]
     else:
-        items = []
-        for m in enumerate_maps(args.n, 2 * args.g):
-            if m.is_unicellular():
-                items.append(json.dumps(m.to_json_dict(), sort_keys=True))
+        items = [json.dumps(m.to_json_dict(), sort_keys=True)
+                 for m in enumerate_maps(args.n, 2 * args.g) if m.is_unicellular()]
     path = outdir / f"family_{args.family}.txt"
     path.write_text("\n".join(items) + ("\n" if items else ""))
-    _finish(manifest, outdir, path)
-    print(f"count {len(items)}")
-    for item in items[:20]:
-        print(item)
+    lines = [f"count {len(items)}", *items[:20]]
     if len(items) > 20:
-        print(f"... ({len(items) - 20} more in {path})")
-    return EXIT_OK
+        lines.append(f"... ({len(items) - 20} more in {path})")
+    return [path], lines, EXIT_OK
 
 
 # -- explore / invert -----------------------------------------------------------
 
 
-def cmd_explore(args) -> int:
-    outdir = _outdir(args)
-    manifest = persistence.new_manifest(
-        0, "explore", argv=args.argv,
-        parameters={"mode": args.mode, "in": str(args.infile)})
-    m = persistence.load_map(args.infile)
+def cmd_explore(args, outdir: Path) -> Outcome:
+    m = persistence.load_map(Path(getattr(args, "in")))
     exc, xi = bf_explore(m) if args.mode == "bf" else df_explore(m)
     result = {
         "mode": args.mode,
@@ -319,17 +289,10 @@ def cmd_explore(args) -> int:
     }
     path = outdir / "exploration.json"
     path.write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
-    _finish(manifest, outdir, path)
-    print(json.dumps(result))
-    return EXIT_OK
+    return [path], [json.dumps(result)], EXIT_OK
 
 
-def cmd_invert(args) -> int:
-    outdir = _outdir(args)
-    manifest = persistence.new_manifest(
-        0, "invert", argv=args.argv,
-        parameters={"tree": args.tree, "corners": args.corners,
-                    "tags": args.tags, "mode": args.mode})
+def cmd_invert(args, outdir: Path) -> Outcome:
     exc = LatticeExcursion.from_parens(args.tree)
     indices = tuple(int(x) for x in args.corners.split(",") if x)
     if args.tags:
@@ -340,9 +303,7 @@ def cmd_invert(args) -> int:
     m = insert_edges(exc, xi)
     path = outdir / "map.json"
     persistence.save_map(m, path)
-    _finish(manifest, outdir, path)
-    print(f"map with {m.num_edges} edges, genus {m.genus()} -> {path}")
-    return EXIT_OK
+    return [path], [f"map with {m.num_edges} edges, genus {m.genus()} -> {path}"], EXIT_OK
 
 
 # -- verify -----------------------------------------------------------------------
@@ -357,44 +318,19 @@ def _suite_text(results) -> list[np.ndarray]:
             np.array([res.passed for res in results], dtype=bool)]
 
 
-def _report(rows, lines, verdicts, path: Path) -> bool:
-    """Print the suites' verdict lines once every suite is back, write their rows to
-    ``path``, and tell whether every suite passed."""
-    for line in lines:
-        print(line)
+def cmd_verify(args, outdir: Path) -> Outcome:
+    options = vars(args).copy()
+    suite = options.pop("suite")
+    rows, lines, verdicts = _suite_text([getattr(checks, SUITES[suite][0])(**options)])
+    path = outdir / f"verify_{suite}.csv"
     persistence.write_csv(path, SUITE_HEADER, rows)
-    return bool(verdicts.all())
-
-
-def cmd_verify(args) -> int:
-    run = getattr(checks, SUITES[args.suite][0])
-    reads = inspect.signature(run).parameters
-    unread = [f"--{opt}" for opt in VERIFY_OPTIONS
-              if opt not in reads and getattr(args, opt) is not None]
-    if unread:
-        raise UsageError(f"suite {args.suite} does not read {', '.join(unread)}")
-    options = {opt: p.default if getattr(args, opt) is None else getattr(args, opt)
-               for opt, p in reads.items()}
-    outdir = _outdir(args)
-    manifest = persistence.new_manifest(
-        options.get("seed", 0), "verify", argv=args.argv,
-        parameters={"suite": args.suite, **{k: v for k, v in options.items() if k != "seed"}})
-    path = outdir / f"verify_{args.suite}.csv"
-    ok = _report(*_suite_text([run(**options)]), path)
-    _finish(manifest, outdir, path)
-    return EXIT_OK if ok else EXIT_VERIFY
+    return [path], list(lines), EXIT_OK if verdicts.all() else EXIT_VERIFY
 
 
 # -- estimate ---------------------------------------------------------------------
 
 
-def cmd_estimate(args) -> int:
-    reads = _kind_options(args)
-    outdir = _outdir(args)
-    manifest = persistence.new_manifest(
-        args.seed, "estimate", argv=args.argv,
-        parameters={"target": args.target, "model": args.model, "n": args.n, **reads,
-                    "reps": args.reps})
+def cmd_estimate(args, outdir: Path) -> Outcome:
     rng = RngStream(args.seed)
     if args.model == "um":
         est = estimators.unicellular_laws(args.target, args.n, args.g, args.reps, rng)
@@ -408,81 +344,73 @@ def cmd_estimate(args) -> int:
     persistence.write_csv(path, est.header, est.rows)
     spath = outdir / "summary.json"
     spath.write_text(json.dumps(est.summary, indent=2, sort_keys=True, default=float) + "\n")
-    _finish(manifest, outdir, path, spath)
-    for line in est.lines:
-        print(line)
-    return EXIT_OK
+    return [path, spath], est.lines, EXIT_OK
 
 
 # -- counts -----------------------------------------------------------------------
 
 
-def cmd_counts(args) -> int:
-    outdir = _outdir(args)
-    manifest = persistence.new_manifest(
-        0, "counts", argv=args.argv,
-        parameters={"asymptotics": args.asymptotics})
+def cmd_counts(args, outdir: Path) -> Outcome:
     ratios, anchor = estimators.omega1_anchor()
-    rows = []
-    lines = [f"growth-constant anchor (extrapolated): {anchor:.6f}"]
-    for n, ratio in ratios.items():
-        rows.append(["m-s1-ratio", n, 1, ratio, anchor])
+    rows = [["m-s1-ratio", n, 1, ratio, anchor] for n, ratio in ratios.items()]
     if args.asymptotics:
-        for n in range(2, 11):
-            t = estimators.count_asymptotics("f", n, 0)
-            rows.append(["f", n, 0, t.exact, t.prediction])
-        for s in (1, 2):
-            for n in range(2, 11):
-                t = estimators.count_asymptotics("m", n, s)
-                rows.append(["m", n, s, t.exact, t.prediction])
-        for s in (0, 1):
-            for n in range(3, 7):
-                t = estimators.count_asymptotics("h", n, s)
-                rows.append(["h", n, s, t.exact, t.prediction])
-        for n in range(2, 6):
-            t = estimators.count_asymptotics("umstar", n, 1)
-            rows.append(["umstar", n, 1, t.exact, t.prediction])
+        for family, param, sizes in [("f", 0, range(2, 11)), ("m", 1, range(2, 11)),
+                                     ("m", 2, range(2, 11)), ("h", 0, range(3, 7)),
+                                     ("h", 1, range(3, 7)), ("umstar", 1, range(2, 6))]:
+            for n in sizes:
+                t = estimators.count_asymptotics(family, n, param)
+                rows.append([family, n, param, "" if t.exact is None else t.exact, t.prediction])
     path = outdir / "counts.csv"
-    persistence.write_csv(path, ["family", "n", "param", "exact", "prediction"],
-                          [[r[0], r[1], r[2], "" if r[3] is None else r[3], r[4]]
-                           for r in rows])
-    _finish(manifest, outdir, path)
-    for line in lines:
-        print(line)
-    print(f"wrote {path}")
-    return EXIT_OK
+    persistence.write_csv(path, ["family", "n", "param", "exact", "prediction"], rows)
+    lines = [f"growth-constant anchor (extrapolated): {anchor:.6f}", f"wrote {path}"]
+    return [path], lines, EXIT_OK
 
 
 # -- selftest --------------------------------------------------------------------
 
 
-def cmd_selftest(args) -> int:
-    outdir = _outdir(args)
-    manifest = persistence.new_manifest(0, "selftest", argv=args.argv, parameters={})
-    path = outdir / "selftest.csv"
+def cmd_selftest(args, outdir: Path) -> Outcome:
     suites = [(name, kwargs) for name, kwargs in SUITES.values() if kwargs is not None]
 
     def run(start, stop):  # one item per suite: the processes pull the costly ones apart
         return _suite_text([getattr(checks, name)(**kwargs)
                             for name, kwargs in suites[start:stop]])
 
-    ok = _report(*range_rows(len(suites), run, min_range=1), path)
-    _finish(manifest, outdir, path)
-    print("selftest:", "PASS" if ok else "FAIL")
-    return EXIT_OK if ok else EXIT_VERIFY
+    rows, lines, verdicts = range_rows(len(suites), run, min_range=1)
+    path = outdir / "selftest.csv"
+    persistence.write_csv(path, SUITE_HEADER, rows)
+    ok = verdicts.all()
+    return [path], [*lines, f"selftest: {'PASS' if ok else 'FAIL'}"], EXIT_OK if ok else EXIT_VERIFY
 
 
 # -- dispatch --------------------------------------------------------------------
 
 
 def main(argv=None) -> int:
+    """Run one command: resolve its options, make its output directory, do its work, write
+    its manifest and print its lines; the exit code."""
     handlers = {"sample": cmd_sample, "enumerate": cmd_enumerate, "explore": cmd_explore,
                 "invert": cmd_invert, "verify": cmd_verify, "estimate": cmd_estimate,
                 "counts": cmd_counts, "selftest": cmd_selftest}
+    argv = list(sys.argv[1:] if argv is None else argv)
     try:
         args = build_parser().parse_args(argv)
-        args.argv = list(argv) if argv is not None else list(sys.argv[1:])
-        return handlers[args.command](args)
+        options = _options(args)  # a usage error comes before the output directory
+        try:
+            args.out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise IOError(f"cannot create output directory {args.out}: {exc}") from exc
+        manifest = persistence.new_manifest(
+            options.get("seed", 0), args.command, argv=argv,
+            parameters={k: v for k, v in options.items() if k != "seed"})
+        files, lines, code = handlers[args.command](argparse.Namespace(**options), args.out)
+        for path in files:
+            manifest.record_output(path)
+        manifest.finished = persistence._now()
+        manifest.save(args.out / "manifest.json")
+        for line in lines:
+            print(line)
+        return code
     except (OSError, persistence.PersistenceError, json.JSONDecodeError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -10,11 +10,12 @@ excursions, and through weighted labeled trees then target the same limits.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, gamma, pi, sqrt
+from math import comb, factorial, gamma, pi, sqrt
 
 import numpy as np
 
 from .lattice_paths import enumerate_excursions, excursion_count
+from .maps import bf_explore, entangled_pairings, pairing_tuple_count
 from .local_time import (
     area_functional,
     inverse_height_functional,
@@ -28,6 +29,8 @@ from .samplers import (
     WeightedEnsemble,
     decoration_count,
     decoration_count_gap,
+    enumerate_maps,
+    enumerate_surplus_graphs,
     replicate_rows,
     sample_tree_profile,
     sample_uniform_excursion,
@@ -388,8 +391,6 @@ def excursion_mean_area_power(s: int) -> float:
     if s == 0:
         return 1.0
     w = wright_sequence(s)[-1]
-    from math import factorial
-
     return w * factorial(s) * sqrt(pi) / (gamma((3 * s - 1) / 2.0) * 2.0 ** (3.5 * s - 2))
 
 
@@ -405,28 +406,17 @@ class CountTable:
 def count_asymptotics(family: str, n: int, s_or_g: int) -> CountTable:
     """Exact count (where enumerable) next to its asymptotic prediction."""
     s = s_or_g
-    if family == "f":
+    if family == "f" or (family == "m" and s == 0):  # a surplus-0 map is its tree
         pred = 4.0 ** (n - 1) / (sqrt(pi) * max(n - 1, 1) ** 1.5) if n >= 2 else 1.0
         exact = excursion_count(n)
     elif family == "m":
-        if s == 0:
-            pred = 4.0 ** (n - 1) / (sqrt(pi) * max(n - 1, 1) ** 1.5) if n >= 2 else 1.0
-            exact = excursion_count(n)
-        else:
-            w = wright_sequence(s)[-1]
-            pred = w * n ** (1.5 * (s - 1)) * 4.0 ** n / (2.0 ** s * gamma((3 * s - 1) / 2.0))
-            exact = exact_map_count(n, s) if n <= 12 and s <= 2 else None
+        w = wright_sequence(s)[-1]
+        pred = w * n ** (1.5 * (s - 1)) * 4.0 ** n / (2.0 ** s * gamma((3 * s - 1) / 2.0))
+        exact = exact_map_count(n, s) if n <= 12 and s <= 2 else None
     elif family == "h":
         mom = excursion_mean_area_power(s)
-        from math import factorial
-
         pred = float(n) ** (n - 1 + 1.5 * s) * mom / factorial(s)
-        if n <= 6 and s <= 2:
-            from .samplers import enumerate_surplus_graphs
-
-            exact = len(enumerate_surplus_graphs(n, s))
-        else:
-            exact = None
+        exact = len(enumerate_surplus_graphs(n, s)) if n <= 6 and s <= 2 else None
     elif family == "umstar":
         g = s_or_g
         pred = (4.0 ** (g - 1) / (3.0 ** g * gamma(g + 1) * sqrt(pi))) * n ** (3 * g - 1.5) * 4.0 ** n
@@ -442,9 +432,6 @@ def count_asymptotics(family: str, n: int, s_or_g: int) -> CountTable:
 def unicellular_star_count(n: int) -> int:
     """Brute count of unicellular surplus-2 maps, genus one, whose exploration corners are
     distinct."""
-    from .maps import bf_explore
-    from .samplers import enumerate_maps
-
     count = 0
     for m in enumerate_maps(n, 2):
         if not m.is_unicellular():
@@ -457,8 +444,6 @@ def unicellular_star_count(n: int) -> int:
 
 def um_count_identity(n: int) -> tuple[int, int]:
     """Genus-one corner-tuple total over all excursions against the brute unicellular count."""
-    from .maps import entangled_pairings, pairing_tuple_count
-
     if n > 5:
         raise ValueError("identity check capped at n <= 5, g = 1")
     pairings = entangled_pairings(1)

@@ -112,8 +112,10 @@ class RootedMap:
             raise ValueError("involution length mismatch")
         if sorted(alpha) != identity:
             raise ValueError("involution is not a permutation of the half-edges")
-        if any(map(eq, alpha, identity)) or [alpha[a] for a in alpha] != identity:
+        if any(map(eq, alpha, identity)):
             raise ValueError("involution is not fixed-point-free")
+        if [alpha[a] for a in alpha] != identity:
+            raise ValueError("involution is not its own inverse")
         if not 0 <= root < n_half:
             raise ValueError("root half-edge out of range")
         self._derive()

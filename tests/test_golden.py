@@ -3,7 +3,8 @@
 Criterion 14 reruns one build twice, so it cannot see a random stream drift
 between two versions of the code.  These digests pin the SHA-256 of every
 digested output file (``manifest.json`` carries timestamps and is left out)
-at fixed seeds and small sizes.  A change that alters a stream or a file
+at fixed seeds and small sizes, and of the lines each case prints, with its
+output directory written as ``<out>``.  A change that alters a stream or a file
 format on purpose updates the digests in the same change and says why in
 ``CHANGES.md``.
 
@@ -246,25 +247,91 @@ DIGESTS = {
 }
 
 
-def run_case(name: str, out: Path) -> dict[str, str]:
-    """Run one case into ``out`` and digest its output files."""
-    assert main(CASES[name] + ["--out", str(out)]) == EXIT_OK
-    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-            for p in sorted(out.iterdir()) if p.name != "manifest.json"}
+STDOUT_DIGESTS = {
+    'estimate-radius-s1':
+        '7c294d1ba91c61d8df454342d889313f5db1c055b6f0d4350de21d746cc994d5',
+    'estimate-radius-s3':
+        '6dee202dc7339716d4334f6de9917ac483b20bed95fbc04dcf2687b87e9a3117',
+    'estimate-two-point-s1':
+        'b89b8792079f33e8d3b821cd4b195cc9165ba2e2735b6104528a5e2f4991f5b4',
+    'estimate-two-point-s3':
+        '4f6a27ac6e5124c2fd949d230426289ac8d2582c96da65a8157dcd9549ea5a2c',
+    'estimate-radius-n1000-s3':
+        'fa987ff3af2f6df3fcceb59d9fff4dc3db864c5d19aba24e2f416d7af38f9daa',
+    'estimate-profile':
+        'bcee7a45c46fa32284e697ae15790b57c6131e91a0801f1ad2a1ef4b5edafbe2',
+    'estimate-profile-s3':
+        'e230b9a4ea4fa3ef2d5a516f0a7ead9038c68310b1f2144bbfa0123665c24871',
+    'estimate-um-radius':
+        'def4070f138cc4e5cee15cacb3a0ea614f6f9cc0b1a21c3b5356c7032b305538',
+    'estimate-um-two-point':
+        '60d8db4bb297ab0ce418c612f38e5652fa9da7b3c5f7b036a528c0317598d9ba',
+    'verify-jeulin':
+        '91d3fffccdee89affbd53a9beefdcdc74578db53ae6e418fb74bb5bf2da042cb',
+    'verify-jeulin-n2000':
+        '29bf5de50bb05eb59a77e86168d282a5c44bf2043fd89d06a3defad8aefaa814',
+    'verify-lemma3':
+        '8ed0f907ae60f02e337b132fca3264a9848e67dd055a3f3ac2a45613712ec24b',
+    'verify-sg':
+        '5eb0fdf153884ee2e6061657ae51218ac6d506a7c0a1670ac8da5021a80992a7',
+    'sample-excursion':
+        '616dc411a51bea5575bf899c89b507e5e6973c97853d8986a3d2ce6234218057',
+    'sample-tree':
+        '616dc411a51bea5575bf899c89b507e5e6973c97853d8986a3d2ce6234218057',
+    'sample-map':
+        '5be3d34d75ef480dfa2c92f719e8e479bee16481dc04e697905e1fc08fab4208',
+    'sample-map-n12':
+        '4b3fa309a34b611fcd8c991271da49397a99b5586e117c7c305725070df876ae',
+    'sample-map-s3':
+        '4b3fa309a34b611fcd8c991271da49397a99b5586e117c7c305725070df876ae',
+    'sample-graph':
+        '616dc411a51bea5575bf899c89b507e5e6973c97853d8986a3d2ce6234218057',
+    'sample-graph-n60':
+        '616dc411a51bea5575bf899c89b507e5e6973c97853d8986a3d2ce6234218057',
+    'sample-crum':
+        '5be3d34d75ef480dfa2c92f719e8e479bee16481dc04e697905e1fc08fab4208',
+    'sample-crum-n60':
+        '0680e7310d76185effdf051ce622df7cbb63517cb08ef96f2cb847c8bb28aff7',
+    'sample-crum-g2':
+        '5be3d34d75ef480dfa2c92f719e8e479bee16481dc04e697905e1fc08fab4208',
+    'enumerate-m':
+        '230ec2d6976775f9f5971224cece7493947da0534a216bbccf4c1769febf87e9',
+    'enumerate-um':
+        '6ff7a2a68a93b2546f7f8c8d50d96544fc425111a78fd6028bb348a50ec06607',
+    'invert':
+        '0edfd53037229d3d46a0741550f4c8f51c6670aa6f4a76e762304c775d2743e6',
+    'selftest':
+        'aa96b31ac76667cdb3e7cdfdc495d7828c0be576f3f5e1b6161ff69580fadb9c',
+    'counts-asymptotics':
+        '982b7cac0dec23b5406c051b222adb2663562b33acc8d80142888ed565fe95e0',
+}
+
+
+def run_case(name: str, out: Path) -> tuple[dict[str, str], str]:
+    """Run one case into ``out``; digest its output files and its printed lines."""
+    with contextlib.redirect_stdout(io.StringIO()) as printed:
+        assert main(CASES[name] + ["--out", str(out)]) == EXIT_OK
+    files = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+             for p in sorted(out.iterdir()) if p.name != "manifest.json"}
+    return files, hashlib.sha256(printed.getvalue().replace(str(out), "<out>").encode()).hexdigest()
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_digest(name, tmp_path):
-    assert run_case(name, tmp_path / name) == DIGESTS[name]
+    assert run_case(name, tmp_path / name) == (DIGESTS[name], STDOUT_DIGESTS[name])
 
 
 if __name__ == "__main__":
-    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+    with tempfile.TemporaryDirectory() as tmp:
         table = {name: run_case(name, Path(tmp) / name) for name in CASES}
     print("DIGESTS = {")
-    for name, files in table.items():
+    for name, (files, _) in table.items():
         print(f"    {name!r}: {{")
         for fname, digest in files.items():
             print(f"        {fname!r}:\n            {digest!r},")
         print("    },")
+    print("}")
+    print("STDOUT_DIGESTS = {")
+    for name, (_, digest) in table.items():
+        print(f"    {name!r}:\n        {digest!r},")
     print("}")

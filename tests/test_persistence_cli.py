@@ -167,11 +167,25 @@ class TestCli:
         (["estimate", "--target", "radius", "--model", "um", "--n", "8", "--reps", "20"],
          {"target": "radius", "model": "um", "n": 8, "g": 1, "reps": 20}),
         (["estimate", "--target", "radius", "--n", "8", "--reps", "20"],
-         {"target": "radius", "model": "h", "n": 8, "s": 1, "reps": 20})])
+         {"target": "radius", "model": "h", "n": 8, "s": 1, "reps": 20}),
+        (["explore", "--mode", "df", "--in", "<map>"], {"mode": "df", "in": "<map>"}),
+        (["invert", "--tree", "(()())", "--corners", "1,3"],
+         {"tree": "(()())", "corners": "1,3", "tags": "", "mode": "bf"}),
+        (["counts", "--asymptotics"], {"asymptotics": True}),
+        (["selftest"], {}),
+        (["verify", "--suite", "sg"], {"suite": "sg"})])
     def test_manifest_records_the_options_a_kind_read(self, argv, parameters, tmp_path):
+        # "<map>" stands for a stored map, which explore reads
+        stored = str(tmp_path / "m" / "map.json")
+        assert main(["invert", "--tree", "(()())", "--corners", "1,3",
+                     "--out", str(tmp_path / "m")]) == EXIT_OK
+        argv = [stored if a == "<map>" else a for a in argv]
         assert main([*argv, "--out", str(tmp_path / "o")]) == EXIT_OK
-        assert persistence.load_manifest(tmp_path / "o" / "manifest.json").parameters == \
-            parameters
+        manifest = persistence.load_manifest(tmp_path / "o" / "manifest.json")
+        assert manifest.parameters == {k: stored if v == "<map>" else v
+                                       for k, v in parameters.items()}
+        # a run that reads no --seed, or is given none, records seed 0
+        assert manifest.seed == 0
 
     def test_sample_excursion(self, tmp_path, capsys):
         out = tmp_path / "o"
