@@ -258,10 +258,12 @@ class TestInsertExplore:
         ([0, 1], [5, 0], 0, "involution is not a permutation of the half-edges"),
         ([1, 0], [1], 0, "involution length mismatch"),
         ([0, 1], [0, 1], 0, "involution is not fixed-point-free"),
-        ([0, 1, 2, 3], [1, 2, 3, 0], 0, "involution is not its own inverse"),
+        ([0, 1, 2, 3], [1, 0, 2, 3], 0, "involution is not fixed-point-free"),
         ([0, 1], [1, 0], 2, "root half-edge out of range"),
         ([0, 1, 2, 3], [1, 0, 3, 2], 0, "map is not connected"),
         ([1, 0, 3, 2], [2, 3, 0, 1], 0, "root vertex must have degree one"),
+        # a fixed-point-free 4-cycle is a permutation but not an involution
+        ([0, 1, 2, 3], [1, 2, 3, 0], 0, "involution is not its own inverse"),
     ])
     def test_map_rejection_messages(self, sigma, alpha, root, message):
         with pytest.raises(ValueError, match=message):
