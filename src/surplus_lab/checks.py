@@ -342,10 +342,12 @@ def jeulin_suite(n: int = 2000, reps: int = 10_000, seed: int = 7,
                  threshold: float | None = None) -> SuiteResult:
     """The squared-occupancy law against twice the area law (:func:`jeulin_check`), within
     a KS ``threshold``; by default the level of 0.05 at 10^4 replicates, carried to
-    ``reps``."""
+    ``reps``, which is below 1 only above 25 replicates."""
+    threshold = 0.05 * sqrt(10_000 / reps) if threshold is None else threshold
+    if threshold >= 1:  # a KS distance never exceeds 1, so the check could not fail
+        raise ValueError(f"threshold must be < 1, got {threshold} at reps={reps}")
     res = SuiteResult("jeulin")
     stats = jeulin_check(n, reps, RngStream(seed))
-    threshold = 0.05 * sqrt(10_000 / reps) if threshold is None else threshold
     res.add("jeulin-ks", stats.ks <= threshold, threshold, stats.ks,
             f"ks n={n} reps={reps} ks={stats.ks:.5f} threshold={threshold}")
     res.add("jeulin-mean-sq", None, value=stats.mean_sq)

@@ -199,8 +199,8 @@ def cmd_sample(args, outdir: Path) -> Outcome:
         text = (LatticeExcursion.steps_string if args.kind == "excursion"
                 else LatticeExcursion.to_parens)
         path = outdir / f"{args.kind}s.txt"
-        path.write_text("\n".join(text(sample_uniform_excursion(args.n, gen))
-                                  for gen in rng.generators(args.reps)) + "\n")
+        path.write_text("".join(text(sample_uniform_excursion(args.n, gen)) + "\n"
+                                for gen in rng.generators(args.reps)))
         files = [path]
     elif args.kind == "map":
         def draw(gens, start):  # each replicate chunk writes its own maps
@@ -332,14 +332,14 @@ def cmd_verify(args, outdir: Path) -> Outcome:
 
 def cmd_estimate(args, outdir: Path) -> Outcome:
     rng = RngStream(args.seed)
-    if args.model == "um":
-        est = estimators.unicellular_laws(args.target, args.n, args.g, args.reps, rng)
-    elif args.target == "radius":
-        est = estimators.radius_laws(args.n, args.s, args.reps, rng)
-    elif args.target == "profile":
-        est = estimators.profile_laws(args.n, args.s, args.reps, rng)
+    mode, tilt = ("um", args.g) if args.model == "um" else ("bf", args.s)
+    if args.target == "profile":
+        if mode == "um":
+            raise ValueError("profile estimation is available for --model h only")
+        est = estimators.profile_laws(args.n, tilt, args.reps, rng)
     else:
-        est = estimators.two_point_law(args.n, args.s, args.reps, rng)
+        law = estimators.radius_laws if args.target == "radius" else estimators.two_point_law
+        est = law(args.n, tilt, args.reps, rng, mode)
     path = outdir / f"estimate_{args.target.replace('-', '_')}.csv"
     persistence.write_csv(path, est.header, est.rows)
     spath = outdir / "summary.json"

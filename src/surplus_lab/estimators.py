@@ -90,26 +90,31 @@ def _run_summary(target: str, model: str, n: int, reps: int, rng: RngStream) -> 
     return {"target": target, "model": model, "n": n, "reps": reps, "seed": rng.seed}
 
 
-def _route_estimate(summary: dict, routes: dict, pairs: dict) -> Estimate:
-    """The per-replicate table of weighted routes, each route's ESS, and per compared pair
-    the KS distance, printed beside its 1 % critical value at the two routes' ESS.
+def _route_laws(target: str, mode: str, n: int, tilt: int, reps: int, rng: RngStream,
+                routes: dict, pairs: dict) -> Estimate:
+    """The per-replicate table of tilted routes, each route's ESS, and per compared pair the
+    KS distance, printed beside its 1 % critical value at the two routes' ESS.
 
-    ``routes`` maps a route name to ``(ensemble, column)``; ``pairs`` maps a summary key to
-    the names of the two routes it compares.
+    ``routes`` maps a route name to ``(tilt mode, column, functional)``; route ``k`` is the
+    :func:`tilted_ensemble` of its functional on ``rng.substream(k)``.  ``pairs`` maps a
+    summary key to the names of the two routes it compares.
     """
-    ess = summary["ess"] = {name: ens.ess() for name, (ens, _) in routes.items()}
+    summary = _run_summary(target, "um" if mode == "um" else "h", n, reps, rng)
+    laws = {name: (tilted_ensemble(n, tilt, route_mode, reps, rng.substream(k), {column: fn}),
+                   column)
+            for k, (name, (route_mode, column, fn)) in enumerate(routes.items())}
+    ess = summary["ess"] = {name: ens.ess() for name, (ens, _) in laws.items()}
     header, cols = ["replicate"], []
-    for name, (ens, column) in routes.items():
+    for name, (ens, column) in laws.items():
         header += [name, f"{name}_w"]
         cols += [ens.columns[column], ens.weights]
     rows = [[r, *(col[r] for col in cols)] for r in range(len(cols[0]))]
     lines = []
     for key, (a, b) in pairs.items():
-        summary[key] = ks = ks_distance(routes[a], routes[b])
+        summary[key] = ks = ks_distance(laws[a], laws[b])
         lines.append(f"ks({a},{b})={ks:.5f} "
                      f"critical(1%)={ks_two_sample_critical(ess[a], ess[b]):.5f}")
-    return Estimate(header, rows, summary, lines,
-                    {name: ens for name, (ens, _) in routes.items()})
+    return Estimate(header, rows, summary, lines, {name: ens for name, (ens, _) in laws.items()})
 
 
 # -- radius, two-point, and profile laws --------------------------------------------
@@ -121,52 +126,38 @@ def _route_scale(n: int, mode: str):
     if mode == "um":
         root = sqrt(2.0 * n)
         return lambda h: h / root
-    scale = sqrt(2.0 / n)
-    return lambda h: scale * h
+    return lambda h: sqrt(2.0 / n) * h  # per call, so n = 0 meets tilted_ensemble's refusal
 
 
-def radius_laws(n: int, s: int, reps: int, rng: RngStream) -> Estimate:
-    """Three routes to the same radius law.
+def radius_laws(n: int, s: int, reps: int, rng: RngStream, mode: str = "bf") -> Estimate:
+    """Routes to one radius law under the breadth-first tilt (``mode="bf"``, surplus ``s``)
+    or the unicellular one (``mode="um"``, genus ``s``), scaled by :func:`_route_scale`.
 
-    Map route: radius of the breadth-first map, scaled by ``sqrt(2/n)``.  Its root
-    distances are the contour heights of its exploration tree
-    (:meth:`TiltSample.distances_from_root`), so no corner pair is drawn and only
-    the ``B(f)^s`` tilt applies, the uniform-map law exactly only at ``s = 1``.
-    Contour route: twice the maximum of the tilted excursion over ``sqrt(2n)``.
-    Inverse-height route: the reciprocal-height sum under the depth-first tilt
-    over ``sqrt(2n)``.
+    Map route: the radius of the decorated map.  Its root distances are the contour heights
+    of its exploration tree (:meth:`TiltSample.distances_from_root`), so no corner pair is
+    drawn and only the tilt applies; under ``B(f)^s`` that is the uniform-map law exactly
+    only at ``s = 1``.  Contour route (``bf``, or ``excursion`` for um): twice the maximum
+    of the tilted excursion.  Breadth-first only, inverse-height route ``df``: the
+    reciprocal-height sum under the depth-first tilt.
     """
-    scaled = _route_scale(n, "bf")
-    map_ens = tilted_ensemble(
-        n, s, "bf", reps, rng.substream(0),
-        {"radius": lambda smp: scaled(smp.distances_from_root().max())},
-    )
-    bf_ens = tilted_ensemble(
-        n, s, "bf", reps, rng.substream(1),
-        {"sup": lambda smp: scaled(smp.exc.max_height())},
-    )
-    df_ens = tilted_ensemble(
-        n, s, "df", reps, rng.substream(2),
-        {"invheight": lambda smp: inverse_height_functional(smp.exc).scaled},
-    )
-    return _route_estimate(
-        _run_summary("radius", "h", n, reps, rng),
-        {"map": (map_ens, "radius"), "bf": (bf_ens, "sup"), "df": (df_ens, "invheight")},
-        {"ks_map_bf": ("map", "bf"), "ks_bf_df": ("bf", "df"), "ks_map_df": ("map", "df")})
-
-
-def _map_and_contour_laws(target: str, n: int, tilt: int, mode: str, reps: int,
-                          rng: RngStream, map_fn, contour_fn) -> Estimate:
-    map_ens = tilted_ensemble(n, tilt, mode, reps, rng.substream(0), {"val": map_fn})
-    exc_ens = tilted_ensemble(n, tilt, mode, reps, rng.substream(1), {"val": contour_fn})
-    return _route_estimate(_run_summary(target, "um" if mode == "um" else "h", n, reps, rng),
-                           {"map": (map_ens, "val"), "excursion": (exc_ens, "val")},
-                           {"ks": ("map", "excursion")})
+    scaled = _route_scale(n, mode)
+    radius = lambda smp: scaled(smp.distances_from_root().max())
+    sup = lambda smp: scaled(smp.exc.max_height())
+    if mode == "um":
+        routes = {"map": ("um", "val", radius), "excursion": ("um", "val", sup)}
+        pairs = {"ks": ("map", "excursion")}
+    else:
+        routes = {"map": ("bf", "radius", radius), "bf": ("bf", "sup", sup),
+                  "df": ("df", "invheight",
+                         lambda smp: inverse_height_functional(smp.exc).scaled)}
+        pairs = {"ks_map_bf": ("map", "bf"), "ks_bf_df": ("bf", "df"), "ks_map_df": ("map", "df")}
+    return _route_laws("radius", mode, n, s, reps, rng, routes, pairs)
 
 
 def two_point_law(n: int, s: int, reps: int, rng: RngStream, mode: str = "bf") -> Estimate:
-    """Distance between two uniform non-root vertices vs. the contour height
-    at a uniform time, both under the breadth-first (or unicellular) tilt.
+    """Distance between two uniform non-root vertices (route ``map``) against the contour
+    height at a uniform time (route ``excursion``), both under the breadth-first tilt
+    (``mode="bf"``, surplus ``s``) or the unicellular one (``mode="um"``, genus ``s``).
 
     At ``n = 1`` there is a single non-root vertex and the map side is a
     point mass at zero.  The breadth-first map side is the ``B(f)^s``-tilted
@@ -183,21 +174,9 @@ def two_point_law(n: int, s: int, reps: int, rng: RngStream, mode: str = "bf") -
     def height(smp: TiltSample) -> float:
         return scaled(int(smp.exc.values[int(smp.gen.random() * 2 * n)]))
 
-    return _map_and_contour_laws("two-point", n, s, mode, reps, rng, distance, height)
-
-
-def unicellular_laws(target: str, n: int, g: int, reps: int, rng: RngStream) -> Estimate:
-    """Genus-``g`` unicellular radius or two-point law: glued-map route against
-    the contour route."""
-    if target == "two-point":
-        return two_point_law(n, g, reps, rng, mode="um")
-    if target != "radius":
-        raise ValueError("profile estimation is available for --model h only")
-    scaled = _route_scale(n, "um")
-    return _map_and_contour_laws(
-        "radius", n, g, "um", reps, rng,
-        lambda smp: scaled(smp.distances_from_root().max()),
-        lambda smp: scaled(smp.exc.max_height()))
+    return _route_laws("two-point", mode, n, s, reps, rng,
+                       {"map": (mode, "val", distance), "excursion": (mode, "val", height)},
+                       {"ks": ("map", "excursion")})
 
 
 DEFAULT_PROFILE_GRID = tuple(round(0.1 * k, 1) for k in range(31))
@@ -300,7 +279,7 @@ def jeulin_check(n: int, reps: int, rng: RngStream) -> JeulinResult:
         ks=ks_distance((ens, "sq"), (ens, "area2")),
         mean_sq=float(np.dot(w_sq, v_sq)),
         mean_area=float(np.dot(w_area, v_area)),
-        se_diff=float(np.std(diff, ddof=1) / sqrt(reps)),
+        se_diff=float(np.std(diff, ddof=1) / sqrt(reps)) if reps > 1 else 0.0,
         ensemble=ens,
     )
 

@@ -196,6 +196,13 @@ class TestCli:
         assert all(set(line) <= {"U", "D"} for line in lines)
         assert (out / "manifest.json").exists()
 
+    @pytest.mark.parametrize("kind", ["tree", "excursion"])
+    def test_sample_no_reps_writes_an_empty_file(self, kind, tmp_path):
+        # no record at all, as enumerate writes for no items, not one empty record
+        out = tmp_path / "o"
+        assert main(["sample", kind, "--n", "5", "--reps", "0", "--out", str(out)]) == EXIT_OK
+        assert (out / f"{kind}s.txt").read_bytes() == b""
+
     def test_enumerate_m21(self, tmp_path, capsys):
         out = tmp_path / "o"
         assert main(["enumerate", "--family", "m", "--n", "2", "--s", "1",
@@ -381,6 +388,28 @@ class TestCli:
             assert float(ks_row[2]) == pytest.approx(expected)
             assert ks_row[3] == str(int(float(ks_row[1]) <= float(ks_row[2])))
 
+    @pytest.mark.parametrize("argv, threshold", [(["--reps", "25"], "1.0"),
+                                                 (["--threshold", "1"], "1.0")])
+    def test_verify_jeulin_refuses_a_threshold_no_ks_distance_exceeds(
+            self, argv, threshold, tmp_path, capsys, monkeypatch):
+        # a KS distance is at most 1, so at a threshold of 1 or more the check could not fail;
+        # the default threshold reaches 1 at 25 replicates, and the refusal draws nothing
+        def no_draw(*args):
+            raise AssertionError("drew before the threshold was checked")
+
+        monkeypatch.setattr(checks, "jeulin_check", no_draw)
+        assert main(["verify", "--suite", "jeulin", "--n", "64", *argv,
+                     "--out", str(tmp_path / "v")]) == EXIT_USAGE
+        assert f"threshold must be < 1, got {threshold}" in capsys.readouterr().err
+        assert not list((tmp_path / "v").glob("*.csv"))
+
+    def test_verify_jeulin_runs_at_26_reps(self, tmp_path):
+        out = tmp_path / "v"
+        assert main(["verify", "--suite", "jeulin", "--n", "64", "--reps", "26",
+                     "--out", str(out)]) in (EXIT_OK, EXIT_VERIFY)
+        _, rows = read_csv(out / "verify_jeulin.csv")
+        assert rows[0][0] == "jeulin-ks" and float(rows[0][1]) <= 1 and float(rows[0][2]) < 1
+
     def test_verify_lemma3(self, tmp_path, capsys):
         assert main(["verify", "--suite", "lemma3", "--reps", "60", "--seed", "3",
                      "--out", str(tmp_path / "v")]) == EXIT_OK
@@ -449,6 +478,8 @@ class TestCli:
         ["enumerate", "--family", "um", "--n", "3", "--g", "-1"],
         ["verify", "--suite", "counts", "--n", "-2"],
         ["sample", "crum", "--n", "10", "--g", "0", "--reps", "0"],  # refused with no draw
+        ["estimate", "--target", "radius", "--n", "0", "--reps", "3"],
+        ["estimate", "--target", "two-point", "--n", "0", "--reps", "3"],
     ])
     def test_bad_sizes_are_usage_errors(self, argv, tmp_path, capsys):
         assert main(argv + ["--out", str(tmp_path / "o")]) == EXIT_USAGE
@@ -723,3 +754,9 @@ class TestUmTwoPoint:
         out = tmp_path / "ump"
         assert main(["estimate", "--target", "profile", "--model", "um", "--n", "25",
                      "--reps", "10", "--seed", "6", "--out", str(out)]) == EXIT_USAGE
+
+    def test_estimate_um_profile_names_model_h(self, tmp_path, capsys):
+        assert main(["estimate", "--target", "profile", "--model", "um", "--n", "25",
+                     "--reps", "10", "--out", str(tmp_path / "ump")]) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "usage error: profile estimation is available for --model h only\n")
