@@ -316,8 +316,8 @@ def radius_invariance_suite(n: int = 1000, reps: int = 10_000,
         for gen in gens:
             exc = sample_uniform_excursion(n, gen)
             index = corner_index(exc.values)
-            xi = sample_corners_bf(index, 1, gen)
-            dist = _root_distances(*contour_tree(exc.values, index), xi.indices)
+            (chord,), _ = sample_corners_bf(index, 1, gen)
+            dist = _root_distances(*contour_tree(exc.values, index), chord)
             depths = np.bincount(exc.values[vertex_times(exc.values)]).tolist()
             out.append(max(dist) == exc.max_height() and np.bincount(dist).tolist() == depths)
         return [out]

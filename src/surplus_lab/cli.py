@@ -295,11 +295,12 @@ def cmd_explore(args, outdir: Path) -> Outcome:
 def cmd_invert(args, outdir: Path) -> Outcome:
     exc = LatticeExcursion.from_parens(args.tree)
     indices = tuple(int(x) for x in args.corners.split(",") if x)
+    if len(indices) % 2:
+        raise ValueError(f"{len(indices)} corners do not make pairs")
     if args.tags:
-        tags = tuple(int(x) for x in args.tags.split(",") if x)
+        xi = AdmissibleCorners(args.mode, indices, tuple(int(x) for x in args.tags.split(",") if x))
     else:
-        tags = tuple(1 for _ in indices)
-    xi = AdmissibleCorners(args.mode, indices, tags)
+        xi = AdmissibleCorners.of_pairs(args.mode, zip(indices[::2], indices[1::2]))
     m = insert_edges(exc, xi)
     path = outdir / "map.json"
     persistence.save_map(m, path)

@@ -282,6 +282,19 @@ class AdmissibleCorners:
         """The decoration of ``(i1, k1, i2, k2)`` quadruples, in their canonical order."""
         return cls(mode, *_split_ends(sorted(tagged, key=_CANONICAL_ORDER)))
 
+    @classmethod
+    def of_pairs(cls, mode: str, pairs) -> "AdmissibleCorners":
+        """The decoration joining the corner pairs ``(i1, i2)``, given in any order, with the
+        canonical tags: in sorted pair order each corner numbers its ends 1, 2, ..., so a
+        loop's ends read 1, 2 and pairs on distinct corners all read 1."""
+        indices = tuple(chain.from_iterable(sorted(pairs)))
+        seen: dict[int, int] = {}
+        tags = []
+        for i in indices:
+            seen[i] = seen.get(i, 0) + 1
+            tags.append(seen[i])
+        return cls(mode, indices, tuple(tags))
+
     @property
     def s(self) -> int:
         return len(self.indices) // 2
@@ -667,29 +680,23 @@ def all_pairings(size: int):
 # -- unicellular gluing ---------------------------------------------------------
 
 
-def glue_decoration(pairing: PermutationPairing, corners) -> AdmissibleCorners:
-    """Decoration that joins increasing corners ``r_1 < ... < r_4g`` per the pairing."""
-    corners = tuple(corners)
-    if len(corners) != 4 * pairing.g:
-        raise ValueError("need exactly 4g corners")
-    if any(corners[i] >= corners[i + 1] for i in range(len(corners) - 1)):
-        raise ValueError("corners must be strictly increasing")
-    return AdmissibleCorners.from_tagged(
-        "bf", [(corners[a - 1], 1, corners[b - 1], 1) for a, b in pairing.transpositions])
-
-
 def unicellular_glue(f: LatticeExcursion, pairing: PermutationPairing,
                      corners) -> tuple[RootedMap, bool]:
-    """Glue ``4g`` corners of the tree coded by ``f`` in pairs; report unicellularity.
+    """Glue ``4g`` increasing corners of the tree coded by ``f`` in pairs; report unicellularity.
 
     When every glued pair drops by zero or one level, first corner higher, the
     glued map's breadth-first exploration returns ``f`` with this decoration.  The
     corners must lie in ``[1, 2n-1]``: the root corner is never an insertion site.
     """
     corners = tuple(corners)
-    xi = glue_decoration(pairing, corners)  # checks the count and the strict increase
+    if len(corners) != 4 * pairing.g:
+        raise ValueError("need exactly 4g corners")
+    if any(a >= b for a, b in zip(corners, corners[1:])):
+        raise ValueError("corners must be strictly increasing")
     if corners and not (corners[0] >= 1 and corners[-1] <= 2 * f.n - 1):
         raise ValueError(f"glued corners must lie in [1, {2 * f.n - 1}], got {corners}")
+    xi = AdmissibleCorners.of_pairs(
+        "bf", [(corners[a - 1], corners[b - 1]) for a, b in pairing.transpositions])
     m = insert_edges(f, xi, validate=False)
     return m, m.is_unicellular()
 

@@ -377,6 +377,8 @@ def sample_labeled_tree(n: int, gen: np.random.Generator) -> LabeledTree:
     :func:`sample_surplus_graph` draws its spanning tree here; a height
     profile alone comes from :func:`sample_tree_profile`, with no tree.
     """
+    if n < 1:
+        raise ValueError("n must be >= 1")
     if n == 1:
         return LabeledTree(1, 1, [0, 0])
     root = int(gen.integers(1, n + 1))
@@ -428,29 +430,12 @@ def _weighted_index(cum: np.ndarray, gen: np.random.Generator) -> int:
     return int(np.searchsorted(cum, u, side="right"))
 
 
-def _pairs_to_decoration(mode: str, pairs: list[tuple[int, int]]) -> AdmissibleCorners:
-    """Canonical tags for sampled corner pairs: blocks ordered by sorted pair position."""
-    next_tag: dict[int, int] = {}
-    tagged = []
-    for i1, i2 in sorted(pairs):
-        k1 = next_tag[i1] = next_tag.get(i1, 0) + 1
-        k2 = next_tag[i2] = next_tag.get(i2, 0) + 1
-        tagged.append((i1, k1, i2, k2))
-    return AdmissibleCorners.from_tagged(mode, tagged)
-
-
-def sample_corners_bf(index: CornerIndex, s: int, gen: np.random.Generator) -> AdmissibleCorners:
-    """Independent corner pairs of the excursion with corner ``index``: first index by
-    weight, partner uniform at the same height or one below.  The partners of ``i`` are its
-    level's block of the corner index from ``i`` on, then the block one level down from
-    ``i`` on."""
-    return _pairs_to_decoration("bf", _bf_pairs(index, s, gen)[0])
-
-
-def _bf_pairs(index: CornerIndex, s: int, gen: np.random.Generator
-              ) -> tuple[list[tuple[int, int]], int]:
-    """The pairs :func:`sample_corners_bf` draws, and ``B(f)``, the sum of the corner
-    weights it draws them by."""
+def sample_corners_bf(index: CornerIndex, s: int, gen: np.random.Generator
+                      ) -> tuple[list[tuple[int, int]], int]:
+    """``s`` independent corner pairs of the excursion with corner ``index``, in draw order,
+    and ``B(f)``, the sum of the corner weights they are drawn by: first index by weight,
+    partner uniform at the same height or one below.  The partners of ``i`` are its level's
+    block of the corner index from ``i`` on, then the block one level down from ``i`` on."""
     per_index = bf_per_index(index)
     if (total := int(per_index.sum())) == 0:
         raise DegenerateEnsembleError("breadth-first corner weight vanished")
@@ -469,12 +454,14 @@ def _bf_partner(index: CornerIndex, i: int, u: int) -> int:
     return int(index.times[k + u if u < same else int(index.down[k]) + u - same])
 
 
-def sample_corners_df(index: CornerIndex, s: int, gen: np.random.Generator) -> AdmissibleCorners:
-    """Independent corner pairs of the excursion with corner ``index``: first index by
-    weight, then an ancestor level by its revisit count, then a uniform revisit time.  The
-    partners of ``i`` are the corners ``j >= i`` with ``q(j) < i``, by (level, time)."""
+def sample_corners_df(index: CornerIndex, s: int, gen: np.random.Generator
+                      ) -> tuple[list[tuple[int, int]], int]:
+    """``s`` independent corner pairs of the excursion with corner ``index``, in draw order,
+    and ``D(f)``, the sum of the corner weights they are drawn by: first index by weight,
+    then an ancestor level by its revisit count, then a uniform revisit time.  The partners
+    of ``i`` are the corners ``j >= i`` with ``q(j) < i``, by (level, time)."""
     per_index = df_per_index(index)
-    if int(per_index.sum()) == 0:
+    if (total := int(per_index.sum())) == 0:
         raise DegenerateEnsembleError("depth-first corner weight vanished")
     cum = np.cumsum(per_index, dtype=np.float64)
     pairs = []
@@ -485,7 +472,7 @@ def sample_corners_df(index: CornerIndex, s: int, gen: np.random.Generator) -> A
         y = levels[int(gen.integers(len(times)))]
         lo, hi = np.searchsorted(levels, (y, y + 1)).tolist()
         pairs.append((i1, int(times[lo + int(gen.integers(hi - lo))])))
-    return _pairs_to_decoration("df", pairs)
+    return pairs, total
 
 
 def unicellular_terms(f: LatticeExcursion, g: int):
@@ -666,7 +653,6 @@ class TiltSample:
         self.gen = gen
         self.mode = mode
         self.tilt = tilt
-        self._index = None  # the corner index behind bf or df chords
         self._times = None
         self._chords = None
         self._weight = None
@@ -686,13 +672,8 @@ class TiltSample:
                                            self.mode, self.exc.n)
         return self._weight
 
-    def _corners(self) -> CornerIndex:
-        if self._index is None:
-            self._index = corner_index(self.exc.values)
-        return self._index
-
     def chords(self) -> list[tuple[int, int]]:
-        """Sampled surplus edges as contour-time pairs (corner decoration applied once)."""
+        """Sampled surplus edges as contour-time pairs, drawn once, in draw order."""
         if self._chords is None:
             if self.weight() == 0.0:
                 raise DegenerateEnsembleError("cannot decorate a zero-weight sample")
@@ -702,8 +683,7 @@ class TiltSample:
                 self._chords = [(corners[a - 1], corners[b - 1]) for a, b in pairing.transpositions]
             else:
                 sample = sample_corners_bf if self.mode == "bf" else sample_corners_df
-                xi = sample(self._corners(), self.tilt, self.gen)
-                self._chords = [(xi.indices[2 * j], xi.indices[2 * j + 1]) for j in range(xi.s)]
+                self._chords = sample(corner_index(self.exc.values), self.tilt, self.gen)[0]
         return self._chords
 
     def _vertex_times(self) -> np.ndarray:
@@ -807,18 +787,19 @@ def sample_map_decoration(n: int, s: int, gen: np.random.Generator
     is exactly uniform, at every ``s``.
 
     :func:`sample_corners_bf` draws ``s`` independent pairs of a uniform excursion, each
-    admissible pair with probability ``1/B(f)``; the ends at each corner holding ends of
-    two or more pairs then take a uniform order, a loop's ends kept in tag order.  With
-    ``n_c`` ends at corner ``c`` and ``L`` loops, each decoration comes from ``s!`` draws
-    (its pairs in each order), each of probability ``2^L / (B(f)^s prod_c n_c!)``, so the
-    weight ``B(f)^s prod_c n_c! / (s! 2^L)`` gives it mass 1: the collision-weight identity
-    ``#dec(f, s) = (1/s!) sum over ordered s-tuples of pairs of prod_c n_c! / 2^L``.
+    admissible pair with probability ``1/B(f)``, and :meth:`AdmissibleCorners.of_pairs`
+    tags them; the ends at each corner holding ends of two or more pairs then take a
+    uniform order, a loop's ends kept in tag order.  With ``n_c`` ends at corner ``c`` and
+    ``L`` loops, each decoration comes from ``s!`` draws (its pairs in each order), each of
+    probability ``2^L / (B(f)^s prod_c n_c!)``, so the weight ``B(f)^s prod_c n_c! /
+    (s! 2^L)`` gives it mass 1: the collision-weight identity ``#dec(f, s) = (1/s!) sum
+    over ordered s-tuples of pairs of prod_c n_c! / 2^L``.
     """
     exc = sample_uniform_excursion(n, gen)
     if s == 0:
         return exc, AdmissibleCorners("bf", (), ()), 1.0
-    pairs, total = _bf_pairs(corner_index(exc.values), s, gen)
-    xi = _pairs_to_decoration("bf", pairs)
+    pairs, total = sample_corners_bf(corner_index(exc.values), s, gen)
+    xi = AdmissibleCorners.of_pairs("bf", pairs)
     ends, tags = xi.indices, list(xi.tags)  # end 2j + side is a side of pair j
     at_corner: dict[int, list[int]] = {}
     for e, i in enumerate(ends):
@@ -876,6 +857,8 @@ def _edge(u: int, v: int) -> tuple[int, int]:
 
 def enumerate_surplus_graphs(n: int, s: int) -> list[RootedGraph]:
     """All rooted connected simple graphs on [n] with surplus s."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
     if n > 6 or s > 2:
         raise EnumerationCapExceeded(f"graph enumeration capped at n<=6, s<=2 (got n={n}, s={s})")
     all_pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]

@@ -2,7 +2,7 @@
 
 import hashlib
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement, permutations
 
 import numpy as np
 import pytest
@@ -198,7 +198,8 @@ class TestInsertExplore:
                 f, xi, _ = sample_map_decoration(1000, s, gen)
             else:
                 f = sample_uniform_excursion(1000, gen)
-                xi = sample_corners_df(corner_index(f.values), s, gen)
+                pairs, _ = sample_corners_df(corner_index(f.values), s, gen)
+                xi = AdmissibleCorners.of_pairs("df", pairs)
             explore = bf_explore if xi.mode == "bf" else df_explore
             assert explore(insert_edges(f, xi)) == (f, xi)
 
@@ -209,8 +210,9 @@ class TestInsertExplore:
         for r in range(6):
             gen = rng.substream(r).generator()
             f = sample_uniform_excursion(200, gen)
-            draw = sample_corners_bf if r % 2 else sample_corners_df
-            maps.append(insert_edges(f, draw(corner_index(f.values), 1 + r % 3, gen)))
+            mode, draw = ("bf", sample_corners_bf) if r % 2 else ("df", sample_corners_df)
+            pairs, _ = draw(corner_index(f.values), 1 + r % 3, gen)
+            maps.append(insert_edges(f, AdmissibleCorners.of_pairs(mode, pairs)))
         gen = rng.generator()
         for m in maps:
             moved = relabel(m, gen.permutation(m.num_half_edges).tolist())
@@ -303,6 +305,34 @@ class TestInsertExplore:
             insert_edges(DOUBLE3, AdmissibleCorners("bf", indices, tags))
 
 
+class TestOfPairs:
+    def test_a_loop_numbers_its_ends(self):
+        assert AdmissibleCorners.of_pairs("bf", [(1, 1)]) == AdmissibleCorners("bf", (1, 1), (1, 2))
+
+    def test_a_repeated_pair_numbers_each_corner(self):
+        assert AdmissibleCorners.of_pairs("df", [(1, 3), (1, 3)]) == \
+            AdmissibleCorners("df", (1, 3, 1, 3), (1, 1, 2, 2))
+
+    def test_pair_order_does_not_matter(self):
+        pairs = [(3, 3), (1, 3), (1, 1), (2, 5), (1, 3)]
+        want = AdmissibleCorners("bf", (1, 1, 1, 3, 1, 3, 2, 5, 3, 3),
+                                 (1, 2, 3, 1, 4, 2, 1, 1, 3, 4))
+        assert {AdmissibleCorners.of_pairs("bf", p) for p in permutations(pairs)} == {want}
+
+    def test_distinct_corners_all_read_one(self):
+        # what a gluing of increasing corners relies on
+        xi = AdmissibleCorners.of_pairs("bf", [(3, 6), (1, 5), (2, 4)])
+        assert xi == AdmissibleCorners("bf", (1, 5, 2, 4, 3, 6), (1, 1, 1, 1, 1, 1))
+
+    @pytest.mark.parametrize("mode", ["bf", "df"])
+    def test_every_multiset_of_admissible_pairs_validates(self, mode):
+        for n in range(1, 5):
+            for f in enumerate_excursions(n):
+                for s in (1, 2, 3):
+                    for chosen in combinations_with_replacement(admissible_pairs(f, mode), s):
+                        AdmissibleCorners.of_pairs(mode, chosen).validate(f)
+
+
 class TestEnumerationDigest:
     def test_enumerate_admissible_digest(self):
         # every decoration, in order, for n <= 5 at s <= 2 and n <= 4 at s = 3, both modes
@@ -350,8 +380,8 @@ class TestContourBuilder:
         for r in range(200):
             gen = rng.substream(r).generator()
             f = sample_uniform_excursion(1000, gen)
-            draw = sample_corners_bf if r % 2 else sample_corners_df
-            xi = draw(corner_index(f.values), 1 + r % 3, gen)
+            mode, draw = ("bf", sample_corners_bf) if r % 2 else ("df", sample_corners_df)
+            xi = AdmissibleCorners.of_pairs(mode, draw(corner_index(f.values), 1 + r % 3, gen)[0])
             m = insert_edges(f, xi)
             assert (m.sigma, m.alpha) == oracle_rotation_system(tree_of_contour(f), xi)
 
@@ -631,7 +661,7 @@ class TestMetric:
         for gen in rng.generators(200):
             f = sample_uniform_excursion(1000, gen)
             index = corner_index(f.values)
-            xi = sample_corners_bf(index, 1, gen)
+            xi = AdmissibleCorners.of_pairs("bf", sample_corners_bf(index, 1, gen)[0])
             tree = tree_of_contour(f)
             chord = [tuple(tree.vertex_at_time[i] for i in xi.indices)]
             expected = bfs_distances(tree_adjacency(tree, chord), 0)

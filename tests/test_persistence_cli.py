@@ -229,6 +229,18 @@ class TestCli:
         assert data["indices"] == [1, 3]
         assert data["tags"] == [1, 1]
 
+    @pytest.mark.parametrize("corners, tags", [("1,1", [1, 2]), ("1,3,1,3", [1, 1, 2, 2])])
+    def test_invert_tags_shared_corners_canonically(self, corners, tags, tmp_path):
+        # with no --tags, each corner numbers its ends 1, 2, ... in sorted pair order
+        out1, out2 = tmp_path / "a", tmp_path / "b"
+        assert main(["invert", "--tree", "(()())", "--corners", corners,
+                     "--out", str(out1)]) == EXIT_OK
+        assert main(["explore", "--mode", "bf", "--in", str(out1 / "map.json"),
+                     "--out", str(out2)]) == EXIT_OK
+        data = json.loads((out2 / "exploration.json").read_text())
+        assert data["indices"] == [int(i) for i in corners.split(",")]
+        assert data["tags"] == tags
+
     @pytest.mark.parametrize("corners, tags", [("3", ""), ("", "1")])
     def test_invert_uneven_decoration_is_usage_error(self, corners, tags, tmp_path, capsys):
         argv = ["invert", "--tree", "((()()))", "--corners", corners, "--tags", tags,
@@ -484,6 +496,12 @@ class TestCli:
     def test_bad_sizes_are_usage_errors(self, argv, tmp_path, capsys):
         assert main(argv + ["--out", str(tmp_path / "o")]) == EXIT_USAGE
         assert capsys.readouterr().err.startswith("usage error:")
+
+    @pytest.mark.parametrize("argv", [["sample", "graph", "--n", "0"],
+                                      ["enumerate", "--family", "h", "--n", "0"]])
+    def test_graphs_of_no_vertices_are_refused(self, argv, tmp_path, capsys):
+        assert main(argv + ["--out", str(tmp_path / "o")]) == EXIT_USAGE
+        assert capsys.readouterr().err == "usage error: n must be >= 1\n"
 
     def test_genus_two_above_cap_fails_fast(self, tmp_path, capsys):
         start = time.perf_counter()

@@ -17,8 +17,9 @@ from surplus_lab.lattice_paths import (
     height_profile,
     tree_of_contour,
 )
-from surplus_lab.local_time import bf_per_index, corner_index, df_per_index
+from surplus_lab.local_time import bf_per_index, corner_index, corner_total, df_per_index
 from surplus_lab.maps import (
+    AdmissibleCorners,
     adjacency,
     bfs_distances,
     insert_edges,
@@ -265,13 +266,13 @@ class TestTreeProfile:
 class TestCornerSamplers:
     def test_bf_singleton(self):
         f = LatticeExcursion([0, 1, 0])
-        xi = sample_corners_bf(corner_index(f.values), 1, RngStream(3).generator())
-        assert xi.indices == (1, 1)
+        pairs, _ = sample_corners_bf(corner_index(f.values), 1, RngStream(3).generator())
+        assert AdmissibleCorners.of_pairs("bf", pairs).indices == (1, 1)
 
     def test_df_singleton(self):
         f = LatticeExcursion([0, 1, 0])
-        xi = sample_corners_df(corner_index(f.values), 1, RngStream(3).generator())
-        assert xi.indices == (1, 1)
+        pairs, _ = sample_corners_df(corner_index(f.values), 1, RngStream(3).generator())
+        assert AdmissibleCorners.of_pairs("df", pairs).indices == (1, 1)
 
     def test_bf_marginals(self):
         f = LatticeExcursion([0, 1, 2, 1, 0])
@@ -280,7 +281,8 @@ class TestCornerSamplers:
         first = Counter()
         second_given_2 = Counter()
         for r in range(reps):
-            xi = sample_corners_bf(corner_index(f.values), 1, rng.substream(r).generator())
+            pairs, _ = sample_corners_bf(corner_index(f.values), 1, rng.substream(r).generator())
+            xi = AdmissibleCorners.of_pairs("bf", pairs)
             first[xi.indices[0]] += 1
             if xi.indices[0] == 2:
                 second_given_2[xi.indices[1]] += 1
@@ -296,7 +298,9 @@ class TestCornerSamplers:
             reps = 20_000
             c = Counter()
             for r in range(reps):
-                xi = sample_corners_df(corner_index(f.values), 1, rng.substream(f.n, r).generator())
+                gen = rng.substream(f.n, r).generator()
+                pairs, _ = sample_corners_df(corner_index(f.values), 1, gen)
+                xi = AdmissibleCorners.of_pairs("df", pairs)
                 c[xi.indices] += 1
             dw = df_per_index(corner_index(f.values))
             for (i1, i2), cnt in c.items():
@@ -318,22 +322,33 @@ class TestCornerSamplers:
                         pairs.append((i1, ts[int(gen.integers(len(ts)))]))
                         break
                     u -= len(ts)
-            return samplers._pairs_to_decoration("df", pairs)
+            return AdmissibleCorners.of_pairs("df", pairs)
 
         rng = RngStream(29)
         for r in range(200):
             f = sample_uniform_excursion(40, rng.substream(0, r).generator())
             want = bucket_draw(f, 3, rng.substream(1, r).generator())
             index = corner_index(f.values)
-            assert sample_corners_df(index, 3, rng.substream(1, r).generator()) == want
+            pairs, _ = sample_corners_df(index, 3, rng.substream(1, r).generator())
+            assert AdmissibleCorners.of_pairs("df", pairs) == want
+
+    @pytest.mark.parametrize("mode", ["bf", "df"])
+    def test_draw_total_is_the_corner_total(self, mode):
+        sample = sample_corners_bf if mode == "bf" else sample_corners_df
+        gen = RngStream(41).generator()
+        for n in range(1, 7):
+            for f in enumerate_excursions(n):
+                assert sample(corner_index(f.values), 2, gen)[1] == corner_total(f.values, mode)
 
     def test_sampled_decorations_validate(self):
         rng = RngStream(21)
         for r in range(50):
             f = sample_uniform_excursion(20, rng.substream(0, r).generator())
             index = corner_index(f.values)
-            sample_corners_bf(index, 2, rng.substream(1, r).generator()).validate(f)
-            sample_corners_df(index, 2, rng.substream(2, r).generator()).validate(f)
+            pairs, _ = sample_corners_bf(index, 2, rng.substream(1, r).generator())
+            AdmissibleCorners.of_pairs("bf", pairs).validate(f)
+            pairs, _ = sample_corners_df(index, 2, rng.substream(2, r).generator())
+            AdmissibleCorners.of_pairs("df", pairs).validate(f)
 
 
 class TestUnicellularDecoration:
@@ -904,7 +919,8 @@ class TestContourDistances:
                 m, unicellular = unicellular_glue(exc, pairing, corners)
                 assert unicellular
             else:
-                m = insert_edges(exc, sample_corners_bf(corner_index(exc.values), tilt, gen))
+                pairs, _ = sample_corners_bf(corner_index(exc.values), tilt, gen)
+                m = insert_edges(exc, AdmissibleCorners.of_pairs("bf", pairs))
             # tree vertex v >= 1 owns the up-half 2(v-1)+1 of its parent edge
             label = [m.origin[m.root]] + [m.origin[2 * v - 1] for v in range(1, n + 1)]
             metric = metric_from_root(m)
